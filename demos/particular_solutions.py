@@ -1,13 +1,16 @@
 """Particular solutions for the five supported forcing families.
 
-Run with:  python3 demos/variation_of_parameters.py
+Run with:  python3 demos/particular_solutions.py
 
 The same left side — T2 y + 4 T y + 3 y — is driven by an exponential, a
 polynomial, a sinusoid, a power-times-exponential product, and an
 exponential that collides with a characteristic root at special alpha
-values.  Variation of parameters handles all of them with one code path;
-resonance needs no special casing because integrating a rate-zero Cramer
-numerator produces the ramped u * e^{ru} growth by itself.
+values.  The exponential shift P(D)[e^{su} p(u)] = e^{su} P(s+D) p(u)
+handles all of them with one code path: at a root of multiplicity m the
+first m Taylor coefficients of P at s vanish, and the m integrations that
+follow produce the ramped u * e^{ru} growth.  The paper's variation of
+parameters, which gives the same answers up to homogeneous terms, is kept
+in tests/vop_reference.py as the reference the tests compare against.
 """
 
 from confode import SubstMap, format_t, operator_residual, problem_from_source, solve_problem

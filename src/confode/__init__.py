@@ -8,8 +8,8 @@ classical constant-coefficient problem over a small closed term algebra
 
 - :mod:`confode.ualgebra` — the exact-rate term algebra and calculus on it
 - :mod:`confode.chareq` — characteristic polynomials and clustered roots
-- :mod:`confode.solver` — solution bases, Wronskians, variation of
-  parameters, initial-value fitting
+- :mod:`confode.solver` — solution bases, particular solutions by
+  exponential-shift inversion, initial-value fitting
 - :mod:`confode.conformable` — the independent numeric oracle
   (limit-quotient derivatives and adaptive quadrature)
 - :mod:`confode.eqparse` — the equation text front end
@@ -40,7 +40,6 @@ from .solver import (
     SingularSystemError,
     SolutionBasis,
     SolverError,
-    WronskianError,
     fit_constants,
     format_solution,
     homogeneous_basis,
@@ -48,7 +47,6 @@ from .solver import (
     solution_from_doc,
     solution_to_doc,
     solve_problem,
-    wronskian,
 )
 from .ualgebra import (
     SubstMap,
@@ -81,7 +79,6 @@ __all__ = [
     "SubstMap",
     "UExpr",
     "UTerm",
-    "WronskianError",
     "diff_u",
     "eval_expr",
     "expr",
@@ -104,6 +101,5 @@ __all__ = [
     "solution_from_doc",
     "solution_to_doc",
     "solve_problem",
-    "wronskian",
     "__version__",
 ]

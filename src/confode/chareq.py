@@ -11,8 +11,7 @@ simultaneous iteration, then
   that radius are reported as one multiple root);
 * snapped: an imaginary part below 1e-8 (relative) is dropped;
 * polished: a few modified-Newton steps per representative, which lands
-  simple roots on their correctly rounded values -- resonance detection
-  downstream compares forcing rates against these exact floats;
+  simple roots on their correctly rounded values;
 * paired: complex entries are matched with their conjugates and averaged
   so the stored set is exactly conjugate-symmetric.
 """
@@ -183,8 +182,7 @@ def _polish(p: CharPoly, z: complex, mult: int) -> complex:
     # An m-fold zero of p is a simple zero of the (m-1)-th derivative, so
     # plain Newton on that derivative reaches full binary64 precision
     # where iterating on p itself would stall at the cancellation noise
-    # floor.  Exactly representable roots land on their exact values,
-    # which downstream resonance detection relies on.
+    # floor.  Exactly representable roots land on their exact values.
     last_step = float("inf")
     for _ in range(60):
         pv = eval_poly_deriv(p, z, mult - 1)

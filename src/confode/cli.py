@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
     0  success
     1  usage, parse, or configuration error
-    2  solver failure (root non-convergence, Wronskian breakdown)
+    2  solver failure (root non-convergence, incomplete basis, singular
+       constant fit)
     3  verification failure (residual above tolerance)
 
 ``verify`` accepts either equation text (which it solves first) or a

@@ -5,16 +5,19 @@ where the conformable derivative acts as d/du and the equation becomes a
 constant-coefficient linear ODE.  The pipeline is:
 
   1. characteristic roots (:mod:`confode.chareq`) -> homogeneous basis,
-  2. symbolic Wronskian as a Cramer denominator,
-  3. variation of parameters for a particular solution,
-  4. optional constant fitting against initial values.
+  2. a particular solution by exponential-shift inversion, term by term
+     over the forcing, in exact Gaussian-rational arithmetic (no roots,
+     basis or determinants),
+  3. optional constant fitting against initial values.
 
-Division never leaves the term algebra: the only divisions performed are by
-the single-term Wronskian (Cramer's rule) and by scalars.
+The paper's variation of parameters (Wronskian and Cramer minors) is kept
+in the test suite as an independent reference.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,16 +32,12 @@ from .ualgebra import (
     UExpr,
     UTerm,
     add,
+    canonicalize,
     diff_u,
-    div_by_term,
     eval_expr,
     expr,
     expr_from_records,
     format_t,
-    format_u,
-    integrate_u,
-    mul,
-    one,
     scale,
     term_records,
 )
@@ -46,10 +45,6 @@ from .ualgebra import (
 
 class SolverError(ArithmeticError):
     """Base class for structural failures while building a solution."""
-
-
-class WronskianError(SolverError):
-    """The basis determinant did not collapse to a single exponential term."""
 
 
 class SingularSystemError(SolverError):
@@ -170,78 +165,103 @@ def derivative_matrix(basis: SolutionBasis) -> list[list[UExpr]]:
     return rows
 
 
-def _subset_det(matrix: list[list[UExpr]], cols: tuple[int, ...], row: int,
-                memo: dict) -> UExpr:
-    """Determinant of rows row..row+len(cols)-1 restricted to ``cols``.
+#: Resonance floor.  A Taylor coefficient a_j = P^(j)(s)/j! counts as zero when
+#: ``|a_j| <= RESONANCE_FLOOR * (n + 1) * sum_{i>=j} C(i, j) |c_i| |s|^(i-j)``
+#: (with c_n = 1): a backward-error test asking whether s is a root of P
+#: once the coefficients and s are perturbed by their rounding.  Decimal
+#: resonances such as r - 0.9 at s = 3 * 0.3 miss exact zero by one ulp.
+RESONANCE_FLOOR = 4 * sys.float_info.epsilon
 
-    Laplace expansion along the top row, memoized on (row, cols): the
-    minors of the full determinant and of every Cramer numerator revisit
-    the same subsets.
+
+def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ginv(x: tuple[Fraction, Fraction]):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
+                    k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+    """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``.
+
+    Exponential shift: ``P(D)[e^(su) w] = e^(su) P(s + D) w`` and
+    ``P(s + D) = sum_j a_j D^j`` with ``a_j = P^(j)(s) / j!``.  If the first
+    m coefficients vanish (m is the resonance multiplicity), the rest form
+    a series with a non-zero head, inverted up to degree k and applied to
+    ``u^k``; m integrations then give ``w``.  Returns ``(upow, coefficient)``
+    pairs over the Gaussian rationals.
     """
-    if not cols:
-        return one()
-    key = (row, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    acc = ZERO
-    for pos, j in enumerate(cols):
-        sub = _subset_det(matrix, cols[:pos] + cols[pos + 1:], row + 1, memo)
-        piece = mul(matrix[row][j], sub)
-        acc = add(acc, piece if pos % 2 == 0 else scale(piece, -1.0))
-    memo[key] = acc
-    return acc
+    n = len(coeffs)
+    # Repeated synthetic division by (r - s), highest coefficient first:
+    # pass j leaves a_j in slot n - j.  The same passes over |c_i| at |s|
+    # give the scale of each a_j for the resonance floor.
+    work = [(Fraction(1), Fraction(0))] + [(Fraction(c), Fraction(0)) for c in reversed(coeffs)]
+    bound = [1.0] + [abs(c) for c in reversed(coeffs)]
+    s_abs = abs(complex(float(s[0]), float(s[1])))
+    floor = RESONANCE_FLOOR * (n + 1)
+    taylor: list[tuple[Fraction, Fraction]] = []
+    m = None
+    for j in range(n + 1):
+        for i in range(1, n + 1 - j):
+            step = _gmul(s, work[i - 1])
+            work[i] = (work[i][0] + step[0], work[i][1] + step[1])
+            bound[i] += s_abs * bound[i - 1]
+        a = work[n - j]
+        if m is None:
+            if abs(complex(float(a[0]), float(a[1]))) <= floor * bound[n - j]:
+                continue
+            m = j
+        taylor.append(a)
+        if j == m + k:
+            break
+    # Series inverse b of sum_i taylor[i] D^i, up to degree k.
+    head = _ginv(taylor[0])
+    inv = [head]
+    for i in range(1, k + 1):
+        acc = (Fraction(0), Fraction(0))
+        for l in range(1, min(i, len(taylor) - 1) + 1):
+            t = _gmul(taylor[l], inv[i - l])
+            acc = (acc[0] + t[0], acc[1] + t[1])
+        t = _gmul(head, acc)
+        inv.append((-t[0], -t[1]))
+    # b_i D^i u^k integrated m times: b_i * k! / (k + m - i)! * u^(k + m - i).
+    out = []
+    for i, b in enumerate(inv):
+        f = Fraction(math.factorial(k), math.factorial(k + m - i))
+        out.append((k + m - i, (b[0] * f, b[1] * f)))
+    return out
 
 
-def _collapse_wronskian(det: UExpr) -> UTerm:
-    if len(det.terms) != 1:
-        raise WronskianError(
-            "basis determinant did not collapse to a single term "
-            f"(got {format_u(det)}); the set is not fundamental or the "
-            "algebra broke down")
-    w = det.terms[0]
-    if w.upow or w.trig is not None:
-        raise WronskianError(
-            f"basis determinant is not pure-exponential: {format_u(det)}")
-    return w
+def particular_solution(spec: ProblemSpec) -> UExpr:
+    """A particular solution by exponential-shift inversion, term by term.
 
-
-def wronskian(basis: SolutionBasis) -> UTerm:
-    """Determinant of the derivative matrix; always C * e^(a*u), C != 0."""
-    matrix = derivative_matrix(basis)
-    return _collapse_wronskian(_subset_det(matrix, tuple(range(basis.n)), 0, {}))
-
-
-def particular_solution(spec: ProblemSpec, basis: SolutionBasis) -> tuple[UExpr, list[UExpr]]:
-    """Variation of parameters via Cramer's rule.
-
-    The condition system makes every row of c'(u) combinations vanish
-    except the last, which equals the forcing.  Each Cramer numerator is
-    the forcing times a signed (n-1)-minor of the derivative matrix, and
-    the shared denominator is the single-term Wronskian, so division stays
-    inside the algebra.  Returns (v, [c_1..c_n]) with v = sum c_i * y_i.
-
-    Resonant forcing needs no special path: a forcing rate equal to a root
-    cancels the exponential in a numerator/Wronskian quotient, and the
-    pure-power integration branch then produces the u-growth factor.
+    Each forcing term ``c u^k e^(au) {1 | cos(bu) | sin(bu)}`` is the real
+    or imaginary part of ``c u^k e^(su)`` with ``s = a + ib``; its response
+    is worked out exactly over the Gaussian rationals and rounded to float
+    only at the end.  Resonant forcing (s a root of multiplicity m, up to
+    :data:`RESONANCE_FLOOR`) picks up the ``u^m`` growth from the m-fold
+    integration.  No roots, basis or determinants are involved.
     """
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
-    n = basis.n
-    matrix = derivative_matrix(basis)
-    memo: dict = {}
-    cols = tuple(range(n))
-    w = _collapse_wronskian(_subset_det(matrix, cols, 0, memo))
-    cfuncs: list[UExpr] = []
-    for i in range(n):
-        minor = _subset_det(matrix, cols[:i] + cols[i + 1:], 0, memo)
-        sign = 1.0 if (n - 1 + i) % 2 == 0 else -1.0
-        numer = scale(mul(spec.forcing, minor), sign)
-        cfuncs.append(integrate_u(div_by_term(numer, w)))
-    v = ZERO
-    for c, y in zip(cfuncs, basis.elements):
-        v = add(v, mul(c, y))
-    return v, cfuncs
+    out: list[UTerm] = []
+    for term in spec.forcing.terms:
+        c = Fraction(term.coeff)
+        a, b = term.erate, term.tfreq
+        for upow, (wr, wi) in _shift_response(spec.coeffs, (a, b), term.upow):
+            if term.trig is None:
+                out.append(UTerm(float(c * wr), upow, a))
+            elif term.trig == COS:
+                # Re[(wr + i wi)(cos bu + i sin bu)]
+                out.append(UTerm(float(c * wr), upow, a, COS, b))
+                out.append(UTerm(float(-c * wi), upow, a, SIN, b))
+            else:
+                # Im[(wr + i wi)(cos bu + i sin bu)]
+                out.append(UTerm(float(c * wr), upow, a, SIN, b))
+                out.append(UTerm(float(c * wi), upow, a, COS, b))
+    return canonicalize(out)
 
 
 def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | None = None):
@@ -283,7 +303,7 @@ def solve_problem(spec: ProblemSpec, t0: float | None = None,
     basis = homogeneous_basis(spec)
     particular = None
     if not spec.forcing.is_zero():
-        particular, _ = particular_solution(spec, basis)
+        particular = particular_solution(spec)
     sol = GeneralSolution(spec, basis, particular)
     if targets is not None:
         if t0 is None:

@@ -3,7 +3,7 @@
 All symbolic work in this package happens in the substituted variable
 ``u = t**alpha / alpha``, where the conformable derivative of order alpha
 acts as plain d/du.  Every function the solver manipulates -- homogeneous
-solutions, forcing terms, variation-of-parameters integrands -- is a
+solutions, forcing terms, particular solutions -- is a
 finite sum of terms
 
     coeff * u**upow * exp(erate*u) * {1 | cos(tfreq*u) | sin(tfreq*u)}
@@ -15,11 +15,10 @@ in the t domain.
 Exponent keys (``erate``, ``tfreq``) are exact rationals rather than
 binary64 floats.  Rates and frequencies only ever arise as small integer
 combinations of a finite set of inputs (characteristic roots, forcing
-parameters), and the cancellations the solver depends on -- a particular
-solution landing exactly on the forcing term's key, or a resonant
-integrand landing exactly on rate zero -- require those combinations to
-be exact, which float addition cannot guarantee across different
-evaluation orders.  Coefficients stay binary64; like-term merging prunes
+parameters), and the cancellation the solver depends on -- the operator
+applied to a particular solution landing exactly on the forcing term's
+key -- requires those combinations to be exact, which float addition
+cannot guarantee across different evaluation orders.  Coefficients stay binary64; like-term merging prunes
 the float cancellation dust they accumulate.
 """
 
@@ -249,9 +248,7 @@ def _antiderivative(term: UTerm) -> list[UTerm]:
     c, k, a, trig, b = term.coeff, term.upow, term.erate, term.trig, term.tfreq
     if trig is None:
         if a == 0:
-            # Pure power.  This branch is also what makes resonance work
-            # downstream: a variation-of-parameters integrand whose rate
-            # cancels exactly lands here and picks up one power of u.
+            # Pure power.
             return [UTerm(c / (k + 1), k + 1)]
         af = float(a)
         head = UTerm(c / af, k, a)
@@ -288,20 +285,6 @@ def integrate_u(f: UExpr) -> UExpr:
                 f"(near-resonant rate {float(term.erate)!r}?) while integrating "
                 f"{format_u(f)}")
     return canonicalize(out)
-
-
-def div_by_term(f: UExpr, d: UTerm) -> UExpr:
-    """Divide by a single pure-exponential term ``c * e^(a*u)``."""
-    if d.coeff == 0.0:
-        raise ZeroDivisionError("division by a zero term")
-    if d.upow or d.trig is not None:
-        raise ValueError(
-            "division is only defined for pure exponential terms "
-            f"(upow == 0, no trig), got {d!r}")
-    return canonicalize([
-        UTerm(t.coeff / d.coeff, t.upow, t.erate - d.erate, t.trig, t.tfreq)
-        for t in f.terms
-    ])
 
 
 def eval_expr(f: UExpr, t: float, subst: SubstMap) -> float:

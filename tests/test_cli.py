@@ -214,6 +214,17 @@ def test_verify_tight_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_order_ten_distinct_roots_passes(capsys):
+    # roots -1..-10: the Laplace/Cramer particular solution missed the
+    # default tolerance here (2.7e-6)
+    source = ("T10 y + 55 T9 y + 1320 T8 y + 18150 T7 y + 157773 T6 y "
+              "+ 902055 T5 y + 3416930 T4 y + 8409500 T3 y + 12753576 T2 y "
+              "+ 10628640 T y + 3628800 y = t^(2 a) * exp(t^a) + sin(2 t^a)")
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "--json", source], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"]
+
+
 def test_solve_json_pipes_to_identical_verify_report(capsys, monkeypatch):
     code, sol_json, _ = run_cli(
         ["solve", "--alpha", "0.75", "--json", FORCED], capsys)

@@ -1,4 +1,5 @@
-"""Solver tests: basis construction, Wronskian, variation of parameters."""
+"""Solver tests: basis construction, particular solutions by exponential
+shift, and the variation-of-parameters reference they are checked against."""
 
 import json
 import math
@@ -10,13 +11,13 @@ import pytest
 
 from confode.chareq import CharPoly, eval_poly
 from confode.conformable import operator_residual
+from confode.eqparse import problem_from_source
 from confode.solver import (
     BasisOrigin,
     GeneralSolution,
     ProblemSpec,
     SingularSystemError,
     SolutionBasis,
-    WronskianError,
     apply_operator,
     derivative_matrix,
     fit_constants,
@@ -26,7 +27,6 @@ from confode.solver import (
     solution_from_doc,
     solution_to_doc,
     solve_problem,
-    wronskian,
 )
 from confode.ualgebra import (
     COS,
@@ -42,6 +42,8 @@ from confode.ualgebra import (
     one,
     scale,
 )
+from vop_reference import WronskianError, div_by_term, wronskian
+from vop_reference import particular_solution as vop_particular_solution
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
 
@@ -148,7 +150,7 @@ def test_basis_count_matches_order():
 
 
 # ---------------------------------------------------------------------------
-# derivative_matrix / wronskian
+# derivative_matrix / wronskian (the reference's Cramer denominator)
 
 
 def test_derivative_matrix_worked():
@@ -198,6 +200,18 @@ def test_wronskian_rejects_dependent_set():
         wronskian(dup)
 
 
+def test_div_by_term():
+    f = expr(UTerm(3.0, 1, F(2)), UTerm(1.0, 0, F(5)))
+    d = UTerm(2.0, 0, F(2))
+    assert div_by_term(f, d) == expr(UTerm(0.5, 0, F(3)), UTerm(1.5, 1))
+    with pytest.raises(ValueError):
+        div_by_term(f, UTerm(1.0, 1))
+    with pytest.raises(ValueError):
+        div_by_term(f, UTerm(1.0, 0, 0, COS, F(1)))
+    with pytest.raises(ZeroDivisionError):
+        div_by_term(f, UTerm(0.0))
+
+
 @pytest.mark.parametrize("coeffs", [(3.0, 4.0), (25.0, -10.0), (1.0, 1.0),
                                     (-1.0, 3.0, -3.0), (2.0, 0.0, 1.0, 0.5)])
 def test_wronskian_rate_is_trace(coeffs):
@@ -216,11 +230,12 @@ def test_wronskian_rate_is_trace(coeffs):
 def test_particular_single_exponential(alpha):
     # q = e^{2 t^alpha}; the response coefficient is 1/P(2 alpha).
     spec = ProblemSpec((3.0, 4.0), alpha, exp_term(F(2) * F(alpha)))
-    v, cfuncs = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     assert len(v.terms) == 1
     rate = F(2) * F(alpha)
     close(coeff_of(v, erate=rate), 1.0 / (4 * alpha ** 2 + 8 * alpha + 3), 1e-10)
-    # the first undetermined function's derivative: -(1/2) e^{(2a+3)u}
+    # the reference's first undetermined function's derivative: -(1/2) e^{(2a+3)u}
+    _, cfuncs = vop_particular_solution(spec, homogeneous_basis(spec))
     c1p = diff_u(cfuncs[0])
     assert len(c1p.terms) == 1
     close(coeff_of(c1p, erate=rate + 3), -0.5, 1e-10)
@@ -229,7 +244,7 @@ def test_particular_single_exponential(alpha):
 
 def test_particular_single_exponential_classical():
     spec = ProblemSpec((3.0, 4.0), 1.0, exp_term(2))
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     close(coeff_of(v, erate=F(2)), 1.0 / 15.0, 1e-12)
 
 
@@ -239,7 +254,7 @@ def test_particular_polynomial(alpha):
     # in t form are 2/3, (3-16a)/9 and (52a^2-12a-27)/27.
     q = expr(UTerm(2 * alpha ** 2, 2), UTerm(alpha, 1), UTerm(-3.0))
     spec = ProblemSpec((3.0, 4.0), alpha, q)
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     close(coeff_of(v, upow=2), (2.0 / 3.0) * alpha ** 2, 1e-9)
     close(coeff_of(v, upow=1), alpha * (3 - 16 * alpha) / 9.0, 1e-9)
     close(coeff_of(v, upow=0), (52 * alpha ** 2 - 12 * alpha - 27) / 27.0, 1e-9)
@@ -254,7 +269,7 @@ def test_particular_sine_forcing(alpha):
     freq = F(2) * F(alpha)
     q = expr(UTerm(1.0, trig=SIN, tfreq=freq))
     spec = ProblemSpec((3.0, 4.0), alpha, q)
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     den = 16 * alpha ** 4 + 40 * alpha ** 2 + 9
     close(coeff_of(v, trig=SIN, tfreq=freq), (3 - 4 * alpha ** 2) / den, 1e-9)
     system = np.array([[3 - 4 * alpha ** 2, 8 * alpha],
@@ -271,7 +286,7 @@ def test_particular_exponential_times_power(alpha):
     rate = F(2) * F(alpha)
     q = expr(UTerm(alpha, 1, rate))
     spec = ProblemSpec((3.0, 4.0), alpha, q)
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     p2a = 4 * alpha ** 2 + 8 * alpha + 3
     close(coeff_of(v, upow=1, erate=rate), alpha / p2a, 1e-9)
     close(coeff_of(v, upow=0, erate=rate), -(4 * alpha ** 2 + 4 * alpha) / p2a ** 2, 1e-9)
@@ -284,7 +299,7 @@ def test_particular_decaying_exponential_nonresonant(alpha):
     # 1/(16a^2 - 16a + 3).
     rate = F(-4) * F(alpha)
     spec = ProblemSpec((3.0, 4.0), alpha, exp_term(rate))
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     assert len(v.terms) == 1
     close(coeff_of(v, erate=rate), 1.0 / (16 * alpha ** 2 - 16 * alpha + 3), 1e-10)
 
@@ -296,7 +311,7 @@ def test_particular_resonant(alpha, root, want):
     # space (the pure-exponential component depends on the integration
     # constant convention), so only the u-bearing coefficient is pinned.
     spec = ProblemSpec((3.0, 4.0), alpha, exp_term(F(-4) * F(alpha)))
-    v, _ = particular_solution(spec, homogeneous_basis(spec))
+    v = particular_solution(spec)
     close(coeff_of(v, upow=1, erate=root), want, 1e-9)
     assert (apply_operator(spec, v) - spec.forcing).is_zero()
 
@@ -304,7 +319,41 @@ def test_particular_resonant(alpha, root, want):
 def test_particular_requires_forcing():
     spec = ProblemSpec((3.0, 4.0), 0.5)
     with pytest.raises(ValueError):
-        particular_solution(spec, homogeneous_basis(spec))
+        particular_solution(spec)
+
+
+# ---------------------------------------------------------------------------
+# particular_solution: cases the Laplace/Cramer route got wrong
+
+
+def test_particular_decimal_resonance():
+    # s = 3 * 0.3 misses the root 0.9 by one ulp: within the resonance floor,
+    # so the answer is u e^{su}, not a 1e16-sized multiple of e^{su}
+    spec = problem_from_source("T y - 0.9 y = exp(3 t^a)", 0.3)
+    v = particular_solution(spec)
+    assert [(t.upow, t.erate) for t in v.terms] == [(1, F(3) * F(0.3))]
+    close(v.terms[0].coeff, 1.0, 1e-12)
+
+
+def test_particular_double_root_resonance():
+    spec = ProblemSpec((1.0, 2.0), 0.5, exp_term(-1))
+    assert particular_solution(spec) == exp_term(-1, coeff=0.5, upow=2)
+
+
+def test_particular_trig_resonance():
+    spec = ProblemSpec((4.0, 0.0), 0.5, expr(UTerm(1.0, trig=COS, tfreq=F(2))))
+    assert particular_solution(spec) == expr(UTerm(0.25, 1, trig=SIN, tfreq=F(2)))
+
+
+def test_order_nine_repeated_roots_solve():
+    # roots -4 (x3), 2 (x3), -5/2 (x2), -7: the Laplace/Cramer Wronskian
+    # failed to collapse to one term here
+    spec = problem_from_source(
+        "T9 y + 18 T8 y + 101.25 T7 y + 59.25 T6 y - 1192.5 T5 y - 2619 T4 y "
+        "+ 4206 T3 y + 13896 T2 y - 4320 T y - 22400 y "
+        "= t^a * exp(0.5 t^a) + sin(t^a)", 0.5)
+    sol = solve_problem(spec)
+    assert (apply_operator(spec, sol.particular) - spec.forcing).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +535,7 @@ def test_variation_of_parameters_residual_property():
     for _ in range(30):
         spec = random_spec(rng, 4)
         spec = ProblemSpec(spec.coeffs, spec.alpha, random_forcing(rng))
-        basis = homogeneous_basis(spec)
-        v, _ = particular_solution(spec, basis)
+        v = particular_solution(spec)
         assert (apply_operator(spec, v) - spec.forcing).is_zero(), (
             spec, format_u(apply_operator(spec, v) - spec.forcing))
         for _ in range(10):
@@ -507,7 +555,7 @@ def test_variation_of_parameters_conditions():
             spec = ProblemSpec((spec.coeffs[0], 1.0), spec.alpha)
         spec = ProblemSpec(spec.coeffs, spec.alpha, random_forcing(rng, 2))
         basis = homogeneous_basis(spec)
-        _, cfuncs = particular_solution(spec, basis)
+        _, cfuncs = vop_particular_solution(spec, basis)
         rows = derivative_matrix(basis)
         cprime = [diff_u(c) for c in cfuncs]
         for i in range(spec.order):
@@ -518,3 +566,78 @@ def test_variation_of_parameters_conditions():
                 assert total.is_zero(), (spec, i, format_u(total))
             else:
                 assert (total - spec.forcing).is_zero(), (spec, format_u(total))
+
+
+# ---------------------------------------------------------------------------
+# differential test: exponential shift against variation of parameters
+
+
+def _expand(roots):
+    """Ascending coefficients of prod (r - z)^m over (z, m), monic."""
+    poly = [complex(1)]
+    for z, m in roots:
+        for _ in range(m):
+            poly = [(poly[i - 1] if i else 0) - z * (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + 1)]
+    return tuple(c.real for c in poly[:-1])
+
+
+def _planted_roots(rng, max_order):
+    """Half-integer real roots and conjugate pairs with integer imaginary
+    parts, multiplicities up to 3, total degree 1..max_order."""
+    roots, degree = [], 0
+    target = rng.randint(1, max_order)
+    while degree < target:
+        m = rng.randint(1, min(3, target - degree))
+        if target - degree >= 2 * m and rng.random() < 0.4:
+            z = complex(rng.randint(-6, 4) / 2, rng.randint(1, 2))
+            if all(z != w for w, _ in roots):
+                roots += [(z, m), (z.conjugate(), m)]
+                degree += 2 * m
+        else:
+            z = complex(rng.randint(-6, 4) / 2)
+            if all(z != w for w, _ in roots):
+                roots.append((z, m))
+                degree += m
+    return roots
+
+
+def test_shift_matches_variation_of_parameters():
+    # Both answers solve L[v] = q, so they differ by a homogeneous solution
+    # and L applied to the difference must vanish.  A third of the forcing
+    # terms sit on a root, at the rates of the basis (which chareq may return
+    # a few ulps off a multiple root), so that the reference sees resonance
+    # exactly.  Its Laplace expansion over such roots leaves a residue of up
+    # to about 1e-8 of the forcing, hence the tolerance on the difference;
+    # the shift answer itself must balance exactly.
+    rng = random.Random(16)
+    multiplicities = set()
+    for _ in range(40):
+        spec = ProblemSpec(_expand(_planted_roots(rng, 5)), rng.choice(ALPHAS))
+        basis = homogeneous_basis(spec)
+        mult = {}
+        for o in basis.origins:
+            mult[o.root] = max(mult.get(o.root, 0), o.level + 1)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            coeff = round(rng.uniform(0.5, 3.0), 3) * rng.choice([-1.0, 1.0])
+            upow = rng.randint(0, 2)
+            if rng.random() < 1 / 3:
+                i = rng.randrange(basis.n)
+                root = basis.elements[i].terms[0]
+                multiplicities.add(mult[basis.origins[i].root])
+                trig = None if root.trig is None else rng.choice([COS, SIN])
+                terms.append(UTerm(coeff, upow, root.erate, trig, root.tfreq))
+            else:
+                trig = rng.choice([None, COS, SIN])
+                freq = F(0) if trig is None else rng.choice([F(1), F(3, 2)])
+                terms.append(UTerm(coeff, upow, rng.choice(RATE_POOL), trig, freq))
+        spec = ProblemSpec(spec.coeffs, spec.alpha, expr(*terms))
+        v_shift = particular_solution(spec)
+        v_vop, _ = vop_particular_solution(spec, basis)
+        assert (apply_operator(spec, v_shift) - spec.forcing).is_zero(), spec
+        gap = apply_operator(spec, v_shift - v_vop)
+        scale = max(abs(t.coeff) for t in spec.forcing.terms)
+        assert all(abs(t.coeff) <= 1e-6 * scale for t in gap.terms), (
+            spec, format_u(v_shift), format_u(v_vop), format_u(gap))
+    assert multiplicities == {1, 2, 3}

@@ -16,7 +16,6 @@ from confode.ualgebra import (
     add,
     canonicalize,
     diff_u,
-    div_by_term,
     eval_expr,
     expr,
     expr_from_records,
@@ -140,18 +139,6 @@ def test_eval_domain_error():
         eval_expr(one_term(1.0), 0.0, SubstMap(0.5))
     with pytest.raises(ValueError):
         eval_expr(one_term(1.0), -2.0, SubstMap(0.5))
-
-
-def test_div_by_term():
-    f = expr(UTerm(3.0, 1, Fraction(2)), UTerm(1.0, 0, Fraction(5)))
-    d = UTerm(2.0, 0, Fraction(2))
-    assert div_by_term(f, d) == expr(UTerm(0.5, 0, Fraction(3)), UTerm(1.5, 1))
-    with pytest.raises(ValueError):
-        div_by_term(f, UTerm(1.0, 1))
-    with pytest.raises(ValueError):
-        div_by_term(f, UTerm(1.0, 0, 0, COS, Fraction(1)))
-    with pytest.raises(ZeroDivisionError):
-        div_by_term(f, UTerm(0.0))
 
 
 # --- special derivatives ---------------------------------------------------

@@ -1,0 +1,123 @@
+"""Variation of parameters by Laplace/Cramer determinants: the paper's method.
+
+The library builds particular solutions by exponential-shift inversion.
+This module keeps the paper's route as an independent reference for the
+tests: the symbolic Wronskian of the homogeneous basis is the Cramer
+denominator, each Cramer numerator is the forcing times a signed
+(n-1)-minor of the derivative matrix, and both are expanded by memoised
+Laplace expansion over the 2^n column subsets.  Its cost doubles with
+each order, so the tests use it up to order 5.
+"""
+
+from __future__ import annotations
+
+from confode.solver import (
+    ProblemSpec,
+    SolutionBasis,
+    SolverError,
+    derivative_matrix,
+)
+from confode.ualgebra import (
+    ZERO,
+    UExpr,
+    UTerm,
+    add,
+    canonicalize,
+    format_u,
+    integrate_u,
+    mul,
+    one,
+    scale,
+)
+
+
+class WronskianError(SolverError):
+    """The basis determinant did not collapse to a single exponential term."""
+
+
+def div_by_term(f: UExpr, d: UTerm) -> UExpr:
+    """Divide by a single pure-exponential term ``c * e^(a*u)``."""
+    if d.coeff == 0.0:
+        raise ZeroDivisionError("division by a zero term")
+    if d.upow or d.trig is not None:
+        raise ValueError(
+            "division is only defined for pure exponential terms "
+            f"(upow == 0, no trig), got {d!r}")
+    return canonicalize([
+        UTerm(t.coeff / d.coeff, t.upow, t.erate - d.erate, t.trig, t.tfreq)
+        for t in f.terms
+    ])
+
+
+def _subset_det(matrix: list[list[UExpr]], cols: tuple[int, ...], row: int,
+                memo: dict) -> UExpr:
+    """Determinant of rows row..row+len(cols)-1 restricted to ``cols``.
+
+    Laplace expansion along the top row, memoized on (row, cols): the
+    minors of the full determinant and of every Cramer numerator revisit
+    the same subsets.
+    """
+    if not cols:
+        return one()
+    key = (row, cols)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    acc = ZERO
+    for pos, j in enumerate(cols):
+        sub = _subset_det(matrix, cols[:pos] + cols[pos + 1:], row + 1, memo)
+        piece = mul(matrix[row][j], sub)
+        acc = add(acc, piece if pos % 2 == 0 else scale(piece, -1.0))
+    memo[key] = acc
+    return acc
+
+
+def _collapse_wronskian(det: UExpr) -> UTerm:
+    if len(det.terms) != 1:
+        raise WronskianError(
+            "basis determinant did not collapse to a single term "
+            f"(got {format_u(det)}); the set is not fundamental or the "
+            "algebra broke down")
+    w = det.terms[0]
+    if w.upow or w.trig is not None:
+        raise WronskianError(
+            f"basis determinant is not pure-exponential: {format_u(det)}")
+    return w
+
+
+def wronskian(basis: SolutionBasis) -> UTerm:
+    """Determinant of the derivative matrix; always C * e^(a*u), C != 0."""
+    matrix = derivative_matrix(basis)
+    return _collapse_wronskian(_subset_det(matrix, tuple(range(basis.n)), 0, {}))
+
+
+def particular_solution(spec: ProblemSpec, basis: SolutionBasis) -> tuple[UExpr, list[UExpr]]:
+    """Variation of parameters via Cramer's rule.
+
+    The condition system makes every row of c'(u) combinations vanish
+    except the last, which equals the forcing.  Each Cramer numerator is
+    the forcing times a signed (n-1)-minor of the derivative matrix, and
+    the shared denominator is the single-term Wronskian, so division stays
+    inside the algebra.  Returns (v, [c_1..c_n]) with v = sum c_i * y_i.
+
+    Resonant forcing needs no special path: a forcing rate equal to a root
+    cancels the exponential in a numerator/Wronskian quotient, and the
+    pure-power integration branch then produces the u-growth factor.
+    """
+    if spec.forcing.is_zero():
+        raise ValueError("particular_solution needs a non-zero forcing")
+    n = basis.n
+    matrix = derivative_matrix(basis)
+    memo: dict = {}
+    cols = tuple(range(n))
+    w = _collapse_wronskian(_subset_det(matrix, cols, 0, memo))
+    cfuncs: list[UExpr] = []
+    for i in range(n):
+        minor = _subset_det(matrix, cols[:i] + cols[i + 1:], 0, memo)
+        sign = 1.0 if (n - 1 + i) % 2 == 0 else -1.0
+        numer = scale(mul(spec.forcing, minor), sign)
+        cfuncs.append(integrate_u(div_by_term(numer, w)))
+    v = ZERO
+    for c, y in zip(cfuncs, basis.elements):
+        v = add(v, mul(c, y))
+    return v, cfuncs
