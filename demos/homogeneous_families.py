@@ -32,8 +32,7 @@ ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
 def max_residual(spec, y):
     grid = log_grid(0.01, 3.0, 50)
-    return max(operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, t)
-               for t in grid)
+    return max(operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, grid))
 
 
 def main():

@@ -53,9 +53,10 @@ def main():
     sol = solve_problem(problem_from_source(spec_src, ALPHA))
     subst = SubstMap(ALPHA)
     print(f"residuals for the solved particular of  {spec_src}")
-    for t in (0.05, 0.3, 1.0, 2.5):
-        r = operator_residual(list(sol.spec.coeffs), ALPHA,
-                              sol.particular, sol.spec.forcing, t)
+    points = (0.05, 0.3, 1.0, 2.5)
+    residuals = operator_residual(list(sol.spec.coeffs), ALPHA,
+                                  sol.particular, sol.spec.forcing, points)
+    for t, r in zip(points, residuals):
         v = eval_expr(sol.particular, t, subst)
         print(f"  t={t:<5} v(t)={v:+.6f}  residual={r:.2e}")
 

@@ -31,10 +31,9 @@ def main():
         for alpha in (0.5, 0.75, 1.0):
             sol = solve_problem(problem_from_source(source, alpha))
             subst = SubstMap(alpha)
-            residual = max(
-                operator_residual(list(sol.spec.coeffs), alpha,
-                                  sol.particular, sol.spec.forcing, t)
-                for t in (0.3, 1.0, 2.5))
+            residual = max(operator_residual(list(sol.spec.coeffs), alpha,
+                                             sol.particular, sol.spec.forcing,
+                                             (0.3, 1.0, 2.5)))
             print(f"   alpha={alpha:<5} v(t) = {format_t(sol.particular, subst)}")
             print(f"               residual at spot points: {residual:.2e}")
         print()

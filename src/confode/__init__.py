@@ -57,7 +57,6 @@ from .ualgebra import (
     expr,
     format_t,
     format_u,
-    integrate_u,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "format_t",
     "format_u",
     "homogeneous_basis",
-    "integrate_u",
     "log_grid",
     "numeric_conformable_integral",
     "numeric_t_alpha_derivative",

@@ -244,14 +244,3 @@ def find_roots(p: CharPoly) -> RootSet:
     rs = RootSet(tuple(entries))
     assert rs.total_multiplicity == p.degree
     return rs
-
-
-def reconstruct_coeffs(rs: RootSet) -> np.ndarray:
-    """Expand the product of (r - root)^mult; highest-first real
-    coefficients (imaginary dust from float expansion is discarded, the
-    set being conjugate-closed)."""
-    c = np.array([1.0 + 0.0j])
-    for z, m in rs.entries:
-        for _ in range(m):
-            c = np.convolve(c, np.array([1.0, -z]))
-    return c.real

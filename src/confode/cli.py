@@ -228,10 +228,10 @@ def _verify_grid(cfg: RunConfig) -> list[float]:
 
 
 def _max_residual(sol: GeneralSolution, y, forcing, grid):
-    coeffs = list(sol.spec.coeffs)
+    residuals = operator_residual(list(sol.spec.coeffs), sol.spec.alpha, y,
+                                  forcing, grid)
     worst, worst_t = -1.0, grid[0]
-    for t in grid:
-        r = operator_residual(coeffs, sol.spec.alpha, y, forcing, t)
+    for t, r in zip(grid, residuals):
         if r > worst:
             worst, worst_t = r, t
     return worst, worst_t

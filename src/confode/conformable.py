@@ -14,7 +14,7 @@ integral accumulates ``x**(alpha-1) * f(x)`` and inverts the derivative.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .ualgebra import SubstMap, UExpr, diff_u, eval_expr
@@ -181,31 +181,6 @@ def numeric_conformable_integral(f: GridFn, a: float, t: float,
     return estimate
 
 
-def integration_by_parts_check(f: UExpr, g: UExpr, a: float, b: float,
-                               alpha: float) -> float:
-    """Defect of the conformable by-parts identity for symbolic f, g.
-
-    Compares ``int_a^b f * T_alpha(g)`` against ``f*g |_a^b - int_a^b
-    g * T_alpha(f)`` (both integrals in the conformable sense, evaluated
-    by quadrature) and returns the absolute difference.  A test utility:
-    both derivatives are taken symbolically, so the defect measures the
-    consistency of diff_u, eval_expr and the quadrature with one another.
-    """
-    if not (0.0 < a < b):
-        raise DomainError(f"by-parts interval must satisfy 0 < a < b, got [{a}, {b}]")
-    subst = SubstMap(alpha)
-    df, dg = diff_u(f), diff_u(g)
-    lhs = numeric_conformable_integral(
-        GridFn(lambda x: eval_expr(f, x, subst) * eval_expr(dg, x, subst),
-               0.5 * a, 2.0 * b), a, b, alpha)
-    boundary = (eval_expr(f, b, subst) * eval_expr(g, b, subst)
-                - eval_expr(f, a, subst) * eval_expr(g, a, subst))
-    rhs_int = numeric_conformable_integral(
-        GridFn(lambda x: eval_expr(g, x, subst) * eval_expr(df, x, subst),
-               0.5 * a, 2.0 * b), a, b, alpha)
-    return abs(lhs - (boundary - rhs_int))
-
-
 def log_grid(t_lo: float, t_hi: float, count: int) -> list[float]:
     """``count`` log-spaced points on [t_lo, t_hi] (endpoints included)."""
     if not (0.0 < t_lo < t_hi) or count < 2:
@@ -219,8 +194,8 @@ def log_grid(t_lo: float, t_hi: float, count: int) -> list[float]:
 
 
 def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
-                      forcing: UExpr, t: float) -> float:
-    """Relative residual of ``L_alpha[y] - q`` at ``t``, measured numerically.
+                      forcing: UExpr, ts: Sequence[float]) -> list[float]:
+    """Relative residuals of ``L_alpha[y] - q`` at each point of ``ts``.
 
     The operator is ``n``-fold sequential conformable differentiation plus
     the lower-order terms with the given coefficients (``coeffs[i]``
@@ -232,7 +207,11 @@ def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
     for n beyond 2; one numeric level per term keeps every estimate at
     quotient accuracy while still exercising the defining limit.
 
-    The residual is normalised by the magnitude of the terms being
+    The symbolic levels are built once per call and shared by every point,
+    so a grid costs one ``diff_u`` chain plus the per-point quotients; a
+    single point is ``ts = [t]``.
+
+    Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
     so the value is comparable across equations whose solutions range over
     many orders of magnitude.
@@ -241,19 +220,20 @@ def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
     if n < 1:
         raise ValueError("operator needs order n >= 1")
     subst = SubstMap(alpha)
-    grid = expr_grid(y, subst)
     levels = [y]
     for _ in range(n - 1):
         levels.append(diff_u(levels[-1]))
-    values = [eval_expr(y, t, subst)]
-    for i in range(1, n + 1):
-        base = levels[i - 1]
-        values.append(numeric_t_alpha_derivative(
-            expr_grid(base, subst, grid.t_lo, grid.t_hi), t, alpha))
-    q_val = eval_expr(forcing, t, subst)
-    acc = values[n] - q_val
-    scale = abs(values[n]) + abs(q_val)
-    for i, p in enumerate(coeffs):
-        acc += p * values[i]
-        scale += abs(p * values[i])
-    return abs(acc) / max(1.0, scale)
+    grids = [expr_grid(level, subst) for level in levels]
+    out = []
+    for t in ts:
+        values = [eval_expr(y, t, subst)]
+        for g in grids:
+            values.append(numeric_t_alpha_derivative(g, t, alpha))
+        q_val = eval_expr(forcing, t, subst)
+        acc = values[n] - q_val
+        scale = abs(values[n]) + abs(q_val)
+        for i, p in enumerate(coeffs):
+            acc += p * values[i]
+            scale += abs(p * values[i])
+        out.append(abs(acc) / max(1.0, scale))
+    return out

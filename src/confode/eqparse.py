@@ -413,30 +413,6 @@ def lower_forcing(ast, subst: SubstMap) -> UExpr:
     return go(ast)
 
 
-def eval_ast(ast, t: float, alpha: float) -> float:
-    """Direct t-domain evaluation of a forcing AST (oracle for lowering)."""
-    import math
-
-    if ast is None:
-        return 0.0
-    if isinstance(ast, TNum):
-        return ast.value
-    if isinstance(ast, TPow):
-        return t ** (ast.k * alpha)
-    if isinstance(ast, TFunc):
-        arg = ast.c * t ** alpha
-        return {"exp": math.exp, "sin": math.sin, "cos": math.cos}[ast.kind](arg)
-    if isinstance(ast, TNeg):
-        return -eval_ast(ast.child, t, alpha)
-    if isinstance(ast, TAdd):
-        return eval_ast(ast.left, t, alpha) + eval_ast(ast.right, t, alpha)
-    if isinstance(ast, TSub):
-        return eval_ast(ast.left, t, alpha) - eval_ast(ast.right, t, alpha)
-    if isinstance(ast, TMul):
-        return eval_ast(ast.left, t, alpha) * eval_ast(ast.right, t, alpha)
-    raise TypeError(f"not a forcing AST node: {ast!r}")
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

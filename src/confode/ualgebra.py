@@ -9,8 +9,7 @@ finite sum of terms
     coeff * u**upow * exp(erate*u) * {1 | cos(tfreq*u) | sin(tfreq*u)}
 
 and this module implements that sum type: canonical construction, the
-ring operations, d/du, the antiderivative, and pointwise evaluation back
-in the t domain.
+ring operations, d/du, and pointwise evaluation back in the t domain.
 
 Exponent keys (``erate``, ``tfreq``) are exact rationals rather than
 binary64 floats.  Rates and frequencies only ever arise as small integer
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 COS = "cos"
 SIN = "sin"
@@ -108,6 +108,16 @@ class UExpr:
     """
 
     terms: tuple[UTerm, ...] = ()
+
+    @cached_property
+    def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
+        """``(coeff, upow, erate, trig rank, tfreq)`` per term, rates as floats.
+
+        Lowered once per instance for :func:`eval_expr`.  Not a dataclass
+        field, so equality, hashing and repr see only ``terms``.
+        """
+        return tuple((t.coeff, t.upow, float(t.erate), _TRIG_ORDER[t.trig],
+                      float(t.tfreq)) for t in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,63 +254,20 @@ def diff_u(f: UExpr) -> UExpr:
     return canonicalize(out)
 
 
-def _antiderivative(term: UTerm) -> list[UTerm]:
-    c, k, a, trig, b = term.coeff, term.upow, term.erate, term.trig, term.tfreq
-    if trig is None:
-        if a == 0:
-            # Pure power.
-            return [UTerm(c / (k + 1), k + 1)]
-        af = float(a)
-        head = UTerm(c / af, k, a)
-        if k == 0:
-            return [head]
-        return [head] + _antiderivative(UTerm(-c * k / af, k - 1, a))
-    af, bf = float(a), float(b)
-    denom = af * af + bf * bf
-    if trig == COS:
-        base = [UTerm(c * af / denom, 0, a, COS, b),
-                UTerm(c * bf / denom, 0, a, SIN, b)]
-    else:
-        base = [UTerm(c * af / denom, 0, a, SIN, b),
-                UTerm(-c * bf / denom, 0, a, COS, b)]
-    if k == 0:
-        return base
-    # integral(u^k * g) = u^k * G - k * integral(u^(k-1) * G) with G the
-    # k = 0 antiderivative just computed; recursion descends on k.
-    out = [UTerm(g.coeff, k, g.erate, g.trig, g.tfreq) for g in base]
-    for g in base:
-        out.extend(_antiderivative(UTerm(-k * g.coeff, k - 1, g.erate, g.trig, g.tfreq)))
-    return out
-
-
-def integrate_u(f: UExpr) -> UExpr:
-    """Antiderivative with respect to u, integration constant fixed to 0."""
-    out = []
-    for term in f.terms:
-        out.extend(_antiderivative(term))
-    for t in out:
-        if not math.isfinite(t.coeff):
-            raise OverflowError(
-                "antiderivative coefficient overflowed binary64 "
-                f"(near-resonant rate {float(term.erate)!r}?) while integrating "
-                f"{format_u(f)}")
-    return canonicalize(out)
-
-
 def eval_expr(f: UExpr, t: float, subst: SubstMap) -> float:
     """Evaluate back in the t domain through ``u = t**alpha / alpha``."""
     u = subst.u_of(t)
     total = 0.0
-    for term in f.terms:
-        v = term.coeff
-        if term.upow:
-            v *= u ** term.upow
-        if term.erate:
-            v *= math.exp(float(term.erate) * u)
-        if term.trig == COS:
-            v *= math.cos(float(term.tfreq) * u)
-        elif term.trig == SIN:
-            v *= math.sin(float(term.tfreq) * u)
+    for coeff, upow, erate, trig, tfreq in f.float_rows:
+        v = coeff
+        if upow:
+            v *= u ** upow
+        if erate:
+            v *= math.exp(erate * u)
+        if trig == 1:  # COS
+            v *= math.cos(tfreq * u)
+        elif trig == 2:  # SIN
+            v *= math.sin(tfreq * u)
         total += v
     return total
 

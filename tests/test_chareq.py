@@ -13,8 +13,18 @@ from confode.chareq import (
     eval_poly,
     eval_poly_deriv,
     find_roots,
-    reconstruct_coeffs,
 )
+
+
+def reconstruct_coeffs(rs: RootSet) -> np.ndarray:
+    """Expand the product of (r - root)^mult; highest-first real
+    coefficients (imaginary dust from float expansion is discarded, the
+    set being conjugate-closed)."""
+    c = np.array([1.0 + 0.0j])
+    for z, m in rs.entries:
+        for _ in range(m):
+            c = np.convolve(c, np.array([1.0, -z]))
+    return c.real
 
 
 def entries(p_coeffs):

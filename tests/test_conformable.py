@@ -14,19 +14,43 @@ from confode.conformable import (
     GridFn,
     QuadratureError,
     expr_grid,
-    integration_by_parts_check,
     log_grid,
     numeric_conformable_integral,
     numeric_t_alpha_derivative,
     operator_residual,
 )
-from confode.ualgebra import SIN, SubstMap, UTerm, ZERO, diff_u, eval_expr, expr
+from confode.solver import ProblemSpec, homogeneous_basis, particular_solution
+from confode.ualgebra import COS, SIN, SubstMap, UTerm, ZERO, diff_u, eval_expr, expr
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
 
 
 def wide(fn):
     return GridFn(fn, DOMAIN_FLOOR, 1e6)
+
+
+def integration_by_parts_check(f, g, a: float, b: float, alpha: float) -> float:
+    """Defect of the conformable by-parts identity for symbolic f, g.
+
+    Compares ``int_a^b f * T_alpha(g)`` against ``f*g |_a^b - int_a^b
+    g * T_alpha(f)`` (both integrals in the conformable sense, evaluated
+    by quadrature) and returns the absolute difference.  Both derivatives
+    are taken symbolically, so the defect measures the consistency of
+    diff_u, eval_expr and the quadrature with one another.
+    """
+    if not (0.0 < a < b):
+        raise DomainError(f"by-parts interval must satisfy 0 < a < b, got [{a}, {b}]")
+    subst = SubstMap(alpha)
+    df, dg = diff_u(f), diff_u(g)
+    lhs = numeric_conformable_integral(
+        GridFn(lambda x: eval_expr(f, x, subst) * eval_expr(dg, x, subst),
+               0.5 * a, 2.0 * b), a, b, alpha)
+    boundary = (eval_expr(f, b, subst) * eval_expr(g, b, subst)
+                - eval_expr(f, a, subst) * eval_expr(g, a, subst))
+    rhs_int = numeric_conformable_integral(
+        GridFn(lambda x: eval_expr(g, x, subst) * eval_expr(df, x, subst),
+               0.5 * a, 2.0 * b), a, b, alpha)
+    return abs(lhs - (boundary - rhs_int))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +310,13 @@ def test_log_grid_shape():
 def test_operator_residual_annihilates_true_solution(alpha):
     # y = e^{-3u} solves y'' + 4y' + 3y = 0 in the u variable.
     y = expr(UTerm(1.0, erate=Fraction(-3)))
-    for t in (0.3, 1.0, 2.4):
-        assert operator_residual([3.0, 4.0], alpha, y, ZERO, t) < 1e-8
+    for r in operator_residual([3.0, 4.0], alpha, y, ZERO, (0.3, 1.0, 2.4)):
+        assert r < 1e-8
 
 
 def test_operator_residual_flags_wrong_solution():
     y = expr(UTerm(1.0, erate=Fraction(-3, 1)), UTerm(0.05, erate=Fraction(1, 2)))
-    worst = max(operator_residual([3.0, 4.0], 0.5, y, ZERO, t)
-                for t in (0.5, 1.0, 2.0))
+    worst = max(operator_residual([3.0, 4.0], 0.5, y, ZERO, (0.5, 1.0, 2.0)))
     assert worst > 1e-3
 
 
@@ -302,4 +325,32 @@ def test_operator_residual_with_forcing():
     y = expr(UTerm(1.0 / 15.0, erate=Fraction(2)))
     q = expr(UTerm(1.0, erate=Fraction(2)))
     for alpha in ALPHAS:
-        assert operator_residual([3.0, 4.0], alpha, y, q, 1.3) < 1e-8
+        assert operator_residual([3.0, 4.0], alpha, y, q, [1.3])[0] < 1e-8
+
+
+# (r+1)^3 (r+2)^2: repeated roots, so the basis carries u^2 e^{-u}.
+_ORDER_FIVE = (4.0, 16.0, 25.0, 19.0, 7.0)
+
+
+def test_operator_residual_grid_matches_single_points_order_five():
+    spec = ProblemSpec(_ORDER_FIVE, 0.5)
+    y = max(homogeneous_basis(spec).elements, key=lambda e: e.terms[0].upow)
+    assert y.terms[0].upow == 2
+    grid = log_grid(0.01, 3.0, 50)
+    got = operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, grid)
+    want = [operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, [t])[0]
+            for t in grid]
+    assert got == want
+
+
+def test_operator_residual_grid_matches_single_points_forced():
+    forcing = expr(UTerm(1.0, 1, Fraction(-1)),
+                   UTerm(2.0, 0, Fraction(1, 2), COS, Fraction(3)))
+    spec = ProblemSpec(_ORDER_FIVE, 0.3, forcing)
+    v = particular_solution(spec)
+    grid = log_grid(0.01, 3.0, 50)
+    got = operator_residual(list(spec.coeffs), spec.alpha, v, forcing, grid)
+    want = [operator_residual(list(spec.coeffs), spec.alpha, v, forcing, [t])[0]
+            for t in grid]
+    assert got == want
+    assert max(got) < 1e-6

@@ -514,10 +514,10 @@ def test_annihilation_property():
         for element in basis.elements:
             assert apply_operator(spec, element).is_zero(), (
                 spec, format_u(apply_operator(spec, element)))
-            for _ in range(10):
-                t = rng.uniform(0.1, 3.0)
-                res = operator_residual(list(spec.coeffs), spec.alpha,
-                                        element, ZERO, t)
+            ts = [rng.uniform(0.1, 3.0) for _ in range(10)]
+            residuals = operator_residual(list(spec.coeffs), spec.alpha,
+                                          element, ZERO, ts)
+            for t, res in zip(ts, residuals):
                 assert res < 1e-5, (spec, t, res)
 
 
@@ -538,10 +538,10 @@ def test_variation_of_parameters_residual_property():
         v = particular_solution(spec)
         assert (apply_operator(spec, v) - spec.forcing).is_zero(), (
             spec, format_u(apply_operator(spec, v) - spec.forcing))
-        for _ in range(10):
-            t = rng.uniform(0.1, 3.0)
-            res = operator_residual(list(spec.coeffs), spec.alpha, v,
-                                    spec.forcing, t)
+        ts = [rng.uniform(0.1, 3.0) for _ in range(10)]
+        residuals = operator_residual(list(spec.coeffs), spec.alpha, v,
+                                      spec.forcing, ts)
+        for t, res in zip(ts, residuals):
             assert res < 1e-6, (spec, t, res)
 
 

