@@ -11,6 +11,7 @@ against the numeric oracle.
 """
 
 from confode import (
+    OracleGrid,
     SubstMap,
     find_roots,
     format_t,
@@ -32,7 +33,8 @@ ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
 def max_residual(spec, y):
     grid = log_grid(0.01, 3.0, 50)
-    return max(operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, grid))
+    return max(operator_residual(list(spec.coeffs), y, ZERO,
+                                 OracleGrid(spec.alpha, grid)))
 
 
 def main():

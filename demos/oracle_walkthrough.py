@@ -14,6 +14,7 @@ import math
 
 from confode import (
     GridFn,
+    OracleGrid,
     numeric_conformable_integral,
     numeric_t_alpha_derivative,
     operator_residual,
@@ -54,8 +55,8 @@ def main():
     subst = SubstMap(ALPHA)
     print(f"residuals for the solved particular of  {spec_src}")
     points = (0.05, 0.3, 1.0, 2.5)
-    residuals = operator_residual(list(sol.spec.coeffs), ALPHA,
-                                  sol.particular, sol.spec.forcing, points)
+    residuals = operator_residual(list(sol.spec.coeffs), sol.particular,
+                                  sol.spec.forcing, OracleGrid(ALPHA, points))
     for t, r in zip(points, residuals):
         v = eval_expr(sol.particular, t, subst)
         print(f"  t={t:<5} v(t)={v:+.6f}  residual={r:.2e}")

@@ -13,7 +13,14 @@ parameters, which gives the same answers up to homogeneous terms, is kept
 in tests/vop_reference.py as the reference the tests compare against.
 """
 
-from confode import SubstMap, format_t, operator_residual, problem_from_source, solve_problem
+from confode import (
+    OracleGrid,
+    SubstMap,
+    format_t,
+    operator_residual,
+    problem_from_source,
+    solve_problem,
+)
 
 FORCINGS = [
     ("exponential", "exp(2 t^a)"),
@@ -31,9 +38,9 @@ def main():
         for alpha in (0.5, 0.75, 1.0):
             sol = solve_problem(problem_from_source(source, alpha))
             subst = SubstMap(alpha)
-            residual = max(operator_residual(list(sol.spec.coeffs), alpha,
-                                             sol.particular, sol.spec.forcing,
-                                             (0.3, 1.0, 2.5)))
+            residual = max(operator_residual(list(sol.spec.coeffs), sol.particular,
+                                             sol.spec.forcing,
+                                             OracleGrid(alpha, (0.3, 1.0, 2.5))))
             print(f"   alpha={alpha:<5} v(t) = {format_t(sol.particular, subst)}")
             print(f"               residual at spot points: {residual:.2e}")
         print()

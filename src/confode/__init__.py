@@ -20,6 +20,7 @@ from .chareq import CharPoly, RootFindingError, RootSet, find_roots
 from .conformable import (
     DomainError,
     GridFn,
+    OracleGrid,
     QuadratureError,
     expr_grid,
     log_grid,
@@ -68,6 +69,7 @@ __all__ = [
     "EquationSyntaxError",
     "GeneralSolution",
     "GridFn",
+    "OracleGrid",
     "ProblemSpec",
     "QuadratureError",
     "RootFindingError",

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .chareq import RootFindingError
-from .conformable import DomainError, QuadratureError, log_grid, operator_residual
+from .conformable import OracleGrid, QuadratureError, log_grid, operator_residual
 from .eqparse import EquationSyntaxError, problem_from_source
 from .solver import (
     GeneralSolution,
@@ -32,7 +32,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, SubstMap, eval_expr, format_t, scale
+from .ualgebra import ZERO, PointTable, SubstMap, format_t, scale
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -227,27 +227,27 @@ def _verify_grid(cfg: RunConfig) -> list[float]:
     return log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
 
 
-def _max_residual(sol: GeneralSolution, y, forcing, grid):
-    residuals = operator_residual(list(sol.spec.coeffs), sol.spec.alpha, y,
-                                  forcing, grid)
-    worst, worst_t = -1.0, grid[0]
-    for t, r in zip(grid, residuals):
+def _max_residual(sol: GeneralSolution, y, forcing, grid: OracleGrid):
+    residuals = operator_residual(list(sol.spec.coeffs), y, forcing, grid)
+    worst, worst_t = -1.0, grid.ts[0]
+    for t, r in zip(grid.ts, residuals):
         if r > worst:
             worst, worst_t = r, t
     return worst, worst_t
 
 
 def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
+    oracle = OracleGrid(sol.spec.alpha, grid)
     elements = []
     overall, overall_t, overall_what = -1.0, grid[0], ""
     for i, e in enumerate(sol.basis.elements):
-        r, t = _max_residual(sol, e, ZERO, grid)
+        r, t = _max_residual(sol, e, ZERO, oracle)
         elements.append({"index": i, "max_residual": r, "worst_t": t})
         if r > overall:
             overall, overall_t, overall_what = r, t, f"basis element {i + 1}"
     particular = None
     if sol.particular is not None:
-        r, t = _max_residual(sol, sol.particular, sol.spec.forcing, grid)
+        r, t = _max_residual(sol, sol.particular, sol.spec.forcing, oracle)
         particular = {"max_residual": r, "worst_t": t}
         if r > overall:
             overall, overall_t, overall_what = r, t, "particular solution"
@@ -256,7 +256,7 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
         y = sol.particular if sol.particular is not None else ZERO
         for c, e in zip(sol.constants, sol.basis.elements):
             y = y + scale(e, c)
-        r, t = _max_residual(sol, y, sol.spec.forcing, grid)
+        r, t = _max_residual(sol, y, sol.spec.forcing, oracle)
         combined = {"max_residual": r, "worst_t": t}
         if r > overall:
             overall, overall_t, overall_what = r, t, "fitted solution"
@@ -318,17 +318,16 @@ def cmd_sample(cfg: RunConfig) -> int:
             header.append("y_particular")
     print(",".join(header))
     step = (hi - lo) / (count - 1)
-    for i in range(count):
-        t = hi if i == count - 1 else lo + i * step
-        basis_vals = [eval_expr(e, t, subst) for e in sol.basis.elements]
-        part_val = (eval_expr(sol.particular, t, subst)
-                    if sol.particular is not None else 0.0)
-        y = sum(c * v for c, v in zip(constants, basis_vals)) + part_val
-        row = [t, y]
-        if cfg.columns == "full":
-            row += basis_vals
-            if sol.particular is not None:
-                row.append(part_val)
+    ts = [hi if i == count - 1 else lo + i * step for i in range(count)]
+    table = PointTable(ts, subst)
+    basis_vals = [table.eval(e) for e in sol.basis.elements]
+    part_val = table.eval(sol.particular) if sol.particular is not None else 0.0
+    columns = [sum(c * v for c, v in zip(constants, basis_vals)) + part_val]
+    if cfg.columns == "full":
+        columns += basis_vals
+        if sol.particular is not None:
+            columns.append(part_val)
+    for row in zip(ts, *(col.tolist() for col in columns)):
         print(",".join(repr(float(v)) for v in row))
     return 0
 
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except (ConfigError, EquationSyntaxError, ValueError) as err:
         _report_error(json_out, "config error", str(err))
         return 1
-    except (RootFindingError, SolverError, DomainError, QuadratureError) as err:
+    except (RootFindingError, SolverError, QuadratureError) as err:
         _report_error(json_out, "solver error", str(err))
         return 2
 

@@ -17,13 +17,19 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .ualgebra import SubstMap, UExpr, diff_u, eval_expr
+import numpy as np
+
+from .ualgebra import PointTable, SubstMap, UExpr, diff_u, eval_expr
 
 _EPS = 2.220446049250313e-16
 
 #: Numeric operations refuse points below this; the t**(1-alpha) stencil
 #: factor degenerates as t -> 0.
 DOMAIN_FLOOR = 1e-6
+
+#: Upper end of the interval :func:`expr_grid` and :class:`OracleGrid`
+#: evaluate on; stencils must stay below it.
+DOMAIN_CEILING = 1e6
 
 #: Adaptive Simpson target (applied both absolutely and relative to the
 #: running whole-interval estimate).
@@ -68,7 +74,7 @@ class GridFn:
 
 
 def expr_grid(f: UExpr, subst: SubstMap, t_lo: float = DOMAIN_FLOOR,
-              t_hi: float = 1e6) -> GridFn:
+              t_hi: float = DOMAIN_CEILING) -> GridFn:
     """Wrap a symbolic expression as a GridFn for the numeric routines."""
     return GridFn(lambda t: eval_expr(f, t, subst), t_lo, t_hi)
 
@@ -76,6 +82,28 @@ def expr_grid(f: UExpr, subst: SubstMap, t_lo: float = DOMAIN_FLOOR,
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def _stencil(t: float, alpha: float, order: int, t_lo: float,
+             t_hi: float) -> tuple[float, float, float]:
+    """``(eps, t - h, t + h)`` of the order-th quotient at ``t``, checked.
+
+    Raises DomainError when ``t`` is below DOMAIN_FLOOR or not interior to
+    ``(t_lo, t_hi)``, or when the stencil ``[t - h, t + h]`` leaves either.
+    """
+    if t < DOMAIN_FLOOR:
+        raise DomainError(f"t={t} is below the numeric domain floor {DOMAIN_FLOOR}")
+    if not (t_lo < t < t_hi):
+        raise DomainError(f"t={t} is not interior to ({t_lo}, {t_hi})")
+    noise = _EPS ** ((2.0 / 3.0) ** (order - 1))
+    eps = noise ** (1.0 / 3.0) * max(1.0, t ** alpha)
+    h = eps * t ** (1.0 - alpha)
+    t_hi_pt, t_lo_pt = t + h, t - h
+    if t_lo_pt <= t_lo or t_hi_pt >= t_hi or t_lo_pt < DOMAIN_FLOOR:
+        raise DomainError(
+            f"difference stencil [{t_lo_pt}, {t_hi_pt}] around t={t} leaves "
+            f"the domain ({t_lo}, {t_hi})")
+    return eps, t_lo_pt, t_hi_pt
 
 
 def numeric_t_alpha_derivative(f: GridFn, t: float, alpha: float,
@@ -101,19 +129,7 @@ def numeric_t_alpha_derivative(f: GridFn, t: float, alpha: float,
     _check_alpha(alpha)
     if order < 1 or order != int(order):
         raise ValueError(f"order must be a positive integer, got {order}")
-    if t < DOMAIN_FLOOR:
-        raise DomainError(f"t={t} is below the numeric domain floor {DOMAIN_FLOOR}")
-    if not (f.t_lo < t < f.t_hi):
-        raise DomainError(f"t={t} is not interior to ({f.t_lo}, {f.t_hi})")
-
-    noise = _EPS ** ((2.0 / 3.0) ** (order - 1))
-    eps = noise ** (1.0 / 3.0) * max(1.0, t ** alpha)
-    h = eps * t ** (1.0 - alpha)
-    t_hi_pt, t_lo_pt = t + h, t - h
-    if t_lo_pt <= f.t_lo or t_hi_pt >= f.t_hi or t_lo_pt < DOMAIN_FLOOR:
-        raise DomainError(
-            f"difference stencil [{t_lo_pt}, {t_hi_pt}] around t={t} leaves "
-            f"the domain ({f.t_lo}, {f.t_hi})")
+    eps, t_lo_pt, t_hi_pt = _stencil(t, alpha, order, f.t_lo, f.t_hi)
     if order == 1:
         return (f(t_hi_pt) - f(t_lo_pt)) / (2.0 * eps)
     lo = numeric_t_alpha_derivative(f, t_lo_pt, alpha, order - 1)
@@ -193,9 +209,52 @@ def log_grid(t_lo: float, t_hi: float, count: int) -> list[float]:
     return pts
 
 
-def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
-                      forcing: UExpr, ts: Sequence[float]) -> list[float]:
-    """Relative residuals of ``L_alpha[y] - q`` at each point of ``ts``.
+class OracleGrid:
+    """The points of a verify grid with their first-order stencils.
+
+    For each point ``t`` it holds ``2*eps`` and the stencil ends ``t - h``
+    and ``t + h`` of :func:`numeric_t_alpha_derivative`, which depend only
+    on ``t`` and ``alpha``, and one :class:`PointTable` over all ``3 *
+    len(ts)`` points, shared by every expression checked on the grid.
+
+    Points are checked in order, and the first bad one raises what
+    evaluating ``y(t)`` and then :func:`numeric_t_alpha_derivative` on
+    :func:`expr_grid` at that point raises.
+
+    Raises:
+        ValueError: bad ``alpha``, or a point ``t <= 0``.
+        DomainError: a point, or its stencil, leaves the domain
+            ``(DOMAIN_FLOOR, DOMAIN_CEILING)``.
+    """
+
+    def __init__(self, alpha: float, ts: Sequence[float]):
+        subst = SubstMap(alpha)
+        self.ts = list(ts)
+        two_eps, lo, hi = [], [], []
+        for t in self.ts:
+            subst.u_of(t)  # raises for t <= 0 ahead of the stencil checks
+            eps, t_lo_pt, t_hi_pt = _stencil(t, alpha, 1, DOMAIN_FLOOR, DOMAIN_CEILING)
+            two_eps.append(2.0 * eps)
+            lo.append(t_lo_pt)
+            hi.append(t_hi_pt)
+        self.two_eps = np.array(two_eps, dtype=float)
+        self.table = PointTable(self.ts + hi + lo, subst)
+
+    def values(self, f: UExpr) -> np.ndarray:
+        """``f`` at each grid point."""
+        return self.table.eval(f)[:len(self.ts)]
+
+    def quotient(self, f: UExpr) -> np.ndarray:
+        """The central limit quotient of ``f`` at each grid point."""
+        n = len(self.ts)
+        vals = self.table.eval(f)
+        with np.errstate(all="ignore"):
+            return (vals[n:2 * n] - vals[2 * n:]) / self.two_eps
+
+
+def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
+                      grid: OracleGrid) -> list[float]:
+    """Relative residuals of ``L_alpha[y] - q`` at each point of ``grid``.
 
     The operator is ``n``-fold sequential conformable differentiation plus
     the lower-order terms with the given coefficients (``coeffs[i]``
@@ -207,9 +266,12 @@ def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
     for n beyond 2; one numeric level per term keeps every estimate at
     quotient accuracy while still exercising the defining limit.
 
-    The symbolic levels are built once per call and shared by every point,
-    so a grid costs one ``diff_u`` chain plus the per-point quotients; a
-    single point is ``ts = [t]``.
+    The symbolic levels are built once per call.  Every level, and the
+    forcing, is evaluated at all grid points at once through the grid's
+    shared :class:`PointTable`; a forcing passed again on the same grid is
+    not evaluated again.  The quotients, sums and scales are the same float
+    operations in the same order as :func:`numeric_t_alpha_derivative` and
+    :func:`eval_expr` point by point, so the residuals are equal to theirs.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
@@ -219,21 +281,16 @@ def operator_residual(coeffs: list[float], alpha: float, y: UExpr,
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    subst = SubstMap(alpha)
     levels = [y]
     for _ in range(n - 1):
         levels.append(diff_u(levels[-1]))
-    grids = [expr_grid(level, subst) for level in levels]
-    out = []
-    for t in ts:
-        values = [eval_expr(y, t, subst)]
-        for g in grids:
-            values.append(numeric_t_alpha_derivative(g, t, alpha))
-        q_val = eval_expr(forcing, t, subst)
+    values = [grid.values(y)] + [grid.quotient(level) for level in levels]
+    q_val = grid.values(forcing)
+    with np.errstate(all="ignore"):  # inf and nan pass silently, as in float
         acc = values[n] - q_val
-        scale = abs(values[n]) + abs(q_val)
+        scale = np.abs(values[n]) + np.abs(q_val)
         for i, p in enumerate(coeffs):
-            acc += p * values[i]
-            scale += abs(p * values[i])
-        out.append(abs(acc) / max(1.0, scale))
-    return out
+            term = p * values[i]
+            acc += term
+            scale += np.abs(term)
+        return (np.abs(acc) / np.maximum(scale, 1.0)).tolist()

@@ -9,7 +9,8 @@ finite sum of terms
     coeff * u**upow * exp(erate*u) * {1 | cos(tfreq*u) | sin(tfreq*u)}
 
 and this module implements that sum type: canonical construction, the
-ring operations, d/du, and pointwise evaluation back in the t domain.
+ring operations, d/du, and evaluation back in the t domain, at one point
+(:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`).
 
 Exponent keys (``erate``, ``tfreq``) are exact rationals rather than
 binary64 floats.  Rates and frequencies only ever arise as small integer
@@ -27,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 COS = "cos"
 SIN = "sin"
@@ -113,8 +116,9 @@ class UExpr:
     def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
         """``(coeff, upow, erate, trig rank, tfreq)`` per term, rates as floats.
 
-        Lowered once per instance for :func:`eval_expr`.  Not a dataclass
-        field, so equality, hashing and repr see only ``terms``.
+        Lowered once per instance for :func:`eval_expr` and
+        :meth:`PointTable.eval`.  Not a dataclass field, so equality,
+        hashing and repr see only ``terms``.
         """
         return tuple((t.coeff, t.upow, float(t.erate), _TRIG_ORDER[t.trig],
                       float(t.tfreq)) for t in self.terms)
@@ -270,6 +274,57 @@ def eval_expr(f: UExpr, t: float, subst: SubstMap) -> float:
             v *= math.sin(tfreq * u)
         total += v
     return total
+
+
+class PointTable:
+    """Evaluates expressions at a fixed set of points, all points at once.
+
+    The factor values ``u**k``, ``exp(r*u)``, ``cos(b*u)`` and ``sin(b*u)``
+    are filled on demand, one column per distinct key, and shared by every
+    expression the table evaluates.  Columns use Python's float ``**`` and
+    :mod:`math`, and :meth:`eval` multiplies and sums them in the order of
+    :func:`eval_expr`, so ``eval(f)[i] == eval_expr(f, ts[i], subst)``
+    bit for bit.  Results are kept per expression object for the table's
+    life: an expression passed again is not evaluated again.
+    """
+
+    def __init__(self, ts, subst: SubstMap):
+        self.u = [subst.u_of(t) for t in ts]
+        self._columns: dict[tuple, np.ndarray] = {}
+        self._results: dict[int, tuple[UExpr, np.ndarray]] = {}
+
+    def _column(self, kind, x) -> np.ndarray:
+        """``u**x`` (kind None) or ``kind(x*u)`` at every point, filled once."""
+        col = self._columns.get((kind, x))
+        if col is None:
+            if kind is None:
+                vals = [u ** x for u in self.u]
+            else:
+                vals = [kind(x * u) for u in self.u]
+            col = self._columns[kind, x] = np.array(vals, dtype=float)
+        return col
+
+    def eval(self, f: UExpr) -> np.ndarray:
+        """Values of ``f`` at every point, as a read-only array."""
+        hit = self._results.get(id(f))
+        if hit is not None:
+            return hit[1]
+        total = np.zeros(len(self.u))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in float
+            for coeff, upow, erate, trig, tfreq in f.float_rows:
+                v = coeff
+                if upow:
+                    v = v * self._column(None, upow)
+                if erate:
+                    v = v * self._column(math.exp, erate)
+                if trig == 1:  # COS
+                    v = v * self._column(math.cos, tfreq)
+                elif trig == 2:  # SIN
+                    v = v * self._column(math.sin, tfreq)
+                total += v
+        total.flags.writeable = False
+        self._results[id(f)] = (f, total)  # holding f keeps its id unique
+        return total
 
 
 # ---------------------------------------------------------------------------

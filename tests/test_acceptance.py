@@ -18,6 +18,7 @@ import numpy as np
 from confode.chareq import eval_poly, find_roots
 from confode.conformable import (
     GridFn,
+    OracleGrid,
     log_grid,
     numeric_conformable_integral,
     numeric_t_alpha_derivative,
@@ -73,7 +74,8 @@ def coeff_of(e, upow=0, erate=F(0), trig=None, tfreq=F(0)):
 
 def grid_residual(spec, y, forcing):
     grid = log_grid(0.01, 3.0, 50)
-    return max(operator_residual(list(spec.coeffs), spec.alpha, y, forcing, grid))
+    return max(operator_residual(list(spec.coeffs), y, forcing,
+                                 OracleGrid(spec.alpha, grid)))
 
 
 def solve_text(src, alpha):
@@ -311,8 +313,8 @@ def _variation_residual_suite(rng, rounds):
         symbolic = add(apply_operator(spec, v), scale(spec.forcing, -1.0))
         ok = symbolic.is_zero()
         if ok:
-            ok = max(operator_residual(list(spec.coeffs), spec.alpha, v,
-                                       spec.forcing, (0.3, 1.1, 2.4))) <= 1e-5
+            ok = max(operator_residual(list(spec.coeffs), v, spec.forcing,
+                                       OracleGrid(spec.alpha, (0.3, 1.1, 2.4)))) <= 1e-5
         if not ok:
             failures += 1
         count += 1

@@ -13,7 +13,10 @@ import math
 
 import pytest
 
-from confode.cli import main
+from confode.cli import _parse_ic, _parse_range, main
+from confode.eqparse import problem_from_source
+from confode.solver import solve_problem
+from confode.ualgebra import SubstMap, eval_expr
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
 HOMOG = "T2 y + 4 T y + 3 y = 0"
@@ -214,6 +217,14 @@ def test_verify_tight_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_grid_beyond_the_domain_is_config_error(capsys):
+    # DomainError is a ValueError, so it reports as a config error, exit 1.
+    code, _, err = run_cli(
+        ["verify", "--alpha", "0.5", "--range", "1:2000000:5", "T y + y = 0"], capsys)
+    assert code == 1
+    assert "config error" in err and "not interior" in err
+
+
 def test_verify_order_ten_distinct_roots_passes(capsys):
     # roots -1..-10: the Laplace/Cramer particular solution missed the
     # default tolerance here (2.7e-6)
@@ -315,6 +326,38 @@ def test_sample_floats_round_trip(capsys):
         for text in line.split(","):
             value = float(text)
             assert repr(value) == text
+
+
+def _sample_rows_point_by_point(sol, lo, hi, count):
+    """The sample CSV body evaluated one row at a time with eval_expr."""
+    subst = SubstMap(sol.spec.alpha)
+    constants = sol.constants or tuple(0.0 for _ in sol.basis.elements)
+    step = (hi - lo) / (count - 1)
+    lines = []
+    for i in range(count):
+        t = hi if i == count - 1 else lo + i * step
+        basis_vals = [eval_expr(e, t, subst) for e in sol.basis.elements]
+        part_val = (eval_expr(sol.particular, t, subst)
+                    if sol.particular is not None else 0.0)
+        y = sum(c * v for c, v in zip(constants, basis_vals)) + part_val
+        row = [t, y] + basis_vals + ([part_val] if sol.particular is not None else [])
+        lines.append(",".join(repr(float(v)) for v in row))
+    return lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "0.5", "--range", "0.5:4:997", "T2 y + 2 T y + 5 y = cos(2 t^a)"],
+    ["--alpha", "0.3", "--ic", "1:0.5,-2", "--range", "0.2:3:101", FORCED],
+    ["--alpha", "0.7", "--range", "0.1:2:64", HOMOG],
+])
+def test_sample_full_rows_equal_point_by_point_evaluation(argv, capsys):
+    code, out, _ = run_cli(["sample", "--columns", "full", *argv], capsys)
+    assert code == 0
+    alpha, (lo, hi, count) = float(argv[1]), _parse_range(argv[argv.index("--range") + 1])
+    ic = _parse_ic(argv[argv.index("--ic") + 1]) if "--ic" in argv else None
+    spec = problem_from_source(argv[-1], alpha)
+    sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
+    assert out.splitlines()[1:] == _sample_rows_point_by_point(sol, lo, hi, count)
 
 
 def test_sample_rejects_alpha_list(capsys):

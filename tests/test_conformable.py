@@ -1,6 +1,7 @@
 """Tests for the numeric conformable derivative/integral oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from confode import conformable
 from confode.conformable import (
+    DOMAIN_CEILING,
     DOMAIN_FLOOR,
     DomainError,
     GridFn,
+    OracleGrid,
     QuadratureError,
     expr_grid,
     log_grid,
@@ -20,13 +23,23 @@ from confode.conformable import (
     operator_residual,
 )
 from confode.solver import ProblemSpec, homogeneous_basis, particular_solution
-from confode.ualgebra import COS, SIN, SubstMap, UTerm, ZERO, diff_u, eval_expr, expr
+from confode.ualgebra import (
+    COS,
+    SIN,
+    ZERO,
+    PointTable,
+    SubstMap,
+    UTerm,
+    diff_u,
+    eval_expr,
+    expr,
+)
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
 
 
 def wide(fn):
-    return GridFn(fn, DOMAIN_FLOOR, 1e6)
+    return GridFn(fn, DOMAIN_FLOOR, DOMAIN_CEILING)
 
 
 def integration_by_parts_check(f, g, a: float, b: float, alpha: float) -> float:
@@ -310,13 +323,13 @@ def test_log_grid_shape():
 def test_operator_residual_annihilates_true_solution(alpha):
     # y = e^{-3u} solves y'' + 4y' + 3y = 0 in the u variable.
     y = expr(UTerm(1.0, erate=Fraction(-3)))
-    for r in operator_residual([3.0, 4.0], alpha, y, ZERO, (0.3, 1.0, 2.4)):
+    for r in operator_residual([3.0, 4.0], y, ZERO, OracleGrid(alpha, (0.3, 1.0, 2.4))):
         assert r < 1e-8
 
 
 def test_operator_residual_flags_wrong_solution():
     y = expr(UTerm(1.0, erate=Fraction(-3, 1)), UTerm(0.05, erate=Fraction(1, 2)))
-    worst = max(operator_residual([3.0, 4.0], 0.5, y, ZERO, (0.5, 1.0, 2.0)))
+    worst = max(operator_residual([3.0, 4.0], y, ZERO, OracleGrid(0.5, (0.5, 1.0, 2.0))))
     assert worst > 1e-3
 
 
@@ -325,7 +338,7 @@ def test_operator_residual_with_forcing():
     y = expr(UTerm(1.0 / 15.0, erate=Fraction(2)))
     q = expr(UTerm(1.0, erate=Fraction(2)))
     for alpha in ALPHAS:
-        assert operator_residual([3.0, 4.0], alpha, y, q, [1.3])[0] < 1e-8
+        assert operator_residual([3.0, 4.0], y, q, OracleGrid(alpha, [1.3]))[0] < 1e-8
 
 
 # (r+1)^3 (r+2)^2: repeated roots, so the basis carries u^2 e^{-u}.
@@ -337,8 +350,8 @@ def test_operator_residual_grid_matches_single_points_order_five():
     y = max(homogeneous_basis(spec).elements, key=lambda e: e.terms[0].upow)
     assert y.terms[0].upow == 2
     grid = log_grid(0.01, 3.0, 50)
-    got = operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, grid)
-    want = [operator_residual(list(spec.coeffs), spec.alpha, y, ZERO, [t])[0]
+    got = operator_residual(list(spec.coeffs), y, ZERO, OracleGrid(spec.alpha, grid))
+    want = [operator_residual(list(spec.coeffs), y, ZERO, OracleGrid(spec.alpha, [t]))[0]
             for t in grid]
     assert got == want
 
@@ -349,8 +362,118 @@ def test_operator_residual_grid_matches_single_points_forced():
     spec = ProblemSpec(_ORDER_FIVE, 0.3, forcing)
     v = particular_solution(spec)
     grid = log_grid(0.01, 3.0, 50)
-    got = operator_residual(list(spec.coeffs), spec.alpha, v, forcing, grid)
-    want = [operator_residual(list(spec.coeffs), spec.alpha, v, forcing, [t])[0]
+    got = operator_residual(list(spec.coeffs), v, forcing, OracleGrid(spec.alpha, grid))
+    want = [operator_residual(list(spec.coeffs), v, forcing, OracleGrid(spec.alpha, [t]))[0]
             for t in grid]
     assert got == want
     assert max(got) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The batched oracle against the point-by-point loop it replaced
+
+
+def point_by_point_residual(coeffs, alpha, y, forcing, ts):
+    """operator_residual as one loop over the points, scalar throughout."""
+    n = len(coeffs)
+    if n < 1:
+        raise ValueError("operator needs order n >= 1")
+    subst = SubstMap(alpha)
+    levels = [y]
+    for _ in range(n - 1):
+        levels.append(diff_u(levels[-1]))
+    grids = [expr_grid(level, subst) for level in levels]
+    out = []
+    for t in ts:
+        values = [eval_expr(y, t, subst)]
+        for g in grids:
+            values.append(numeric_t_alpha_derivative(g, t, alpha))
+        q_val = eval_expr(forcing, t, subst)
+        acc = values[n] - q_val
+        scale = abs(values[n]) + abs(q_val)
+        for i, p in enumerate(coeffs):
+            acc += p * values[i]
+            scale += abs(p * values[i])
+        out.append(abs(acc) / max(1.0, scale))
+    return out
+
+
+_RATES = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(7, 10),
+          Fraction(2), Fraction(-1, 3)]
+_FREQS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(5, 3)]
+
+
+def random_expr(rng, size):
+    """A poly·exp·trig expression of ``size`` terms with mixed signs."""
+    terms = []
+    for _ in range(size):
+        trig = rng.choice([None, COS, SIN])
+        terms.append(UTerm(rng.uniform(-3.0, 3.0), rng.randint(0, 3), rng.choice(_RATES),
+                           trig, Fraction(0) if trig is None else rng.choice(_FREQS)))
+    return expr(*terms)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+def test_operator_residual_equals_point_by_point_loop(alpha):
+    rng = random.Random(int(alpha * 10))
+    grid = log_grid(0.01, 3.0, 50)
+    for n in range(1, 11):
+        coeffs = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+        y = random_expr(rng, rng.randint(1, 4))
+        for forcing in (ZERO, random_expr(rng, rng.randint(1, 3))):
+            got = operator_residual(coeffs, y, forcing, OracleGrid(alpha, grid))
+            assert got == point_by_point_residual(coeffs, alpha, y, forcing, grid), (n, y)
+
+
+def test_operator_residual_reuses_one_grid_across_expressions():
+    rng = random.Random(5)
+    grid = log_grid(0.05, 2.5, 20)
+    oracle = OracleGrid(0.3, grid)
+    forcing = random_expr(rng, 3)
+    for _ in range(6):
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        y = random_expr(rng, 3)
+        got = operator_residual(coeffs, y, forcing, oracle)
+        assert got == point_by_point_residual(coeffs, 0.3, y, forcing, grid)
+
+
+def test_point_table_equals_eval_expr_at_every_point():
+    rng = random.Random(17)
+    for alpha in (0.1, 0.5, 1.0):
+        subst = SubstMap(alpha)
+        ts = [rng.uniform(1e-4, 40.0) for _ in range(60)]
+        table = PointTable(ts, subst)
+        for _ in range(15):
+            f = random_expr(rng, rng.randint(0, 5))
+            got = table.eval(f)
+            assert got.tolist() == [eval_expr(f, t, subst) for t in ts]
+            assert table.eval(f) is got  # evaluated once per expression object
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as err:  # noqa: BLE001 -- the class is what is compared
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("ts", [
+    [0.5, 1.0, -1.0, 2.0],          # t <= 0
+    [0.5, 0.0],
+    [1.0, 5e-7, 2.0],               # below DOMAIN_FLOOR
+    [1.0, 1e6],                     # at DOMAIN_CEILING
+    [2e6, 1.0],                     # beyond it
+    [999999.0],                     # stencil crosses the ceiling
+    [1e-6 + 1e-12],                 # stencil crosses the floor
+    [0.5, 1e-6 + 1e-12, -1.0],      # the first bad point decides
+    [0.5, -1.0, 1e-6 + 1e-12],
+    [float("nan")],
+])
+def test_operator_residual_domain_errors_match_point_by_point_loop(ts):
+    y = expr(UTerm(1.5, 1, Fraction(-1)), UTerm(0.5, 0, Fraction(0), SIN, Fraction(2)))
+    forcing = expr(UTerm(2.0, 0, Fraction(1, 2)))
+    want = _raised(lambda: point_by_point_residual([3.0, 4.0], 0.5, y, forcing, ts))
+    assert want is not None
+    got = _raised(lambda: operator_residual([3.0, 4.0], y, forcing, OracleGrid(0.5, ts)))
+    assert got == want

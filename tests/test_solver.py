@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from confode.chareq import CharPoly, eval_poly
-from confode.conformable import operator_residual
+from confode.conformable import OracleGrid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import (
     BasisOrigin,
@@ -515,8 +515,8 @@ def test_annihilation_property():
             assert apply_operator(spec, element).is_zero(), (
                 spec, format_u(apply_operator(spec, element)))
             ts = [rng.uniform(0.1, 3.0) for _ in range(10)]
-            residuals = operator_residual(list(spec.coeffs), spec.alpha,
-                                          element, ZERO, ts)
+            residuals = operator_residual(list(spec.coeffs), element, ZERO,
+                                          OracleGrid(spec.alpha, ts))
             for t, res in zip(ts, residuals):
                 assert res < 1e-5, (spec, t, res)
 
@@ -539,8 +539,8 @@ def test_variation_of_parameters_residual_property():
         assert (apply_operator(spec, v) - spec.forcing).is_zero(), (
             spec, format_u(apply_operator(spec, v) - spec.forcing))
         ts = [rng.uniform(0.1, 3.0) for _ in range(10)]
-        residuals = operator_residual(list(spec.coeffs), spec.alpha, v,
-                                      spec.forcing, ts)
+        residuals = operator_residual(list(spec.coeffs), v, spec.forcing,
+                                      OracleGrid(spec.alpha, ts))
         for t, res in zip(ts, residuals):
             assert res < 1e-6, (spec, t, res)
 
