@@ -11,29 +11,18 @@ classical constant-coefficient problem over a small closed term algebra
 - :mod:`confode.solver` — solution bases, particular solutions by
   exponential-shift inversion, initial-value fitting
 - :mod:`confode.conformable` — the independent numeric oracle
-  (limit-quotient derivatives and adaptive quadrature)
+  (the limit quotient on a verify grid, and the equation residual)
 - :mod:`confode.eqparse` — the equation text front end
 - :mod:`confode.cli` — solve / verify / sample commands
 """
 
 from .chareq import CharPoly, RootFindingError, RootSet, find_roots
-from .conformable import (
-    DomainError,
-    GridFn,
-    OracleGrid,
-    QuadratureError,
-    expr_grid,
-    log_grid,
-    numeric_conformable_integral,
-    numeric_t_alpha_derivative,
-    operator_residual,
-)
+from .conformable import DomainError, OracleGrid, log_grid, operator_residual
 from .eqparse import (
     EquationAst,
     EquationSyntaxError,
     parse_equation,
     problem_from_source,
-    render_equation,
 )
 from .solver import (
     GeneralSolution,
@@ -57,7 +46,6 @@ from .ualgebra import (
     eval_expr,
     expr,
     format_t,
-    format_u,
 )
 
 __version__ = "0.1.0"
@@ -68,10 +56,8 @@ __all__ = [
     "EquationAst",
     "EquationSyntaxError",
     "GeneralSolution",
-    "GridFn",
     "OracleGrid",
     "ProblemSpec",
-    "QuadratureError",
     "RootFindingError",
     "RootSet",
     "SingularSystemError",
@@ -83,21 +69,16 @@ __all__ = [
     "diff_u",
     "eval_expr",
     "expr",
-    "expr_grid",
     "find_roots",
     "fit_constants",
     "format_solution",
     "format_t",
-    "format_u",
     "homogeneous_basis",
     "log_grid",
-    "numeric_conformable_integral",
-    "numeric_t_alpha_derivative",
     "operator_residual",
     "parse_equation",
     "particular_solution",
     "problem_from_source",
-    "render_equation",
     "solution_from_doc",
     "solution_to_doc",
     "solve_problem",

@@ -3,10 +3,14 @@
 Exit codes are a stable contract:
 
     0  success
-    1  usage, parse, or configuration error
+    1  usage, parse, or configuration error, including a flag value that
+       is not a finite number
     2  solver failure (root non-convergence, incomplete basis, singular
-       constant fit)
+       constant fit), or a value that overflows binary64
     3  verification failure (residual above tolerance)
+
+Errors are one line on stderr, or a JSON object under ``--json``; a
+failing ``sample`` writes nothing to stdout.
 
 ``verify`` accepts either equation text (which it solves first) or a
 solution document produced by ``solve --json`` — input starting with ``{``
@@ -18,15 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chareq import RootFindingError
-from .conformable import OracleGrid, QuadratureError, log_grid, operator_residual
+from .conformable import OracleGrid, log_grid, operator_residual
 from .eqparse import EquationSyntaxError, problem_from_source
 from .solver import (
     GeneralSolution,
-    SolverError,
     format_solution,
     solution_from_doc,
     solution_to_doc,
@@ -113,6 +119,8 @@ def _parse_ic(text: str):
         targets = tuple(float(v) for v in tail.split(","))
     except ValueError as err:
         raise ConfigError(f"bad --ic (want t0:v0,v1,...): {err}") from err
+    if not all(math.isfinite(v) for v in (t0, *targets)):
+        raise ConfigError(f"initial conditions must be finite, got {text}")
     if t0 <= 0.0:
         raise ConfigError(f"initial point must be positive, got {t0}")
     return t0, targets
@@ -124,6 +132,8 @@ def _parse_range(text: str):
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as err:
         raise ConfigError(f"bad --range (want lo:hi:count): {err}") from err
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range ends must be finite, got {lo}:{hi}")
     if lo <= 0.0:
         raise ConfigError(f"range start must be positive, got {lo}")
     if hi <= lo:
@@ -159,8 +169,8 @@ def config_from_args(ns) -> RunConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad solution JSON: {err}") from err
         source = None
-    if ns.tol <= 0.0:
-        raise ConfigError(f"tolerance must be positive, got {ns.tol}")
+    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
+        raise ConfigError(f"tolerance must be positive and finite, got {ns.tol}")
     return RunConfig(
         alphas=alphas,
         source=source,
@@ -231,6 +241,8 @@ def _max_residual(sol: GeneralSolution, y, forcing, grid: OracleGrid):
     residuals = operator_residual(list(sol.spec.coeffs), y, forcing, grid)
     worst, worst_t = -1.0, grid.ts[0]
     for t, r in zip(grid.ts, residuals):
+        if not math.isfinite(r):  # a value overflowed; nan would never be the worst
+            raise OverflowError(f"the residual at t = {t!r} is not finite")
         if r > worst:
             worst, worst_t = r, t
     return worst, worst_t
@@ -316,17 +328,20 @@ def cmd_sample(cfg: RunConfig) -> int:
         header += [f"y_basis_{i + 1}" for i in range(sol.basis.n)]
         if sol.particular is not None:
             header.append("y_particular")
-    print(",".join(header))
     step = (hi - lo) / (count - 1)
     ts = [hi if i == count - 1 else lo + i * step for i in range(count)]
     table = PointTable(ts, subst)
     basis_vals = [table.eval(e) for e in sol.basis.elements]
     part_val = table.eval(sol.particular) if sol.particular is not None else 0.0
-    columns = [sum(c * v for c, v in zip(constants, basis_vals)) + part_val]
+    with np.errstate(all="ignore"):  # non-finite values are refused below
+        columns = [sum(c * v for c, v in zip(constants, basis_vals)) + part_val]
     if cfg.columns == "full":
         columns += basis_vals
         if sol.particular is not None:
             columns.append(part_val)
+    if not all(np.isfinite(col).all() for col in columns):
+        raise OverflowError("a sampled value is not finite")
+    print(",".join(header))
     for row in zip(ts, *(col.tolist() for col in columns)):
         print(",".join(repr(float(v)) for v in row))
     return 0
@@ -358,8 +373,11 @@ def main(argv=None) -> int:
     except (ConfigError, EquationSyntaxError, ValueError) as err:
         _report_error(json_out, "config error", str(err))
         return 1
-    except (RootFindingError, SolverError, QuadratureError) as err:
-        _report_error(json_out, "solver error", str(err))
+    except (RootFindingError, ArithmeticError) as err:
+        message = str(err)
+        if isinstance(err, OverflowError):
+            message = f"a value overflows binary64 ({message})"
+        _report_error(json_out, "solver error", message)
         return 2
 
 

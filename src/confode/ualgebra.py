@@ -126,9 +126,6 @@ class UExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def eval(self, t: float, subst: SubstMap) -> float:
-        return eval_expr(self, t, subst)
-
     def __add__(self, other: UExpr) -> UExpr:
         return add(self, other)
 
@@ -152,10 +149,6 @@ ZERO = UExpr()
 def expr(*terms: UTerm) -> UExpr:
     """Build a canonical expression from loose terms."""
     return canonicalize(terms)
-
-
-def one() -> UExpr:
-    return expr(UTerm(1.0))
 
 
 @dataclass(frozen=True)
@@ -334,19 +327,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _term_factors_u(term: UTerm) -> list[str]:
-    factors = []
-    if term.upow == 1:
-        factors.append("u")
-    elif term.upow:
-        factors.append(f"u^{term.upow}")
-    if term.erate:
-        factors.append("e^{" + _fmt(float(term.erate)) + "·u}")
-    if term.trig:
-        factors.append(f"{term.trig}({_fmt(float(term.tfreq))}·u)")
-    return factors
-
-
 def _term_factors_t(term: UTerm, alpha: float) -> list[str]:
     factors = []
     if term.upow:
@@ -370,11 +350,6 @@ def _join(parts: list[tuple[float, list[str]]]) -> str:
         else:
             chunks.append((" - " if coeff < 0 else " + ") + body)
     return "".join(chunks)
-
-
-def format_u(f: UExpr) -> str:
-    """Deterministic plain-text rendering in the u variable."""
-    return _join([(t.coeff, _term_factors_u(t)) for t in f.terms])
 
 
 def format_t(f: UExpr, subst: SubstMap) -> str:

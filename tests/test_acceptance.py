@@ -16,14 +16,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from confode.chareq import eval_poly, find_roots
-from confode.conformable import (
-    GridFn,
-    OracleGrid,
-    log_grid,
-    numeric_conformable_integral,
-    numeric_t_alpha_derivative,
-    operator_residual,
-)
+from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import (
     ProblemSpec,
@@ -41,10 +34,10 @@ from confode.ualgebra import (
     diff_u,
     expr,
     mul,
-    one,
     scale,
 )
-from vop_reference import integrate_u
+from oracle_reference import GridFn, numeric_conformable_integral, numeric_t_alpha_derivative
+from vop_reference import integrate_u, one
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 OPERATOR = "T2 y + 4 T y + 3 y"

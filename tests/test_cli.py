@@ -15,7 +15,7 @@ import pytest
 
 from confode.cli import _parse_ic, _parse_range, main
 from confode.eqparse import problem_from_source
-from confode.solver import solve_problem
+from confode.solver import solution_to_doc, solve_problem
 from confode.ualgebra import SubstMap, eval_expr
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
@@ -117,6 +117,53 @@ def test_json_mode_errors_are_json_on_stderr(capsys):
     assert code == 1
     payload = json.loads(err)
     assert "error" in payload and "alpha" in payload["error"]["message"]
+
+
+# e^{2t} at t = 1000 is beyond binary64, so the first three overflow in
+# math.exp.  In the last two the exponential is finite and a coefficient
+# near 1e300 takes the product past binary64, so the value becomes inf
+# without an exception.  An exception escaping main() would fail run_cli.
+GROWING = "T y - 2 y = 0"
+
+
+def _huge_growing_doc() -> str:
+    doc = solution_to_doc(solve_problem(problem_from_source(GROWING, 1.0)))
+    doc["basis"][0][0]["coeff"] = 1e300
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--alpha", "1", "--range", "1:1000:3", GROWING],
+    ["verify", "--alpha", "1", "--range", "1:1000:3", GROWING],
+    ["solve", "--alpha", "1", "--ic", "1000:1", GROWING],
+    ["sample", "--alpha", "1", "--range", "1:300:3", "--ic", "1:1e300", GROWING],
+    ["verify", "--alpha", "1", "--range", "10:20:3", _huge_growing_doc()],
+])
+def test_overflow_is_solver_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("confode: solver error:") and "overflows binary64" in err
+
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "overflows binary64" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--alpha", "0.5", "--range", "nan:3:3", HOMOG],
+    ["sample", "--alpha", "0.5", "--range", "1:inf:3", HOMOG],
+    ["verify", "--alpha", "0.5", "--tol", "nan", HOMOG],
+    ["solve", "--alpha", "0.5", "--ic", "nan:1,0", HOMOG],
+    ["solve", "--alpha", "0.5", "--ic", "1:nan,0", HOMOG],
+])
+def test_non_finite_flag_values_are_config_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "config error" in err and "finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confode import conformable
+import oracle_reference
 from confode.conformable import (
     DOMAIN_CEILING,
     DOMAIN_FLOOR,
     DomainError,
-    GridFn,
     OracleGrid,
-    QuadratureError,
-    expr_grid,
     log_grid,
-    numeric_conformable_integral,
-    numeric_t_alpha_derivative,
     operator_residual,
 )
 from confode.solver import ProblemSpec, homogeneous_basis, particular_solution
@@ -33,6 +28,13 @@ from confode.ualgebra import (
     diff_u,
     eval_expr,
     expr,
+)
+from oracle_reference import (
+    GridFn,
+    QuadratureError,
+    expr_grid,
+    numeric_conformable_integral,
+    numeric_t_alpha_derivative,
 )
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
@@ -214,7 +216,7 @@ def test_integral_domain_guards():
 
 def test_quadrature_failure_carries_estimate(monkeypatch):
     want = numeric_conformable_integral(wide(math.exp), 1.0, 2.0, 0.7)
-    monkeypatch.setattr(conformable, "QUAD_MAX_DEPTH", 0)
+    monkeypatch.setattr(oracle_reference, "QUAD_MAX_DEPTH", 0)
     with pytest.raises(QuadratureError) as info:
         numeric_conformable_integral(wide(math.exp), 1.0, 2.0, 0.7)
     err = info.value
@@ -301,6 +303,8 @@ def test_quotient_matches_symbolic_derivative(terms, alpha, t):
     sym = eval_expr(diff_u(f), t, subst)
     num = numeric_t_alpha_derivative(expr_grid(f, subst), t, alpha)
     assert abs(num - sym) <= 1e-4 * max(1.0, abs(sym))
+    batched = OracleGrid(alpha, [t]).quotient(f)[0]
+    assert abs(batched - sym) <= 1e-4 * max(1.0, abs(sym))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from confode.eqparse import (
     lower_forcing,
     parse_equation,
     problem_from_source,
-    render_equation,
-    render_texpr,
 )
 from confode.ualgebra import SIN, SubstMap, UTerm, eval_expr, expr
 
@@ -46,6 +44,68 @@ def eval_ast(ast, t: float, alpha: float) -> float:
     if isinstance(ast, TMul):
         return eval_ast(ast.left, t, alpha) * eval_ast(ast.right, t, alpha)
     raise TypeError(f"not a forcing AST node: {ast!r}")
+
+
+# ---------------------------------------------------------------------------
+# rendering: canonical text that reparses to the same AST
+
+
+def _num_text(x: float) -> str:
+    return repr(float(x))
+
+
+_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
+
+
+def _prec(node) -> int:
+    if isinstance(node, (TAdd, TSub)):
+        return _PREC_SUM
+    if isinstance(node, TMul):
+        return _PREC_PROD
+    if isinstance(node, TNeg):
+        return _PREC_UNARY
+    return _PREC_ATOM
+
+
+def render_texpr(node) -> str:
+    """Canonical text for a forcing AST; reparses to the identical tree."""
+
+    def go(n, floor: int) -> str:
+        if isinstance(n, TNum):
+            txt = _num_text(n.value)
+        elif isinstance(n, TPow):
+            txt = "t^a" if n.k == 1 else f"t^({n.k} a)"
+        elif isinstance(n, TFunc):
+            arg = "t^a" if n.c == 1.0 else f"{_num_text(n.c)} t^a"
+            txt = f"{n.kind}({arg})"
+        elif isinstance(n, TNeg):
+            txt = "-" + go(n.child, _PREC_UNARY)
+        elif isinstance(n, TAdd):
+            txt = go(n.left, _PREC_SUM) + " + " + go(n.right, _PREC_SUM + 1)
+        elif isinstance(n, TSub):
+            txt = go(n.left, _PREC_SUM) + " - " + go(n.right, _PREC_SUM + 1)
+        elif isinstance(n, TMul):
+            txt = go(n.left, _PREC_PROD) + " * " + go(n.right, _PREC_PROD + 1)
+        else:
+            raise TypeError(f"not a forcing AST node: {n!r}")
+        return f"({txt})" if _prec(n) < floor else txt
+
+    return go(node, _PREC_SUM)
+
+
+def render_equation(eq: EquationAst) -> str:
+    """Canonical text for an equation; reparses to the identical AST."""
+    chunks = []
+    for i, (order, coeff) in enumerate(eq.terms):
+        mag = abs(coeff)
+        body = "" if mag == 1.0 else _num_text(mag) + " "
+        body += ("y" if order == 0 else "T y" if order == 1 else f"T{order} y")
+        if i == 0:
+            chunks.append(("-" if coeff < 0 else "") + body)
+        else:
+            chunks.append((" - " if coeff < 0 else " + ") + body)
+    rhs = "0" if eq.rhs is None else render_texpr(eq.rhs)
+    return "".join(chunks) + " = " + rhs
 
 
 def terms_dict(eq: EquationAst) -> dict:

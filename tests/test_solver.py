@@ -37,12 +37,10 @@ from confode.ualgebra import (
     diff_u,
     eval_expr,
     expr,
-    format_u,
     mul,
-    one,
     scale,
 )
-from vop_reference import WronskianError, div_by_term, wronskian
+from vop_reference import WronskianError, div_by_term, format_u, one, wronskian
 from vop_reference import particular_solution as vop_particular_solution
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]

@@ -20,12 +20,11 @@ from confode.ualgebra import (
     expr,
     expr_from_records,
     format_t,
-    format_u,
     mul,
     scale,
     term_records,
 )
-from vop_reference import integrate_u
+from vop_reference import format_u, integrate_u
 
 
 def assert_expr_close(f, g, rtol=1e-12):

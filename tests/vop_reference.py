@@ -9,7 +9,9 @@ Laplace expansion over the 2^n column subsets.  Its cost doubles with
 each order, so the tests use it up to order 5.
 
 The term antiderivative ``integrate_u`` lives here too: the Cramer
-coefficient functions are its only use outside the tests of it.
+coefficient functions are its only use outside the tests of it.  So do
+``one`` and the u-variable renderer ``format_u``, which the reference and
+the tests use for determinants and failure messages.
 """
 
 from __future__ import annotations
@@ -29,12 +31,35 @@ from confode.ualgebra import (
     UExpr,
     UTerm,
     add,
+    _fmt,
+    _join,
     canonicalize,
-    format_u,
+    expr,
     mul,
-    one,
     scale,
 )
+
+
+def one() -> UExpr:
+    return expr(UTerm(1.0))
+
+
+def _term_factors_u(term: UTerm) -> list[str]:
+    factors = []
+    if term.upow == 1:
+        factors.append("u")
+    elif term.upow:
+        factors.append(f"u^{term.upow}")
+    if term.erate:
+        factors.append("e^{" + _fmt(float(term.erate)) + "·u}")
+    if term.trig:
+        factors.append(f"{term.trig}({_fmt(float(term.tfreq))}·u)")
+    return factors
+
+
+def format_u(f: UExpr) -> str:
+    """Deterministic plain-text rendering in the u variable."""
+    return _join([(t.coeff, _term_factors_u(t)) for t in f.terms])
 
 
 class WronskianError(SolverError):
