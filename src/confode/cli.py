@@ -12,9 +12,11 @@ Exit codes are a stable contract:
 Errors are one line on stderr, or a JSON object under ``--json``; a
 failing ``sample`` writes nothing to stdout.
 
-``verify`` accepts either equation text (which it solves first) or a
-solution document produced by ``solve --json`` — input starting with ``{``
-is treated as JSON.  With no positional source and no ``--file``, verify
+``verify`` accepts either equation text (which it solves first, fitting
+``--ic`` when given) or a solution document produced by ``solve --json`` —
+input starting with ``{`` is treated as JSON.  A document fixes its
+solution: ``--ic``, or an alpha other than the document's, is a
+configuration error.  With no positional source and no ``--file``, verify
 reads standard input, so ``solve --json | verify`` works as a pipe.
 """
 
@@ -287,15 +289,27 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     }
 
 
+def _doc_solution(cfg: RunConfig) -> GeneralSolution:
+    """The document's solution, refusing flags that would not apply to it."""
+    if cfg.ic is not None:
+        raise ConfigError("--ic does not apply to a solution document; "
+                          "fit the constants with solve --ic")
+    sol = solution_from_doc(cfg.doc)
+    for alpha in cfg.alphas:
+        if alpha != sol.spec.alpha:
+            raise ConfigError(f"alpha {alpha!r} differs from the solution document's "
+                              f"alpha {sol.spec.alpha!r}")
+    return sol
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     grid = _verify_grid(cfg)
     reports = []
     if cfg.doc is not None:
-        reports.append(_verify_one(solution_from_doc(cfg.doc), grid, cfg.tol))
+        reports.append(_verify_one(_doc_solution(cfg), grid, cfg.tol))
     else:
         for alpha in cfg.alphas:
-            spec = problem_from_source(cfg.source, alpha)
-            reports.append(_verify_one(solve_problem(spec), grid, cfg.tol))
+            reports.append(_verify_one(_solve_one(cfg, alpha), grid, cfg.tol))
     if cfg.json_out:
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:

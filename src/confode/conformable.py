@@ -128,7 +128,9 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     for n beyond 2; one numeric level per term keeps every estimate at
     quotient accuracy while still exercising the defining limit.
 
-    The symbolic levels are built once per call.  Every level, and the
+    The symbolic levels are each expression's cached
+    :attr:`~confode.ualgebra.UExpr.derivative` chain, so levels that the
+    constant fit or an earlier check derived are reused.  Every level, and the
     forcing, is evaluated at all grid points at once through the grid's
     shared :class:`PointTable`; a forcing passed again on the same grid is
     not evaluated again.  The quotients, sums and scales are computed

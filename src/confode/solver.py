@@ -158,7 +158,11 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
 
 
 def derivative_matrix(basis: SolutionBasis) -> list[list[UExpr]]:
-    """Row i holds the i-fold u-derivatives of the basis; row 0 is the basis."""
+    """Row i holds the i-fold u-derivatives of the basis; row 0 is the basis.
+
+    The rows are the elements' cached derivative levels, shared with any
+    later caller of :func:`~confode.ualgebra.diff_u` on the same elements.
+    """
     rows = [list(basis.elements)]
     for _ in range(basis.n - 1):
         rows.append([diff_u(e) for e in rows[-1]])
@@ -192,12 +196,27 @@ def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
     a series with a non-zero head, inverted up to degree k and applied to
     ``u^k``; m integrations then give ``w``.  Returns ``(upow, coefficient)``
     pairs over the Gaussian rationals.
+
+    The Taylor coefficients come from synthetic division on plain
+    integers.  With ``s = complex(sa, sb) / d`` and ``lcd`` the common
+    denominator of the (dyadic) coefficients, slot i of the division holds
+    its value times ``lcd * d**i``, so each step is the Gaussian-integer
+    update ``W_i += complex(sa, sb) * W_(i-1)``, with no gcd.  A slot's value is the
+    ``int / int`` true division of its integers, which rounds exactly as
+    ``float(Fraction)`` does; only the coefficients that are kept become
+    :class:`~fractions.Fraction`.
     """
     n = len(coeffs)
     # Repeated synthetic division by (r - s), highest coefficient first:
     # pass j leaves a_j in slot n - j.  The same passes over |c_i| at |s|
     # give the scale of each a_j for the resonance floor.
-    work = [(Fraction(1), Fraction(0))] + [(Fraction(c), Fraction(0)) for c in reversed(coeffs)]
+    ratios = [c.as_integer_ratio() for c in reversed(coeffs)]
+    lcd = math.lcm(*(den for _, den in ratios))
+    d = math.lcm(s[0].denominator, s[1].denominator)
+    sa, sb = s[0].numerator * (d // s[0].denominator), s[1].numerator * (d // s[1].denominator)
+    # Slot i starts as lcd * d**i * c_(n-i), imaginary part zero.
+    w_re = [lcd] + [num * (lcd // den) * d ** i for i, (num, den) in enumerate(ratios, 1)]
+    w_im = [0] * (n + 1)
     bound = [1.0] + [abs(c) for c in reversed(coeffs)]
     s_abs = abs(complex(float(s[0]), float(s[1])))
     floor = RESONANCE_FLOOR * (n + 1)
@@ -205,15 +224,17 @@ def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
     m = None
     for j in range(n + 1):
         for i in range(1, n + 1 - j):
-            step = _gmul(s, work[i - 1])
-            work[i] = (work[i][0] + step[0], work[i][1] + step[1])
+            xr, xi = w_re[i - 1], w_im[i - 1]
+            w_re[i] += sa * xr - sb * xi
+            w_im[i] += sa * xi + sb * xr
             bound[i] += s_abs * bound[i - 1]
-        a = work[n - j]
+        slot = n - j
+        den = lcd * d ** slot
         if m is None:
-            if abs(complex(float(a[0]), float(a[1]))) <= floor * bound[n - j]:
+            if abs(complex(w_re[slot] / den, w_im[slot] / den)) <= floor * bound[slot]:
                 continue
             m = j
-        taylor.append(a)
+        taylor.append((Fraction(w_re[slot], den), Fraction(w_im[slot], den)))
         if j == m + k:
             break
     # Series inverse b of sum_i taylor[i] D^i, up to degree k.
@@ -279,10 +300,11 @@ def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | No
                   for i in range(n)])
     b = np.array(targets)
     if sol.particular is not None:
-        d = sol.particular
-        for i in range(n):
-            b[i] -= eval_expr(d, t0, subst)
-            d = diff_u(d)
+        levels = [sol.particular]
+        while len(levels) < n:
+            levels.append(diff_u(levels[-1]))
+        for i, level in enumerate(levels):
+            b[i] -= eval_expr(level, t0, subst)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as err:

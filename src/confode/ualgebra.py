@@ -20,6 +20,17 @@ applied to a particular solution landing exactly on the forcing term's
 key -- requires those combinations to be exact, which float addition
 cannot guarantee across different evaluation orders.  Coefficients stay binary64; like-term merging prunes
 the float cancellation dust they accumulate.
+
+Exact work is done once.  Each term carries a merge key of plain ints
+(``upow``, the numerator and denominator of ``erate``, the trig rank, the
+numerator and denominator of ``tfreq``), computed when the term is built,
+so :func:`canonicalize` hashes ints rather than :class:`~fractions.Fraction`
+objects and compares exact rates only to sort the distinct keys.  Terms
+whose fields are already canonical (merged totals, derivative children)
+are built by a private constructor that skips re-validation.  Each
+:class:`UExpr` derives itself once: :func:`diff_u` returns the cached
+:attr:`UExpr.derivative`, so every caller that differentiates the same
+expression object (the constant fit, the oracle) shares its levels.
 """
 
 from __future__ import annotations
@@ -41,7 +52,6 @@ SIN = "sin"
 PRUNE_REL = 1e-12
 
 _TRIG_ORDER = {None: 0, COS: 1, SIN: 2}
-_TRIG_BY_ORDER = (None, COS, SIN)
 
 
 def _rat(x) -> Fraction:
@@ -57,6 +67,10 @@ class UTerm:
     collapses zero frequencies (``cos(0) = 1``, ``sin(0) = 0``), so a
     term with ``trig is None`` always has ``tfreq == 0`` and a term with
     a trig factor always has ``tfreq > 0``.
+
+    It also computes the term's integer merge key once (see :func:`_term`).
+    The key sits in the instance dict but is not a field, so equality,
+    hashing and repr do not see it.
     """
 
     coeff: float
@@ -86,18 +100,33 @@ class UTerm:
             if tfreq == 0:
                 coeff = coeff if trig == COS else 0.0
                 trig = None
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "upow", int(upow))
-        object.__setattr__(self, "erate", erate)
-        object.__setattr__(self, "trig", trig)
-        object.__setattr__(self, "tfreq", tfreq)
+        upow = int(upow)
+        object.__setattr__(self, "__dict__", {
+            "coeff": coeff, "upow": upow, "erate": erate, "trig": trig, "tfreq": tfreq,
+            "_mkey": (upow, erate.numerator, erate.denominator, _TRIG_ORDER[trig],
+                      tfreq.numerator, tfreq.denominator)})
 
     @property
     def key(self):
-        return (self.upow, self.erate, _TRIG_ORDER[self.trig], self.tfreq)
+        """The exact key ``(upow, erate, trig rank, tfreq)`` canonical order sorts by."""
+        return (self.upow, self.erate, self._mkey[3], self.tfreq)
 
     def with_coeff(self, coeff: float) -> UTerm:
-        return UTerm(coeff, self.upow, self.erate, self.trig, self.tfreq)
+        return _term(float(coeff), self.upow, self.erate, self.trig, self.tfreq, self._mkey)
+
+
+def _term(coeff: float, upow: int, erate: Fraction, trig: str | None, tfreq: Fraction,
+          mkey: tuple) -> UTerm:
+    """A :class:`UTerm` from fields that are already canonical, not re-validated.
+
+    ``mkey`` is the merge key ``__post_init__`` would compute for these
+    fields: ``(upow, erate numerator, erate denominator, trig rank, tfreq
+    numerator, tfreq denominator)``.
+    """
+    term = object.__new__(UTerm)
+    object.__setattr__(term, "__dict__", {"coeff": coeff, "upow": upow, "erate": erate,
+                                          "trig": trig, "tfreq": tfreq, "_mkey": mkey})
+    return term
 
 
 @dataclass(frozen=True)
@@ -116,12 +145,27 @@ class UExpr:
     def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
         """``(coeff, upow, erate, trig rank, tfreq)`` per term, rates as floats.
 
-        Lowered once per instance for :func:`eval_expr` and
-        :meth:`PointTable.eval`.  Not a dataclass field, so equality,
-        hashing and repr see only ``terms``.
+        Lowered once per instance for :func:`eval_expr`,
+        :meth:`PointTable.eval` and :func:`diff_u`, from the integer merge
+        keys (``int / int`` true division is what ``float(Fraction)``
+        does).  Not a dataclass field, so equality, hashing and repr see
+        only ``terms``.
         """
-        return tuple((t.coeff, t.upow, float(t.erate), _TRIG_ORDER[t.trig],
-                      float(t.tfreq)) for t in self.terms)
+        rows = []
+        for t in self.terms:
+            upow, erate_num, erate_den, rank, tfreq_num, tfreq_den = t._mkey
+            rows.append((t.coeff, upow, erate_num / erate_den, rank, tfreq_num / tfreq_den))
+        return tuple(rows)
+
+    @cached_property
+    def derivative(self) -> UExpr:
+        """d/du of this expression, derived once per instance.
+
+        :func:`diff_u` returns it, so the levels of one expression object
+        are shared by every caller.  Like :attr:`float_rows`, not a
+        dataclass field.
+        """
+        return _derive(self)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -169,26 +213,34 @@ class SubstMap:
         return t ** self.alpha / self.alpha
 
 
+def _exact_key(slot):
+    return slot[2].key
+
+
 def canonicalize(terms) -> UExpr:
     """Merge like terms, prune cancellation noise, sort by key.
+
+    Terms merge on their integer keys, summed in input order; a merged
+    coefficient survives when it is at least :data:`PRUNE_REL` times the
+    largest coefficient folded into it (floored at 1).  Only the distinct
+    keys are sorted, by the exact key.
 
     Idempotent: applying it to an already-canonical expression returns an
     equal expression.
     """
-    acc: dict[tuple, list[float]] = {}
+    acc: dict[tuple, list] = {}
     for term in terms:
-        slot = acc.get(term.key)
+        slot = acc.get(term._mkey)
         if slot is None:
-            acc[term.key] = [term.coeff, abs(term.coeff)]
+            acc[term._mkey] = [term.coeff, abs(term.coeff), term]
         else:
             slot[0] += term.coeff
             slot[1] = max(slot[1], abs(term.coeff))
     out = []
-    for key in sorted(acc):
-        total, biggest = acc[key]
+    for total, biggest, t in sorted(acc.values(), key=_exact_key):
         if abs(total) >= PRUNE_REL * max(1.0, biggest):
-            upow, erate, trig_rank, tfreq = key
-            out.append(UTerm(total, upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
+            out.append(t if total == t.coeff
+                       else _term(total, t.upow, t.erate, t.trig, t.tfreq, t._mkey))
     return UExpr(tuple(out))
 
 
@@ -237,17 +289,30 @@ def mul(f: UExpr, g: UExpr) -> UExpr:
 
 
 def diff_u(f: UExpr) -> UExpr:
-    """Term-wise d/du (product rule; at most three child terms per term)."""
+    """Term-wise d/du (product rule; at most three child terms per term).
+
+    Returns ``f.derivative``: each expression object is derived once.
+    """
+    return f.derivative
+
+
+def _derive(f: UExpr) -> UExpr:
+    # Children take their floats from f.float_rows and their merge keys
+    # from the parent's, so no term is re-validated or re-lowered.
     out = []
-    for t in f.terms:
-        if t.upow:
-            out.append(UTerm(t.coeff * t.upow, t.upow - 1, t.erate, t.trig, t.tfreq))
-        if t.erate:
-            out.append(UTerm(t.coeff * float(t.erate), t.upow, t.erate, t.trig, t.tfreq))
-        if t.trig == COS:
-            out.append(UTerm(-t.coeff * float(t.tfreq), t.upow, t.erate, SIN, t.tfreq))
-        elif t.trig == SIN:
-            out.append(UTerm(t.coeff * float(t.tfreq), t.upow, t.erate, COS, t.tfreq))
+    for t, (coeff, upow, erate, rank, tfreq) in zip(f.terms, f.float_rows):
+        key = t._mkey
+        if upow:
+            out.append(_term(coeff * upow, upow - 1, t.erate, t.trig, t.tfreq,
+                             (upow - 1,) + key[1:]))
+        if key[1]:  # erate != 0, tested exactly
+            out.append(_term(coeff * erate, upow, t.erate, t.trig, t.tfreq, key))
+        if rank == 1:  # COS
+            out.append(_term(-coeff * tfreq, upow, t.erate, SIN, t.tfreq,
+                             key[:3] + (2,) + key[4:]))
+        elif rank == 2:  # SIN
+            out.append(_term(coeff * tfreq, upow, t.erate, COS, t.tfreq,
+                             key[:3] + (1,) + key[4:]))
     return canonicalize(out)
 
 

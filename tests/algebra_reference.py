@@ -1,0 +1,102 @@
+"""The term algebra's hot paths as first written, for equality tests.
+
+``canonicalize`` merges terms on their exact ``Fraction`` keys and builds
+every output term through the validating ``UTerm`` constructor; ``diff_u``
+builds each child term the same way from the parent's fields; and
+``shift_response`` runs the exponential-shift synthetic division over
+Gaussian rationals, normalising a ``Fraction`` at every step.  The library
+does the same arithmetic on integer keys, cached derivative levels and
+plain integers, and the tests require results equal to these.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from confode.solver import RESONANCE_FLOOR
+from confode.ualgebra import COS, PRUNE_REL, SIN, UExpr, UTerm
+
+_TRIG_BY_ORDER = (None, COS, SIN)
+
+
+def canonicalize(terms) -> UExpr:
+    """Merge like terms on the exact key, prune cancellation noise, sort."""
+    acc: dict[tuple, list[float]] = {}
+    for term in terms:
+        slot = acc.get(term.key)
+        if slot is None:
+            acc[term.key] = [term.coeff, abs(term.coeff)]
+        else:
+            slot[0] += term.coeff
+            slot[1] = max(slot[1], abs(term.coeff))
+    out = []
+    for key in sorted(acc):
+        total, biggest = acc[key]
+        if abs(total) >= PRUNE_REL * max(1.0, biggest):
+            upow, erate, trig_rank, tfreq = key
+            out.append(UTerm(total, upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
+    return UExpr(tuple(out))
+
+
+def diff_u(f: UExpr) -> UExpr:
+    """Term-wise d/du (product rule; at most three child terms per term)."""
+    out = []
+    for t in f.terms:
+        if t.upow:
+            out.append(UTerm(t.coeff * t.upow, t.upow - 1, t.erate, t.trig, t.tfreq))
+        if t.erate:
+            out.append(UTerm(t.coeff * float(t.erate), t.upow, t.erate, t.trig, t.tfreq))
+        if t.trig == COS:
+            out.append(UTerm(-t.coeff * float(t.tfreq), t.upow, t.erate, SIN, t.tfreq))
+        elif t.trig == SIN:
+            out.append(UTerm(t.coeff * float(t.tfreq), t.upow, t.erate, COS, t.tfreq))
+    return canonicalize(out)
+
+
+def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ginv(x: tuple[Fraction, Fraction]):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
+                   k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+    """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``, in Fractions."""
+    n = len(coeffs)
+    work = [(Fraction(1), Fraction(0))] + [(Fraction(c), Fraction(0)) for c in reversed(coeffs)]
+    bound = [1.0] + [abs(c) for c in reversed(coeffs)]
+    s_abs = abs(complex(float(s[0]), float(s[1])))
+    floor = RESONANCE_FLOOR * (n + 1)
+    taylor: list[tuple[Fraction, Fraction]] = []
+    m = None
+    for j in range(n + 1):
+        for i in range(1, n + 1 - j):
+            step = _gmul(s, work[i - 1])
+            work[i] = (work[i][0] + step[0], work[i][1] + step[1])
+            bound[i] += s_abs * bound[i - 1]
+        a = work[n - j]
+        if m is None:
+            if abs(complex(float(a[0]), float(a[1]))) <= floor * bound[n - j]:
+                continue
+            m = j
+        taylor.append(a)
+        if j == m + k:
+            break
+    head = _ginv(taylor[0])
+    inv = [head]
+    for i in range(1, k + 1):
+        acc = (Fraction(0), Fraction(0))
+        for l in range(1, min(i, len(taylor) - 1) + 1):
+            t = _gmul(taylor[l], inv[i - l])
+            acc = (acc[0] + t[0], acc[1] + t[1])
+        t = _gmul(head, acc)
+        inv.append((-t[0], -t[1]))
+    out = []
+    for i, b in enumerate(inv):
+        f = Fraction(math.factorial(k), math.factorial(k + m - i))
+        out.append((k + m - i, (b[0] * f, b[1] * f)))
+    return out

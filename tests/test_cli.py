@@ -298,13 +298,56 @@ def test_solve_json_pipes_to_identical_verify_report(capsys, monkeypatch):
 
 
 def test_verify_doc_alpha_wins_over_flag(capsys):
+    # The document fixes alpha: a flag that matches it verifies the
+    # document, and one that differs is refused rather than ignored.
     code, sol_json, _ = run_cli(
         ["solve", "--alpha", "0.75", "--json", HOMOG], capsys)
     assert code == 0
     code, out, _ = run_cli(
-        ["verify", "--alpha", "0.5", "--json", sol_json], capsys)
+        ["verify", "--alpha", "0.75", "--json", sol_json], capsys)
     assert code == 0
     assert json.loads(out)["alpha"] == 0.75
+    for flag in (["--alpha", "0.5"], ["--alpha-list", "0.75,0.5"]):
+        code, out, err = run_cli(["verify", *flag, "--json", sol_json], capsys)
+        assert code == 1
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "0.5" in message and "0.75" in message
+
+
+def test_verify_doc_refuses_ic(capsys, monkeypatch):
+    code, sol_json, _ = run_cli(
+        ["solve", "--alpha", "0.9", "--json", "T2 y + 3 T y + 2 y = 0"], capsys)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(sol_json))
+    code, out, err = run_cli(["verify", "--alpha", "0.9", "--ic", "1:5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("confode: config error:") and "--ic" in err
+
+
+def test_verify_ic_checks_the_fitted_solution(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--alpha", "0.5", "--json", "--ic", "1:1,0", "T2 y + 3 T y + 2 y = 0"],
+        capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["combined"] is not None
+    assert report["combined"]["max_residual"] < report["tol"]
+    # with forcing, the fitted sum is checked against it too
+    code, out, _ = run_cli(
+        ["verify", "--alpha", "0.75", "--json", "--ic", "1:1,0", FORCED], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["particular"] is not None and report["combined"] is not None
+
+
+def test_verify_ic_with_wrong_count_is_config_error(capsys):
+    code, out, err = run_cli(
+        ["verify", "--alpha", "0.5", "--ic", "1:1,0,5", "T2 y + 3 T y + 2 y = 0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--ic needs 2 target values" in err
 
 
 # ---------------------------------------------------------------------------

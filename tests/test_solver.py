@@ -8,8 +8,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import algebra_reference as ref
+from confode import cli, ualgebra
 from confode.chareq import CharPoly, eval_poly
+from confode.conformable import log_grid
 from confode.conformable import OracleGrid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import (
@@ -18,6 +23,7 @@ from confode.solver import (
     ProblemSpec,
     SingularSystemError,
     SolutionBasis,
+    _shift_response,
     apply_operator,
     derivative_matrix,
     fit_constants,
@@ -639,3 +645,87 @@ def test_shift_matches_variation_of_parameters():
         assert all(abs(t.coeff) <= 1e-6 * scale for t in gap.terms), (
             spec, format_u(v_shift), format_u(v_vop), format_u(gap))
     assert multiplicities == {1, 2, 3}
+
+
+# --- shift response against the Fraction reference -----------------------
+
+def _float_poly(real_roots, pair, m):
+    """p_0..p_{n-1} of prod (r - z) over the roots, expanded in binary64."""
+    poly = [1.0]
+
+    def times(factor):
+        out = [0.0] * (len(poly) + len(factor) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        return out
+
+    a, b = pair
+    for _ in range(m):
+        poly = times([1.0, -2.0 * a, a * a + b * b] if b else [1.0, -a])
+    for z in real_roots:
+        poly = times([1.0, -z])
+    return tuple(reversed(poly[1:]))
+
+
+@given(st.sampled_from([0.1, 0.3, 0.7, 0.9, 0.5]),
+       st.sampled_from(["3", "-2", "0.5", "1.5", "-0.7"]),
+       st.sampled_from(["0", "0", "1", "2", "0.5"]),
+       st.integers(0, 3), st.integers(0, 3),
+       st.lists(st.sampled_from([-1.0, 0.5, 2.0, -2.5, 0.9]), min_size=0, max_size=2))
+def test_shift_response_equals_reference(alpha, c, b, m, k, others):
+    # s = (c + i b) * alpha as the parser lowers a forcing rate; the planted
+    # root is float(s), m times (a conjugate pair when b != 0), so decimal
+    # alphas resonate only through the floor.
+    s = (F(c) * F(alpha), F(b) * F(alpha))
+    if m == 0 and not others:
+        others = [1.0]
+    coeffs = _float_poly(others, (float(s[0]), float(s[1])), m)
+    assert _shift_response(coeffs, s, k) == ref.shift_response(coeffs, s, k)
+
+
+def test_shift_response_equals_reference_on_resonances():
+    # every resonance multiplicity up to 3, exact and one ulp off
+    for m in range(4):
+        for k in range(4):
+            for s in ((F(2), F(0)), (F(-1, 2), F(3, 2)), (F(3) * F(0.3), F(0))):
+                coeffs = _float_poly([0.25], (float(s[0]), float(s[1])), m)
+                got = _shift_response(coeffs, s, k)
+                assert got == ref.shift_response(coeffs, s, k)
+                assert got[0][0] == k + m  # the resonance is seen
+
+
+# --- derivation count -----------------------------------------------------
+
+@pytest.mark.parametrize("source, ic", [
+    ("T4 y + 2 T2 y + y = t^a * exp(t^a) + cos(2 t^a)", (1.0, (1.0, 0.0, -1.0, 0.5))),
+    ("T3 y + 3 T2 y + 3 T y + y = exp(2 t^a)", None),
+    ("T2 y + 3 T y + 2 y = 0", (1.0, (1.0, 0.0))),
+])
+def test_each_level_is_derived_once(monkeypatch, source, ic):
+    # The constant fit and verify share the basis and particular levels, v's
+    # n-th level is never built, and verify derives only the fitted sum.
+    derived = []
+    derive = ualgebra._derive
+
+    def counting(f):
+        derived.append(f)  # holding f keeps its id unique
+        return derive(f)
+
+    monkeypatch.setattr(ualgebra, "_derive", counting)
+    spec = problem_from_source(source, 0.5)
+    n = spec.order
+    sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
+    grid = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
+    cli._verify_one(sol, grid, cli.DEFAULT_TOL)
+    ids = [id(f) for f in derived]
+    assert len(set(ids)) == len(ids)
+    chains = list(sol.basis.elements)
+    if sol.particular is not None:
+        chains.append(sol.particular)
+    for level in chains:
+        for _ in range(n - 1):
+            assert id(level) in ids
+            level = diff_u(level)
+    fitted = 0 if sol.constants is None else n - 1
+    assert len(derived) == len(chains) * (n - 1) + fitted

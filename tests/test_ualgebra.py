@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from confode.ualgebra import (
     scale,
     term_records,
 )
+import algebra_reference as ref
+from confode import ualgebra
 from vop_reference import format_u, integrate_u
 
 
@@ -258,6 +261,104 @@ def test_float_rows_stay_out_of_equality_hash_and_repr():
     assert f.float_rows == ((-0.5, 1, 0.0, 0, 0.0), (1.5, 2, -0.3, 1, 7 / 3))
     assert f == g and hash(f) == hash(g)
     assert repr(f) == before == repr(g)
+
+
+def test_derivative_stays_out_of_equality_hash_and_repr():
+    f = expr(UTerm(1.5, 2, Fraction(-3, 10), COS, Fraction(7, 3)), UTerm(-0.5, 1))
+    g = expr(*f.terms)
+    before = repr(f)
+    d = diff_u(f)
+    assert f.derivative is d and diff_u(f) is d
+    assert [fl.name for fl in fields(f)] == ["terms"]
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == before == repr(g)
+    # an equal expression is a different object and derives on its own
+    assert diff_u(g) == d and diff_u(g) is not d
+
+
+# --- equality with the reference algebra ----------------------------------
+#
+# The library merges on integer keys, reuses derivative levels and builds
+# canonical terms without re-validation; algebra_reference keeps the
+# Fraction-keyed, fully validating originals.  Results must be equal, not
+# close.
+
+# Rates that collide in value but arrive by different routes: decimal text,
+# the binary64 of a decimal, sums of those, halves and integers.
+_KEY_RATES = [Fraction(0), Fraction(2), Fraction(-1, 2), Fraction("0.3"), Fraction(0.3),
+              Fraction(0.1) + Fraction(0.2), Fraction(3) * Fraction(0.3), Fraction("-0.9")]
+_KEY_FREQS = [Fraction(0), Fraction(1), Fraction(-1), Fraction("0.7"), Fraction(-0.7),
+              Fraction(5, 2)]
+
+
+@st.composite
+def colliding_term_lists(draw):
+    """Terms over a few shared keys, with exact and near-prune cancellation.
+
+    Negative frequencies exercise trig parity, zero frequencies the
+    collapse to no trig factor (sin(0 u) = 0 included).
+    """
+    pool = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_KEY_RATES),
+                                   st.sampled_from([None, COS, SIN]),
+                                   st.sampled_from(_KEY_FREQS)),
+                         min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        upow, erate, trig, tfreq = draw(st.sampled_from(pool))
+        if trig is None:
+            tfreq = Fraction(0)
+        kind = draw(st.sampled_from(["plain", "plain", "cancel", "near", "tiny"]))
+        if kind != "plain" and terms:
+            prev = draw(st.sampled_from(terms)).coeff
+        else:
+            prev = draw(st.floats(min_value=-5.0, max_value=5.0, **finite))
+        if kind == "cancel":
+            coeff = -prev
+        elif kind == "near":
+            coeff = -prev * (1.0 + draw(st.sampled_from([-2e-12, -1e-12, 5e-13, 1e-12, 3e-12])))
+        elif kind == "tiny":
+            coeff = draw(st.sampled_from([1e-13, -9.99e-13, 1e-12, 1.01e-12]))
+        else:
+            coeff = prev
+        terms.append(UTerm(coeff, upow, erate, trig, tfreq))
+    return terms
+
+
+@given(colliding_term_lists())
+def test_canonicalize_equals_reference(terms):
+    got, want = canonicalize(terms), ref.canonicalize(terms)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@given(colliding_term_lists().map(canonicalize))
+def test_diff_u_equals_reference(f):
+    want = ref.diff_u(f)
+    assert diff_u(f) == want
+    assert repr(diff_u(f)) == repr(want)
+    assert diff_u(diff_u(f)) == ref.diff_u(want)
+
+
+@given(colliding_term_lists())
+def test_private_constructor_builds_what_validation_would(terms):
+    built = []
+    make = ualgebra._term
+
+    def recording(*args):
+        term = make(*args)
+        built.append(term)
+        return term
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ualgebra, "_term", recording)
+        f = canonicalize(terms)
+        diff_u(diff_u(f))
+        scale(f, -2.5)
+    for term in built:
+        again = UTerm(term.coeff, term.upow, term.erate, term.trig, term.tfreq)
+        assert term == again and term._mkey == again._mkey
+        assert type(term.coeff) is float and type(term.upow) is int
+        assert type(term.erate) is Fraction and type(term.tfreq) is Fraction
 
 
 @given(uexprs)
