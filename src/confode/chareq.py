@@ -1,8 +1,27 @@
 """Characteristic polynomials and their roots, with multiplicities.
 
 A monic polynomial ``r^n + p_{n-1} r^{n-1} + ... + p_0`` is represented
-by its lower coefficients only.  Roots are located by Aberth-Ehrlich
-simultaneous iteration, then
+by its lower coefficients only.  Every binary64 coefficient is a dyadic
+rational, so :func:`find_roots` first decides what is exact in the math:
+
+* lifted: the coefficients are scaled by a power of two to integers,
+  which loses nothing;
+* split: Yun's square-free factorisation gives factors whose roots are
+  all simple, each with its exact multiplicity (a gcd modulo one prime
+  certifies the common square-free case without rational arithmetic);
+* certified: Aberth-Ehrlich simultaneous iteration approximates each
+  factor's roots, each approximation is rounded to the dyadic real
+  ``a/2^j`` or Gaussian ``(a ± ib)/2^j`` with the fewest bits within
+  ``CANDIDATE_RADIUS`` of it, and a candidate is accepted only when it divides the factor exactly;
+  accepted roots are deflated exactly and the iteration repeats on the
+  smaller factor while candidates keep landing.  A rational root of a
+  monic dyadic polynomial is dyadic, so rational and Gaussian-rational
+  roots come back as exact binary64 values.
+
+What does not land (irrational roots, and inputs such as decimal-derived
+coefficients that have no exact rational or repeated root) keeps the
+float treatment of its factor's last approximations, with each
+multiplicity times the factor's:
 
 * clustered: iterates of an m-fold zero stall on a cluster of radius
   roughly ``eps**(1/m)`` around it, so points within a relative radius of
@@ -18,6 +37,7 @@ simultaneous iteration, then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +46,11 @@ ABERTH_MAX_ITER = 200
 ABERTH_STEP_TOL = 1e-13
 CLUSTER_RADIUS = 1e-6
 IMAG_SNAP = 1e-8
+# a dyadic candidate is tried at the fewest bits that put it this close
+# (relative) to its approximation
+CANDIDATE_RADIUS = 1e-6
+# word-sized prime for the square-free certificate
+_PRIME = 2**61 - 1
 
 _EPS = float(np.finfo(float).eps)
 
@@ -226,8 +251,7 @@ def _pair_conjugates(p: CharPoly, entries: list[tuple[complex, int]]):
     return out
 
 
-def find_roots(p: CharPoly) -> RootSet:
-    raw = _aberth(p)
+def _cluster_roots(p: CharPoly, raw: np.ndarray) -> list[tuple[complex, int]]:
     clustered = _cluster(p, raw)
     # cluster means of multiple roots carry imaginary dust up to the
     # stall radius, so the snap threshold widens with the cluster size
@@ -239,7 +263,194 @@ def find_roots(p: CharPoly) -> RootSet:
         for z, m in clustered
     ]
     polished = [(_polish(p, z, m), m) for z, m in snapped]
-    entries = _pair_conjugates(p, polished)
+    return _pair_conjugates(p, polished)
+
+
+# --- exact integer polynomials ----------------------------------------------
+#
+# Highest-first lists of Python ints; the zero polynomial is [].
+
+
+def _lift(p: CharPoly) -> list[int]:
+    """p's full coefficients times the least power of two that makes them
+    all integers."""
+    if not all(math.isfinite(c) for c in p.coeffs):
+        raise RootFindingError(f"non-finite coefficient in {p.describe()}")
+    ratios = [c.as_integer_ratio() for c in p.full()]
+    den = max(d for _, d in ratios)  # all powers of two
+    return [n * (den // d) for n, d in ratios]
+
+
+def _deriv(f: list[int]) -> list[int]:
+    n = len(f) - 1
+    return [c * (n - i) for i, c in enumerate(f[:-1])]
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    while f and f[0] == 0:
+        f = f[1:]
+    if not f:
+        return f
+    g = math.gcd(*f)
+    return [c // g for c in f] if f[0] > 0 else [-c // g for c in f]
+
+
+def _quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g if the primitive g divides f in Z[x] (equivalently in Q[x]),
+    else None."""
+    f = list(f)
+    lead, n = g[0], len(g)
+    q = []
+    for i in range(len(f) - n + 1):
+        c, r = divmod(f[i], lead)
+        if r:
+            return None
+        q.append(c)
+        if c:
+            for j in range(1, n):
+                f[i + j] -= c * g[j]
+    return None if any(f[len(q):]) else q
+
+
+def _sub(f: list[int], g: list[int]) -> list[int]:
+    n = max(len(f), len(g))
+    r = [x - y for x, y in zip([0] * (n - len(f)) + f, [0] * (n - len(g)) + g)]
+    while r and r[0] == 0:
+        r = r[1:]
+    return r
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """Pseudo-remainder of f by g: lc(g)^k f mod g, leading zeros kept."""
+    f = list(f)
+    lead, n = g[0], len(g)
+    for i in range(len(f) - n + 1):
+        c = f[i]
+        for j in range(i + 1, len(f)):
+            f[j] *= lead
+        for j in range(1, n):
+            f[i + j] -= c * g[j]
+    return f[len(f) - n + 1:]
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd over Z (primitive pseudo-remainder sequence)."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
+    """Whether f and g are coprime modulo _PRIME.  Neither leading
+    coefficient may vanish modulo it, and len(f) >= len(g)."""
+    f = [c % _PRIME for c in f]
+    g = [c % _PRIME for c in g]
+    while len(g) > 1:
+        inv = pow(g[0], -1, _PRIME)
+        n = len(g)
+        for i in range(len(f) - n + 1):
+            c = f[i] * inv % _PRIME
+            if c:
+                for j in range(1, n):
+                    f[i + j] = (f[i + j] - c * g[j]) % _PRIME
+        r = f[len(f) - n + 1:]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            return False
+        f, g = g, r
+    return True
+
+
+def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free factorisation: primitive pairwise-coprime factors,
+    each with roots of exactly the given multiplicity."""
+    df = _deriv(f)
+    # f's leading coefficient is a power of two, so it survives reduction
+    # modulo an odd prime, and then coprimality there proves f square-free
+    if _coprime_mod_prime(f, df):
+        return [(_primitive(f), 1)]
+    a = _gcd(f, df)
+    b, c = _quotient(f, a), _quotient(df, a)
+    out = []
+    mult = 1
+    while len(b) > 1:
+        d = _sub(c, _deriv(b))
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, mult))
+        b, c = _quotient(b, a), _quotient(d, a)
+        mult += 1
+    return out
+
+
+# --- certified roots ---------------------------------------------------------
+
+
+def _candidate(z: complex) -> tuple[float, float]:
+    """The dyadic (re, |im|) with the fewest bits within CANDIDATE_RADIUS
+    of z.  Both parts are binary64 values, so they are exact."""
+    tol = CANDIDATE_RADIUS * (1.0 + abs(z))
+    re, im = z.real, abs(z.imag)
+    scale = 1.0
+    while True:  # ends by 2^-j <= tol, at most ~20 rounds
+        a, b = round(re * scale) / scale, round(im * scale) / scale
+        if abs(re - a) <= tol and abs(im - b) <= tol:
+            return a, b
+        scale *= 2.0
+
+
+def _divisor(a: float, b: float) -> list[int]:
+    """Primitive integer polynomial whose roots are a ± ib (just a when
+    b = 0)."""
+    na, da = a.as_integer_ratio()
+    if b == 0.0:
+        return [da, -na]
+    nb, db = b.as_integer_ratio()
+    den = max(da, db)  # both powers of two
+    na, nb = na * (den // da), nb * (den // db)
+    # den^2 (x - a)^2 + den^2 b^2
+    return _primitive([den * den, -2 * na * den, na * na + nb * nb])
+
+
+def _monic(g: list[int]) -> CharPoly:
+    # the leading coefficient is a power of two; int / int rounds correctly
+    return CharPoly(tuple(c / g[0] for c in reversed(g[1:])))
+
+
+def _factor_roots(p: CharPoly, g: list[int], mult: int) -> list[tuple[complex, int]]:
+    """Roots of the square-free primitive factor g of p, each of
+    multiplicity mult: exact where a dyadic candidate divides g, float
+    clusters for the rest."""
+    out: list[tuple[complex, int]] = []
+    while True:
+        # the whole polynomial keeps p itself, so that an input with no
+        # repeated or exact root gets exactly the float treatment of p
+        q = p if len(g) == p.degree + 1 else _monic(g)
+        approx = _aberth(q)
+        rest = g
+        for a, b in dict.fromkeys(_candidate(complex(z)) for z in approx):
+            smaller = _quotient(rest, _divisor(a, b))
+            if smaller is not None:
+                rest = smaller
+                out.append((complex(a, b), mult))
+                if b:
+                    out.append((complex(a, -b), mult))
+        if len(rest) == 1:
+            return out
+        if len(rest) == len(g):
+            return out + [(z, m * mult) for z, m in _cluster_roots(q, approx)]
+        g = rest
+
+
+def find_roots(p: CharPoly) -> RootSet:
+    entries = []
+    for g, mult in _squarefree_factors(_lift(p)):
+        entries.extend(_factor_roots(p, g, mult))
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
     rs = RootSet(tuple(entries))
     assert rs.total_multiplicity == p.degree

@@ -371,19 +371,41 @@ def solution_to_doc(sol: GeneralSolution) -> dict:
     }
 
 
-def solution_from_doc(doc: dict) -> GeneralSolution:
-    """Rebuild a GeneralSolution from its JSON document."""
-    spec = ProblemSpec(tuple(doc["coeffs"]), float(doc["alpha"]),
-                       expr_from_records(doc["forcing"]))
-    if int(doc["order"]) != spec.order:
+def solution_from_doc(doc) -> GeneralSolution:
+    """Rebuild a GeneralSolution from its JSON document.
+
+    A document that is not an object, lacks a required key or holds a
+    value of the wrong shape raises ValueError naming the key.
+    """
+    if not isinstance(doc, dict):
         raise ValueError(
-            f"order field {doc['order']} does not match {spec.order} coefficients")
-    elements = tuple(expr_from_records(r) for r in doc["basis"])
-    origins = tuple(
-        BasisOrigin(complex(o["root"][0], o["root"][1]), int(o["level"]), o["part"])
-        for o in doc["origins"])
-    particular = (None if doc.get("particular") is None
-                  else expr_from_records(doc["particular"]))
-    constants = (None if doc.get("constants") is None
-                 else tuple(float(c) for c in doc["constants"]))
+            f"a solution document must be a JSON object, got {type(doc).__name__}")
+
+    def field(key, convert, required=True):
+        if key not in doc:
+            if required:
+                raise ValueError(f"solution document lacks the key {key!r}")
+            return None
+        if not required and doc[key] is None:
+            return None
+        try:
+            return convert(doc[key])
+        except (KeyError, TypeError, ValueError, IndexError) as err:
+            detail = f"missing {err.args[0]!r}" if isinstance(err, KeyError) else str(err)
+            raise ValueError(f"solution document key {key!r} is ill-typed ({detail})") from err
+
+    def origin(o):
+        return BasisOrigin(complex(o["root"][0], o["root"][1]), int(o["level"]), o["part"])
+
+    coeffs = field("coeffs", lambda v: tuple(float(c) for c in v))
+    alpha = field("alpha", float)
+    forcing = field("forcing", expr_from_records)
+    spec = ProblemSpec(coeffs, alpha, forcing)
+    order = field("order", int)
+    if order != spec.order:
+        raise ValueError(f"order field {order} does not match {spec.order} coefficients")
+    elements = field("basis", lambda v: tuple(expr_from_records(r) for r in v))
+    origins = field("origins", lambda v: tuple(origin(o) for o in v))
+    particular = field("particular", expr_from_records, required=False)
+    constants = field("constants", lambda v: tuple(float(c) for c in v), required=False)
     return GeneralSolution(spec, SolutionBasis(elements, origins), particular, constants)

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+import roots_reference
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import confode.chareq as chareq
@@ -189,3 +191,127 @@ def test_root_records_shape():
     recs = rs.to_records()
     assert recs == sorted(recs, key=lambda r: (r["re"], r["im"]))
     assert all(set(r) == {"re", "im", "mult"} for r in recs)
+
+
+# --- exact roots -------------------------------------------------------------
+#
+# Every root below is dyadic, and every coefficient of its expansion is a
+# binary64 value, so find_roots must return the planted set exactly.
+
+
+def expand(planted) -> list[Fraction]:
+    """Highest-first exact coefficients of the product over (re, im, mult)
+    entries of (r - re)^mult, or of (r^2 - 2 re r + re^2 + im^2)^mult."""
+    poly = [Fraction(1)]
+    for re, im, m in planted:
+        factor = [Fraction(1), -re] if im == 0 else [Fraction(1), -2 * re, re * re + im * im]
+        for _ in range(m):
+            out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            poly = out
+    return poly
+
+
+def float_exact(poly) -> bool:
+    return all(Fraction(float(c)) == c for c in poly)
+
+
+def planted_poly(planted) -> CharPoly:
+    return CharPoly(tuple(float(c) for c in reversed(expand(planted)[1:])))
+
+
+def planted_entries(planted):
+    out = []
+    for re, im, m in planted:
+        out.append((complex(float(re), float(im)), m))
+        if im:
+            out.append((complex(float(re), -float(im)), m))
+    return tuple(sorted(out, key=lambda e: (e[0].real, e[0].imag)))
+
+
+def dyadic(lo, hi):
+    """k/d with d in {1, 2, 4, 16} and lo <= k/d <= hi."""
+    return st.sampled_from((1, 2, 4, 16)).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: Fraction(k, d)))
+
+
+planted_sets = st.lists(
+    st.one_of(
+        st.tuples(dyadic(-8, 8), st.just(Fraction(0)), st.integers(1, 5)),
+        st.tuples(dyadic(-8, 8), dyadic(0, 8).filter(bool), st.integers(1, 5))),
+    min_size=1, max_size=8, unique_by=lambda e: (e[0], e[1]),
+).filter(lambda ps: sum((2 if im else 1) * m for _, im, m in ps) <= 16
+         ).filter(lambda ps: float_exact(expand(ps)))
+
+
+@given(planted_sets)
+def test_planted_dyadic_roots_come_back_exactly(planted):
+    assert find_roots(planted_poly(planted)).entries == planted_entries(planted)
+
+
+def real_roots(*roots, mult=1):
+    return [(Fraction(r), Fraction(0), mult) for r in roots]
+
+
+def test_squarefree_factors_carry_exact_multiplicities():
+    # (r + 1)^3 (r - 2)^2 (r^2 + 1), lifted to integers
+    planted = real_roots(-1, mult=3) + real_roots(2, mult=2) + [(Fraction(0), Fraction(1), 1)]
+    f = [int(c) for c in expand(planted)]
+    assert chareq._squarefree_factors(f) == [([1, 0, 1], 1), ([1, -2], 2), ([1, 1], 3)]
+    assert chareq._squarefree_factors([1, 0, 1]) == [([1, 0, 1], 1)]
+
+
+def test_non_finite_coefficients_are_reported():
+    with pytest.raises(RootFindingError, match="non-finite"):
+        find_roots(CharPoly((math.inf, 1.0)))
+    with pytest.raises(RootFindingError, match="non-finite"):
+        find_roots(CharPoly((math.nan,)))
+
+
+@pytest.mark.parametrize("planted", [
+    real_roots(-1, mult=4),
+    real_roots(-1, mult=5),
+    real_roots(*range(-12, 0)),
+    real_roots(-2, mult=3) + real_roots(Fraction(-5, 2), mult=2),
+    real_roots(*(Fraction(-k, 2) for k in range(1, 13))),
+    real_roots(*(Fraction(-k, 4) for k in range(1, 15))),
+], ids=["(r+1)^4", "(r+1)^5", "-1..-12", "(r+2)^3 (r+5/2)^2", "-1/2..-6", "-1/4..-7/2"])
+def test_planted_regressions_come_back_exactly(planted):
+    assert float_exact(expand(planted))
+    assert find_roots(planted_poly(planted)).entries == planted_entries(planted)
+
+
+@pytest.mark.xfail(strict=True, raises=RootFindingError, reason=(
+    "Aberth starts every root on one circle of radius 1 + max|p_i| (here "
+    "about 2e13), far outside -1..-16, and does not converge within "
+    "ABERTH_MAX_ITER steps; a Newton-polygon start would fix it"))
+def test_sixteen_consecutive_integer_roots_come_back_exactly():
+    planted = real_roots(*range(-16, 0))
+    assert find_roots(planted_poly(planted)).entries == planted_entries(planted)
+
+
+def has_exact_structure(p: CharPoly) -> bool:
+    """Whether p has a repeated factor, a rational root or a
+    Gaussian-rational root, decided over Q by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in p.full()], x,
+                      domain="QQ")
+    for factor, mult in poly.factor_list()[1]:
+        if mult > 1 or factor.degree() == 1:
+            return True
+        if factor.degree() == 2:
+            a, b, c = factor.all_coeffs()
+            disc = b * b - 4 * a * c
+            if disc < 0 and sympy.sqrt(-disc).is_rational:
+                return True
+    return False
+
+
+@given(coeff_lists)
+def test_inexact_inputs_keep_the_float_pipeline(coeffs):
+    p = CharPoly(tuple(coeffs))
+    assume(not has_exact_structure(p))
+    assert find_roots(p).entries == roots_reference.find_roots(p).entries

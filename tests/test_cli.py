@@ -15,7 +15,7 @@ import pytest
 
 from confode.cli import _parse_ic, _parse_range, main
 from confode.eqparse import problem_from_source
-from confode.solver import solution_to_doc, solve_problem
+from confode.solver import solution_from_doc, solution_to_doc, solve_problem
 from confode.ualgebra import SubstMap, eval_expr
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
@@ -110,6 +110,32 @@ def test_corrupted_solution_fails_verification(capsys):
         ["verify", "--alpha", "0.75", json.dumps(doc)], capsys)
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"foo": 1}', "'coeffs'"),
+    ('{"coeffs": [1, 2], "alpha": 0.5}', "'forcing'"),
+    ('[1, 2]', "'['"),
+])
+def test_malformed_solution_document_is_config_error(text, named, capsys):
+    code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: config error:") and named in err
+    assert err.count("\n") == 1
+    code, out, err = run_cli(["verify", "--alpha", "0.5", "--json", text], capsys)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "config error" and named in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("doc, named", [
+    ([1, 2], "JSON object"),
+    ({"foo": 1}, "lacks the key 'coeffs'"),
+    ({"coeffs": 3, "alpha": 0.5}, "key 'coeffs' is ill-typed"),
+])
+def test_solution_from_doc_names_the_bad_key(doc, named):
+    with pytest.raises(ValueError, match=named):
+        solution_from_doc(doc)
 
 
 def test_json_mode_errors_are_json_on_stderr(capsys):
