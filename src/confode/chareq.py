@@ -37,10 +37,10 @@ multiplicity times the factor's:
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 ABERTH_MAX_ITER = 200
 ABERTH_STEP_TOL = 1e-13
@@ -52,7 +52,7 @@ CANDIDATE_RADIUS = 1e-6
 # word-sized prime for the square-free certificate
 _PRIME = 2**61 - 1
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class RootFindingError(RuntimeError):
@@ -92,7 +92,7 @@ class CharPoly:
 
 
 def _horner(coeffs, z):
-    acc = 0.0 * z if isinstance(z, np.ndarray) else 0.0
+    acc = 0.0
     for c in coeffs:
         acc = acc * z + c
     return acc
@@ -129,37 +129,43 @@ class RootSet:
         return [{"re": z.real, "im": z.imag, "mult": m} for z, m in self.entries]
 
 
-def _aberth(p: CharPoly) -> np.ndarray:
+def _aberth(p: CharPoly) -> list[complex]:
     n = p.degree
     if n == 1:
-        return np.array([complex(-p.coeffs[0])])
-    full = np.array(p.full())
-    deriv = full[:-1] * np.arange(n, 0, -1)
-    absfull = np.abs(full)
+        return [complex(-p.coeffs[0])]
+    full = p.full()
+    deriv = [c * k for c, k in zip(full[:-1], range(n, 0, -1))]
+    absfull = [abs(c) for c in full]
+    floor = 4.0 * n * _EPS
     radius = 1.0 + max(abs(c) for c in p.coeffs)
     # small angular offset breaks the conjugate symmetry of the start set
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     for _ in range(ABERTH_MAX_ITER):
-        pv = _horner(full, z)
-        dv = _horner(deriv, z)
-        # Freeze a point once |p| is at the evaluation noise floor: no
-        # finite step can improve it, and iterates around a multiple zero
-        # would otherwise jiggle there forever without meeting the step
-        # criterion below.
-        settled = np.abs(pv) <= 4.0 * p.degree * _EPS * _horner(absfull, np.abs(z))
-        w = np.where(dv == 0, 0.01 * (1.0 + np.abs(z)), pv / np.where(dv == 0, 1.0, dv))
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.any(diff == 0):
-            bad = (diff == 0).any(axis=1)
-            z = np.where(bad, z + 1e-9 * radius * (1 + 1j), z)
+        # A Jacobi step: every update below reads the iterates of the
+        # previous step only.
+        if len(set(z)) < n:  # nudge every point that meets another
+            z = [zi + 1e-9 * radius * (1 + 1j) if z.count(zi) > 1 else zi for zi in z]
             continue
-        repulse = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * repulse
-        delta = np.where(np.abs(denom) < 1e-12, w, w / np.where(denom == 0, 1.0, denom))
-        delta = np.where(settled, 0.0, delta)
-        z = z - delta
-        if np.all(settled | (np.abs(delta) <= ABERTH_STEP_TOL * (1.0 + np.abs(z)))):
+        new, done = [], True
+        for i, zi in enumerate(z):
+            pv = _horner(full, zi)
+            # Freeze a point once |p| is at the evaluation noise floor: no
+            # finite step can improve it, and iterates around a multiple
+            # zero would otherwise jiggle there forever without meeting the
+            # step criterion below.
+            if abs(pv) <= floor * _horner(absfull, abs(zi)):
+                new.append(zi)
+                continue
+            dv = _horner(deriv, zi)
+            w = pv / dv if dv != 0 else complex(0.01 * (1.0 + abs(zi)))
+            repulse = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            denom = 1.0 - w * repulse
+            delta = w if abs(denom) < 1e-12 else w / denom
+            zi = zi - delta
+            new.append(zi)
+            done = done and abs(delta) <= ABERTH_STEP_TOL * (1.0 + abs(zi))
+        z = new
+        if done:
             return z
     raise RootFindingError(
         f"root iteration did not converge within {ABERTH_MAX_ITER} steps "
@@ -182,7 +188,7 @@ def _merge_radius(p: CharPoly, z: complex) -> float:
     return max(CLUSTER_RADIUS * (1.0 + abs(z)), 3.0 * _noise_floor(p, z) ** (1.0 / 3.0))
 
 
-def _cluster(p: CharPoly, points: np.ndarray) -> list[tuple[complex, int]]:
+def _cluster(p: CharPoly, points: list[complex]) -> list[tuple[complex, int]]:
     n = len(points)
     parent = list(range(n))
 
@@ -251,7 +257,7 @@ def _pair_conjugates(p: CharPoly, entries: list[tuple[complex, int]]):
     return out
 
 
-def _cluster_roots(p: CharPoly, raw: np.ndarray) -> list[tuple[complex, int]]:
+def _cluster_roots(p: CharPoly, raw: list[complex]) -> list[tuple[complex, int]]:
     clustered = _cluster(p, raw)
     # cluster means of multiple roots carry imaginary dust up to the
     # stall radius, so the snap threshold widens with the cluster size
@@ -433,7 +439,7 @@ def _factor_roots(p: CharPoly, g: list[int], mult: int) -> list[tuple[complex, i
         q = p if len(g) == p.degree + 1 else _monic(g)
         approx = _aberth(q)
         rest = g
-        for a, b in dict.fromkeys(_candidate(complex(z)) for z in approx):
+        for a, b in dict.fromkeys(_candidate(z) for z in approx):
             smaller = _quotient(rest, _divisor(a, b))
             if smaller is not None:
                 rest = smaller

@@ -28,8 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chareq import RootFindingError
 from .conformable import OracleGrid, log_grid, operator_residual
 from .eqparse import EquationSyntaxError, problem_from_source
@@ -40,7 +38,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, format_t, scale
+from .ualgebra import ZERO, PointTable, SubstMap, format_t
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -267,9 +265,9 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
             overall, overall_t, overall_what = r, t, "particular solution"
     combined = None
     if sol.constants is not None:
-        y = sol.particular if sol.particular is not None else ZERO
-        for c, e in zip(sol.constants, sol.basis.elements):
-            y = y + scale(e, c)
+        # v + sum c_i e_i, from the levels the checks above evaluated
+        y = [] if sol.particular is None else [(1.0, sol.particular)]
+        y += zip(sol.constants, sol.basis.elements)
         r, t = _max_residual(sol, y, sol.spec.forcing, oracle)
         combined = {"max_residual": r, "worst_t": t}
         if r > overall:
@@ -346,18 +344,20 @@ def cmd_sample(cfg: RunConfig) -> int:
     ts = [hi if i == count - 1 else lo + i * step for i in range(count)]
     table = PointTable(ts, subst)
     basis_vals = [table.eval(e) for e in sol.basis.elements]
-    part_val = table.eval(sol.particular) if sol.particular is not None else 0.0
-    with np.errstate(all="ignore"):  # non-finite values are refused below
-        columns = [sum(c * v for c, v in zip(constants, basis_vals)) + part_val]
+    part_val = table.eval(sol.particular) if sol.particular is not None else [0.0] * count
+    y = [0.0] * count  # summed left to right at each point
+    for c, vals in zip(constants, basis_vals):
+        y = [s + c * v for s, v in zip(y, vals)]
+    columns = [[s + v for s, v in zip(y, part_val)]]
     if cfg.columns == "full":
         columns += basis_vals
         if sol.particular is not None:
             columns.append(part_val)
-    if not all(np.isfinite(col).all() for col in columns):
+    if not all(math.isfinite(v) for col in columns for v in col):
         raise OverflowError("a sampled value is not finite")
     print(",".join(header))
-    for row in zip(ts, *(col.tolist() for col in columns)):
-        print(",".join(repr(float(v)) for v in row))
+    for row in zip(ts, *columns):
+        print(",".join(repr(v) for v in row))
     return 0
 
 

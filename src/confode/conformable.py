@@ -15,13 +15,12 @@ residual of a whole equation.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
-
-import numpy as np
 
 from .ualgebra import PointTable, SubstMap, UExpr, diff_u
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 
 #: Numeric operations refuse points below this; the t**(1-alpha) stencil
 #: factor degenerates as t -> 0.
@@ -77,9 +76,11 @@ class OracleGrid:
         (f(t + h) - f(t - h)) / (2*eps),   h = eps * t**(1-alpha),
 
     with ``eps = eps_mach**(1/3) * max(1, t**alpha)`` balancing truncation
-    against round-off.  These depend only on ``t`` and ``alpha``.  One
-    :class:`PointTable` over all ``3 * len(ts)`` points is shared by every
-    expression checked on the grid.
+    against round-off.  These depend only on ``t`` and ``alpha``.  Two
+    :class:`PointTable` s are shared by every expression checked on the
+    grid: ``centre`` over the points themselves and ``stencil`` over the
+    ``t + h`` and then the ``t - h`` ends, so a value is only computed
+    where it is used.
 
     Points are checked in order, and the first bad one raises.
 
@@ -99,22 +100,57 @@ class OracleGrid:
             two_eps.append(2.0 * eps)
             lo.append(t_lo_pt)
             hi.append(t_hi_pt)
-        self.two_eps = np.array(two_eps, dtype=float)
-        self.table = PointTable(self.ts + hi + lo, subst)
+        self.two_eps = two_eps
+        self.centre = PointTable(self.ts, subst)
+        self.stencil = PointTable(hi + lo, subst)
+        self._quotients: dict[int, tuple[UExpr, list[float]]] = {}
 
-    def values(self, f: UExpr) -> np.ndarray:
+    def values(self, f: UExpr) -> tuple[float, ...]:
         """``f`` at each grid point."""
-        return self.table.eval(f)[:len(self.ts)]
+        return self.centre.eval(f)
 
-    def quotient(self, f: UExpr) -> np.ndarray:
-        """The central limit quotient of ``f`` at each grid point."""
-        n = len(self.ts)
-        vals = self.table.eval(f)
-        with np.errstate(all="ignore"):
-            return (vals[n:2 * n] - vals[2 * n:]) / self.two_eps
+    def quotient(self, f: UExpr) -> list[float]:
+        """The central limit quotient of ``f`` at each grid point.
+
+        Kept per expression object, like :meth:`PointTable.eval`'s results.
+        """
+        hit = self._quotients.get(id(f))
+        if hit is not None:
+            return hit[1]
+        vals = self.stencil.eval(f)
+        out = [(up - down) / two_eps
+               for up, down, two_eps in zip(vals, vals[len(self.ts):], self.two_eps)]
+        self._quotients[id(f)] = (f, out)  # holding f keeps its id unique
+        return out
 
 
-def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
+#: A linear combination ``sum(c * f for c, f in parts)`` of expressions.
+Combination = Sequence[tuple[float, UExpr]]
+
+
+def _level(f: UExpr, k: int) -> UExpr:
+    for _ in range(k):
+        f = diff_u(f)
+    return f
+
+
+def _pointwise(y: UExpr | Combination, k: int, values_of) -> Sequence[float]:
+    """``values_of`` the k-th u-derivative of ``y``.
+
+    A combination's is summed pointwise, in the order of its parts, from
+    ``values_of`` the parts' own levels: no sum of expressions is built or
+    derived.
+    """
+    if isinstance(y, UExpr):
+        return values_of(_level(y, k))
+    total: list[float] = []
+    for i, (c, f) in enumerate(y):
+        vals = values_of(_level(f, k))
+        total = [c * v for v in vals] if i == 0 else [s + c * v for s, v in zip(total, vals)]
+    return total
+
+
+def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExpr,
                       grid: OracleGrid) -> list[float]:
     """Relative residuals of ``L_alpha[y] - q`` at each point of ``grid``.
 
@@ -128,14 +164,21 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     for n beyond 2; one numeric level per term keeps every estimate at
     quotient accuracy while still exercising the defining limit.
 
+    ``y`` is an expression, or a :data:`Combination` of ``(c, f)`` pairs
+    (a fitted solution ``v + sum c_i e_i``).  A combination's values and
+    quotients are summed pointwise from those of the ``f`` and their
+    levels; the quotient is linear, so this is the combination's own
+    quotient up to rounding.
+
     The symbolic levels are each expression's cached
     :attr:`~confode.ualgebra.UExpr.derivative` chain, so levels that the
-    constant fit or an earlier check derived are reused.  Every level, and the
-    forcing, is evaluated at all grid points at once through the grid's
-    shared :class:`PointTable`; a forcing passed again on the same grid is
-    not evaluated again.  The quotients, sums and scales are computed
-    elementwise, so each residual is the one a point-by-point loop over
-    :func:`~confode.ualgebra.eval_expr` gives.
+    constant fit or an earlier check derived are reused.  Levels are
+    evaluated on the grid's shared ``stencil`` table and ``y`` and the
+    forcing on its ``centre`` table, all points at once, and the grid keeps
+    each quotient, so nothing passed again on the same grid is evaluated
+    again.  The quotients, sums and scales follow a point-by-point loop
+    over :func:`~confode.ualgebra.eval_expr` operation for operation, so
+    each residual for an expression ``y`` is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
@@ -145,16 +188,16 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    levels = [y]
-    for _ in range(n - 1):
-        levels.append(diff_u(levels[-1]))
-    values = [grid.values(y)] + [grid.quotient(level) for level in levels]
-    q_val = grid.values(forcing)
-    with np.errstate(all="ignore"):  # inf and nan pass silently, as in float
-        acc = values[n] - q_val
-        scale = np.abs(values[n]) + np.abs(q_val)
-        for i, p in enumerate(coeffs):
-            term = p * values[i]
+    values = [_pointwise(y, 0, grid.values)]
+    values += [_pointwise(y, k, grid.quotient) for k in range(n)]
+    out = []
+    for row in zip(*values, grid.values(forcing)):
+        top, q = row[n], row[n + 1]
+        acc = top - q
+        scale = abs(top) + abs(q)
+        for p, v in zip(coeffs, row):
+            term = p * v
             acc += term
-            scale += np.abs(term)
-        return (np.abs(acc) / np.maximum(scale, 1.0)).tolist()
+            scale += abs(term)
+        out.append(abs(acc) / max(scale, 1.0))  # a nan scale stays nan
+    return out

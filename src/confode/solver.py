@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .chareq import CharPoly, find_roots
 from .ualgebra import (
     COS,
@@ -285,6 +283,32 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
     return canonicalize(out)
 
 
+def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with ``a x = b``, by Gaussian elimination with partial pivoting.
+
+    None when a pivot is exactly zero; a non-finite entry comes out as a
+    non-finite x.  ``a`` and ``b`` are not modified.
+    """
+    n = len(b)
+    rows = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[pivot][k] == 0.0:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / top[k]
+            if f:
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * top[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+    return x
+
+
 def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | None = None):
     """Solve for the c_i matching the 0..n-1-fold derivative values at t0."""
     if t0 <= 0.0:
@@ -292,31 +316,28 @@ def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | No
     if subst is None:
         subst = SubstMap(sol.spec.alpha)
     n = sol.basis.n
-    targets = [float(v) for v in targets]
-    if len(targets) != n:
-        raise ValueError(f"need {n} target values, got {len(targets)}")
+    b = [float(v) for v in targets]
+    if len(b) != n:
+        raise ValueError(f"need {n} target values, got {len(b)}")
     matrix = derivative_matrix(sol.basis)
-    a = np.array([[eval_expr(matrix[i][j], t0, subst) for j in range(n)]
-                  for i in range(n)])
-    b = np.array(targets)
+    a = [[eval_expr(matrix[i][j], t0, subst) for j in range(n)] for i in range(n)]
     if sol.particular is not None:
         levels = [sol.particular]
         while len(levels) < n:
             levels.append(diff_u(levels[-1]))
         for i, level in enumerate(levels):
             b[i] -= eval_expr(level, t0, subst)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError(
-            f"initial-condition system is singular at t0={t0}: {err}") from err
-    defect = float(np.abs(a @ x - b).max())
-    bound = 1e-8 * (float(np.abs(a).max()) * float(np.abs(x).max()) + float(np.abs(b).max()) + 1.0)
-    if not np.isfinite(x).all() or defect > bound:
+    x = _solve_linear(a, b)
+    if x is None:
+        raise SingularSystemError(f"initial-condition system is singular at t0={t0}")
+    defect = max(abs(sum(aij * xj for aij, xj in zip(row, x)) - bi) for row, bi in zip(a, b))
+    bound = 1e-8 * (max(abs(aij) for row in a for aij in row) * max(abs(xj) for xj in x)
+                    + max(abs(bi) for bi in b) + 1.0)
+    if not all(math.isfinite(xj) for xj in x) or defect > bound:
         raise SingularSystemError(
             f"initial-condition system is numerically singular at t0={t0} "
             f"(defect {defect:.3g})")
-    return tuple(float(c) for c in x)
+    return tuple(x)
 
 
 def solve_problem(spec: ProblemSpec, t0: float | None = None,

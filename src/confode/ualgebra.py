@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 COS = "cos"
 SIN = "sin"
 
@@ -348,41 +346,48 @@ class PointTable:
 
     def __init__(self, ts, subst: SubstMap):
         self.u = [subst.u_of(t) for t in ts]
-        self._columns: dict[tuple, np.ndarray] = {}
-        self._results: dict[int, tuple[UExpr, np.ndarray]] = {}
+        self._columns: dict[tuple, list[float]] = {}
+        self._results: dict[int, tuple[UExpr, tuple[float, ...]]] = {}
 
-    def _column(self, kind, x) -> np.ndarray:
+    def _column(self, kind, x) -> list[float]:
         """``u**x`` (kind None) or ``kind(x*u)`` at every point, filled once."""
         col = self._columns.get((kind, x))
         if col is None:
             if kind is None:
-                vals = [u ** x for u in self.u]
+                col = [u ** x for u in self.u]
             else:
-                vals = [kind(x * u) for u in self.u]
-            col = self._columns[kind, x] = np.array(vals, dtype=float)
+                col = [kind(x * u) for u in self.u]
+            self._columns[kind, x] = col
         return col
 
-    def eval(self, f: UExpr) -> np.ndarray:
-        """Values of ``f`` at every point, as a read-only array."""
+    def eval(self, f: UExpr) -> tuple[float, ...]:
+        """Values of ``f`` at every point, as a tuple shared by every caller."""
         hit = self._results.get(id(f))
         if hit is not None:
             return hit[1]
-        total = np.zeros(len(self.u))
-        with np.errstate(all="ignore"):  # inf and nan pass silently, as in float
-            for coeff, upow, erate, trig, tfreq in f.float_rows:
-                v = coeff
-                if upow:
-                    v = v * self._column(None, upow)
-                if erate:
-                    v = v * self._column(math.exp, erate)
-                if trig == 1:  # COS
-                    v = v * self._column(math.cos, tfreq)
-                elif trig == 2:  # SIN
-                    v = v * self._column(math.sin, tfreq)
-                total += v
-        total.flags.writeable = False
-        self._results[id(f)] = (f, total)  # holding f keeps its id unique
-        return total
+        total = [0.0] * len(self.u)
+        for coeff, upow, erate, trig, tfreq in f.float_rows:
+            cols = []
+            if upow:
+                cols.append(self._column(None, upow))
+            if erate:
+                cols.append(self._column(math.exp, erate))
+            if trig == 1:  # COS
+                cols.append(self._column(math.cos, tfreq))
+            elif trig == 2:  # SIN
+                cols.append(self._column(math.sin, tfreq))
+            # one product per point, left to right from coeff as in eval_expr
+            if not cols:
+                total = [s + coeff for s in total]
+            elif len(cols) == 1:
+                total = [s + coeff * a for s, a in zip(total, *cols)]
+            elif len(cols) == 2:
+                total = [s + coeff * a * b for s, a, b in zip(total, *cols)]
+            else:
+                total = [s + coeff * a * b * c for s, a, b, c in zip(total, *cols)]
+        result = tuple(total)
+        self._results[id(f)] = (f, result)  # holding f keeps its id unique
+        return result
 
 
 # ---------------------------------------------------------------------------

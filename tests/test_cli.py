@@ -368,6 +368,26 @@ def test_verify_ic_checks_the_fitted_solution(capsys):
     assert report["particular"] is not None and report["combined"] is not None
 
 
+def test_verify_ic_on_a_resonant_order_four_equation(capsys):
+    # roots 0, 0, -1, -1: the constant and t^a forcing resonate with the
+    # double root 0, so v carries u^2 and u^3
+    code, out, _ = run_cli(["verify", "--alpha", "0.3", "--json", "--ic", "1:1,0,-1,0.5",
+                            "T4 y + 2 T3 y + T2 y = 3 + t^a"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["combined"]["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("t0", ["800", "360"])
+def test_singular_constant_fit_is_solver_error(t0, capsys):
+    # at t0 = 800 both basis values underflow; at 360 e^{-2t} is subnormal
+    code, out, err = run_cli(["solve", "--alpha", "1", "--ic", f"{t0}:1,0",
+                              "T2 y + 3 T y + 2 y = 0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("confode: solver error: initial-condition system is")
+
+
 def test_verify_ic_with_wrong_count_is_config_error(capsys):
     code, out, err = run_cli(
         ["verify", "--alpha", "0.5", "--ic", "1:1,0,5", "T2 y + 3 T y + 2 y = 0"], capsys)

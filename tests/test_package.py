@@ -1,10 +1,12 @@
 """Package-level contract: the public names, and what importing loads.
 
-numpy is the only declared runtime dependency, and the library never
+confode declares no runtime dependency: numpy and the other installed
+packages are for tests and the benchmark only, and the library never
 reaches into ``tests/`` for its reference modules.  The import check runs
 in a fresh interpreter with both ``src`` and ``tests`` on the path, so a
 library module that imported a test-only package would succeed there and
-show up in ``sys.modules``.
+show up in ``sys.modules``; it also runs each command once, so a lazy
+import on a command's path shows up too.
 """
 
 from __future__ import annotations
@@ -15,12 +17,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import confode
 
 ROOT = Path(__file__).resolve().parents[1]
 
-TEST_ONLY = ("scipy", "sympy", "mpmath", "hypothesis", "pytest",
-             "oracle_reference", "vop_reference")
+TEST_ONLY = ("numpy", "scipy", "sympy", "mpmath", "hypothesis", "pytest",
+             "algebra_reference", "oracle_reference", "roots_reference", "vop_reference")
+
+EQUATION = "T2 y + 3 T y + 2 y = exp(t^a)"
+
+COMMANDS = (
+    ["solve", "--alpha", "0.5", EQUATION],
+    ["solve", "--alpha", "0.5", "--ic", "1:1,0", EQUATION],
+    ["verify", "--alpha", "0.5", "--json", "--ic", "1:1,0", EQUATION],
+    ["sample", "--alpha", "0.5", "--range", "0.5:2:5", "--columns", "full", EQUATION],
+)
 
 
 def test_every_exported_name_resolves():
@@ -29,16 +42,30 @@ def test_every_exported_name_resolves():
         assert hasattr(confode, name), name
 
 
-def test_import_loads_numpy_and_no_test_only_module():
+def test_import_and_commands_load_no_numpy_and_no_test_only_module():
     # every submodule too: the package itself does not import cli
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    probe = ("import importlib, json, pkgutil, sys, confode\n"
+    probe = ("import contextlib, importlib, io, json, pkgutil, sys, confode\n"
              "for mod in pkgutil.iter_modules(confode.__path__):\n"
              "    importlib.import_module('confode.' + mod.name)\n"
-             "print(json.dumps(sorted(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                          capture_output=True, text=True, check=True, timeout=60)
-    loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
-    assert "numpy" in loaded
+             "from confode.cli import main\n"
+             "codes = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        codes.append(main(argv))\n"
+             "print(json.dumps([codes, sorted(sys.modules)]))")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(COMMANDS)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, check=True, timeout=60)
+    codes, modules = json.loads(done.stdout)
+    assert codes == [0] * len(COMMANDS)
+    loaded = {name.split(".")[0] for name in modules}
+    assert "numpy" not in loaded
     assert not loaded & set(TEST_ONLY), sorted(loaded & set(TEST_ONLY))
+
+
+def test_no_runtime_dependencies_are_declared():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
