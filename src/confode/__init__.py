@@ -7,7 +7,8 @@ classical constant-coefficient problem over a small closed term algebra
 (powers of u times exponentials times sin/cos).  The package exposes:
 
 - :mod:`confode.ualgebra` — the exact-rate term algebra and calculus on it
-- :mod:`confode.chareq` — characteristic polynomials and clustered roots
+- :mod:`confode.chareq` — characteristic polynomials and their exact or
+  certified roots
 - :mod:`confode.solver` — solution bases, particular solutions by
   exponential-shift inversion, initial-value fitting
 - :mod:`confode.conformable` — the independent numeric oracle

@@ -1,38 +1,30 @@
 """Characteristic polynomials and their roots, with multiplicities.
 
 A monic polynomial ``r^n + p_{n-1} r^{n-1} + ... + p_0`` is represented
-by its lower coefficients only.  Every binary64 coefficient is a dyadic
-rational, so :func:`find_roots` first decides what is exact in the math:
+by its lower coefficients only, held as exact rationals (a float is read
+as the dyadic value it is).  :func:`find_roots` decides everything that is
+exact in the math before any float step:
 
-* lifted: the coefficients are scaled by a power of two to integers,
-  which loses nothing;
+* lifted: the coefficients are scaled by the lcm of their denominators to
+  integers, which loses nothing;
 * split: Yun's square-free factorisation gives factors whose roots are
   all simple, each with its exact multiplicity (a gcd modulo one prime
   certifies the common square-free case without rational arithmetic);
-* certified: Aberth-Ehrlich simultaneous iteration approximates each
-  factor's roots, each approximation is rounded to the dyadic real
-  ``a/2^j`` or Gaussian ``(a ± ib)/2^j`` with the fewest bits within
-  ``CANDIDATE_RADIUS`` of it, and a candidate is accepted only when it divides the factor exactly;
-  accepted roots are deflated exactly and the iteration repeats on the
-  smaller factor while candidates keep landing.  A rational root of a
-  monic dyadic polynomial is dyadic, so rational and Gaussian-rational
-  roots come back as exact binary64 values.
-
-What does not land (irrational roots, and inputs such as decimal-derived
-coefficients that have no exact rational or repeated root) keeps the
-float treatment of its factor's last approximations, with each
-multiplicity times the factor's:
-
-* clustered: iterates of an m-fold zero stall on a cluster of radius
-  roughly ``eps**(1/m)`` around it, so points within a relative radius of
-  1e-6 are merged into one entry carrying the cluster size as its
-  multiplicity (which also means genuinely distinct roots closer than
-  that radius are reported as one multiple root);
-* snapped: an imaginary part below 1e-8 (relative) is dropped;
-* polished: a few modified-Newton steps per representative, which lands
-  simple roots on their correctly rounded values;
-* paired: complex entries are matched with their conjugates and averaged
-  so the stored set is exactly conjugate-symmetric.
+* landed: Aberth-Ehrlich simultaneous iteration approximates each
+  factor's roots, each approximation is rounded to the real ``a/q`` or
+  Gaussian ``(a ± ib)/q`` with the least denominator the rational root
+  theorem allows within ``CANDIDATE_RADIUS`` of it, and a candidate is
+  accepted only when it divides the factor exactly; accepted roots are
+  deflated exactly and the iteration repeats on the smaller factor while
+  candidates keep landing.  A landed root is stored as the binary64 value
+  nearest it, which is the root itself when it is dyadic;
+* certified: what does not land are simple roots of a square-free factor.
+  Each is polished by Newton's method on the factor and enclosed in a
+  Smith disc (Smith 1970, *Math. Comp.* 24): when the discs are pairwise
+  disjoint, each holds exactly one root, a disc centred on the real axis a
+  real one, and non-real roots are stored as exact conjugate pairs.
+  Otherwise :func:`find_roots` raises :class:`RootFindingError`; it never
+  reports close roots as one multiple root.
 """
 
 from __future__ import annotations
@@ -41,12 +33,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 ABERTH_MAX_ITER = 200
 ABERTH_STEP_TOL = 1e-13
-CLUSTER_RADIUS = 1e-6
-IMAG_SNAP = 1e-8
-# a dyadic candidate is tried at the fewest bits that put it this close
+# a candidate is tried at the least denominator that puts it this close
 # (relative) to its approximation
 CANDIDATE_RADIUS = 1e-6
 # word-sized prime for the square-free certificate
@@ -61,32 +52,42 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Coefficients ``p_0 ... p_{n-1}``; the leading coefficient is an
-    implied 1."""
+    """Coefficients ``p_0 ... p_{n-1}`` as exact rationals; the leading
+    coefficient is an implied 1."""
 
-    coeffs: tuple[float, ...]
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
+        if not self.coeffs:
             raise ValueError("a characteristic polynomial needs degree >= 1")
+        try:
+            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+            # rounded to binary64 once, for every float evaluation
+            lowered = [1.0] + [c.numerator / c.denominator for c in reversed(coeffs)]
+        except (OverflowError, ValueError) as err:  # inf, nan, beyond binary64
+            raise RootFindingError(f"non-finite coefficient in binary64 ({err})") from err
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_lowered", lowered)
+        object.__setattr__(self, "_magnitudes", [abs(c) for c in lowered])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def full(self) -> list[float]:
+    def full(self) -> list[Fraction]:
         """Highest-first coefficient list including the leading 1."""
-        return [1.0, *reversed(self.coeffs)]
+        return [Fraction(1), *reversed(self.coeffs)]
 
     def describe(self) -> str:
         parts = [f"r^{self.degree}"]
         for i in range(self.degree - 1, -1, -1):
             c = self.coeffs[i]
-            if c == 0.0:
+            if not c:
                 continue
-            piece = f"{abs(c):g}" + (f"·r^{i}" if i > 1 else ("·r" if i == 1 else ""))
+            # the shortest text that reads back as the coefficient's float
+            text = repr(abs(self._lowered[self.degree - i]))
+            text = text[:-2] if text.endswith(".0") else text
+            piece = text + (f"·r^{i}" if i > 1 else ("·r" if i == 1 else ""))
             parts.append(("- " if c < 0 else "+ ") + piece)
         return " ".join(parts)
 
@@ -96,22 +97,6 @@ def _horner(coeffs, z):
     for c in coeffs:
         acc = acc * z + c
     return acc
-
-
-def eval_poly(p: CharPoly, r: complex) -> complex:
-    return _horner(p.full(), r)
-
-
-def eval_poly_deriv(p: CharPoly, r: complex, order: int = 1) -> complex:
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    coeffs = p.full()
-    for _ in range(order):
-        m = len(coeffs) - 1
-        if m == 0:
-            return 0.0 * r
-        coeffs = [c * k for c, k in zip(coeffs[:-1], range(m, 0, -1))]
-    return _horner(coeffs, r)
 
 
 @dataclass(frozen=True)
@@ -129,15 +114,18 @@ class RootSet:
         return [{"re": z.real, "im": z.imag, "mult": m} for z, m in self.entries]
 
 
+def _noise_floor(p: CharPoly, z) -> float:
+    # Horner evaluation error bound ~ 2n*eps*B with B = sum |a_i| |z|^i;
+    # doubled again for headroom.  It also covers rounding the
+    # coefficients to binary64 (eps/2 * B).
+    return 4.0 * len(p.coeffs) * _EPS * _horner(p._magnitudes, abs(z))
+
+
 def _aberth(p: CharPoly) -> list[complex]:
     n = p.degree
-    if n == 1:
-        return [complex(-p.coeffs[0])]
-    full = p.full()
+    full = p._lowered
     deriv = [c * k for c, k in zip(full[:-1], range(n, 0, -1))]
-    absfull = [abs(c) for c in full]
-    floor = 4.0 * n * _EPS
-    radius = 1.0 + max(abs(c) for c in p.coeffs)
+    radius = 1.0 + max(abs(c) for c in full[1:])
     # small angular offset breaks the conjugate symmetry of the start set
     z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     for _ in range(ABERTH_MAX_ITER):
@@ -153,7 +141,7 @@ def _aberth(p: CharPoly) -> list[complex]:
             # finite step can improve it, and iterates around a multiple
             # zero would otherwise jiggle there forever without meeting the
             # step criterion below.
-            if abs(pv) <= floor * _horner(absfull, abs(zi)):
+            if abs(pv) <= _noise_floor(p, zi):
                 new.append(zi)
                 continue
             dv = _horner(deriv, zi)
@@ -172,119 +160,17 @@ def _aberth(p: CharPoly) -> list[complex]:
         f"for {p.describe()}")
 
 
-def _noise_floor(p: CharPoly, z) -> float:
-    # Horner evaluation error bound ~ 2n*eps*B with B = sum |a_i| |z|^i;
-    # doubled again for headroom.
-    return 4.0 * p.degree * _EPS * _horner([abs(c) for c in p.full()], abs(z))
-
-
-def _merge_radius(p: CharPoly, z: complex) -> float:
-    # Iterates of an m-fold zero stall where |p| hits the evaluation noise
-    # floor, i.e. at distance ~ floor**(1/m) from it, and two stalled
-    # points can sit twice that apart.  The m = 3 stall radius dominates
-    # the fixed relative radius, so the merge radius must cover it (with
-    # margin) for triple roots to cluster; multiplicity >= 4 stalls wider
-    # still and may mis-cluster.
-    return max(CLUSTER_RADIUS * (1.0 + abs(z)), 3.0 * _noise_floor(p, z) ** (1.0 / 3.0))
-
-
-def _cluster(p: CharPoly, points: list[complex]) -> list[tuple[complex, int]]:
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            tol = min(_merge_radius(p, points[i]), _merge_radius(p, points[j]))
-            if abs(points[i] - points[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(complex(points[i]))
-    return [(sum(g) / len(g), len(g)) for g in groups.values()]
-
-
-def _polish(p: CharPoly, z: complex, mult: int) -> complex:
-    # An m-fold zero of p is a simple zero of the (m-1)-th derivative, so
-    # plain Newton on that derivative reaches full binary64 precision
-    # where iterating on p itself would stall at the cancellation noise
-    # floor.  Exactly representable roots land on their exact values.
-    last_step = float("inf")
-    for _ in range(60):
-        pv = eval_poly_deriv(p, z, mult - 1)
-        if pv == 0:
-            return z
-        dv = eval_poly_deriv(p, z, mult)
-        if dv == 0:
-            return z
-        step = pv / dv
-        if abs(step) > 0.1 * (1.0 + abs(z)) or abs(step) > last_step:
-            return z
-        last_step = abs(step)
-        nxt = z - step
-        if nxt == z:
-            return z
-        z = nxt
-    return z
-
-
-def _pair_conjugates(p: CharPoly, entries: list[tuple[complex, int]]):
-    out = [(z, m) for z, m in entries if z.imag == 0]
-    pos = sorted(((z, m) for z, m in entries if z.imag > 0), key=lambda e: (e[0].real, e[0].imag))
-    neg = [(z, m) for z, m in entries if z.imag < 0]
-    for z, m in pos:
-        best = None
-        for idx, (zn, mn) in enumerate(neg):
-            d = abs(z - zn.conjugate())
-            if best is None or d < best[0]:
-                best = (d, idx)
-        if best is None or best[0] > _merge_radius(p, z) or neg[best[1]][1] != m:
-            raise RootFindingError(
-                f"conjugate pairing failed near root {z!r} of {p.describe()}")
-        zn, _ = neg.pop(best[1])
-        theta = 0.5 * (z.real + zn.real)
-        beta = 0.5 * (z.imag - zn.imag)
-        out.append((complex(theta, beta), m))
-        out.append((complex(theta, -beta), m))
-    if neg:
-        raise RootFindingError(
-            f"unpaired complex root {neg[0][0]!r} of {p.describe()}")
-    return out
-
-
-def _cluster_roots(p: CharPoly, raw: list[complex]) -> list[tuple[complex, int]]:
-    clustered = _cluster(p, raw)
-    # cluster means of multiple roots carry imaginary dust up to the
-    # stall radius, so the snap threshold widens with the cluster size
-    snapped = [
-        (complex(z.real, 0.0)
-         if abs(z.imag) < max(IMAG_SNAP * (1.0 + abs(z)),
-                              _merge_radius(p, z) if m > 1 else 0.0)
-         else z, m)
-        for z, m in clustered
-    ]
-    polished = [(_polish(p, z, m), m) for z, m in snapped]
-    return _pair_conjugates(p, polished)
-
-
 # --- exact integer polynomials ----------------------------------------------
 #
 # Highest-first lists of Python ints; the zero polynomial is [].
 
 
 def _lift(p: CharPoly) -> list[int]:
-    """p's full coefficients times the least power of two that makes them
-    all integers."""
-    if not all(math.isfinite(c) for c in p.coeffs):
-        raise RootFindingError(f"non-finite coefficient in {p.describe()}")
-    ratios = [c.as_integer_ratio() for c in p.full()]
-    den = max(d for _, d in ratios)  # all powers of two
-    return [n * (den // d) for n, d in ratios]
+    """p's full coefficients times the lcm of their denominators, the least
+    positive integer that makes them all integers."""
+    full = p.full()
+    den = math.lcm(*(c.denominator for c in full))
+    return [c.numerator * (den // c.denominator) for c in full]
 
 
 def _deriv(f: list[int]) -> list[int]:
@@ -376,9 +262,9 @@ def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's square-free factorisation: primitive pairwise-coprime factors,
     each with roots of exactly the given multiplicity."""
     df = _deriv(f)
-    # f's leading coefficient is a power of two, so it survives reduction
-    # modulo an odd prime, and then coprimality there proves f square-free
-    if _coprime_mod_prime(f, df):
+    # when f's leading coefficient survives reduction modulo the prime,
+    # coprimality there proves f square-free
+    if f[0] % _PRIME and _coprime_mod_prime(f, df):
         return [(_primitive(f), 1)]
     a = _gcd(f, df)
     b, c = _quotient(f, a), _quotient(df, a)
@@ -394,69 +280,151 @@ def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-# --- certified roots ---------------------------------------------------------
+# --- exact roots -------------------------------------------------------------
 
 
-def _candidate(z: complex) -> tuple[float, float]:
-    """The dyadic (re, |im|) with the fewest bits within CANDIDATE_RADIUS
-    of z.  Both parts are binary64 values, so they are exact."""
+def _convergent(x: float, lead: int, tol: float) -> tuple[int, int] | None:
+    """The first continued-fraction convergent p/q of x within tol of it
+    whose denominator divides lead, as (p, q), if there is one."""
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > lead:
+            return None
+        if lead % q1 == 0 and abs(x - p1 / q1) <= tol:
+            return p1, q1
+        num, den = den, rem
+    return None
+
+
+def _candidate(z: complex, lead: int):
+    """The (re, |im|) with the least denominators within CANDIDATE_RADIUS
+    of z that can be a root of a primitive integer polynomial with leading
+    coefficient lead, each part as a reduced (numerator, denominator).  A
+    rational root's denominator divides lead, and both parts of a
+    Gaussian-rational root have denominators dividing 2·lead (rational root
+    theorem), so convergents are filtered by that and lead is never
+    factored."""
+    if not cmath.isfinite(z):
+        return None
     tol = CANDIDATE_RADIUS * (1.0 + abs(z))
-    re, im = z.real, abs(z.imag)
-    scale = 1.0
-    while True:  # ends by 2^-j <= tol, at most ~20 rounds
-        a, b = round(re * scale) / scale, round(im * scale) / scale
-        if abs(re - a) <= tol and abs(im - b) <= tol:
-            return a, b
-        scale *= 2.0
+    b = _convergent(abs(z.imag), 2 * lead, tol)
+    if b is None:
+        return None
+    a = _convergent(z.real, 2 * lead if b[0] else lead, tol)
+    return None if a is None else (a, b)
 
 
-def _divisor(a: float, b: float) -> list[int]:
+def _divisor(a: tuple[int, int], b: tuple[int, int]) -> list[int]:
     """Primitive integer polynomial whose roots are a ± ib (just a when
-    b = 0)."""
-    na, da = a.as_integer_ratio()
-    if b == 0.0:
+    b = 0), each part a reduced (numerator, denominator)."""
+    (na, da), (nb, db) = a, b
+    if not nb:
         return [da, -na]
-    nb, db = b.as_integer_ratio()
-    den = max(da, db)  # both powers of two
+    den = math.lcm(da, db)
     na, nb = na * (den // da), nb * (den // db)
     # den^2 (x - a)^2 + den^2 b^2
     return _primitive([den * den, -2 * na * den, na * na + nb * nb])
 
 
 def _monic(g: list[int]) -> CharPoly:
-    # the leading coefficient is a power of two; int / int rounds correctly
-    return CharPoly(tuple(c / g[0] for c in reversed(g[1:])))
+    return CharPoly(tuple(Fraction(c, g[0]) for c in reversed(g[1:])))
 
 
-def _factor_roots(p: CharPoly, g: list[int], mult: int) -> list[tuple[complex, int]]:
-    """Roots of the square-free primitive factor g of p, each of
-    multiplicity mult: exact where a dyadic candidate divides g, float
-    clusters for the rest."""
+# --- certified simple roots --------------------------------------------------
+
+
+def _polish(full: list[float], deriv: list[float], z: complex) -> complex:
+    """Newton's method from z while its steps shrink; a simple root lands
+    on or next to its correctly rounded value."""
+    last_step = math.inf
+    for _ in range(60):
+        pv = _horner(full, z)
+        dv = _horner(deriv, z)
+        if pv == 0 or dv == 0:
+            return z
+        step = pv / dv
+        if abs(step) > 0.1 * (1.0 + abs(z)) or abs(step) > last_step:
+            return z
+        last_step = abs(step)
+        nxt = z - step
+        if nxt == z:
+            return z
+        z = nxt
+    return z
+
+
+def _smith_radii(q: CharPoly, z: list[complex]) -> list[float]:
+    """Smith's inclusion radii ``d·(|q(z_i)| + floor)/prod_{j≠i} |z_i - z_j|``
+    for the distinct approximations z of the degree-d monic q's roots: the
+    discs contain every root, and a connected union of k discs exactly k."""
+    radii = []
+    for i, zi in enumerate(z):
+        sep = 1.0
+        for j, zj in enumerate(z):
+            if j != i:
+                sep *= abs(zi - zj)
+        bound = q.degree * (abs(_horner(q._lowered, zi)) + _noise_floor(q, zi))
+        radii.append(bound / sep if sep else math.inf)
+    return radii
+
+
+def _simple_roots(q: CharPoly, approx: list[complex]) -> list[complex]:
+    """The roots of q, all simple, certified from the approximations."""
+    full = q._lowered
+    deriv = [c * k for c, k in zip(full[:-1], range(q.degree, 0, -1))]
+    z = [_polish(full, deriv, w) for w in approx]
+    radii = _smith_radii(q, z)
+    # q is real, so its non-real roots pair up exactly.  Once the discs of
+    # this symmetric set are disjoint, each holds one root, and one centred
+    # on the real axis a real root (a non-real one would bring its
+    # conjugate into the same disc).
+    upper = [w for w, r in zip(z, radii) if w.imag > r]
+    z = [complex(w.real, 0.0) for w, r in zip(z, radii) if abs(w.imag) <= r]
+    z += upper + [w.conjugate() for w in upper]
+    radii = _smith_radii(q, z)
+    if len(z) == q.degree and all(math.isfinite(r) for r in radii) and all(
+            abs(z[i] - z[j]) > radii[i] + radii[j] for i in range(len(z)) for j in range(i)):
+        return z
+    raise RootFindingError(
+        f"cannot separate the roots of {q.describe()}: their inclusion discs overlap")
+
+
+def _factor_roots(g: list[int], mult: int) -> list[tuple[complex, int]]:
+    """Roots of the square-free primitive factor g, each of multiplicity
+    mult: exact where a candidate divides g, certified simple roots for
+    the rest."""
     out: list[tuple[complex, int]] = []
     while True:
-        # the whole polynomial keeps p itself, so that an input with no
-        # repeated or exact root gets exactly the float treatment of p
-        q = p if len(g) == p.degree + 1 else _monic(g)
+        if len(g) == 2:  # a linear factor's root is rational
+            return out + [(complex(-g[1] / g[0]), mult)]
+        q = _monic(g)
         approx = _aberth(q)
         rest = g
-        for a, b in dict.fromkeys(_candidate(z) for z in approx):
-            smaller = _quotient(rest, _divisor(a, b))
+        for cand in dict.fromkeys(_candidate(z, g[0]) for z in approx):
+            if cand is None:
+                continue
+            smaller = _quotient(rest, _divisor(*cand))
             if smaller is not None:
                 rest = smaller
-                out.append((complex(a, b), mult))
-                if b:
-                    out.append((complex(a, -b), mult))
+                (na, da), (nb, db) = cand
+                z = complex(na / da, nb / db)
+                out.append((z, mult))
+                if nb:
+                    out.append((z.conjugate(), mult))
         if len(rest) == 1:
             return out
         if len(rest) == len(g):
-            return out + [(z, m * mult) for z, m in _cluster_roots(q, approx)]
+            return out + [(z, mult) for z in _simple_roots(q, approx)]
         g = rest
 
 
 def find_roots(p: CharPoly) -> RootSet:
     entries = []
     for g, mult in _squarefree_factors(_lift(p)):
-        entries.extend(_factor_roots(p, g, mult))
+        entries.extend(_factor_roots(g, mult))
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
     rs = RootSet(tuple(entries))
     assert rs.total_multiplicity == p.degree

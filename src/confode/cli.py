@@ -238,7 +238,7 @@ def _verify_grid(cfg: RunConfig) -> list[float]:
 
 
 def _max_residual(sol: GeneralSolution, y, forcing, grid: OracleGrid):
-    residuals = operator_residual(list(sol.spec.coeffs), y, forcing, grid)
+    residuals = operator_residual([float(c) for c in sol.spec.coeffs], y, forcing, grid)
     worst, worst_t = -1.0, grid.ts[0]
     for t, r in zip(grid.ts, residuals):
         if not math.isfinite(r):  # a value overflowed; nan would never be the worst

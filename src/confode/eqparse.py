@@ -23,13 +23,18 @@ inside function arguments (``exp(-4 t^a)``) so decaying exponentials can
 be written directly.  Implicit multiplication binds a number to a
 following symbol or parenthesis, never to another number, and a bare ``-``
 after a factor always means subtraction.
+
+Left-side coefficients and exp/sin/cos rates are read exactly from their
+text, so ``0.9`` is 9/10; forcing coefficients are binary64 floats.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .solver import ProblemSpec
 from .ualgebra import COS, SIN, ZERO, SubstMap, UExpr, UTerm, add, expr, mul, scale
@@ -74,10 +79,10 @@ class TPow:
 
 @dataclass(frozen=True)
 class TFunc:
-    """exp/sin/cos of c * t^alpha."""
+    """exp/sin/cos of c * t^alpha, the rate c read exactly from its text."""
 
     kind: str
-    c: float
+    c: Fraction
 
 
 @dataclass(frozen=True)
@@ -108,29 +113,28 @@ class EquationAst:
     """Monic left side as (order, coefficient) pairs plus the forcing AST.
 
     ``terms`` is sorted by descending order with duplicates merged and the
-    leading coefficient scaled to 1; ``rhs`` is None for a homogeneous
+    leading coefficient scaled to 1, all exact rationals read from the
+    literals' text (``0.9`` is 9/10); ``rhs`` is None for a homogeneous
     equation.
     """
 
-    terms: tuple[tuple[int, float], ...]
+    terms: tuple[tuple[int, Fraction], ...]
     rhs: object | None
 
     @property
     def order(self) -> int:
         return self.terms[0][0]
 
-    def coeff_vector(self) -> tuple[float, ...]:
+    def coeff_vector(self) -> tuple[Fraction, ...]:
         """p_0 .. p_{n-1} with absent orders filled by zero."""
         by_order = dict(self.terms)
-        return tuple(by_order.get(i, 0.0) for i in range(self.order))
+        return tuple(by_order.get(i, Fraction(0)) for i in range(self.order))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | ident | sym | end
     text: str
     pos: int
-    value: float = 0.0
 
 
 def _lex(src: str) -> list[_Token]:
@@ -140,15 +144,11 @@ def _lex(src: str) -> list[_Token]:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise EquationSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup == "num":
-            value = float(m.group())
-            if value != value or value in (float("inf"), float("-inf")):
-                raise EquationSyntaxError("non-finite numeric literal", pos)
-            tokens.append(_Token("num", m.group(), pos, value))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group(), pos))
-        elif m.lastgroup == "sym":
-            tokens.append(_Token("sym", m.group(), pos))
+        kind = m.lastgroup
+        if kind == "num" and not math.isfinite(float(m.group())):
+            raise EquationSyntaxError("non-finite numeric literal", pos)
+        if kind != "ws":
+            tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(_Token("end", "", len(src)))
     return tokens
@@ -190,20 +190,20 @@ class _Parser:
     def equation(self) -> EquationAst:
         pairs = [self.lhs_term()]
         while self.at_sym("+", "-"):
-            sign = -1.0 if self.take().text == "-" else 1.0
+            negate = self.take().text == "-"
             order, coeff = self.lhs_term()
-            pairs.append((order, sign * coeff))
+            pairs.append((order, -coeff if negate else coeff))
         self.expect_sym("=")
         rhs = self.rhs()
         if self.peek().kind != "end":
             self.fail("end of input")
         return _normalize(pairs, rhs)
 
-    def lhs_term(self) -> tuple[int, float]:
-        coeff = 1.0
+    def lhs_term(self) -> tuple[int, Fraction]:
+        coeff = Fraction(1)
         tok = self.peek()
         if tok.kind == "num":
-            coeff = self.take().value
+            coeff = Fraction(self.take().text)
         order = 0
         tok = self.peek()
         if tok.kind == "ident" and tok.text[0] == "T":
@@ -257,7 +257,7 @@ class _Parser:
                 return TNum(-child.value)
             return TNeg(child)
         if tok.kind == "num":
-            return TNum(self.take().value)
+            return TNum(float(self.take().text))
         if tok.kind == "ident":
             if tok.text == "t":
                 return self.tpow_plain()
@@ -309,17 +309,15 @@ class _Parser:
     def func(self):
         kind = self.take().text
         self.expect_sym("(")
-        c = 1.0
+        c = Fraction(1)  # also "exp(-t^a)"
         negate = False
         if self.at_sym("-"):
             self.take()
             negate = True
         if self.peek().kind == "num":
-            c = self.take().value
+            c = Fraction(self.take().text)
             if self.at_sym("*"):
                 self.take()
-        elif negate:
-            c = 1.0  # "exp(-t^a)"
         if negate:
             c = -c
         tok = self.peek()
@@ -333,10 +331,11 @@ class _Parser:
 
     def integer(self, expected: str) -> int:
         tok = self.peek()
-        if tok.kind != "num" or tok.value != int(tok.value) or tok.value <= 0:
+        value = float(tok.text) if tok.kind == "num" else 0.0
+        if value != int(value) or value <= 0:
             self.fail(expected)
         self.take()
-        return int(tok.value)
+        return int(value)
 
     def ident(self, name: str):
         tok = self.peek()
@@ -345,23 +344,22 @@ class _Parser:
         self.take()
 
 
-def _normalize(pairs: list[tuple[int, float]], rhs) -> EquationAst:
-    merged: dict[int, float] = {}
+def _normalize(pairs: list[tuple[int, Fraction]], rhs) -> EquationAst:
+    merged: dict[int, Fraction] = {}
     for order, coeff in pairs:
-        merged[order] = merged.get(order, 0.0) + coeff
+        merged[order] = merged.get(order, 0) + coeff
     n = max(merged)
     if n < 1:
         raise EquationSyntaxError(
             "equation needs at least one derivative of y", 0)
     lead = merged[n]
-    if lead == 0.0:
+    if lead == 0:
         raise EquationSyntaxError(
             f"leading coefficient (order {n}) is zero", 0)
-    if lead != 1.0:
+    if lead != 1:
         merged = {k: v / lead for k, v in merged.items()}
-        merged[n] = 1.0
         if rhs is not None:
-            rhs = TMul(TNum(1.0 / lead), rhs)
+            rhs = TMul(TNum(float(1 / lead)), rhs)
     terms = tuple(sorted(merged.items(), key=lambda kv: -kv[0]))
     return EquationAst(terms, rhs)
 

@@ -51,16 +51,20 @@ class SingularSystemError(SolverError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """An order-n equation: n-fold derivative + sum p_i * (i-fold) = forcing."""
+    """An order-n equation: n-fold derivative + sum p_i * (i-fold) = forcing.
 
-    coeffs: tuple[float, ...]
+    The coefficients are exact rationals, as in :class:`CharPoly` (a float
+    is read as the dyadic value it is).
+    """
+
+    coeffs: tuple[Fraction, ...]
     alpha: float
     forcing: UExpr = ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("equation order must be at least 1")
+        object.__setattr__(self, "coeffs", CharPoly(self.coeffs).coeffs)
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not isinstance(self.forcing, UExpr):
@@ -184,7 +188,7 @@ def _ginv(x: tuple[Fraction, Fraction]):
     return (x[0] / norm, -x[1] / norm)
 
 
-def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
+def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
                     k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
     """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``.
 
@@ -197,7 +201,7 @@ def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
 
     The Taylor coefficients come from synthetic division on plain
     integers.  With ``s = complex(sa, sb) / d`` and ``lcd`` the common
-    denominator of the (dyadic) coefficients, slot i of the division holds
+    denominator of the (rational) coefficients, slot i of the division holds
     its value times ``lcd * d**i``, so each step is the Gaussian-integer
     update ``W_i += complex(sa, sb) * W_(i-1)``, with no gcd.  A slot's value is the
     ``int / int`` true division of its integers, which rounds exactly as
@@ -215,7 +219,7 @@ def _shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
     # Slot i starts as lcd * d**i * c_(n-i), imaginary part zero.
     w_re = [lcd] + [num * (lcd // den) * d ** i for i, (num, den) in enumerate(ratios, 1)]
     w_im = [0] * (n + 1)
-    bound = [1.0] + [abs(c) for c in reversed(coeffs)]
+    bound = [1.0] + [abs(float(c)) for c in reversed(coeffs)]
     s_abs = abs(complex(float(s[0]), float(s[1])))
     floor = RESONANCE_FLOOR * (n + 1)
     taylor: list[tuple[Fraction, Fraction]] = []
@@ -380,7 +384,7 @@ def solution_to_doc(sol: GeneralSolution) -> dict:
     return {
         "alpha": sol.spec.alpha,
         "order": sol.spec.order,
-        "coeffs": list(sol.spec.coeffs),
+        "coeffs": [float(c) for c in sol.spec.coeffs],
         "forcing": term_records(sol.spec.forcing),
         "basis": [term_records(e) for e in sol.basis.elements],
         "origins": [

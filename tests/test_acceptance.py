@@ -14,8 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import numpy as np
+from roots_reference import eval_poly
 
-from confode.chareq import eval_poly, find_roots
+from confode.chareq import find_roots
 from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import (

@@ -6,16 +6,10 @@ import pytest
 import roots_reference
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from roots_reference import eval_poly, eval_poly_deriv
 
 import confode.chareq as chareq
-from confode.chareq import (
-    CharPoly,
-    RootFindingError,
-    RootSet,
-    eval_poly,
-    eval_poly_deriv,
-    find_roots,
-)
+from confode.chareq import CharPoly, RootFindingError, RootSet, find_roots
 
 
 def reconstruct_coeffs(rs: RootSet) -> np.ndarray:
@@ -130,10 +124,33 @@ coeff_lists = st.lists(
     min_size=1, max_size=5)
 
 
+def mpmath_roots(p: CharPoly) -> list[complex]:
+    """p's roots to 50 digits, by mpmath, rounded to complex."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p.full()]
+        return [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)]
+
+
+def roots_or_refusal(p: CharPoly) -> RootSet | None:
+    """find_roots(p), or None when it refuses.  A refusal is correct only
+    when mpmath shows two roots within 1e-6·(1 + |z|) of each other (such as
+    those of r^2 + 5e-324), which no inclusion disc can tell apart."""
+    try:
+        return find_roots(p)
+    except RootFindingError:
+        zs = mpmath_roots(p)
+        assert any(abs(a - b) <= 1e-6 * (1.0 + abs(a))
+                   for i, a in enumerate(zs) for b in zs[i + 1:]), (p, zs)
+        return None
+
+
 @given(coeff_lists)
 def test_random_polys_resolve_and_reconstruct(coeffs):
     p = CharPoly(tuple(coeffs))
-    rs = find_roots(p)
+    rs = roots_or_refusal(p)
+    if rs is None:
+        return
     assert rs.total_multiplicity == p.degree
     # conjugate closure is exact
     as_set = {(z.real, z.imag, m) for z, m in rs.entries}
@@ -143,13 +160,13 @@ def test_random_polys_resolve_and_reconstruct(coeffs):
     keys = [(z.real, z.imag) for z, _ in rs.entries]
     assert keys == sorted(keys)
     recon = reconstruct_coeffs(rs)
-    full = np.array(p.full())
+    full = np.array([float(c) for c in p.full()])
     assert np.max(np.abs(recon - full)) <= 1e-8 * (1.0 + np.max(np.abs(full)))
 
 
-def test_reconstruction_from_planted_root_sets():
-    # random root sets with multiplicities <= 3, degree <= 6, pairwise
-    # separation comfortably above the clustering radius
+def planted_decimal_root_sets():
+    """40 random root sets of degree <= 6 with multiplicities <= 3, each
+    root's parts decimals with two places, pairwise at least 0.15 apart."""
     rng = np.random.default_rng(20240817)
     for _ in range(40):
         roots: list[tuple[complex, int]] = []
@@ -170,20 +187,28 @@ def test_reconstruction_from_planted_root_sets():
                 continue
             roots.append((z, m))
             degree += need
-        full = np.array([1.0 + 0j])
-        expected = []
-        for z, m in roots:
-            for _ in range(m):
-                full = np.convolve(full, np.array([1.0, -z]))
-                if z.imag:
-                    full = np.convolve(full, np.array([1.0, -z.conjugate()]))
-            expected.append((z, m))
-        p = CharPoly(tuple(full.real[1:][::-1]))
-        rs = find_roots(p)
-        recon = reconstruct_coeffs(rs)
-        scale = 1.0 + np.max(np.abs(full.real))
-        assert np.max(np.abs(recon - np.array(p.full()))) <= 1e-8 * scale, (p, rs)
-        assert rs.total_multiplicity == p.degree
+        yield roots
+
+
+def test_reconstruction_from_planted_root_sets():
+    # planted exactly, every root is rational or Gaussian-rational, so it
+    # comes back as the binary64 value nearest it with its multiplicity
+    for roots in planted_decimal_root_sets():
+        planted = [(Fraction(str(z.real)), Fraction(str(z.imag)), m) for z, m in roots]
+        p = CharPoly(tuple(reversed(expand(planted)[1:])))
+        assert find_roots(p).entries == planted_entries(planted), planted
+
+
+@pytest.mark.parametrize("root", ["0.1", "-1.3", "2.7"])
+def test_binary64_expansion_of_a_decimal_triple_root_is_refused(root):
+    # (r - x)^3 expanded in binary64 from the float x nearest the decimal:
+    # rounding splits the triple root into simple roots about eps^(1/3)
+    # apart, too close for their inclusion discs to separate
+    full = np.array([1.0])
+    for _ in range(3):
+        full = np.convolve(full, np.array([1.0, -float(root)]))
+    with pytest.raises(RootFindingError, match="cannot separate"):
+        find_roots(CharPoly(tuple(full[1:][::-1])))
 
 
 def test_root_records_shape():
@@ -284,12 +309,44 @@ def test_planted_regressions_come_back_exactly(planted):
 
 
 @pytest.mark.xfail(strict=True, raises=RootFindingError, reason=(
-    "Aberth starts every root on one circle of radius 1 + max|p_i| (here "
-    "about 2e13), far outside -1..-16, and does not converge within "
+    "Aberth starts every root on one circle of radius 1 + max|p_i| (about "
+    "2e13 for N = 16), far outside -1..-N, and does not converge within "
     "ABERTH_MAX_ITER steps; a Newton-polygon start would fix it"))
-def test_sixteen_consecutive_integer_roots_come_back_exactly():
-    planted = real_roots(*range(-16, 0))
-    assert find_roots(planted_poly(planted)).entries == planted_entries(planted)
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_consecutive_integer_roots_come_back_exactly(n):
+    planted = real_roots(*range(-n, 0))
+    p = CharPoly(tuple(reversed(expand(planted)[1:])))
+    assert find_roots(p).entries == planted_entries(planted)
+
+
+def test_close_simple_roots_are_certified_apart():
+    # (r^2 - 2)(r^2 - 2 - 2^-20): four simple real roots, two pairs 3.4e-7
+    # apart, which float clustering used to merge into two double roots
+    e = Fraction(1, 2**20)
+    p = CharPoly((4 + 2 * e, 0, -4 - e, 0))
+    rs = find_roots(p)
+    assert [(z.imag, m) for z, m in rs.entries] == [(0.0, 1)] * 4
+    want = sorted(mpmath_roots(p), key=lambda w: w.real)
+    for (z, _), w in zip(rs.entries, want):
+        assert abs(z - w) <= 1e-9, (z, w)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (4 + Fraction(2, 2**27), 0, -4 - Fraction(1, 2**27), 0),
+    (1e-300, 0.0),
+    (1e300, 1.0),
+], ids=["(r^2-2)(r^2-2-2^-27)", "r^2+1e-300", "r^2+r+1e300"])
+def test_roots_without_separating_discs_are_refused(coeffs):
+    with pytest.raises(RootFindingError):
+        find_roots(CharPoly(coeffs))
+
+
+def test_describe_names_the_coefficients_exactly():
+    p = CharPoly((4 + Fraction(2, 2**27), 0, -4 - Fraction(1, 2**27), 0))
+    assert p.describe() == "r^4 - 4.000000007450581·r^2 + 4.000000014901161"
+    with pytest.raises(RootFindingError, match="4.000000007450581"):
+        find_roots(p)
+    assert CharPoly((Fraction(1, 10), 2, 0)).describe() == "r^3 + 2·r + 0.1"
 
 
 def has_exact_structure(p: CharPoly) -> bool:
@@ -312,13 +369,18 @@ def has_exact_structure(p: CharPoly) -> bool:
 
 @given(coeff_lists)
 def test_inexact_inputs_keep_the_float_pipeline(coeffs):
-    # The reference's later stages start from the library's approximations:
-    # numpy's complex arithmetic differs from CPython's in the last bit, so
-    # the two Aberth iterations are compared on their own below.
+    # no exact root, so every root is a certified simple root
     p = CharPoly(tuple(coeffs))
     assume(not has_exact_structure(p))
-    want = roots_reference.find_roots(p, chareq._aberth(p)).entries
-    assert find_roots(p).entries == want
+    rs = roots_or_refusal(p)
+    if rs is None:
+        return
+    want = mpmath_roots(p)
+    for z, m in rs.entries:  # one to one: each root has its own partner
+        assert m == 1
+        w = min(want, key=lambda w: abs(w - z))
+        assert abs(w - z) <= 1e-9 * (1.0 + abs(z)), (p, z, w)
+        want.remove(w)
 
 
 separated_roots = st.lists(

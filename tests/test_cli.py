@@ -192,8 +192,56 @@ def test_non_finite_flag_values_are_config_errors(argv, capsys):
     assert "config error" in err and "finite" in err
 
 
+@pytest.mark.parametrize("source", ["T y + 1e999 y = 0", "T y + y = exp(1e999 t^a)"])
+def test_non_finite_literal_is_a_positioned_parse_error(source, capsys):
+    code, out, err = run_cli(["solve", "--alpha", "1", source], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"non-finite numeric literal at offset {source.index('1e999')}" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
+
+
+def _root_levels(source, capsys) -> list[tuple[list[float], int, str | None]]:
+    code, out, _ = run_cli(["solve", "--alpha", "1", "--json", source], capsys)
+    assert code == 0
+    return [(o["root"], o["level"], o["part"]) for o in json.loads(out)["origins"]]
+
+
+def test_decimal_coefficients_give_exact_decimal_roots(capsys):
+    # (r + 0.1)^2 and (r + 0.1)^2 + 0.09, read exactly from the text
+    assert _root_levels("T2 y + 0.2 T y + 0.01 y = 0", capsys) == [
+        ([-0.1, 0.0], 0, None), ([-0.1, 0.0], 1, None)]
+    assert _root_levels("T2 y + 0.2 T y + 0.1 y = 0", capsys) == [
+        ([-0.1, 0.3], 0, "cos"), ([-0.1, 0.3], 0, "sin")]
+
+
+@pytest.mark.parametrize("source", [
+    "T4 y + 0.4 T3 y + 0.06 T2 y + 0.004 T y + 0.0001 y = 0",
+    "T5 y + 0.5 T4 y + 0.1 T3 y + 0.01 T2 y + 0.0005 T y + 0.00001 y = 0",
+], ids=["(r+0.1)^4", "(r+0.1)^5"])
+def test_decimal_high_multiplicity_solves_and_verifies(source, capsys):
+    n = int(source[1])
+    assert _root_levels(source, capsys) == [([-0.1, 0.0], k, None) for k in range(n)]
+    code, out, _ = run_cli(["verify", "--alpha", "1", source], capsys)
+    assert code == 0 and out.rstrip().endswith("-> ok")
+
+
+def test_close_simple_roots_stay_simple_or_are_refused(capsys):
+    # (r^2 - 2)(r^2 - 2 - 2^-k) to 16 digits: four simple roots, the pairs
+    # about 2^-(k+1.5) apart; float clustering reported two double roots
+    # for k = 20
+    close = "T4 y - 4.000000953674316 T2 y + 4.000001907348633 y = 0"
+    levels = _root_levels(close, capsys)
+    assert [level for _, level, _ in levels] == [0, 0, 0, 0]
+    assert len({tuple(root) for root, _, _ in levels}) == 4
+    closer = "T4 y - 4.000000007450581 T2 y + 4.000000014901161 y = 0"
+    code, out, err = run_cli(["solve", "--alpha", "1", closer], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot separate the roots" in err
 
 
 def test_solve_prints_known_particular_coefficient(capsys):

@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import algebra_reference as ref
+from roots_reference import eval_poly
+
 from confode import cli, ualgebra
-from confode.chareq import CharPoly, eval_poly
 from confode.conformable import log_grid
 from confode.conformable import OracleGrid, operator_residual
 from confode.eqparse import problem_from_source
