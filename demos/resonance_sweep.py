@@ -36,7 +36,7 @@ def main():
     sol = solve_problem(problem_from_source(SOURCE, 0.75))
     ramped = [t for t in sol.particular.terms
               if t.upow == 1 and t.erate == Fraction(-3)]
-    print(f"  ramped term coefficient: {ramped[0].coeff!r}  (expected -0.5)")
+    print(f"  ramped term coefficient: {ramped[0].coeff}  (expected -1/2, exactly)")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ derivative of order alpha into d/du, so every equation here reduces to a
 classical constant-coefficient problem over a small closed term algebra
 (powers of u times exponentials times sin/cos).  The package exposes:
 
-- :mod:`confode.ualgebra` — the exact-rate term algebra and calculus on it
+- :mod:`confode.ualgebra` — the exact term algebra, its calculus, and
+  its binary64 lowering for evaluation
 - :mod:`confode.chareq` — characteristic polynomials and their exact or
   certified roots
 - :mod:`confode.solver` — solution bases, particular solutions by

@@ -17,7 +17,8 @@ exact in the math before any float step:
   accepted only when it divides the factor exactly; accepted roots are
   deflated exactly and the iteration repeats on the smaller factor while
   candidates keep landing.  A landed root is stored as the binary64 value
-  nearest it, which is the root itself when it is dyadic;
+  nearest it, which is the root itself when it is dyadic, and its exact
+  parts are kept next to it;
 * certified: what does not land are simple roots of a square-free factor.
   Each is polished by Newton's method on the factor and enclosed in a
   Smith disc (Smith 1970, *Math. Comp.* 24): when the discs are pairwise
@@ -102,9 +103,12 @@ def _horner(coeffs, z):
 @dataclass(frozen=True)
 class RootSet:
     """Distinct roots with multiplicities; conjugate-closed, sorted by
-    (real, imag), multiplicities summing to the degree."""
+    (real, imag), multiplicities summing to the degree.  ``exact_parts[i]``
+    is the root of ``entries[i]`` as reduced ``((re num, re den), (im num,
+    im den))`` when it landed, None when it is certified irrational."""
 
     entries: tuple[tuple[complex, int], ...]
+    exact_parts: tuple[tuple[tuple[int, int], tuple[int, int]] | None, ...]
 
     @property
     def total_multiplicity(self) -> int:
@@ -392,14 +396,14 @@ def _simple_roots(q: CharPoly, approx: list[complex]) -> list[complex]:
         f"cannot separate the roots of {q.describe()}: their inclusion discs overlap")
 
 
-def _factor_roots(g: list[int], mult: int) -> list[tuple[complex, int]]:
+def _factor_roots(g: list[int], mult: int) -> list[tuple]:
     """Roots of the square-free primitive factor g, each of multiplicity
-    mult: exact where a candidate divides g, certified simple roots for
-    the rest."""
-    out: list[tuple[complex, int]] = []
+    mult, as (root, mult, exact parts) triples: exact where a candidate
+    divides g, certified simple roots (exact parts None) for the rest."""
+    out: list[tuple] = []
     while True:
         if len(g) == 2:  # a linear factor's root is rational
-            return out + [(complex(-g[1] / g[0]), mult)]
+            return out + [(complex(-g[1] / g[0]), mult, ((-g[1], g[0]), (0, 1)))]
         q = _monic(g)
         approx = _aberth(q)
         rest = g
@@ -411,21 +415,21 @@ def _factor_roots(g: list[int], mult: int) -> list[tuple[complex, int]]:
                 rest = smaller
                 (na, da), (nb, db) = cand
                 z = complex(na / da, nb / db)
-                out.append((z, mult))
+                out.append((z, mult, cand))
                 if nb:
-                    out.append((z.conjugate(), mult))
+                    out.append((z.conjugate(), mult, (cand[0], (-nb, db))))
         if len(rest) == 1:
             return out
         if len(rest) == len(g):
-            return out + [(z, mult) for z in _simple_roots(q, approx)]
+            return out + [(z, mult, None) for z in _simple_roots(q, approx)]
         g = rest
 
 
 def find_roots(p: CharPoly) -> RootSet:
-    entries = []
+    found = []
     for g, mult in _squarefree_factors(_lift(p)):
-        entries.extend(_factor_roots(g, mult))
-    entries.sort(key=lambda e: (e[0].real, e[0].imag))
-    rs = RootSet(tuple(entries))
+        found.extend(_factor_roots(g, mult))
+    found.sort(key=lambda e: (e[0].real, e[0].imag))
+    rs = RootSet(tuple((z, m) for z, m, _ in found), tuple(x for _, _, x in found))
     assert rs.total_multiplicity == p.degree
     return rs

@@ -10,7 +10,7 @@ Exit codes are a stable contract:
     3  verification failure (residual above tolerance)
 
 Errors are one line on stderr, or a JSON object under ``--json``; a
-failing ``sample`` writes nothing to stdout.
+failing ``solve`` or ``sample`` writes nothing to stdout.
 
 ``verify`` accepts either equation text (which it solves first, fitting
 ``--ic`` when given) or a solution document produced by ``solve --json`` —
@@ -199,30 +199,28 @@ def _solve_one(cfg: RunConfig, alpha: float) -> GeneralSolution:
     return solve_problem(spec, t0=t0, targets=targets)
 
 
-def _print_solution_text(sol: GeneralSolution) -> None:
+def _solution_lines(sol: GeneralSolution) -> list[str]:
     subst = SubstMap(sol.spec.alpha)
-    print(f"alpha = {sol.spec.alpha!r}")
-    print("basis:")
+    lines = [f"alpha = {sol.spec.alpha!r}", "basis:"]
     for i, e in enumerate(sol.basis.elements):
-        print(f"  y{i + 1}(t) = {format_t(e, subst)}")
+        lines.append(f"  y{i + 1}(t) = {format_t(e, subst)}")
     if sol.particular is not None:
-        print(f"particular: v(t) = {format_t(sol.particular, subst)}")
+        lines.append(f"particular: v(t) = {format_t(sol.particular, subst)}")
     if sol.constants is not None:
         pretty = ", ".join(f"c{i + 1} = {c!r}" for i, c in enumerate(sol.constants))
-        print(f"constants: {pretty}")
-    print(format_solution(sol))
+        lines.append(f"constants: {pretty}")
+    lines.append(format_solution(sol))
+    return lines
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    docs = []
-    for alpha in cfg.alphas:
-        sol = _solve_one(cfg, alpha)
-        if cfg.json_out:
-            docs.append(solution_to_doc(sol))
-        else:
-            _print_solution_text(sol)
+    # everything is rendered before anything is printed: a failure prints nothing
+    sols = [_solve_one(cfg, alpha) for alpha in cfg.alphas]
     if cfg.json_out:
+        docs = [solution_to_doc(sol) for sol in sols]
         print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+    else:
+        print("\n".join(line for sol in sols for line in _solution_lines(sol)))
     return 0
 
 

@@ -129,6 +129,8 @@ Combination = Sequence[tuple[float, UExpr]]
 
 
 def _level(f: UExpr, k: int) -> UExpr:
+    """The k-th u-derivative of ``f``'s binary64 lowering."""
+    f = f.lowered
     for _ in range(k):
         f = diff_u(f)
     return f
@@ -170,9 +172,9 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
     levels; the quotient is linear, so this is the combination's own
     quotient up to rounding.
 
-    The symbolic levels are each expression's cached
-    :attr:`~confode.ualgebra.UExpr.derivative` chain, so levels that the
-    constant fit or an earlier check derived are reused.  Levels are
+    The symbolic levels are the cached derivative chain of each
+    expression's binary64 :attr:`~confode.ualgebra.UExpr.lowered` form, so
+    levels that the constant fit or an earlier check derived are reused.  Levels are
     evaluated on the grid's shared ``stencil`` table and ``y`` and the
     forcing on its ``centre`` table, all points at once, and the grid keeps
     each quotient, so nothing passed again on the same grid is evaluated

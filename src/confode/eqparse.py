@@ -24,8 +24,9 @@ be written directly.  Implicit multiplication binds a number to a
 following symbol or parenthesis, never to another number, and a bare ``-``
 after a factor always means subtraction.
 
-Left-side coefficients and exp/sin/cos rates are read exactly from their
-text, so ``0.9`` is 9/10; forcing coefficients are binary64 floats.
+Every literal is read exactly from its text, so ``0.9`` is 9/10, and
+alpha as its shortest round-trip decimal, so ``exp(3 t^a)`` at alpha 0.3
+has the rate 9/10.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class EquationSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class TNum:
-    value: float
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ class _Parser:
 
     def rhs(self):
         node = self.expr()
-        if isinstance(node, TNum) and node.value == 0.0:
+        if isinstance(node, TNum) and node.value == 0:
             return None
         return node
 
@@ -257,7 +258,7 @@ class _Parser:
                 return TNum(-child.value)
             return TNeg(child)
         if tok.kind == "num":
-            return TNum(float(self.take().text))
+            return TNum(Fraction(self.take().text))
         if tok.kind == "ident":
             if tok.text == "t":
                 return self.tpow_plain()
@@ -359,7 +360,7 @@ def _normalize(pairs: list[tuple[int, Fraction]], rhs) -> EquationAst:
     if lead != 1:
         merged = {k: v / lead for k, v in merged.items()}
         if rhs is not None:
-            rhs = TMul(TNum(float(1 / lead)), rhs)
+            rhs = TMul(TNum(1 / lead), rhs)
     terms = tuple(sorted(merged.items(), key=lambda kv: -kv[0]))
     return EquationAst(terms, rhs)
 
@@ -377,12 +378,12 @@ def lower_forcing(ast, subst: SubstMap) -> UExpr:
     """Rewrite a t-domain forcing AST in the u variable.
 
     t^(k*alpha) = (alpha*u)^k, e^(c*t^alpha) = e^(c*alpha*u), and likewise
-    for sin/cos; rates and frequencies are formed exactly so resonance
-    against characteristic roots survives the rewrite.
+    for sin/cos.  Alpha is read as ``Fraction(repr(alpha))`` (0.3 is 3/10),
+    so everything is exact and resonance survives the rewrite.
     """
     if ast is None:
         return ZERO
-    alpha = Fraction(subst.alpha)
+    alpha = Fraction(repr(subst.alpha))
 
     def go(node) -> UExpr:
         if isinstance(node, TNum):
@@ -391,19 +392,19 @@ def lower_forcing(ast, subst: SubstMap) -> UExpr:
             if node.k > 64:
                 raise ValueError(
                     f"t-power exponent {node.k} exceeds the supported limit 64")
-            return expr(UTerm(subst.alpha ** node.k, node.k))
+            return expr(UTerm(alpha ** node.k, node.k))
         if isinstance(node, TFunc):
             rate = Fraction(node.c) * alpha
             if node.kind == "exp":
-                return expr(UTerm(1.0, erate=rate))
+                return expr(UTerm(1, erate=rate))
             trig = SIN if node.kind == "sin" else COS
-            return expr(UTerm(1.0, trig=trig, tfreq=rate))
+            return expr(UTerm(1, trig=trig, tfreq=rate))
         if isinstance(node, TNeg):
-            return scale(go(node.child), -1.0)
+            return scale(go(node.child), -1)
         if isinstance(node, TAdd):
             return add(go(node.left), go(node.right))
         if isinstance(node, TSub):
-            return add(go(node.left), scale(go(node.right), -1.0))
+            return add(go(node.left), scale(go(node.right), -1))
         if isinstance(node, TMul):
             return mul(go(node.left), go(node.right))
         raise TypeError(f"not a forcing AST node: {node!r}")

@@ -10,6 +10,10 @@ constant-coefficient linear ODE.  The pipeline is:
      basis or determinants),
   3. optional constant fitting against initial values.
 
+Steps 1 and 2 are exact (resonance is an exact zero test, and
+``apply_operator(spec, v) - forcing`` is exactly zero); step 3 evaluates
+the binary64 lowering of each expression.
+
 The paper's variation of parameters (Wronskian and Cramer minors) is kept
 in the test suite as an independent reference.
 """
@@ -17,7 +21,6 @@ in the test suite as an independent reference.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,25 +136,22 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     contributes the real pair u^l * e^(theta*u) * cos(beta*u) and the
     matching sin element for each level; their real span equals the span
     of the complex exponentials.
+
+    A root that landed gives its exact rate, a certified irrational root
+    its binary64 value.
     """
     roots = find_roots(spec.char_poly())
     elements: list[UExpr] = []
     origins: list[BasisOrigin] = []
-    for root, mult in roots.entries:
+    for (root, mult), exact in zip(roots.entries, roots.exact_parts):
         if root.imag < 0:
             continue  # handled via its conjugate partner
-        if root.imag == 0:
-            rate = Fraction(root.real)
-            for level in range(mult):
-                elements.append(expr(UTerm(1.0, level, rate)))
-                origins.append(BasisOrigin(root, level, None))
-        else:
-            theta, beta = Fraction(root.real), Fraction(root.imag)
-            for level in range(mult):
-                elements.append(expr(UTerm(1.0, level, theta, COS, beta)))
-                origins.append(BasisOrigin(root, level, COS))
-                elements.append(expr(UTerm(1.0, level, theta, SIN, beta)))
-                origins.append(BasisOrigin(root, level, SIN))
+        real, imag = exact or ((root.real,), (root.imag,))
+        theta, beta = Fraction(*real), Fraction(*imag)
+        for level in range(mult):
+            for part in (COS, SIN) if beta else (None,):
+                elements.append(expr(UTerm(1, level, theta, part, beta)))
+                origins.append(BasisOrigin(root, level, part))
     if len(elements) != spec.order:
         raise SolverError(
             f"basis count {len(elements)} != order {spec.order} "
@@ -160,23 +160,13 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
 
 
 def derivative_matrix(basis: SolutionBasis) -> list[list[UExpr]]:
-    """Row i holds the i-fold u-derivatives of the basis; row 0 is the basis.
-
-    The rows are the elements' cached derivative levels, shared with any
-    later caller of :func:`~confode.ualgebra.diff_u` on the same elements.
+    """Row i holds the i-fold u-derivatives of the basis' binary64 lowering:
+    cached levels, shared with the oracle, which derives the same lowerings.
     """
-    rows = [list(basis.elements)]
+    rows = [[e.lowered for e in basis.elements]]
     for _ in range(basis.n - 1):
         rows.append([diff_u(e) for e in rows[-1]])
     return rows
-
-
-#: Resonance floor.  A Taylor coefficient a_j = P^(j)(s)/j! counts as zero when
-#: ``|a_j| <= RESONANCE_FLOOR * (n + 1) * sum_{i>=j} C(i, j) |c_i| |s|^(i-j)``
-#: (with c_n = 1): a backward-error test asking whether s is a root of P
-#: once the coefficients and s are perturbed by their rounding.  Decimal
-#: resonances such as r - 0.9 at s = 3 * 0.3 miss exact zero by one ulp.
-RESONANCE_FLOOR = 4 * sys.float_info.epsilon
 
 
 def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
@@ -194,24 +184,22 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
 
     Exponential shift: ``P(D)[e^(su) w] = e^(su) P(s + D) w`` and
     ``P(s + D) = sum_j a_j D^j`` with ``a_j = P^(j)(s) / j!``.  If the first
-    m coefficients vanish (m is the resonance multiplicity), the rest form
-    a series with a non-zero head, inverted up to degree k and applied to
-    ``u^k``; m integrations then give ``w``.  Returns ``(upow, coefficient)``
-    pairs over the Gaussian rationals.
+    m coefficients are exactly zero (m is the resonance multiplicity), the
+    rest form a series with a non-zero head, inverted up to degree k and
+    applied to ``u^k``; m integrations then give ``w``.  Returns ``(upow,
+    coefficient)`` pairs over the Gaussian rationals.
 
     The Taylor coefficients come from synthetic division on plain
     integers.  With ``s = complex(sa, sb) / d`` and ``lcd`` the common
     denominator of the (rational) coefficients, slot i of the division holds
     its value times ``lcd * d**i``, so each step is the Gaussian-integer
-    update ``W_i += complex(sa, sb) * W_(i-1)``, with no gcd.  A slot's value is the
-    ``int / int`` true division of its integers, which rounds exactly as
-    ``float(Fraction)`` does; only the coefficients that are kept become
-    :class:`~fractions.Fraction`.
+    update ``W_i += complex(sa, sb) * W_(i-1)``, with no gcd, and a slot is
+    zero exactly when both its integers are.  Only the coefficients that
+    are kept become :class:`~fractions.Fraction`.
     """
     n = len(coeffs)
     # Repeated synthetic division by (r - s), highest coefficient first:
-    # pass j leaves a_j in slot n - j.  The same passes over |c_i| at |s|
-    # give the scale of each a_j for the resonance floor.
+    # pass j leaves a_j in slot n - j.
     ratios = [c.as_integer_ratio() for c in reversed(coeffs)]
     lcd = math.lcm(*(den for _, den in ratios))
     d = math.lcm(s[0].denominator, s[1].denominator)
@@ -219,9 +207,6 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
     # Slot i starts as lcd * d**i * c_(n-i), imaginary part zero.
     w_re = [lcd] + [num * (lcd // den) * d ** i for i, (num, den) in enumerate(ratios, 1)]
     w_im = [0] * (n + 1)
-    bound = [1.0] + [abs(float(c)) for c in reversed(coeffs)]
-    s_abs = abs(complex(float(s[0]), float(s[1])))
-    floor = RESONANCE_FLOOR * (n + 1)
     taylor: list[tuple[Fraction, Fraction]] = []
     m = None
     for j in range(n + 1):
@@ -229,13 +214,12 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
             xr, xi = w_re[i - 1], w_im[i - 1]
             w_re[i] += sa * xr - sb * xi
             w_im[i] += sa * xi + sb * xr
-            bound[i] += s_abs * bound[i - 1]
         slot = n - j
-        den = lcd * d ** slot
         if m is None:
-            if abs(complex(w_re[slot] / den, w_im[slot] / den)) <= floor * bound[slot]:
+            if not (w_re[slot] or w_im[slot]):
                 continue
             m = j
+        den = lcd * d ** slot
         taylor.append((Fraction(w_re[slot], den), Fraction(w_im[slot], den)))
         if j == m + k:
             break
@@ -262,28 +246,27 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
 
     Each forcing term ``c u^k e^(au) {1 | cos(bu) | sin(bu)}`` is the real
     or imaginary part of ``c u^k e^(su)`` with ``s = a + ib``; its response
-    is worked out exactly over the Gaussian rationals and rounded to float
-    only at the end.  Resonant forcing (s a root of multiplicity m, up to
-    :data:`RESONANCE_FLOOR`) picks up the ``u^m`` growth from the m-fold
-    integration.  No roots, basis or determinants are involved.
+    is worked out exactly over the Gaussian rationals, and so is the
+    result.  Resonant forcing (s a root of multiplicity m, tested exactly)
+    picks up the ``u^m`` growth from the m-fold integration.  No roots,
+    basis or determinants are involved.
     """
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
     out: list[UTerm] = []
     for term in spec.forcing.terms:
-        c = Fraction(term.coeff)
-        a, b = term.erate, term.tfreq
+        c, a, b = term.coeff, term.erate, term.tfreq
         for upow, (wr, wi) in _shift_response(spec.coeffs, (a, b), term.upow):
             if term.trig is None:
-                out.append(UTerm(float(c * wr), upow, a))
+                out.append(UTerm(c * wr, upow, a))
             elif term.trig == COS:
                 # Re[(wr + i wi)(cos bu + i sin bu)]
-                out.append(UTerm(float(c * wr), upow, a, COS, b))
-                out.append(UTerm(float(-c * wi), upow, a, SIN, b))
+                out.append(UTerm(c * wr, upow, a, COS, b))
+                out.append(UTerm(-c * wi, upow, a, SIN, b))
             else:
                 # Im[(wr + i wi)(cos bu + i sin bu)]
-                out.append(UTerm(float(c * wr), upow, a, SIN, b))
-                out.append(UTerm(float(c * wi), upow, a, COS, b))
+                out.append(UTerm(c * wr, upow, a, SIN, b))
+                out.append(UTerm(c * wi, upow, a, COS, b))
     return canonicalize(out)
 
 
@@ -326,7 +309,7 @@ def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | No
     matrix = derivative_matrix(sol.basis)
     a = [[eval_expr(matrix[i][j], t0, subst) for j in range(n)] for i in range(n)]
     if sol.particular is not None:
-        levels = [sol.particular]
+        levels = [sol.particular.lowered]
         while len(levels) < n:
             levels.append(diff_u(levels[-1]))
         for i, level in enumerate(levels):
@@ -396,11 +379,18 @@ def solution_to_doc(sol: GeneralSolution) -> dict:
     }
 
 
+def _finite(value) -> float:
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"{x!r} is not finite")
+    return x
+
+
 def solution_from_doc(doc) -> GeneralSolution:
     """Rebuild a GeneralSolution from its JSON document.
 
-    A document that is not an object, lacks a required key or holds a
-    value of the wrong shape raises ValueError naming the key.
+    Each float is read as its dyadic value.  A document that is not an
+    object, lacks a required key, or holds a value of the wrong shape or a
+    non-finite number (json reads ``NaN``) raises ValueError naming the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -415,15 +405,15 @@ def solution_from_doc(doc) -> GeneralSolution:
             return None
         try:
             return convert(doc[key])
-        except (KeyError, TypeError, ValueError, IndexError) as err:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
             detail = f"missing {err.args[0]!r}" if isinstance(err, KeyError) else str(err)
             raise ValueError(f"solution document key {key!r} is ill-typed ({detail})") from err
 
     def origin(o):
-        return BasisOrigin(complex(o["root"][0], o["root"][1]), int(o["level"]), o["part"])
+        return BasisOrigin(complex(*map(_finite, o["root"])), int(o["level"]), o["part"])
 
-    coeffs = field("coeffs", lambda v: tuple(float(c) for c in v))
-    alpha = field("alpha", float)
+    coeffs = field("coeffs", lambda v: tuple(Fraction(float(c)) for c in v))
+    alpha = field("alpha", _finite)
     forcing = field("forcing", expr_from_records)
     spec = ProblemSpec(coeffs, alpha, forcing)
     order = field("order", int)
@@ -432,5 +422,5 @@ def solution_from_doc(doc) -> GeneralSolution:
     elements = field("basis", lambda v: tuple(expr_from_records(r) for r in v))
     origins = field("origins", lambda v: tuple(origin(o) for o in v))
     particular = field("particular", expr_from_records, required=False)
-    constants = field("constants", lambda v: tuple(float(c) for c in v), required=False)
+    constants = field("constants", lambda v: tuple(_finite(c) for c in v), required=False)
     return GeneralSolution(spec, SolutionBasis(elements, origins), particular, constants)

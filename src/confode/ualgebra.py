@@ -12,14 +12,12 @@ and this module implements that sum type: canonical construction, the
 ring operations, d/du, and evaluation back in the t domain, at one point
 (:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`).
 
-Exponent keys (``erate``, ``tfreq``) are exact rationals rather than
-binary64 floats.  Rates and frequencies only ever arise as small integer
-combinations of a finite set of inputs (characteristic roots, forcing
-parameters), and the cancellation the solver depends on -- the operator
-applied to a particular solution landing exactly on the forcing term's
-key -- requires those combinations to be exact, which float addition
-cannot guarantee across different evaluation orders.  Coefficients stay binary64; like-term merging prunes
-the float cancellation dust they accumulate.
+Every number in a term is an exact rational, so the cancellation the
+solver depends on is exact, and merging drops only exact zeros.  Numbers
+are rounded to binary64 once per expression, in :attr:`UExpr.lowered`, which
+evaluation, rendering and the JSON records read, and which the constant
+fit and the oracle derive: the same float levels for an exact expression
+and for a JSON document that holds only its lowering.
 
 Exact work is done once.  Each term carries a merge key of plain ints
 (``upow``, the numerator and denominator of ``erate``, the trig rank, the
@@ -43,12 +41,6 @@ from functools import cached_property
 COS = "cos"
 SIN = "sin"
 
-#: A merged coefficient is dropped when it is smaller than this times the
-#: largest coefficient folded into the same key (floored at 1), which
-#: absorbs cancellation noise from product-to-sum rewrites and determinant
-#: expansion without touching legitimate small terms.
-PRUNE_REL = 1e-12
-
 _TRIG_ORDER = {None: 0, COS: 1, SIN: 2}
 
 
@@ -66,12 +58,15 @@ class UTerm:
     term with ``trig is None`` always has ``tfreq == 0`` and a term with
     a trig factor always has ``tfreq > 0``.
 
+    A float is read as its dyadic value; only the terms of a
+    :attr:`UExpr.lowered` expression hold floats.
+
     It also computes the term's integer merge key once (see :func:`_term`).
     The key sits in the instance dict but is not a field, so equality,
     hashing and repr do not see it.
     """
 
-    coeff: float
+    coeff: Fraction
     upow: int = 0
     erate: Fraction = Fraction(0)
     trig: str | None = None
@@ -83,7 +78,7 @@ class UTerm:
             raise ValueError(f"upow must be a non-negative integer, got {upow!r}")
         if self.trig not in _TRIG_ORDER:
             raise ValueError(f"trig must be None, {COS!r} or {SIN!r}, got {self.trig!r}")
-        coeff = float(self.coeff)
+        coeff = _rat(self.coeff)
         erate = _rat(self.erate)
         tfreq = _rat(self.tfreq)
         trig = self.trig
@@ -96,7 +91,7 @@ class UTerm:
                     coeff = -coeff
                 tfreq = -tfreq
             if tfreq == 0:
-                coeff = coeff if trig == COS else 0.0
+                coeff = coeff if trig == COS else Fraction(0)
                 trig = None
         upow = int(upow)
         object.__setattr__(self, "__dict__", {
@@ -106,20 +101,16 @@ class UTerm:
 
     @property
     def key(self):
-        """The exact key ``(upow, erate, trig rank, tfreq)`` canonical order sorts by."""
+        """The key ``(upow, erate, trig rank, tfreq)`` canonical order sorts by."""
         return (self.upow, self.erate, self._mkey[3], self.tfreq)
 
-    def with_coeff(self, coeff: float) -> UTerm:
-        return _term(float(coeff), self.upow, self.erate, self.trig, self.tfreq, self._mkey)
 
-
-def _term(coeff: float, upow: int, erate: Fraction, trig: str | None, tfreq: Fraction,
-          mkey: tuple) -> UTerm:
+def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTerm:
     """A :class:`UTerm` from fields that are already canonical, not re-validated.
 
-    ``mkey`` is the merge key ``__post_init__`` would compute for these
+    ``mkey`` is the merge key ``__post_init__`` would compute for the exact
     fields: ``(upow, erate numerator, erate denominator, trig rank, tfreq
-    numerator, tfreq denominator)``.
+    numerator, tfreq denominator)``; a lowered term passes floats with it.
     """
     term = object.__new__(UTerm)
     object.__setattr__(term, "__dict__", {"coeff": coeff, "upow": upow, "erate": erate,
@@ -129,39 +120,47 @@ def _term(coeff: float, upow: int, erate: Fraction, trig: str | None, tfreq: Fra
 
 @dataclass(frozen=True)
 class UExpr:
-    """A canonical sum of :class:`UTerm`: keys unique, sorted, noise pruned.
+    """A canonical sum of :class:`UTerm`: keys unique, sorted, no zero term.
 
     The empty tuple is the zero function.  Instances are only built
     through :func:`canonicalize` (or the operations below, which all
-    re-canonicalize), so structural equality is semantic equality up to
-    float coefficient rounding.
+    re-canonicalize), so structural equality of exact expressions is
+    semantic equality.
     """
 
     terms: tuple[UTerm, ...] = ()
 
+    @property
+    def lowered(self) -> UExpr:
+        """Every number rounded to binary64 once, as ``float(Fraction)`` does
+        (``int / int``); terms that round to zero are dropped, and a
+        coefficient beyond binary64 raises OverflowError."""
+        terms = self.terms
+        return self if not terms or type(terms[0].coeff) is float else self._rounded
+
+    @cached_property
+    def _rounded(self) -> UExpr:
+        out = []
+        for t in self.terms:
+            c = t.coeff.numerator / t.coeff.denominator
+            if c:
+                upow, erate_num, erate_den, _, tfreq_num, tfreq_den = t._mkey
+                out.append(_term(c, upow, erate_num / erate_den, t.trig,
+                                 tfreq_num / tfreq_den, t._mkey))
+        return UExpr(tuple(out))
+
     @cached_property
     def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
-        """``(coeff, upow, erate, trig rank, tfreq)`` per term, rates as floats.
-
-        Lowered once per instance for :func:`eval_expr`,
-        :meth:`PointTable.eval` and :func:`diff_u`, from the integer merge
-        keys (``int / int`` true division is what ``float(Fraction)``
-        does).  Not a dataclass field, so equality, hashing and repr see
-        only ``terms``.
-        """
-        rows = []
-        for t in self.terms:
-            upow, erate_num, erate_den, rank, tfreq_num, tfreq_den = t._mkey
-            rows.append((t.coeff, upow, erate_num / erate_den, rank, tfreq_num / tfreq_den))
-        return tuple(rows)
+        """``(coeff, upow, erate, trig rank, tfreq)`` per term of the lowering."""
+        return tuple((t.coeff, t.upow, t.erate, t._mkey[3], t.tfreq) for t in self.lowered.terms)
 
     @cached_property
     def derivative(self) -> UExpr:
         """d/du of this expression, derived once per instance.
 
         :func:`diff_u` returns it, so the levels of one expression object
-        are shared by every caller.  Like :attr:`float_rows`, not a
-        dataclass field.
+        are shared by every caller.  The derivative of a lowered expression
+        is lowered: float products of its floats.
         """
         return _derive(self)
 
@@ -172,15 +171,15 @@ class UExpr:
         return add(self, other)
 
     def __sub__(self, other: UExpr) -> UExpr:
-        return add(self, scale(other, -1.0))
+        return add(self, scale(other, -1))
 
     def __neg__(self) -> UExpr:
-        return scale(self, -1.0)
+        return scale(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, UExpr):
             return mul(self, other)
-        return scale(self, float(other))
+        return scale(self, other)
 
     __rmul__ = __mul__
 
@@ -211,17 +210,17 @@ class SubstMap:
         return t ** self.alpha / self.alpha
 
 
-def _exact_key(slot):
-    return slot[2].key
+def _slot_key(slot):
+    return slot[1].key
 
 
 def canonicalize(terms) -> UExpr:
-    """Merge like terms, prune cancellation noise, sort by key.
+    """Merge like terms, drop exact zeros, sort by key.
 
-    Terms merge on their integer keys, summed in input order; a merged
-    coefficient survives when it is at least :data:`PRUNE_REL` times the
-    largest coefficient folded into it (floored at 1).  Only the distinct
-    keys are sorted, by the exact key.
+    Terms merge on their integer keys, summed in input order, and a merged
+    coefficient is dropped only when it is exactly zero.  Only the distinct
+    keys are sorted: by the exact key, or for lowered terms by the
+    binary64 one.
 
     Idempotent: applying it to an already-canonical expression returns an
     equal expression.
@@ -230,14 +229,13 @@ def canonicalize(terms) -> UExpr:
     for term in terms:
         slot = acc.get(term._mkey)
         if slot is None:
-            acc[term._mkey] = [term.coeff, abs(term.coeff), term]
+            acc[term._mkey] = [term.coeff, term]
         else:
             slot[0] += term.coeff
-            slot[1] = max(slot[1], abs(term.coeff))
     out = []
-    for total, biggest, t in sorted(acc.values(), key=_exact_key):
-        if abs(total) >= PRUNE_REL * max(1.0, biggest):
-            out.append(t if total == t.coeff
+    for total, t in sorted(acc.values(), key=_slot_key):
+        if total:
+            out.append(t if total is t.coeff  # not merged
                        else _term(total, t.upow, t.erate, t.trig, t.tfreq, t._mkey))
     return UExpr(tuple(out))
 
@@ -246,8 +244,11 @@ def add(f: UExpr, g: UExpr) -> UExpr:
     return canonicalize(f.terms + g.terms)
 
 
-def scale(f: UExpr, c: float) -> UExpr:
-    return canonicalize([t.with_coeff(t.coeff * c) for t in f.terms])
+def scale(f: UExpr, c) -> UExpr:
+    """``c * f``, with ``c`` read exactly (a float is its dyadic value)."""
+    c = _rat(c)
+    return canonicalize([_term(t.coeff * c, t.upow, t.erate, t.trig, t.tfreq, t._mkey)
+                         for t in f.terms])
 
 
 def _mul_terms(t1: UTerm, t2: UTerm) -> list[UTerm]:
@@ -263,7 +264,7 @@ def _mul_terms(t1: UTerm, t2: UTerm) -> list[UTerm]:
     # Product-to-sum: the class is closed, each trig*trig pair gives two
     # terms at frequencies b1-b2 and b1+b2 (parity fixed at construction).
     b1, b2 = t1.tfreq, t2.tfreq
-    half = 0.5 * coeff
+    half = coeff / 2
     pair = (t1.trig, t2.trig)
     if pair == (COS, COS):
         return [UTerm(half, upow, erate, COS, b1 - b2),
@@ -295,21 +296,21 @@ def diff_u(f: UExpr) -> UExpr:
 
 
 def _derive(f: UExpr) -> UExpr:
-    # Children take their floats from f.float_rows and their merge keys
-    # from the parent's, so no term is re-validated or re-lowered.
+    # Children multiply the parent's fields (exact, or float for a lowered
+    # term) and take the parent's merge keys: no term is re-validated.
     out = []
-    for t, (coeff, upow, erate, rank, tfreq) in zip(f.terms, f.float_rows):
-        key = t._mkey
+    for t in f.terms:
+        coeff, upow, erate, tfreq, key = t.coeff, t.upow, t.erate, t.tfreq, t._mkey
         if upow:
-            out.append(_term(coeff * upow, upow - 1, t.erate, t.trig, t.tfreq,
+            out.append(_term(coeff * upow, upow - 1, erate, t.trig, tfreq,
                              (upow - 1,) + key[1:]))
         if key[1]:  # erate != 0, tested exactly
-            out.append(_term(coeff * erate, upow, t.erate, t.trig, t.tfreq, key))
-        if rank == 1:  # COS
-            out.append(_term(-coeff * tfreq, upow, t.erate, SIN, t.tfreq,
+            out.append(_term(coeff * erate, upow, erate, t.trig, tfreq, key))
+        if key[3] == 1:  # COS
+            out.append(_term(-coeff * tfreq, upow, erate, SIN, tfreq,
                              key[:3] + (2,) + key[4:]))
-        elif rank == 2:  # SIN
-            out.append(_term(coeff * tfreq, upow, t.erate, COS, t.tfreq,
+        elif key[3] == 2:  # SIN
+            out.append(_term(coeff * tfreq, upow, erate, COS, tfreq,
                              key[:3] + (1,) + key[4:]))
     return canonicalize(out)
 
@@ -398,13 +399,14 @@ def _fmt(x: float) -> str:
 
 
 def _term_factors_t(term: UTerm, alpha: float) -> list[str]:
+    # term is lowered: its numbers are floats
     factors = []
     if term.upow:
         factors.append("t^" + _fmt(term.upow * alpha))
     if term.erate:
-        factors.append("e^{" + _fmt(float(term.erate) / alpha) + "·t^" + _fmt(alpha) + "}")
+        factors.append("e^{" + _fmt(term.erate / alpha) + "·t^" + _fmt(alpha) + "}")
     if term.trig:
-        factors.append(f"{term.trig}({_fmt(float(term.tfreq) / alpha)}·t^{_fmt(alpha)})")
+        factors.append(f"{term.trig}({_fmt(term.tfreq / alpha)}·t^{_fmt(alpha)})")
     return factors
 
 
@@ -426,24 +428,25 @@ def format_t(f: UExpr, subst: SubstMap) -> str:
     """Deterministic rendering in the t variable with alpha substituted.
 
     Powers of u are folded into the coefficient: ``u^k = t^(k*alpha) /
-    alpha^k``.
+    alpha^k``.  The lowering is what is rendered.
     """
     alpha = subst.alpha
-    return _join([(t.coeff / alpha ** t.upow, _term_factors_t(t, alpha)) for t in f.terms])
+    return _join([(t.coeff / alpha ** t.upow, _term_factors_t(t, alpha))
+                  for t in f.lowered.terms])
 
 
 def term_records(f: UExpr) -> list[dict]:
-    """JSON-ready list of term records (rates/frequencies as floats)."""
+    """JSON-ready list of the lowering's term records (numbers as floats)."""
     return [
-        {"coeff": t.coeff, "upow": t.upow, "erate": float(t.erate),
-         "trig": t.trig, "tfreq": float(t.tfreq)}
-        for t in f.terms
+        {"coeff": t.coeff, "upow": t.upow, "erate": t.erate, "trig": t.trig, "tfreq": t.tfreq}
+        for t in f.lowered.terms
     ]
 
 
 def expr_from_records(records) -> UExpr:
+    """Term records read exactly (NaN raises ValueError, inf OverflowError)."""
     return canonicalize([
-        UTerm(float(r["coeff"]), int(r["upow"]), Fraction(float(r["erate"])),
-              r["trig"], Fraction(float(r["tfreq"])))
+        UTerm(float(r["coeff"]), int(r["upow"]), float(r["erate"]), r["trig"],
+              float(r["tfreq"]))
         for r in records
     ])

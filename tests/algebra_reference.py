@@ -1,12 +1,14 @@
-"""The term algebra's hot paths as first written, for equality tests.
+"""The term algebra's hot paths as plain exact references, for equality tests.
 
-``canonicalize`` merges terms on their exact ``Fraction`` keys and builds
-every output term through the validating ``UTerm`` constructor; ``diff_u``
-builds each child term the same way from the parent's fields; and
+``canonicalize`` merges terms in a dict of ``Fraction`` totals keyed by the
+exact ``Fraction`` key and builds every surviving term through the
+validating ``UTerm`` constructor; ``diff_u`` applies the product rule,
+building each child term the same way from the parent's fields; and
 ``shift_response`` runs the exponential-shift synthetic division over
-Gaussian rationals, normalising a ``Fraction`` at every step.  The library
-does the same arithmetic on integer keys, cached derivative levels and
-plain integers, and the tests require results equal to these.
+Gaussian rationals, normalising a ``Fraction`` at every step, with an
+``== 0`` resonance test.  The library does the same arithmetic on integer
+keys, cached derivative levels and plain integers, and the tests require
+results equal to these.
 """
 
 from __future__ import annotations
@@ -14,28 +16,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from confode.solver import RESONANCE_FLOOR
-from confode.ualgebra import COS, PRUNE_REL, SIN, UExpr, UTerm
+from confode.ualgebra import COS, SIN, UExpr, UTerm
 
 _TRIG_BY_ORDER = (None, COS, SIN)
 
 
 def canonicalize(terms) -> UExpr:
-    """Merge like terms on the exact key, prune cancellation noise, sort."""
-    acc: dict[tuple, list[float]] = {}
+    """Merge like terms on the exact key, drop exact zeros, sort."""
+    acc: dict[tuple, Fraction] = {}
     for term in terms:
-        slot = acc.get(term.key)
-        if slot is None:
-            acc[term.key] = [term.coeff, abs(term.coeff)]
-        else:
-            slot[0] += term.coeff
-            slot[1] = max(slot[1], abs(term.coeff))
+        acc[term.key] = acc.get(term.key, Fraction(0)) + Fraction(term.coeff)
     out = []
     for key in sorted(acc):
-        total, biggest = acc[key]
-        if abs(total) >= PRUNE_REL * max(1.0, biggest):
+        if acc[key]:
             upow, erate, trig_rank, tfreq = key
-            out.append(UTerm(total, upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
+            out.append(UTerm(acc[key], upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
     return UExpr(tuple(out))
 
 
@@ -46,11 +41,11 @@ def diff_u(f: UExpr) -> UExpr:
         if t.upow:
             out.append(UTerm(t.coeff * t.upow, t.upow - 1, t.erate, t.trig, t.tfreq))
         if t.erate:
-            out.append(UTerm(t.coeff * float(t.erate), t.upow, t.erate, t.trig, t.tfreq))
+            out.append(UTerm(t.coeff * t.erate, t.upow, t.erate, t.trig, t.tfreq))
         if t.trig == COS:
-            out.append(UTerm(-t.coeff * float(t.tfreq), t.upow, t.erate, SIN, t.tfreq))
+            out.append(UTerm(-t.coeff * t.tfreq, t.upow, t.erate, SIN, t.tfreq))
         elif t.trig == SIN:
-            out.append(UTerm(t.coeff * float(t.tfreq), t.upow, t.erate, COS, t.tfreq))
+            out.append(UTerm(t.coeff * t.tfreq, t.upow, t.erate, COS, t.tfreq))
     return canonicalize(out)
 
 
@@ -63,24 +58,23 @@ def _ginv(x: tuple[Fraction, Fraction]):
     return (x[0] / norm, -x[1] / norm)
 
 
-def shift_response(coeffs: tuple[float, ...], s: tuple[Fraction, Fraction],
+def shift_response(coeffs, s: tuple[Fraction, Fraction],
                    k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
-    """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``, in Fractions."""
+    """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``, in Fractions.
+
+    ``coeffs`` are read exactly (a float is its dyadic value).
+    """
     n = len(coeffs)
     work = [(Fraction(1), Fraction(0))] + [(Fraction(c), Fraction(0)) for c in reversed(coeffs)]
-    bound = [1.0] + [abs(c) for c in reversed(coeffs)]
-    s_abs = abs(complex(float(s[0]), float(s[1])))
-    floor = RESONANCE_FLOOR * (n + 1)
     taylor: list[tuple[Fraction, Fraction]] = []
     m = None
     for j in range(n + 1):
         for i in range(1, n + 1 - j):
             step = _gmul(s, work[i - 1])
             work[i] = (work[i][0] + step[0], work[i][1] + step[1])
-            bound[i] += s_abs * bound[i - 1]
         a = work[n - j]
         if m is None:
-            if abs(complex(float(a[0]), float(a[1]))) <= floor * bound[n - j]:
+            if a == (0, 0):
                 continue
             m = j
         taylor.append(a)

@@ -112,10 +112,32 @@ def test_corrupted_solution_fails_verification(capsys):
     assert "FAIL" in out
 
 
+def _doc_with(path, value) -> str:
+    """A solve --ic --json document of FORCED at alpha 0.5 with the value at
+    ``path`` replaced; json writes a non-finite float as NaN or Infinity."""
+    sol = solve_problem(problem_from_source(FORCED, 0.5), t0=1.0, targets=(1.0, 0.0))
+    doc = solution_to_doc(sol)
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"foo": 1}', "'coeffs'"),
     ('{"coeffs": [1, 2], "alpha": 0.5}', "'forcing'"),
     ('[1, 2]', "'['"),
+    pytest.param(_doc_with(("coeffs", 0), math.nan), "'coeffs'", id="nan-coefficient"),
+    pytest.param(_doc_with(("particular", 0, "coeff"), math.inf), "'particular'",
+                 id="infinite-particular-coefficient"),
+    pytest.param(_doc_with(("basis", 0, 0, "erate"), math.nan), "'basis'", id="nan-rate"),
+    pytest.param(_doc_with(("forcing", 0, "erate"), -math.inf), "'forcing'",
+                 id="infinite-forcing-rate"),
+    pytest.param(_doc_with(("constants", 1), math.nan), "'constants'", id="nan-constant"),
+    pytest.param(_doc_with(("alpha",), math.inf), "'alpha'", id="infinite-alpha"),
+    pytest.param(_doc_with(("origins", 0, "root", 0), math.nan), "'origins'", id="nan-root"),
 ])
 def test_malformed_solution_document_is_config_error(text, named, capsys):
     code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
@@ -244,6 +266,48 @@ def test_close_simple_roots_stay_simple_or_are_refused(capsys):
     assert err.count("\n") == 1 and "cannot separate the roots" in err
 
 
+@pytest.mark.parametrize("source", ["T y + y = 0.0000000000001",
+                                    "T y + 10000000000000 y = 1"])
+def test_tiny_particular_coefficients_are_kept(source, capsys):
+    # 1e-13 is a legitimate answer, not cancellation noise to prune
+    code, out, _ = run_cli(["solve", "--alpha", "1", source], capsys)
+    assert code == 0
+    assert "particular: v(t) = 1e-13\n" in out
+    code, out, _ = run_cli(["solve", "--alpha", "1", "--json", source], capsys)
+    assert json.loads(out)["particular"] == [
+        {"coeff": 1e-13, "upow": 0, "erate": 0.0, "trig": None, "tfreq": 0.0}]
+
+
+def _consecutive_roots_source(n: int) -> str:
+    """prod_{k=1..n} (r + k) as an equation forced by exp(t^a)."""
+    poly = [1]  # highest first
+    for k in range(1, n + 1):
+        poly = [a + k * b for a, b in zip(poly + [0], [0] + poly)]
+    terms = [f"{c} T{n - i} y" for i, c in enumerate(poly[1:-1], 1)]
+    return " + ".join([f"T{n} y", *terms, f"{poly[-1]} y"]) + " = exp(t^a)"
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_consecutive_negative_roots_with_exponential_forcing_verify(n, capsys):
+    # the oracle derives every level of v in full, so no level loses its tail
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", _consecutive_roots_source(n)], capsys)
+    assert code == 0 and out.rstrip().endswith("-> ok")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "1", "T y + 1e-300 y = 1e300"],
+    # the first alpha solves and renders; the second overflows in the fit
+    ["solve", "--alpha-list", "0.1,1", "--ic", "1000:1", "T y - 2 y = 0"],
+])
+def test_failing_solve_prints_nothing(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "overflows binary64" in err
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "overflows binary64" in json.loads(err)["error"]["message"]
+
+
 def test_solve_prints_known_particular_coefficient(capsys):
     code, out, _ = run_cli(["solve", "--alpha", "1", FORCED], capsys)
     assert code == 0
@@ -357,16 +421,22 @@ def test_verify_order_ten_distinct_roots_passes(capsys):
     assert json.loads(out)["ok"]
 
 
-def test_solve_json_pipes_to_identical_verify_report(capsys, monkeypatch):
+@pytest.mark.parametrize("alpha, source", [
+    ("0.75", FORCED),
+    ("1", "T3 y + 9 T2 y + 18 T y = 0.5 * exp(1.5 t^a) * sin(1 t^a)"),
+    ("0.3", "T3 y + 3 T2 y - 9 T y + 5 y = 1.5 * t^a * sin(1 t^a) - 2 * exp(0.5 t^a)"),
+], ids=["forced", "trig-forcing", "decimal-alpha-resonance"])
+def test_solve_json_pipes_to_identical_verify_report(alpha, source, capsys, monkeypatch):
+    # the document holds the binary64 lowering, which is what verify evaluates
     code, sol_json, _ = run_cli(
-        ["solve", "--alpha", "0.75", "--json", FORCED], capsys)
+        ["solve", "--alpha", alpha, "--json", source], capsys)
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(sol_json))
     code, report_from_doc, _ = run_cli(
-        ["verify", "--alpha", "0.75", "--json"], capsys)
+        ["verify", "--alpha", alpha, "--json"], capsys)
     assert code == 0
     code, report_from_text, _ = run_cli(
-        ["verify", "--alpha", "0.75", "--json", FORCED], capsys)
+        ["verify", "--alpha", alpha, "--json", source], capsys)
     assert code == 0
     assert report_from_doc == report_from_text
 

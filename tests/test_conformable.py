@@ -383,7 +383,7 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
     if n < 1:
         raise ValueError("operator needs order n >= 1")
     subst = SubstMap(alpha)
-    levels = [y]
+    levels = [y.lowered]  # the oracle derives the binary64 lowering
     for _ in range(n - 1):
         levels.append(diff_u(levels[-1]))
     grids = [expr_grid(level, subst) for level in levels]

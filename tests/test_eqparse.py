@@ -316,9 +316,11 @@ def test_texpr_render_roundtrip(ast):
 
 
 def _canon(ast):
-    # the parser folds unary minus into numeric literals and reads a rate
-    # exactly from its text; synthetic trees must be folded and read the
-    # same way before comparison
+    # the parser folds unary minus into numeric literals and reads every
+    # literal exactly from its text; synthetic trees must be folded and read
+    # the same way before comparison
+    if isinstance(ast, TNum):
+        return TNum(F(_num_text(ast.value)))
     if isinstance(ast, TFunc):
         return TFunc(ast.kind, F(_num_text(ast.c)))
     if isinstance(ast, TNeg):

@@ -15,6 +15,7 @@ import algebra_reference as ref
 from roots_reference import eval_poly
 
 from confode import cli, ualgebra
+from confode.chareq import find_roots
 from confode.conformable import log_grid
 from confode.conformable import OracleGrid, operator_residual
 from confode.eqparse import problem_from_source
@@ -48,7 +49,14 @@ from confode.ualgebra import (
     mul,
     scale,
 )
-from vop_reference import WronskianError, div_by_term, format_u, one, wronskian
+from vop_reference import (
+    WronskianError,
+    derivative_rows,
+    div_by_term,
+    format_u,
+    one,
+    wronskian,
+)
 from vop_reference import particular_solution as vop_particular_solution
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
@@ -146,6 +154,16 @@ def test_basis_complex_pair():
     assert t1.erate == t2.erate and t1.tfreq == t2.tfreq > 0
 
 
+def test_basis_rate_of_a_decimal_root_is_exact():
+    # the double root -1/10 of (r + 0.1)^2 reaches the basis as -1/10, not
+    # as the binary64 value nearest it
+    spec = problem_from_source("T2 y + 0.2 T y + 0.01 y = 0", 1.0)
+    basis = homogeneous_basis(spec)
+    assert [e.terms[0].erate for e in basis.elements] == [F(-1, 10)] * 2
+    for element in basis.elements:
+        assert apply_operator(spec, element).is_zero()
+
+
 def test_basis_count_matches_order():
     rng = random.Random(20250823)
     for _ in range(20):
@@ -162,22 +180,24 @@ def test_basis_count_matches_order():
 def test_derivative_matrix_worked():
     basis = homogeneous_basis(ProblemSpec((3.0, 4.0), 0.5))
     m = derivative_matrix(basis)
-    assert m[0][0] == exp_term(-3) and m[0][1] == exp_term(-1)
-    assert m[1][0] == exp_term(-3, coeff=-3.0) and m[1][1] == exp_term(-1, coeff=-1.0)
+    assert m[0][0] == exp_term(-3).lowered and m[0][1] == exp_term(-1).lowered
+    assert m[1][0] == exp_term(-3, coeff=-3.0).lowered
+    assert m[1][1] == exp_term(-1, coeff=-1.0).lowered
+    # the rows derive the lowering: float numbers throughout
+    assert all(type(t.coeff) is float for row in m for e in row for t in e.terms)
 
 
 def test_derivative_matrix_order_one():
     basis = homogeneous_basis(ProblemSpec((2.0,), 1.0))
     m = derivative_matrix(basis)
-    assert m == [[exp_term(-2)]]
+    assert m == [[exp_term(-2).lowered]]
 
 
 def test_derivative_matrix_double_root_row():
     basis = homogeneous_basis(ProblemSpec((25.0, -10.0), 0.5))
     row = derivative_matrix(basis)[1]
-    assert row[0] == exp_term(5, coeff=5.0)
-    assert coeff_of(row[1], upow=0, erate=F(5)) == 1.0
-    assert coeff_of(row[1], upow=1, erate=F(5)) == 5.0
+    assert row[0] == exp_term(5, coeff=5.0).lowered
+    assert [(t.coeff, t.upow, t.erate) for t in row[1].terms] == [(1.0, 0, 5.0), (5.0, 1, 5.0)]
 
 
 def test_wronskian_distinct_roots():
@@ -332,13 +352,19 @@ def test_particular_requires_forcing():
 # particular_solution: cases the Laplace/Cramer route got wrong
 
 
-def test_particular_decimal_resonance():
-    # s = 3 * 0.3 misses the root 0.9 by one ulp: within the resonance floor,
-    # so the answer is u e^{su}, not a 1e16-sized multiple of e^{su}
-    spec = problem_from_source("T y - 0.9 y = exp(3 t^a)", 0.3)
+def test_particular_decimal_resonance(capsys):
+    # alpha 0.3 is read as 3/10, so s = 3 * 3/10 is the root 9/10 exactly
+    # and the answer is u e^{9u/10}, not a 1e16-sized multiple of e^{su}
+    source = "T y - 0.9 y = exp(3 t^a)"
+    spec = problem_from_source(source, 0.3)
     v = particular_solution(spec)
-    assert [(t.upow, t.erate) for t in v.terms] == [(1, F(3) * F(0.3))]
-    close(v.terms[0].coeff, 1.0, 1e-12)
+    assert spec.forcing.terms[0].erate == F(9, 10)
+    assert v == expr(UTerm(1, 1, F(9, 10)))
+    assert cli.main(["solve", "--alpha", "0.3", "--json", source]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["particular"] == [{"coeff": 1.0, "upow": 1, "erate": 0.9, "trig": None,
+                                  "tfreq": 0.0}]
+    assert solution_from_doc(doc).particular == expr(UTerm(1, 1, 0.9))
 
 
 def test_particular_double_root_resonance():
@@ -549,20 +575,44 @@ def test_eigen_identity_property():
         close(coeff_of(out, erate=F(r)), eval_poly(poly, r).real, 1e-10)
 
 
+def _operator_scale(spec, y):
+    """The largest coefficient among the terms ``apply_operator(spec, y)``
+    sums, ``|p_i|`` times each coefficient of the i-th derivative (with
+    ``p_n = 1``), and at least 1."""
+    big, d = 1, y
+    for p in (*spec.coeffs, 1):
+        big = max([big] + [abs(p * t.coeff) for t in d.terms])
+        d = diff_u(d)
+    return big
+
+
 def test_annihilation_property():
+    # A root that landed is exact, and L annihilates its elements exactly.
+    # A certified irrational root is known to binary64 only, so L leaves
+    # its rounding: below 1e-12 of the largest term L sums.
     rng = random.Random(12)
+    kinds = set()
     for _ in range(12):
         spec = random_spec(rng, 5)
         basis = homogeneous_basis(spec)
         assert basis.n == spec.order
-        for element in basis.elements:
-            assert apply_operator(spec, element).is_zero(), (
-                spec, format_u(apply_operator(spec, element)))
+        roots = find_roots(spec.char_poly())
+        landed = {z for (z, _), x in zip(roots.entries, roots.exact_parts) if x is not None}
+        for element, origin in zip(basis.elements, basis.origins):
+            residue = apply_operator(spec, element)
+            kinds.add(origin.root in landed)
+            if origin.root in landed:
+                assert residue.is_zero(), (spec, format_u(residue))
+            else:
+                bound = 1e-12 * _operator_scale(spec, element)
+                assert all(abs(t.coeff) <= bound for t in residue.terms), (
+                    spec, format_u(residue))
             ts = [rng.uniform(0.1, 3.0) for _ in range(10)]
             residuals = operator_residual(list(spec.coeffs), element, ZERO,
                                           OracleGrid(spec.alpha, ts))
             for t, res in zip(ts, residuals):
                 assert res < 1e-5, (spec, t, res)
+    assert kinds == {True, False}
 
 
 def test_wronskian_rate_property():
@@ -600,7 +650,7 @@ def test_variation_of_parameters_conditions():
         spec = ProblemSpec(spec.coeffs, spec.alpha, random_forcing(rng, 2))
         basis = homogeneous_basis(spec)
         _, cfuncs = vop_particular_solution(spec, basis)
-        rows = derivative_matrix(basis)
+        rows = derivative_rows(basis)
         cprime = [diff_u(c) for c in cfuncs]
         for i in range(spec.order):
             total = ZERO
@@ -649,16 +699,16 @@ def _planted_roots(rng, max_order):
 def test_shift_matches_variation_of_parameters():
     # Both answers solve L[v] = q, so they differ by a homogeneous solution
     # and L applied to the difference must vanish.  A third of the forcing
-    # terms sit on a root, at the rates of the basis (which chareq may return
-    # a few ulps off a multiple root), so that the reference sees resonance
-    # exactly.  Its Laplace expansion over such roots leaves a residue of up
-    # to about 1e-8 of the forcing, hence the tolerance on the difference;
-    # the shift answer itself must balance exactly.
+    # terms sit on a root, at the rates of the basis, so that the reference
+    # sees resonance.  The planted roots land, so the basis is exact, and the
+    # reference's exact Cramer quotients leave no gap either.
     rng = random.Random(16)
     multiplicities = set()
     for _ in range(40):
         spec = ProblemSpec(_expand(_planted_roots(rng, 5)), rng.choice(ALPHAS))
         basis = homogeneous_basis(spec)
+        for element in basis.elements:
+            assert apply_operator(spec, element).is_zero(), (spec, format_u(element))
         mult = {}
         for o in basis.origins:
             mult[o.root] = max(mult.get(o.root, 0), o.level + 1)
@@ -681,20 +731,19 @@ def test_shift_matches_variation_of_parameters():
         v_vop, _ = vop_particular_solution(spec, basis)
         assert (apply_operator(spec, v_shift) - spec.forcing).is_zero(), spec
         gap = apply_operator(spec, v_shift - v_vop)
-        scale = max(abs(t.coeff) for t in spec.forcing.terms)
-        assert all(abs(t.coeff) <= 1e-6 * scale for t in gap.terms), (
-            spec, format_u(v_shift), format_u(v_vop), format_u(gap))
+        assert gap.is_zero(), (spec, format_u(v_shift), format_u(v_vop), format_u(gap))
     assert multiplicities == {1, 2, 3}
 
 
 # --- shift response against the Fraction reference -----------------------
 
-def _float_poly(real_roots, pair, m):
-    """p_0..p_{n-1} of prod (r - z) over the roots, expanded in binary64."""
-    poly = [1.0]
+def _expand_poly(real_roots, pair, m):
+    """p_0..p_{n-1} of prod (r - z) over the roots, expanded in the
+    arithmetic of the roots given: binary64 for floats, exact for Fractions."""
+    poly = [1]
 
     def times(factor):
-        out = [0.0] * (len(poly) + len(factor) - 1)
+        out = [0] * (len(poly) + len(factor) - 1)
         for i, x in enumerate(poly):
             for j, y in enumerate(factor):
                 out[i + j] += x * y
@@ -702,9 +751,9 @@ def _float_poly(real_roots, pair, m):
 
     a, b = pair
     for _ in range(m):
-        poly = times([1.0, -2.0 * a, a * a + b * b] if b else [1.0, -a])
+        poly = times([1, -2 * a, a * a + b * b] if b else [1, -a])
     for z in real_roots:
-        poly = times([1.0, -z])
+        poly = times([1, -z])
     return tuple(reversed(poly[1:]))
 
 
@@ -715,24 +764,32 @@ def _float_poly(real_roots, pair, m):
        st.lists(st.sampled_from([-1.0, 0.5, 2.0, -2.5, 0.9]), min_size=0, max_size=2))
 def test_shift_response_equals_reference(alpha, c, b, m, k, others):
     # s = (c + i b) * alpha as the parser lowers a forcing rate; the planted
-    # root is float(s), m times (a conjugate pair when b != 0), so decimal
-    # alphas resonate only through the floor.
-    s = (F(c) * F(alpha), F(b) * F(alpha))
+    # root is float(s), m times (a conjugate pair when b != 0), expanded in
+    # binary64, so at most alphas it is a rounding away from s.
+    s = (F(c) * F(repr(alpha)), F(b) * F(repr(alpha)))
     if m == 0 and not others:
         others = [1.0]
-    coeffs = _float_poly(others, (float(s[0]), float(s[1])), m)
+    coeffs = _expand_poly(others, (float(s[0]), float(s[1])), m)
     assert _shift_response(coeffs, s, k) == ref.shift_response(coeffs, s, k)
 
 
 def test_shift_response_equals_reference_on_resonances():
-    # every resonance multiplicity up to 3, exact and one ulp off
+    # every resonance multiplicity up to 3: an exact polynomial with the
+    # root s resonates at multiplicity m; the binary64 expansion of the
+    # decimal root 9/10 is one rounding off it, does not resonate, and gets
+    # the exact response for its own coefficients
+    decimal = (F(9, 10), F(0))
     for m in range(4):
         for k in range(4):
-            for s in ((F(2), F(0)), (F(-1, 2), F(3, 2)), (F(3) * F(0.3), F(0))):
-                coeffs = _float_poly([0.25], (float(s[0]), float(s[1])), m)
+            for s in ((F(2), F(0)), (F(-1, 2), F(3, 2)), decimal):
+                coeffs = _expand_poly([F(1, 4)], s, m)
                 got = _shift_response(coeffs, s, k)
                 assert got == ref.shift_response(coeffs, s, k)
                 assert got[0][0] == k + m  # the resonance is seen
+            coeffs = _expand_poly([0.25], (float(decimal[0]), 0.0), m)
+            got = _shift_response(coeffs, decimal, k)
+            assert got == ref.shift_response(coeffs, decimal, k)
+            assert got[0][0] == k  # no resonance
 
 
 # --- derivation count -----------------------------------------------------
@@ -761,9 +818,10 @@ def test_each_level_is_derived_once(monkeypatch, source, ic):
     cli._verify_one(sol, grid, cli.DEFAULT_TOL)
     ids = [id(f) for f in derived]
     assert len(set(ids)) == len(ids)
-    chains = list(sol.basis.elements)
+    # the numeric consumers derive the binary64 lowering, never the exact form
+    chains = [e.lowered for e in sol.basis.elements]
     if sol.particular is not None:
-        chains.append(sol.particular)
+        chains.append(sol.particular.lowered)
     for level in chains:
         for _ in range(n - 1):
             assert id(level) in ids

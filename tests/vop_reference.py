@@ -5,8 +5,9 @@ This module keeps the paper's route as an independent reference for the
 tests: the symbolic Wronskian of the homogeneous basis is the Cramer
 denominator, each Cramer numerator is the forcing times a signed
 (n-1)-minor of the derivative matrix, and both are expanded by memoised
-Laplace expansion over the 2^n column subsets.  Its cost doubles with
-each order, so the tests use it up to order 5.
+Laplace expansion over the 2^n column subsets, all in exact arithmetic
+on the exact basis.  Its cost doubles with each order, so the tests use it
+up to order 5.
 
 The term antiderivative ``integrate_u`` lives here too: the Cramer
 coefficient functions are its only use outside the tests of it.  So do
@@ -16,14 +17,7 @@ the tests use for determinants and failure messages.
 
 from __future__ import annotations
 
-import math
-
-from confode.solver import (
-    ProblemSpec,
-    SolutionBasis,
-    SolverError,
-    derivative_matrix,
-)
+from confode.solver import ProblemSpec, SolutionBasis, SolverError
 from confode.ualgebra import (
     COS,
     SIN,
@@ -34,6 +28,7 @@ from confode.ualgebra import (
     _fmt,
     _join,
     canonicalize,
+    diff_u,
     expr,
     mul,
     scale,
@@ -51,15 +46,15 @@ def _term_factors_u(term: UTerm) -> list[str]:
     elif term.upow:
         factors.append(f"u^{term.upow}")
     if term.erate:
-        factors.append("e^{" + _fmt(float(term.erate)) + "·u}")
+        factors.append("e^{" + _fmt(term.erate) + "·u}")
     if term.trig:
-        factors.append(f"{term.trig}({_fmt(float(term.tfreq))}·u)")
+        factors.append(f"{term.trig}({_fmt(term.tfreq)}·u)")
     return factors
 
 
 def format_u(f: UExpr) -> str:
-    """Deterministic plain-text rendering in the u variable."""
-    return _join([(t.coeff, _term_factors_u(t)) for t in f.terms])
+    """Deterministic plain-text rendering of the binary64 lowering in u."""
+    return _join([(t.coeff, _term_factors_u(t)) for t in f.lowered.terms])
 
 
 class WronskianError(SolverError):
@@ -86,19 +81,17 @@ def _antiderivative(term: UTerm) -> list[UTerm]:
         if a == 0:
             # Pure power.
             return [UTerm(c / (k + 1), k + 1)]
-        af = float(a)
-        head = UTerm(c / af, k, a)
+        head = UTerm(c / a, k, a)
         if k == 0:
             return [head]
-        return [head] + _antiderivative(UTerm(-c * k / af, k - 1, a))
-    af, bf = float(a), float(b)
-    denom = af * af + bf * bf
+        return [head] + _antiderivative(UTerm(-c * k / a, k - 1, a))
+    denom = a * a + b * b
     if trig == COS:
-        base = [UTerm(c * af / denom, 0, a, COS, b),
-                UTerm(c * bf / denom, 0, a, SIN, b)]
+        base = [UTerm(c * a / denom, 0, a, COS, b),
+                UTerm(c * b / denom, 0, a, SIN, b)]
     else:
-        base = [UTerm(c * af / denom, 0, a, SIN, b),
-                UTerm(-c * bf / denom, 0, a, COS, b)]
+        base = [UTerm(c * a / denom, 0, a, SIN, b),
+                UTerm(-c * b / denom, 0, a, COS, b)]
     if k == 0:
         return base
     # integral(u^k * g) = u^k * G - k * integral(u^(k-1) * G) with G the
@@ -110,16 +103,10 @@ def _antiderivative(term: UTerm) -> list[UTerm]:
 
 
 def integrate_u(f: UExpr) -> UExpr:
-    """Antiderivative with respect to u, integration constant fixed to 0."""
+    """Antiderivative with respect to u, integration constant fixed to 0, exact."""
     out = []
     for term in f.terms:
         out.extend(_antiderivative(term))
-    for t in out:
-        if not math.isfinite(t.coeff):
-            raise OverflowError(
-                "antiderivative coefficient overflowed binary64 "
-                f"(near-resonant rate {float(term.erate)!r}?) while integrating "
-                f"{format_u(f)}")
     return canonicalize(out)
 
 
@@ -141,7 +128,7 @@ def _subset_det(matrix: list[list[UExpr]], cols: tuple[int, ...], row: int,
     for pos, j in enumerate(cols):
         sub = _subset_det(matrix, cols[:pos] + cols[pos + 1:], row + 1, memo)
         piece = mul(matrix[row][j], sub)
-        acc = add(acc, piece if pos % 2 == 0 else scale(piece, -1.0))
+        acc = add(acc, piece if pos % 2 == 0 else scale(piece, -1))
     memo[key] = acc
     return acc
 
@@ -159,9 +146,17 @@ def _collapse_wronskian(det: UExpr) -> UTerm:
     return w
 
 
+def derivative_rows(basis: SolutionBasis) -> list[list[UExpr]]:
+    """Row i holds the exact i-fold u-derivatives of the basis."""
+    rows = [list(basis.elements)]
+    for _ in range(basis.n - 1):
+        rows.append([diff_u(e) for e in rows[-1]])
+    return rows
+
+
 def wronskian(basis: SolutionBasis) -> UTerm:
     """Determinant of the derivative matrix; always C * e^(a*u), C != 0."""
-    matrix = derivative_matrix(basis)
+    matrix = derivative_rows(basis)
     return _collapse_wronskian(_subset_det(matrix, tuple(range(basis.n)), 0, {}))
 
 
@@ -181,14 +176,14 @@ def particular_solution(spec: ProblemSpec, basis: SolutionBasis) -> tuple[UExpr,
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
     n = basis.n
-    matrix = derivative_matrix(basis)
+    matrix = derivative_rows(basis)
     memo: dict = {}
     cols = tuple(range(n))
     w = _collapse_wronskian(_subset_det(matrix, cols, 0, memo))
     cfuncs: list[UExpr] = []
     for i in range(n):
         minor = _subset_det(matrix, cols[:i] + cols[i + 1:], 0, memo)
-        sign = 1.0 if (n - 1 + i) % 2 == 0 else -1.0
+        sign = 1 if (n - 1 + i) % 2 == 0 else -1
         numer = scale(mul(spec.forcing, minor), sign)
         cfuncs.append(integrate_u(div_by_term(numer, w)))
     v = ZERO
