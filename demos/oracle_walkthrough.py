@@ -4,9 +4,11 @@ Run with:  python3 demos/oracle_walkthrough.py
 
 Nothing here touches the term algebra's own calculus: derivatives come
 from the limit-quotient definition (f(t + eps*t^{1-alpha}) - f(t))/eps,
-evaluated as a central difference at every point of an ``OracleGrid``.
-That independence is the point — when a closed-form solution passes the
-oracle, the check means something.
+taken as the complex step Im f(t + i*eps*t^{1-alpha}) / eps at every
+point of an ``OracleGrid``.  The step subtracts no values, so nothing
+cancels and the quotient is as accurate as a value.  That independence
+is the point — when a closed-form solution passes the oracle, the check
+means something.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from confode import (
     problem_from_source,
     solve_problem,
 )
+from confode.conformable import STEP
 
 ALPHA = 0.5
 
@@ -30,7 +33,8 @@ def main():
     f = expr(UTerm(1.0, erate=Fraction(2) * Fraction(ALPHA)))
     points = (0.3, 1.7, 4.0)
     grid = OracleGrid(ALPHA, points)
-    print("limit-quotient derivative of e^{2 t^alpha} against 2*alpha*f(t):")
+    print(f"complex-step quotient Im f(t + i*eps*t^{{1-alpha}}) / eps, eps = {STEP!r}, "
+          "of e^{2 t^alpha} against 2*alpha*f(t):")
     for t, got, value in zip(points, grid.quotient(f), grid.values(f)):
         want = 2.0 * ALPHA * value
         print(f"  t={t:<4} quotient={got:.10f}  closed form={want:.10f}  "

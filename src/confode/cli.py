@@ -231,7 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _verify_grid(cfg: RunConfig) -> list[float]:
     if cfg.trange is not None:
         lo, hi, count = cfg.trange
-        return log_grid(max(DEFAULT_GRID_LO, lo), hi, count)
+        return log_grid(lo, hi, count)
     return log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
 
 

@@ -7,52 +7,37 @@ computation.
 
 The conformable derivative of order ``alpha`` acts on a function ``f`` of
 ``t > 0`` as the limit of ``(f(t + eps*t**(1-alpha)) - f(t)) / eps``; for
-differentiable ``f`` this equals ``t**(1-alpha) * f'(t)``.
-:class:`OracleGrid` takes its central variant at every point of a grid
-at once, and :func:`operator_residual` combines those quotients into the
-residual of a whole equation.
+differentiable ``f`` this equals ``t**(1-alpha) * f'(t)``.  Every function
+of the term algebra is analytic for ``t > 0``, so the limit may be taken
+along the imaginary axis: ``Im f(t + i*eps*t**(1-alpha)) / eps``, the
+complex step (Squire & Trapp 1998), subtracts nothing and so cancels
+nothing.  :class:`OracleGrid` takes it at every point of a grid at once,
+and :func:`operator_residual` combines those quotients into the residual
+of a whole equation.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 
 from .ualgebra import PointTable, SubstMap, UExpr, diff_u
 
-_EPS = sys.float_info.epsilon
+#: The complex step ``eps``: a power of two, so dividing by it is exact,
+#: and small enough that the quotient's truncation (``eps**2`` relative)
+#: is far below binary64 round-off.
+STEP = 2.0 ** -100
 
-#: Numeric operations refuse points below this; the t**(1-alpha) stencil
-#: factor degenerates as t -> 0.
+#: Points the oracle evaluates must be interior to ``(DOMAIN_FLOOR,
+#: DOMAIN_CEILING)``; verify reports any other point as a configuration
+#: error.
 DOMAIN_FLOOR = 1e-6
 
-#: Upper end of the interval :class:`OracleGrid` evaluates on; stencils
-#: must stay below it.
+#: See :data:`DOMAIN_FLOOR`.
 DOMAIN_CEILING = 1e6
 
 
 class DomainError(ValueError):
-    """An evaluation point (or a difference stencil around it) left the domain."""
-
-
-def _stencil(t: float, alpha: float) -> tuple[float, float, float]:
-    """``(eps, t - h, t + h)`` of the central quotient at ``t``, checked.
-
-    Raises DomainError when ``t`` is not interior to ``(DOMAIN_FLOOR,
-    DOMAIN_CEILING)``, or when the stencil ``[t - h, t + h]`` leaves it.
-    """
-    if t < DOMAIN_FLOOR:
-        raise DomainError(f"t={t} is below the numeric domain floor {DOMAIN_FLOOR}")
-    if not (DOMAIN_FLOOR < t < DOMAIN_CEILING):
-        raise DomainError(f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
-    eps = _EPS ** (1.0 / 3.0) * max(1.0, t ** alpha)
-    h = eps * t ** (1.0 - alpha)
-    t_hi_pt, t_lo_pt = t + h, t - h
-    if t_lo_pt <= DOMAIN_FLOOR or t_hi_pt >= DOMAIN_CEILING:
-        raise DomainError(
-            f"difference stencil [{t_lo_pt}, {t_hi_pt}] around t={t} leaves "
-            f"the domain ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
-    return eps, t_lo_pt, t_hi_pt
+    """An evaluation point left the domain."""
 
 
 def log_grid(t_lo: float, t_hi: float, count: int) -> list[float]:
@@ -68,60 +53,53 @@ def log_grid(t_lo: float, t_hi: float, count: int) -> list[float]:
 
 
 class OracleGrid:
-    """The points of a verify grid with their first-order stencils.
+    """The points of a verify grid, each stepped off the real axis.
 
-    For each point ``t`` it holds ``2*eps`` and the stencil ends ``t - h``
-    and ``t + h`` of the central quotient
-
-        (f(t + h) - f(t - h)) / (2*eps),   h = eps * t**(1-alpha),
-
-    with ``eps = eps_mach**(1/3) * max(1, t**alpha)`` balancing truncation
-    against round-off.  These depend only on ``t`` and ``alpha``.  Two
-    :class:`PointTable` s are shared by every expression checked on the
-    grid: ``centre`` over the points themselves and ``stencil`` over the
-    ``t + h`` and then the ``t - h`` ends, so a value is only computed
-    where it is used.
+    One :class:`PointTable` over the complex points ``t + i*STEP*t**(1-alpha)``
+    is shared by every expression checked on the grid.  The real part of a
+    value there is the value at ``t`` (to rounding: the step moves it by
+    ``STEP**2`` relative), and its imaginary part divided by :data:`STEP`
+    is the limit quotient at ``t``.
 
     Points are checked in order, and the first bad one raises.
 
     Raises:
         ValueError: bad ``alpha``, or a point ``t <= 0``.
-        DomainError: a point, or its stencil, leaves the domain
-            ``(DOMAIN_FLOOR, DOMAIN_CEILING)``.
+        DomainError: a point leaves the domain ``(DOMAIN_FLOOR,
+            DOMAIN_CEILING)``.
     """
 
     def __init__(self, alpha: float, ts: Sequence[float]):
         subst = SubstMap(alpha)
         self.ts = list(ts)
-        two_eps, lo, hi = [], [], []
+        points = []
         for t in self.ts:
-            subst.u_of(t)  # raises for t <= 0 ahead of the stencil checks
-            eps, t_lo_pt, t_hi_pt = _stencil(t, alpha)
-            two_eps.append(2.0 * eps)
-            lo.append(t_lo_pt)
-            hi.append(t_hi_pt)
-        self.two_eps = two_eps
-        self.centre = PointTable(self.ts, subst)
-        self.stencil = PointTable(hi + lo, subst)
-        self._quotients: dict[int, tuple[UExpr, list[float]]] = {}
+            subst.u_of(t)  # raises for t <= 0 ahead of the domain check
+            if not DOMAIN_FLOOR < t < DOMAIN_CEILING:
+                raise DomainError(
+                    f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
+            points.append(complex(t, STEP * t ** (1.0 - alpha)))
+        self.table = PointTable(points, subst)
+        self._parts: dict[int, tuple[UExpr, tuple[float, ...], list[float]]] = {}
+
+    def _split(self, f: UExpr) -> tuple[UExpr, tuple[float, ...], list[float]]:
+        hit = self._parts.get(id(f))
+        if hit is None:
+            vals = self.table.eval(f)
+            hit = (f, tuple(v.real for v in vals), [v.imag / STEP for v in vals])
+            self._parts[id(f)] = hit  # holding f keeps its id unique
+        return hit
 
     def values(self, f: UExpr) -> tuple[float, ...]:
         """``f`` at each grid point."""
-        return self.centre.eval(f)
+        return self._split(f)[1]
 
     def quotient(self, f: UExpr) -> list[float]:
-        """The central limit quotient of ``f`` at each grid point.
+        """The limit quotient of ``f`` at each grid point.
 
         Kept per expression object, like :meth:`PointTable.eval`'s results.
         """
-        hit = self._quotients.get(id(f))
-        if hit is not None:
-            return hit[1]
-        vals = self.stencil.eval(f)
-        out = [(up - down) / two_eps
-               for up, down, two_eps in zip(vals, vals[len(self.ts):], self.two_eps)]
-        self._quotients[id(f)] = (f, out)  # holding f keeps its id unique
-        return out
+        return self._split(f)[2]
 
 
 #: A linear combination ``sum(c * f for c, f in parts)`` of expressions.
@@ -159,12 +137,10 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
     The operator is ``n``-fold sequential conformable differentiation plus
     the lower-order terms with the given coefficients (``coeffs[i]``
     multiplies the i-fold derivative; the leading n-fold coefficient is 1).
-    Each i-fold derivative is estimated by one central difference quotient
-    applied on top of the symbolically (i-1)-fold differentiated
-    expression.  Nesting the quotient i times instead would lose a factor
-    of ``eps**(1/3)`` in accuracy per level and drown the residual in noise
-    for n beyond 2; one numeric level per term keeps every estimate at
-    quotient accuracy while still exercising the defining limit.
+    Each i-fold derivative is the grid's complex-step quotient of the
+    symbolically (i-1)-fold differentiated expression: one numeric level
+    per term exercises the defining limit, and keeps every estimate at
+    binary64 accuracy.
 
     ``y`` is an expression, or a :data:`Combination` of ``(c, f)`` pairs
     (a fitted solution ``v + sum c_i e_i``).  A combination's values and
@@ -174,13 +150,13 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
 
     The symbolic levels are the cached derivative chain of each
     expression's binary64 :attr:`~confode.ualgebra.UExpr.lowered` form, so
-    levels that the constant fit or an earlier check derived are reused.  Levels are
-    evaluated on the grid's shared ``stencil`` table and ``y`` and the
-    forcing on its ``centre`` table, all points at once, and the grid keeps
-    each quotient, so nothing passed again on the same grid is evaluated
-    again.  The quotients, sums and scales follow a point-by-point loop
-    over :func:`~confode.ualgebra.eval_expr` operation for operation, so
-    each residual for an expression ``y`` is the one that loop gives.
+    levels that the constant fit or an earlier check derived are reused.
+    Every expression is evaluated on the grid's one complex table, all
+    points at once, and the grid keeps each value and quotient, so nothing
+    passed again on the same grid is evaluated again.  The quotients, sums
+    and scales follow a point-by-point loop over a complex
+    :func:`~confode.ualgebra.eval_expr` operation for operation, so each
+    residual for an expression ``y`` is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,

@@ -33,6 +33,7 @@ expression object (the constant fit, the oracle) shares its levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,8 +134,10 @@ class UExpr:
     @property
     def lowered(self) -> UExpr:
         """Every number rounded to binary64 once, as ``float(Fraction)`` does
-        (``int / int``); terms that round to zero are dropped, and a
-        coefficient beyond binary64 raises OverflowError."""
+        (``int / int``); terms that round to zero are dropped, terms whose
+        rates round to the same binary64 values are merged, as reading the
+        JSON records merges them, and a coefficient beyond binary64 raises
+        OverflowError."""
         terms = self.terms
         return self if not terms or type(terms[0].coeff) is float else self._rounded
 
@@ -144,10 +147,12 @@ class UExpr:
         for t in self.terms:
             c = t.coeff.numerator / t.coeff.denominator
             if c:
-                upow, erate_num, erate_den, _, tfreq_num, tfreq_den = t._mkey
-                out.append(_term(c, upow, erate_num / erate_den, t.trig,
-                                 tfreq_num / tfreq_den, t._mkey))
-        return UExpr(tuple(out))
+                upow, erate_num, erate_den, rank, tfreq_num, tfreq_den = t._mkey
+                erate, tfreq = erate_num / erate_den, tfreq_num / tfreq_den
+                out.append(_term(c, upow, erate, t.trig, tfreq,
+                                 (upow, *erate.as_integer_ratio(), rank,
+                                  *tfreq.as_integer_ratio())))
+        return canonicalize(out)
 
     @cached_property
     def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
@@ -204,8 +209,9 @@ class SubstMap:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
-    def u_of(self, t: float) -> float:
-        if t <= 0.0:
+    def u_of(self, t: float | complex) -> float | complex:
+        """``t**alpha / alpha``; a complex ``t`` is a step off a real point."""
+        if t.real <= 0.0:
             raise ValueError(f"the substitution requires t > 0, got t={t!r}")
         return t ** self.alpha / self.alpha
 
@@ -338,15 +344,21 @@ class PointTable:
 
     The factor values ``u**k``, ``exp(r*u)``, ``cos(b*u)`` and ``sin(b*u)``
     are filled on demand, one column per distinct key, and shared by every
-    expression the table evaluates.  Columns use Python's float ``**`` and
+    expression the table evaluates.  Columns use Python's ``**`` and
     :mod:`math`, and :meth:`eval` multiplies and sums them in the order of
     :func:`eval_expr`, so ``eval(f)[i] == eval_expr(f, ts[i], subst)``
-    bit for bit.  Results are kept per expression object for the table's
-    life: an expression passed again is not evaluated again.
+    bit for bit.  Complex points (the oracle's complex step) take
+    :mod:`cmath`'s functions instead; nothing else differs.  Their values'
+    real parts then equal the real table's except where complex ``**``
+    rounds ``u**k``, ``k >= 3``, differently, by an ulp or so.  Results
+    are kept per expression object for the table's life: an expression
+    passed again is not evaluated again.
     """
 
     def __init__(self, ts, subst: SubstMap):
         self.u = [subst.u_of(t) for t in ts]
+        lib = cmath if any(type(u) is complex for u in self.u) else math
+        self._exp, self._cos, self._sin = lib.exp, lib.cos, lib.sin
         self._columns: dict[tuple, list[float]] = {}
         self._results: dict[int, tuple[UExpr, tuple[float, ...]]] = {}
 
@@ -372,11 +384,11 @@ class PointTable:
             if upow:
                 cols.append(self._column(None, upow))
             if erate:
-                cols.append(self._column(math.exp, erate))
+                cols.append(self._column(self._exp, erate))
             if trig == 1:  # COS
-                cols.append(self._column(math.cos, tfreq))
+                cols.append(self._column(self._cos, tfreq))
             elif trig == 2:  # SIN
-                cols.append(self._column(math.sin, tfreq))
+                cols.append(self._column(self._sin, tfreq))
             # one product per point, left to right from coeff as in eval_expr
             if not cols:
                 total = [s + coeff for s in total]

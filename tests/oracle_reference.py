@@ -1,11 +1,12 @@
 """The conformable limit quotient point by point, and weighted quadrature.
 
 The library's verify runs only :class:`confode.conformable.OracleGrid`,
-which evaluates the first-order central quotient at every grid point at
-once.  This module keeps the scalar definitions as an independent
-reference for the tests: the quotient of a callback at one point, nested
-to any order, and the matching conformable integral by adaptive Simpson
-quadrature.  The parity tests compare the batched oracle against them.
+which takes the complex-step quotient at every grid point at once.  This
+module keeps scalar definitions as references for the tests: the same
+complex step at one point, operation for operation (the parity tests
+compare the batched oracle against it bit for bit); and, independent of
+it, the central quotient of a callback at one point, nested to any order,
+with the matching conformable integral by adaptive Simpson quadrature.
 
 The conformable derivative of order ``alpha`` acts on a function ``f`` of
 ``t > 0`` as the limit of ``(f(t + eps*t**(1-alpha)) - f(t)) / eps``; for
@@ -15,10 +16,11 @@ integral accumulates ``x**(alpha-1) * f(x)`` and inverts the derivative.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, DomainError
+from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, STEP, DomainError
 from confode.ualgebra import SubstMap, UExpr, eval_expr
 
 _EPS = 2.220446049250313e-16
@@ -65,6 +67,39 @@ def expr_grid(f: UExpr, subst: SubstMap, t_lo: float = DOMAIN_FLOOR,
               t_hi: float = DOMAIN_CEILING) -> GridFn:
     """Wrap a symbolic expression as a GridFn for the numeric routines."""
     return GridFn(lambda t: eval_expr(f, t, subst), t_lo, t_hi)
+
+
+def complex_eval_expr(f: UExpr, t: complex, subst: SubstMap) -> complex:
+    """:func:`~confode.ualgebra.eval_expr` at a complex point, with cmath."""
+    u = subst.u_of(t)
+    total = 0.0
+    for coeff, upow, erate, trig, tfreq in f.float_rows:
+        v = coeff
+        if upow:
+            v *= u ** upow
+        if erate:
+            v *= cmath.exp(erate * u)
+        if trig == 1:  # COS
+            v *= cmath.cos(tfreq * u)
+        elif trig == 2:  # SIN
+            v *= cmath.sin(tfreq * u)
+        total += v
+    return total
+
+
+def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
+    """``f(t)`` and the complex-step limit quotient of ``f`` at ``t``.
+
+    Both come from one value at ``t + i*STEP*t**(1-alpha)``: its real part
+    and its imaginary part divided by ``STEP``.  ``t`` is checked as
+    :class:`~confode.conformable.OracleGrid` checks its points.
+    """
+    subst = SubstMap(alpha)
+    subst.u_of(t)  # raises for t <= 0 ahead of the domain check
+    if not DOMAIN_FLOOR < t < DOMAIN_CEILING:
+        raise DomainError(f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
+    z = complex_eval_expr(f, complex(t, STEP * t ** (1.0 - alpha)), subst)
+    return z.real, z.imag / STEP
 
 
 def _check_alpha(alpha: float) -> None:

@@ -421,11 +421,42 @@ def test_verify_order_ten_distinct_roots_passes(capsys):
     assert json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("source", [GROWING, "T2 y - 4 y = 0"])
+def test_verify_growing_exponential_to_large_t_passes(source, capsys):
+    # e^{2t} up to t = 300: a central difference of values near 1e260 left
+    # residuals of 1.1e-6 here; the complex step subtracts no values
+    code, out, _ = run_cli(["verify", "--alpha", "1", "--range", "1:300:3", source], capsys)
+    assert code == 0, out
+    assert "-> ok" in out
+
+
+def test_verify_honours_a_range_start_below_the_default(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--json", "--alpha", "0.3", "--range", "0.00001:3:50",
+         "T3 y + 3 T2 y - 9 T y + 5 y = 1.5 * t^a * sin(1 t^a) - 2 * exp(0.5 t^a)"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"]
+    assert report["grid"]["t_lo"] == 1e-5
+
+
+def test_verify_range_below_the_domain_floor_is_config_error(capsys):
+    code, _, err = run_cli(
+        ["verify", "--alpha", "0.5", "--range", "0.0000001:2:5", "T y + y = 0"], capsys)
+    assert code == 1
+    assert "config error" in err and "not interior" in err
+
+
+# two rates that round to the same binary64 value
+NEAR_EQUAL_RATES = "T2 y + 3 T y + 2 y = 1.3 * exp(0.9 t^a) - 0.7 * exp(0.90000000000000001 t^a)"
+
+
 @pytest.mark.parametrize("alpha, source", [
     ("0.75", FORCED),
     ("1", "T3 y + 9 T2 y + 18 T y = 0.5 * exp(1.5 t^a) * sin(1 t^a)"),
     ("0.3", "T3 y + 3 T2 y - 9 T y + 5 y = 1.5 * t^a * sin(1 t^a) - 2 * exp(0.5 t^a)"),
-], ids=["forced", "trig-forcing", "decimal-alpha-resonance"])
+    ("1", NEAR_EQUAL_RATES),
+], ids=["forced", "trig-forcing", "decimal-alpha-resonance", "near-equal-rates"])
 def test_solve_json_pipes_to_identical_verify_report(alpha, source, capsys, monkeypatch):
     # the document holds the binary64 lowering, which is what verify evaluates
     code, sol_json, _ = run_cli(

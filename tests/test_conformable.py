@@ -32,6 +32,7 @@ from confode.ualgebra import (
 from oracle_reference import (
     GridFn,
     QuadratureError,
+    complex_step,
     expr_grid,
     numeric_conformable_integral,
     numeric_t_alpha_derivative,
@@ -382,17 +383,15 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    subst = SubstMap(alpha)
     levels = [y.lowered]  # the oracle derives the binary64 lowering
     for _ in range(n - 1):
         levels.append(diff_u(levels[-1]))
-    grids = [expr_grid(level, subst) for level in levels]
     out = []
     for t in ts:
-        values = [eval_expr(y, t, subst)]
-        for g in grids:
-            values.append(numeric_t_alpha_derivative(g, t, alpha))
-        q_val = eval_expr(forcing, t, subst)
+        values = [complex_step(y, t, alpha)[0]]
+        for level in levels:
+            values.append(complex_step(level, t, alpha)[1])
+        q_val = complex_step(forcing, t, alpha)[0]
         acc = values[n] - q_val
         scale = abs(values[n]) + abs(q_val)
         for i, p in enumerate(coeffs):
@@ -462,22 +461,50 @@ def _raised(fn):
     return None
 
 
+_DOMAIN_Y = expr(UTerm(1.5, 1, Fraction(-1)), UTerm(0.5, 0, Fraction(0), SIN, Fraction(2)))
+_DOMAIN_FORCING = expr(UTerm(2.0, 0, Fraction(-1, 2)))
+
+
 @pytest.mark.parametrize("ts", [
     [0.5, 1.0, -1.0, 2.0],          # t <= 0
     [0.5, 0.0],
     [1.0, 5e-7, 2.0],               # below DOMAIN_FLOOR
     [1.0, 1e6],                     # at DOMAIN_CEILING
     [2e6, 1.0],                     # beyond it
-    [999999.0],                     # stencil crosses the ceiling
-    [1e-6 + 1e-12],                 # stencil crosses the floor
-    [0.5, 1e-6 + 1e-12, -1.0],      # the first bad point decides
-    [0.5, -1.0, 1e-6 + 1e-12],
+    [1e-6],                         # at DOMAIN_FLOOR
+    [999999.0, 2e6],                # just inside, then beyond: 2e6 decides
+    [0.5, 1e-6 + 1e-12, -1.0],      # -1.0 is the bad point
+    [0.5, -1.0, 5e-7],              # the first bad point decides
     [float("nan")],
 ])
 def test_operator_residual_domain_errors_match_point_by_point_loop(ts):
-    y = expr(UTerm(1.5, 1, Fraction(-1)), UTerm(0.5, 0, Fraction(0), SIN, Fraction(2)))
-    forcing = expr(UTerm(2.0, 0, Fraction(1, 2)))
-    want = _raised(lambda: point_by_point_residual([3.0, 4.0], 0.5, y, forcing, ts))
+    want = _raised(lambda: point_by_point_residual([3.0, 4.0], 0.5, _DOMAIN_Y,
+                                                   _DOMAIN_FORCING, ts))
     assert want is not None
-    got = _raised(lambda: operator_residual([3.0, 4.0], y, forcing, OracleGrid(0.5, ts)))
+    got = _raised(lambda: operator_residual([3.0, 4.0], _DOMAIN_Y, _DOMAIN_FORCING,
+                                            OracleGrid(0.5, ts)))
     assert got == want
+
+
+@pytest.mark.parametrize("ts", [[999999.0], [1e-6 + 1e-12]])
+def test_points_just_inside_the_domain_are_accepted(ts):
+    # the step leaves the real axis, not the domain
+    got = operator_residual([3.0, 4.0], _DOMAIN_Y, _DOMAIN_FORCING, OracleGrid(0.5, ts))
+    assert got == point_by_point_residual([3.0, 4.0], 0.5, _DOMAIN_Y, _DOMAIN_FORCING, ts)
+    assert all(math.isfinite(r) for r in got)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+def test_quotient_is_within_rounding_of_the_exact_derivative(alpha):
+    # The complex step subtracts nothing, so its error is rounding in the
+    # terms of f', not a difference of values of f.
+    rng = random.Random(int(alpha * 100))
+    subst = SubstMap(alpha)
+    grid = log_grid(0.01, 300.0, 40)
+    oracle = OracleGrid(alpha, grid)
+    for _ in range(25):
+        f = random_expr(rng, rng.randint(1, 5))
+        df = diff_u(f)
+        for t, got in zip(grid, oracle.quotient(f)):
+            magnitude = sum(abs(eval_expr(expr(term), t, subst)) for term in df.terms)
+            assert abs(got - eval_expr(df, t, subst)) <= 1e-12 * max(magnitude, 1e-300), (f, t)

@@ -416,6 +416,18 @@ def test_json_term_records_round_trip(f):
     assert expr_from_records(records).lowered == f.lowered
 
 
+def test_lowering_merges_rates_equal_in_binary64():
+    # 9/10 and 90000000000000001/10**17 are two exact rates and one binary64
+    near = Fraction("0.90000000000000001")
+    f = expr(UTerm(Fraction(13, 10), erate=Fraction(9, 10)), UTerm(Fraction(-7, 10), erate=near))
+    assert len(f.terms) == 2
+    assert f.lowered.terms == (UTerm(1.3 - 0.7, erate=0.9),)
+    records = term_records(f)
+    assert len(records) == 1
+    assert expr_from_records(records).lowered == f.lowered
+    assert diff_u(f.lowered) == diff_u(expr_from_records(records).lowered)
+
+
 @given(uexprs)
 def test_rendering_is_deterministic(f):
     assert format_u(f) == format_u(canonicalize(f.terms))
