@@ -14,18 +14,14 @@ classical constant-coefficient problem over a small closed term algebra
   exponential-shift inversion, initial-value fitting
 - :mod:`confode.conformable` — the independent numeric oracle
   (the limit quotient on a verify grid, and the equation residual)
-- :mod:`confode.eqparse` — the equation text front end
+- :mod:`confode.eqparse` — the equation text front end, which reads text
+  at a given alpha straight into a problem over the term algebra
 - :mod:`confode.cli` — solve / verify / sample commands
 """
 
 from .chareq import CharPoly, RootFindingError, RootSet, find_roots
 from .conformable import DomainError, OracleGrid, log_grid, operator_residual
-from .eqparse import (
-    EquationAst,
-    EquationSyntaxError,
-    parse_equation,
-    problem_from_source,
-)
+from .eqparse import EquationSyntaxError, problem_from_source
 from .solver import (
     GeneralSolution,
     ProblemSpec,
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CharPoly",
     "DomainError",
-    "EquationAst",
     "EquationSyntaxError",
     "GeneralSolution",
     "OracleGrid",
@@ -78,7 +73,6 @@ __all__ = [
     "homogeneous_basis",
     "log_grid",
     "operator_residual",
-    "parse_equation",
     "particular_solution",
     "problem_from_source",
     "solution_from_doc",

@@ -69,7 +69,6 @@ class CharPoly:
             raise RootFindingError(f"non-finite coefficient in binary64 ({err})") from err
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_lowered", lowered)
-        object.__setattr__(self, "_magnitudes", [abs(c) for c in lowered])
 
     @property
     def degree(self) -> int:
@@ -114,20 +113,23 @@ class RootSet:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def to_records(self) -> list[dict]:
-        return [{"re": z.real, "im": z.imag, "mult": m} for z, m in self.entries]
+
+def _noise_floor(magnitudes: list[float], z) -> float:
+    # Horner evaluation error bound ~ 2n*eps*B with B = sum |a_i| |z|^i,
+    # from the coefficients' magnitudes |a_i|; doubled again for headroom.
+    # It also covers rounding the coefficients to binary64 (eps/2 * B).
+    return 4.0 * (len(magnitudes) - 1) * _EPS * _horner(magnitudes, abs(z))
 
 
-def _noise_floor(p: CharPoly, z) -> float:
-    # Horner evaluation error bound ~ 2n*eps*B with B = sum |a_i| |z|^i;
-    # doubled again for headroom.  It also covers rounding the
-    # coefficients to binary64 (eps/2 * B).
-    return 4.0 * len(p.coeffs) * _EPS * _horner(p._magnitudes, abs(z))
+def _describe(full: list[float]) -> str:
+    """:meth:`CharPoly.describe` of a monic highest-first float list."""
+    return CharPoly(tuple(full[:0:-1])).describe()
 
 
-def _aberth(p: CharPoly) -> list[complex]:
-    n = p.degree
-    full = p._lowered
+def _aberth(full: list[float]) -> list[complex]:
+    """Approximations of the roots of the monic highest-first ``full``."""
+    n = len(full) - 1
+    magnitudes = [abs(c) for c in full]
     deriv = [c * k for c, k in zip(full[:-1], range(n, 0, -1))]
     radius = 1.0 + max(abs(c) for c in full[1:])
     # small angular offset breaks the conjugate symmetry of the start set
@@ -145,7 +147,7 @@ def _aberth(p: CharPoly) -> list[complex]:
             # finite step can improve it, and iterates around a multiple
             # zero would otherwise jiggle there forever without meeting the
             # step criterion below.
-            if abs(pv) <= _noise_floor(p, zi):
+            if abs(pv) <= _noise_floor(magnitudes, zi):
                 new.append(zi)
                 continue
             dv = _horner(deriv, zi)
@@ -161,7 +163,7 @@ def _aberth(p: CharPoly) -> list[complex]:
             return z
     raise RootFindingError(
         f"root iteration did not converge within {ABERTH_MAX_ITER} steps "
-        f"for {p.describe()}")
+        f"for {_describe(full)}")
 
 
 # --- exact integer polynomials ----------------------------------------------
@@ -333,10 +335,6 @@ def _divisor(a: tuple[int, int], b: tuple[int, int]) -> list[int]:
     return _primitive([den * den, -2 * na * den, na * na + nb * nb])
 
 
-def _monic(g: list[int]) -> CharPoly:
-    return CharPoly(tuple(Fraction(c, g[0]) for c in reversed(g[1:])))
-
-
 # --- certified simple roots --------------------------------------------------
 
 
@@ -360,27 +358,31 @@ def _polish(full: list[float], deriv: list[float], z: complex) -> complex:
     return z
 
 
-def _smith_radii(q: CharPoly, z: list[complex]) -> list[float]:
+def _smith_radii(full: list[float], z: list[complex]) -> list[float]:
     """Smith's inclusion radii ``d·(|q(z_i)| + floor)/prod_{j≠i} |z_i - z_j|``
-    for the distinct approximations z of the degree-d monic q's roots: the
-    discs contain every root, and a connected union of k discs exactly k."""
+    for the distinct approximations z of the roots of the degree-d monic q,
+    highest-first in ``full``: the discs contain every root, and a
+    connected union of k discs exactly k."""
+    degree = len(full) - 1
+    magnitudes = [abs(c) for c in full]
     radii = []
     for i, zi in enumerate(z):
         sep = 1.0
         for j, zj in enumerate(z):
             if j != i:
                 sep *= abs(zi - zj)
-        bound = q.degree * (abs(_horner(q._lowered, zi)) + _noise_floor(q, zi))
+        bound = degree * (abs(_horner(full, zi)) + _noise_floor(magnitudes, zi))
         radii.append(bound / sep if sep else math.inf)
     return radii
 
 
-def _simple_roots(q: CharPoly, approx: list[complex]) -> list[complex]:
-    """The roots of q, all simple, certified from the approximations."""
-    full = q._lowered
-    deriv = [c * k for c, k in zip(full[:-1], range(q.degree, 0, -1))]
+def _simple_roots(full: list[float], approx: list[complex]) -> list[complex]:
+    """The roots of the monic highest-first ``full``, all simple, certified
+    from the approximations."""
+    degree = len(full) - 1
+    deriv = [c * k for c, k in zip(full[:-1], range(degree, 0, -1))]
     z = [_polish(full, deriv, w) for w in approx]
-    radii = _smith_radii(q, z)
+    radii = _smith_radii(full, z)
     # q is real, so its non-real roots pair up exactly.  Once the discs of
     # this symmetric set are disjoint, each holds one root, and one centred
     # on the real axis a real root (a non-real one would bring its
@@ -388,12 +390,12 @@ def _simple_roots(q: CharPoly, approx: list[complex]) -> list[complex]:
     upper = [w for w, r in zip(z, radii) if w.imag > r]
     z = [complex(w.real, 0.0) for w, r in zip(z, radii) if abs(w.imag) <= r]
     z += upper + [w.conjugate() for w in upper]
-    radii = _smith_radii(q, z)
-    if len(z) == q.degree and all(math.isfinite(r) for r in radii) and all(
+    radii = _smith_radii(full, z)
+    if len(z) == degree and all(math.isfinite(r) for r in radii) and all(
             abs(z[i] - z[j]) > radii[i] + radii[j] for i in range(len(z)) for j in range(i)):
         return z
     raise RootFindingError(
-        f"cannot separate the roots of {q.describe()}: their inclusion discs overlap")
+        f"cannot separate the roots of {_describe(full)}: their inclusion discs overlap")
 
 
 def _factor_roots(g: list[int], mult: int) -> list[tuple]:
@@ -404,8 +406,9 @@ def _factor_roots(g: list[int], mult: int) -> list[tuple]:
     while True:
         if len(g) == 2:  # a linear factor's root is rational
             return out + [(complex(-g[1] / g[0]), mult, ((-g[1], g[0]), (0, 1)))]
-        q = _monic(g)
-        approx = _aberth(q)
+        # int / int is correctly rounded: the binary64 values of g / lc(g)
+        full = [c / g[0] for c in g]
+        approx = _aberth(full)
         rest = g
         for cand in dict.fromkeys(_candidate(z, g[0]) for z in approx):
             if cand is None:
@@ -421,7 +424,7 @@ def _factor_roots(g: list[int], mult: int) -> list[tuple]:
         if len(rest) == 1:
             return out
         if len(rest) == len(g):
-            return out + [(z, mult, None) for z in _simple_roots(q, approx)]
+            return out + [(z, mult, None) for z in _simple_roots(full, approx)]
         g = rest
 
 

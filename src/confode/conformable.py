@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .ualgebra import PointTable, SubstMap, UExpr, diff_u
+from .ualgebra import PointTable, SubstMap, UExpr, lowered_levels
 
 #: The complex step ``eps``: a power of two, so dividing by it is exact,
 #: and small enough that the quotient's truncation (``eps**2`` relative)
@@ -106,26 +106,14 @@ class OracleGrid:
 Combination = Sequence[tuple[float, UExpr]]
 
 
-def _level(f: UExpr, k: int) -> UExpr:
-    """The k-th u-derivative of ``f``'s binary64 lowering."""
-    f = f.lowered
-    for _ in range(k):
-        f = diff_u(f)
-    return f
-
-
-def _pointwise(y: UExpr | Combination, k: int, values_of) -> Sequence[float]:
-    """``values_of`` the k-th u-derivative of ``y``.
-
-    A combination's is summed pointwise, in the order of its parts, from
-    ``values_of`` the parts' own levels: no sum of expressions is built or
-    derived.
-    """
-    if isinstance(y, UExpr):
-        return values_of(_level(y, k))
+def _combined(chains: list[tuple[float, list[UExpr]]], k: int,
+              values_of) -> list[float]:
+    """``values_of`` level k of a combination, from its ``(c, levels)``
+    pairs summed pointwise in their order: no sum of expressions is built
+    or derived."""
     total: list[float] = []
-    for i, (c, f) in enumerate(y):
-        vals = values_of(_level(f, k))
+    for i, (c, levels) in enumerate(chains):
+        vals = values_of(levels[k])
         total = [c * v for v in vals] if i == 0 else [s + c * v for s, v in zip(total, vals)]
     return total
 
@@ -166,8 +154,13 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    values = [_pointwise(y, 0, grid.values)]
-    values += [_pointwise(y, k, grid.quotient) for k in range(n)]
+    if isinstance(y, UExpr):
+        levels = lowered_levels(y, n)
+        values = [grid.values(levels[0])] + [grid.quotient(f) for f in levels]
+    else:
+        chains = [(c, lowered_levels(f, n)) for c, f in y]
+        values = [_combined(chains, 0, grid.values)]
+        values += [_combined(chains, k, grid.quotient) for k in range(n)]
     out = []
     for row in zip(*values, grid.values(forcing)):
         top, q = row[n], row[n + 1]

@@ -3,8 +3,8 @@
 The source language mirrors the mathematical notation in plain text: ``T``
 is the conformable derivative (``T2`` the twofold one), ``y`` the unknown,
 ``t^a`` the power t^alpha, and alpha itself is never written in the source
-— it is bound later, when the forcing is lowered into the u-variable
-algebra.  Grammar (EBNF):
+— it is given next to the text, and the parser builds the forcing directly
+in the u-variable algebra as it reads it.  Grammar (EBNF):
 
     equation  := lhs "=" rhs ;
     lhs       := term { ("+"|"-") term } ;
@@ -22,23 +22,24 @@ other forcing shape is rejected at parse time.  A minus sign is accepted
 inside function arguments (``exp(-4 t^a)``) so decaying exponentials can
 be written directly.  Implicit multiplication binds a number to a
 following symbol or parenthesis, never to another number, and a bare ``-``
-after a factor always means subtraction.
+after a factor always means subtraction.  Orders above :data:`MAX_ORDER`
+and t-powers above :data:`MAX_T_POWER` are refused.
 
 Every literal is read exactly from its text, so ``0.9`` is 9/10, and
 alpha as its shortest round-trip decimal, so ``exp(3 t^a)`` at alpha 0.3
-has the rate 9/10.
+has the rate 9/10: with ``u = t^alpha / alpha``, ``t^(k alpha)`` is
+``alpha^k u^k`` and ``e^(c t^alpha)`` is ``e^(c alpha u)``, all exact.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .solver import ProblemSpec
-from .ualgebra import COS, SIN, ZERO, SubstMap, UExpr, UTerm, add, expr, mul, scale
+from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, add, expr, mul, scale
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -48,6 +49,19 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _FUNCTIONS = ("exp", "sin", "cos")
+
+# the tokens that commit a factor to "(t^a)^" integer
+_TPOW_PAREN = ["(", "t", "^", "a", ")", "^"]
+
+#: The highest derivative order ``T<k>`` accepted.
+MAX_ORDER = 256
+
+#: The highest t-power ``t^(k a)`` accepted.
+MAX_T_POWER = 64
+
+# digits of a literal and of its exponent: CPython's default limit for
+# converting a decimal string to an int
+_MAX_DIGITS = 4300
 
 
 class EquationSyntaxError(ValueError):
@@ -62,80 +76,24 @@ class EquationSyntaxError(ValueError):
         self.expected = expected
 
 
-# ---------------------------------------------------------------------------
-# forcing AST
-
-
-@dataclass(frozen=True)
-class TNum:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class TPow:
-    """t^(k*alpha), k a positive integer."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class TFunc:
-    """exp/sin/cos of c * t^alpha, the rate c read exactly from its text."""
-
-    kind: str
-    c: Fraction
-
-
-@dataclass(frozen=True)
-class TNeg:
-    child: object
-
-
-@dataclass(frozen=True)
-class TAdd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class TSub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class TMul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class EquationAst:
-    """Monic left side as (order, coefficient) pairs plus the forcing AST.
-
-    ``terms`` is sorted by descending order with duplicates merged and the
-    leading coefficient scaled to 1, all exact rationals read from the
-    literals' text (``0.9`` is 9/10); ``rhs`` is None for a homogeneous
-    equation.
-    """
-
-    terms: tuple[tuple[int, Fraction], ...]
-    rhs: object | None
-
-    @property
-    def order(self) -> int:
-        return self.terms[0][0]
-
-    def coeff_vector(self) -> tuple[Fraction, ...]:
-        """p_0 .. p_{n-1} with absent orders filled by zero."""
-        by_order = dict(self.terms)
-        return tuple(by_order.get(i, Fraction(0)) for i in range(self.order))
-
-
 class _Token(NamedTuple):
     kind: str  # num | ident | sym | end
     text: str
     pos: int
+    value: Fraction | None = None  # a num's exact value
+
+
+def _number(text: str, pos: int) -> Fraction:
+    """A literal's exact value.  Text longer than the digit limit, or an
+    exponent beyond it, is refused before anything is converted: Python
+    refuses the first and would take unbounded time over the second."""
+    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(text) > _MAX_DIGITS or len(exponent) > 4 or int(exponent or 0) > _MAX_DIGITS:
+        raise EquationSyntaxError(
+            f"numeric literal beyond {_MAX_DIGITS} digits or exponent {_MAX_DIGITS}", pos)
+    if not math.isfinite(float(text)):
+        raise EquationSyntaxError("non-finite numeric literal", pos)
+    return Fraction(text)
 
 
 def _lex(src: str) -> list[_Token]:
@@ -145,26 +103,28 @@ def _lex(src: str) -> list[_Token]:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise EquationSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind == "num" and not math.isfinite(float(m.group())):
-            raise EquationSyntaxError("non-finite numeric literal", pos)
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
+        kind, text = m.lastgroup, m.group()
+        if kind == "num":
+            tokens.append(_Token(kind, text, pos, _number(text, pos)))
+        elif kind != "ws":
+            tokens.append(_Token(kind, text, pos))
         pos = m.end()
     tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, src: str):
-        self.src = src
+    """Recursive descent that builds the forcing as a :class:`UExpr`."""
+
+    def __init__(self, src: str, alpha: Fraction):
         self.tokens = _lex(src)
+        self.alpha = alpha
         self.i = 0
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def take(self) -> _Token:
         tok = self.tokens[self.i]
@@ -188,77 +148,86 @@ class _Parser:
 
     # -- grammar rules
 
-    def equation(self) -> EquationAst:
-        pairs = [self.lhs_term()]
-        while self.at_sym("+", "-"):
-            negate = self.take().text == "-"
+    def equation(self) -> tuple[tuple[Fraction, ...], UExpr]:
+        """The monic coefficients ``p_0 .. p_{n-1}`` and the forcing."""
+        merged: dict[int, Fraction] = {}
+        sign = 1
+        while True:
             order, coeff = self.lhs_term()
-            pairs.append((order, -coeff if negate else coeff))
+            merged[order] = merged.get(order, 0) + sign * coeff
+            if not self.at_sym("+", "-"):
+                break
+            sign = -1 if self.take().text == "-" else 1
         self.expect_sym("=")
-        rhs = self.rhs()
+        rhs = self.expr()
         if self.peek().kind != "end":
             self.fail("end of input")
-        return _normalize(pairs, rhs)
+        n = max(merged)
+        if n < 1:
+            raise EquationSyntaxError(
+                "equation needs at least one derivative of y", 0)
+        lead = merged[n]
+        if lead == 0:
+            raise EquationSyntaxError(
+                f"leading coefficient (order {n}) is zero", 0)
+        if lead != 1:
+            rhs = scale(rhs, 1 / lead)
+        return tuple(merged.get(i, 0) / lead for i in range(n)), rhs
 
     def lhs_term(self) -> tuple[int, Fraction]:
         coeff = Fraction(1)
-        tok = self.peek()
-        if tok.kind == "num":
-            coeff = Fraction(self.take().text)
+        if self.peek().kind == "num":
+            coeff = self.take().value
         order = 0
         tok = self.peek()
         if tok.kind == "ident" and tok.text[0] == "T":
-            digits = tok.text[1:]
-            if digits and not digits.isdigit():
+            digits = tok.text[1:] or "1"
+            if not digits.isdigit():
                 self.fail("derivative 'T' or 'T<k>'")
+            digits = digits.lstrip("0") or "0"
+            # checked before any coefficient vector of that length is built
+            if len(digits) > 3 or int(digits) > MAX_ORDER:
+                raise EquationSyntaxError(
+                    f"derivative order above the supported limit {MAX_ORDER}", tok.pos)
             self.take()
-            order = int(digits) if digits else 1
+            order = int(digits)
         tok = self.peek()
         if not (tok.kind == "ident" and tok.text == "y"):
             self.fail("a left-side term: [number] [T<k>] 'y'")
         self.take()
         return order, coeff
 
-    def rhs(self):
-        node = self.expr()
-        if isinstance(node, TNum) and node.value == 0:
-            return None
-        return node
-
-    def expr(self):
+    def expr(self) -> UExpr:
         node = self.prod()
         while self.at_sym("+", "-"):
-            op = self.take().text
+            negate = self.take().text == "-"
             right = self.prod()
-            node = TAdd(node, right) if op == "+" else TSub(node, right)
+            node = add(node, scale(right, -1) if negate else right)
         return node
 
-    def prod(self):
+    def prod(self) -> UExpr:
         node = self.factor()
         while True:
             if self.at_sym("*"):
                 self.take()
-                node = TMul(node, self.factor())
+                node = mul(node, self.factor())
                 continue
             tok = self.peek()
             # implicit product: only before a symbol/function/parenthesis,
             # so "2 3" is rejected and "2 - 3" stays a subtraction
             if (tok.kind == "ident" and (tok.text == "t" or tok.text in _FUNCTIONS)) \
                     or self.at_sym("("):
-                node = TMul(node, self.factor())
+                node = mul(node, self.factor())
                 continue
             return node
 
-    def factor(self):
+    def factor(self) -> UExpr:
         tok = self.peek()
         if self.at_sym("-"):
             self.take()
-            child = self.factor()
-            if isinstance(child, TNum):
-                return TNum(-child.value)
-            return TNeg(child)
+            return scale(self.factor(), -1)
         if tok.kind == "num":
-            return TNum(Fraction(self.take().text))
+            return expr(UTerm(self.take().value))
         if tok.kind == "ident":
             if tok.text == "t":
                 return self.tpow_plain()
@@ -269,18 +238,17 @@ class _Parser:
                 "trigonometric forcing class", tok.pos,
                 "number, 't^a', exp/sin/cos, or '('")
         if self.at_sym("("):
-            saved = self.i
-            try:
-                return self.tpow_paren()
-            except EquationSyntaxError:
-                self.i = saved
+            # "(t^a)^" commits to a t-power; any other "(" opens a group
+            if [t.text for t in self.tokens[self.i:self.i + 6]] == _TPOW_PAREN:
+                self.i += 6
+                return self.tpow(self.integer("a positive integer power"))
             self.take()
             node = self.expr()
             self.expect_sym(")")
             return node
         self.fail("a forcing factor")
 
-    def tpow_plain(self):
+    def tpow_plain(self) -> UExpr:
         # "t^a" or "t^(k a)"
         self.take()  # t
         self.expect_sym("^")
@@ -289,25 +257,15 @@ class _Parser:
             k = self.integer("a positive integer power")
             self.ident("a")
             self.expect_sym(")")
-            return TPow(k)
+            return self.tpow(k)
         self.ident("a")
-        return TPow(1)
+        return self.tpow(1)
 
-    def tpow_paren(self):
-        # "(t^a)^k"
-        self.expect_sym("(")
-        tok = self.peek()
-        if not (tok.kind == "ident" and tok.text == "t"):
-            self.fail("'t'")
-        self.take()
-        self.expect_sym("^")
-        self.ident("a")
-        self.expect_sym(")")
-        self.expect_sym("^")
-        k = self.integer("a positive integer power")
-        return TPow(k)
+    def tpow(self, k: int) -> UExpr:
+        # t^(k alpha) = (alpha u)^k
+        return expr(UTerm(self.alpha ** k, k))
 
-    def func(self):
+    def func(self) -> UExpr:
         kind = self.take().text
         self.expect_sym("(")
         c = Fraction(1)  # also "exp(-t^a)"
@@ -316,7 +274,7 @@ class _Parser:
             self.take()
             negate = True
         if self.peek().kind == "num":
-            c = Fraction(self.take().text)
+            c = self.take().value
             if self.at_sym("*"):
                 self.take()
         if negate:
@@ -328,13 +286,21 @@ class _Parser:
         self.expect_sym("^")
         self.ident("a")
         self.expect_sym(")")
-        return TFunc(kind, c)
+        rate = c * self.alpha
+        if kind == "exp":
+            return expr(UTerm(1, erate=rate))
+        return expr(UTerm(1, trig=SIN if kind == "sin" else COS, tfreq=rate))
 
     def integer(self, expected: str) -> int:
+        """A positive integer t-power exponent, at most MAX_T_POWER."""
         tok = self.peek()
-        value = float(tok.text) if tok.kind == "num" else 0.0
-        if value != int(value) or value <= 0:
+        value = tok.value if tok.kind == "num" else 0
+        if value.denominator != 1 or value <= 0:
             self.fail(expected)
+        if value > MAX_T_POWER:
+            raise EquationSyntaxError(
+                f"t-power exponent {value} exceeds the supported limit {MAX_T_POWER}",
+                tok.pos)
         self.take()
         return int(value)
 
@@ -345,75 +311,13 @@ class _Parser:
         self.take()
 
 
-def _normalize(pairs: list[tuple[int, Fraction]], rhs) -> EquationAst:
-    merged: dict[int, Fraction] = {}
-    for order, coeff in pairs:
-        merged[order] = merged.get(order, 0) + coeff
-    n = max(merged)
-    if n < 1:
-        raise EquationSyntaxError(
-            "equation needs at least one derivative of y", 0)
-    lead = merged[n]
-    if lead == 0:
-        raise EquationSyntaxError(
-            f"leading coefficient (order {n}) is zero", 0)
-    if lead != 1:
-        merged = {k: v / lead for k, v in merged.items()}
-        if rhs is not None:
-            rhs = TMul(TNum(1 / lead), rhs)
-    terms = tuple(sorted(merged.items(), key=lambda kv: -kv[0]))
-    return EquationAst(terms, rhs)
-
-
-def parse_equation(src: str) -> EquationAst:
-    """Parse source text into a monic EquationAst."""
-    return _Parser(src).equation()
-
-
-# ---------------------------------------------------------------------------
-# lowering and evaluation
-
-
-def lower_forcing(ast, subst: SubstMap) -> UExpr:
-    """Rewrite a t-domain forcing AST in the u variable.
-
-    t^(k*alpha) = (alpha*u)^k, e^(c*t^alpha) = e^(c*alpha*u), and likewise
-    for sin/cos.  Alpha is read as ``Fraction(repr(alpha))`` (0.3 is 3/10),
-    so everything is exact and resonance survives the rewrite.
-    """
-    if ast is None:
-        return ZERO
-    alpha = Fraction(repr(subst.alpha))
-
-    def go(node) -> UExpr:
-        if isinstance(node, TNum):
-            return expr(UTerm(node.value))
-        if isinstance(node, TPow):
-            if node.k > 64:
-                raise ValueError(
-                    f"t-power exponent {node.k} exceeds the supported limit 64")
-            return expr(UTerm(alpha ** node.k, node.k))
-        if isinstance(node, TFunc):
-            rate = Fraction(node.c) * alpha
-            if node.kind == "exp":
-                return expr(UTerm(1, erate=rate))
-            trig = SIN if node.kind == "sin" else COS
-            return expr(UTerm(1, trig=trig, tfreq=rate))
-        if isinstance(node, TNeg):
-            return scale(go(node.child), -1)
-        if isinstance(node, TAdd):
-            return add(go(node.left), go(node.right))
-        if isinstance(node, TSub):
-            return add(go(node.left), scale(go(node.right), -1))
-        if isinstance(node, TMul):
-            return mul(go(node.left), go(node.right))
-        raise TypeError(f"not a forcing AST node: {node!r}")
-
-    return go(ast)
-
-
 def problem_from_source(src: str, alpha: float) -> ProblemSpec:
-    """Parse and lower in one step once alpha is known."""
-    ast = parse_equation(src)
-    subst = SubstMap(alpha)
-    return ProblemSpec(ast.coeff_vector(), alpha, lower_forcing(ast.rhs, subst))
+    """Parse equation text at the given alpha into a monic ProblemSpec.
+
+    Alpha is checked by :class:`SubstMap` and read as
+    ``Fraction(repr(alpha))`` (0.3 is 3/10).  Malformed text raises
+    :class:`EquationSyntaxError` with the offset of the fault.
+    """
+    exact_alpha = Fraction(repr(SubstMap(alpha).alpha))
+    coeffs, forcing = _Parser(src, exact_alpha).equation()
+    return ProblemSpec(coeffs, alpha, forcing)

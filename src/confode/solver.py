@@ -10,9 +10,9 @@ constant-coefficient linear ODE.  The pipeline is:
      basis or determinants),
   3. optional constant fitting against initial values.
 
-Steps 1 and 2 are exact (resonance is an exact zero test, and
-``apply_operator(spec, v) - forcing`` is exactly zero); step 3 evaluates
-the binary64 lowering of each expression.
+Steps 1 and 2 are exact (resonance is an exact zero test, and the
+operator applied to the particular solution gives the forcing exactly);
+step 3 evaluates the binary64 lowering of each expression.
 
 The paper's variation of parameters (Wronskian and Cramer minors) is kept
 in the test suite as an independent reference.
@@ -34,11 +34,11 @@ from .ualgebra import (
     UTerm,
     add,
     canonicalize,
-    diff_u,
     eval_expr,
     expr,
     expr_from_records,
     format_t,
+    lowered_levels,
     scale,
     term_records,
 )
@@ -118,16 +118,6 @@ class GeneralSolution:
             raise ValueError("need one fitted constant per basis element")
 
 
-def apply_operator(spec: ProblemSpec, y: UExpr) -> UExpr:
-    """Apply the equation's left side: n-fold d/du plus lower-order terms."""
-    total = ZERO
-    d = y
-    for p in spec.coeffs:
-        total = add(total, scale(d, p))
-        d = diff_u(d)
-    return add(total, d)
-
-
 def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     """n independent solutions from the characteristic roots.
 
@@ -157,16 +147,6 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
             f"basis count {len(elements)} != order {spec.order} "
             f"for {spec.char_poly().describe()}")
     return SolutionBasis(tuple(elements), tuple(origins))
-
-
-def derivative_matrix(basis: SolutionBasis) -> list[list[UExpr]]:
-    """Row i holds the i-fold u-derivatives of the basis' binary64 lowering:
-    cached levels, shared with the oracle, which derives the same lowerings.
-    """
-    rows = [[e.lowered for e in basis.elements]]
-    for _ in range(basis.n - 1):
-        rows.append([diff_u(e) for e in rows[-1]])
-    return rows
 
 
 def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
@@ -306,13 +286,12 @@ def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | No
     b = [float(v) for v in targets]
     if len(b) != n:
         raise ValueError(f"need {n} target values, got {len(b)}")
-    matrix = derivative_matrix(sol.basis)
-    a = [[eval_expr(matrix[i][j], t0, subst) for j in range(n)] for i in range(n)]
+    # row i holds the i-fold u-derivatives of the basis' lowering, levels
+    # shared with the oracle, which derives the same lowerings
+    columns = [lowered_levels(e, n) for e in sol.basis.elements]
+    a = [[eval_expr(col[i], t0, subst) for col in columns] for i in range(n)]
     if sol.particular is not None:
-        levels = [sol.particular.lowered]
-        while len(levels) < n:
-            levels.append(diff_u(levels[-1]))
-        for i, level in enumerate(levels):
+        for i, level in enumerate(lowered_levels(sol.particular, n)):
             b[i] -= eval_expr(level, t0, subst)
     x = _solve_linear(a, b)
     if x is None:

@@ -321,6 +321,18 @@ def _derive(f: UExpr) -> UExpr:
     return canonicalize(out)
 
 
+def lowered_levels(f: UExpr, count: int) -> list[UExpr]:
+    """``f``'s binary64 lowering and its first ``count - 1`` u-derivatives.
+
+    The levels are the lowering's cached derivative chain, so the constant
+    fit and the oracle share every level either of them derives.
+    """
+    levels = [f.lowered]
+    for _ in range(count - 1):
+        levels.append(levels[-1].derivative)
+    return levels
+
+
 def eval_expr(f: UExpr, t: float, subst: SubstMap) -> float:
     """Evaluate back in the t domain through ``u = t**alpha / alpha``."""
     u = subst.u_of(t)

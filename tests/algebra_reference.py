@@ -9,6 +9,11 @@ Gaussian rationals, normalising a ``Fraction`` at every step, with an
 ``== 0`` resonance test.  The library does the same arithmetic on integer
 keys, cached derivative levels and plain integers, and the tests require
 results equal to these.
+
+``apply_operator`` applies an equation's left side to an expression with
+the library's own exact operations; the tests require ``apply_operator(spec,
+v) - q`` to be exactly zero for a particular solution ``v`` of forcing ``q``
+and exactly zero for every basis element.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from confode import ualgebra
 from confode.ualgebra import COS, SIN, UExpr, UTerm
 
 _TRIG_BY_ORDER = (None, COS, SIN)
@@ -94,3 +100,13 @@ def shift_response(coeffs, s: tuple[Fraction, Fraction],
         f = Fraction(math.factorial(k), math.factorial(k + m - i))
         out.append((k + m - i, (b[0] * f, b[1] * f)))
     return out
+
+
+def apply_operator(spec, y: UExpr) -> UExpr:
+    """Apply the equation's left side: n-fold d/du plus lower-order terms."""
+    total = ualgebra.ZERO
+    d = y
+    for p in spec.coeffs:
+        total = ualgebra.add(total, ualgebra.scale(d, p))
+        d = ualgebra.diff_u(d)
+    return ualgebra.add(total, d)

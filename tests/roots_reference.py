@@ -52,9 +52,10 @@ def eval_poly_deriv(p: CharPoly, r: complex, order: int = 1) -> complex:
     return _horner(coeffs, r)
 
 
-def _aberth(p: CharPoly) -> np.ndarray:
-    n = p.degree
-    full = np.array(_floats(p))
+def _aberth(coeffs: list[float]) -> np.ndarray:
+    """Root approximations of the monic highest-first ``coeffs``."""
+    n = len(coeffs) - 1
+    full = np.array(coeffs)
     if n == 1:
         return np.array([complex(-full[1])])
     deriv = full[:-1] * np.arange(n, 0, -1)
@@ -69,7 +70,7 @@ def _aberth(p: CharPoly) -> np.ndarray:
         # finite step can improve it, and iterates around a multiple zero
         # would otherwise jiggle there forever without meeting the step
         # criterion below.
-        settled = np.abs(pv) <= 4.0 * p.degree * _EPS * _horner(absfull, np.abs(z))
+        settled = np.abs(pv) <= 4.0 * n * _EPS * _horner(absfull, np.abs(z))
         w = np.where(dv == 0, 0.01 * (1.0 + np.abs(z)), pv / np.where(dv == 0, 1.0, dv))
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -86,4 +87,4 @@ def _aberth(p: CharPoly) -> np.ndarray:
             return z
     raise RootFindingError(
         f"root iteration did not converge within {ABERTH_MAX_ITER} steps "
-        f"for {p.describe()}")
+        f"for {coeffs}")

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import numpy as np
+from algebra_reference import apply_operator
 from roots_reference import eval_poly
 
 from confode.chareq import find_roots
@@ -21,7 +22,6 @@ from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import (
     ProblemSpec,
-    apply_operator,
     particular_solution,
     solve_problem,
 )

@@ -1,39 +1,82 @@
-"""Parser tests: grammar coverage, monic normalization, lowering, errors."""
+"""Parser tests: grammar coverage, monic normalization, the forcing in the
+u variable, errors.
+
+The parser builds the forcing as a :class:`~confode.ualgebra.UExpr` while it
+reads the text.  Exact canonical forms are unique, so each test compares
+``problem_from_source(src, alpha)`` with the exact expression it must give,
+and sources are chosen so that a wrong associativity, precedence or sign
+changes the value.  The forcing trees hypothesis generates are this
+module's own: :func:`render_texpr` writes one as text, :func:`eval_ast`
+evaluates it in the t domain, and :func:`lower_reference` rewrites it in u
+node by node, the exact reference the parsed forcing must equal.
+"""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confode.eqparse import (
-    EquationAst,
-    EquationSyntaxError,
-    TAdd,
-    TFunc,
-    TMul,
-    TNeg,
-    TNum,
-    TPow,
-    TSub,
-    lower_forcing,
-    parse_equation,
-    problem_from_source,
-)
-from confode.ualgebra import SIN, SubstMap, UTerm, eval_expr, expr
+from confode.eqparse import MAX_ORDER, EquationSyntaxError, problem_from_source
+from confode.ualgebra import COS, SIN, SubstMap, UTerm, add, eval_expr, expr, mul, scale
+
+# ---------------------------------------------------------------------------
+# a forcing tree, its text, its value and its exact rewrite in u
+
+
+@dataclass(frozen=True)
+class TNum:
+    value: F
+
+
+@dataclass(frozen=True)
+class TPow:
+    """t^(k*alpha), k a positive integer."""
+
+    k: int
+
+
+@dataclass(frozen=True)
+class TFunc:
+    """exp/sin/cos of c * t^alpha."""
+
+    kind: str
+    c: F
+
+
+@dataclass(frozen=True)
+class TNeg:
+    child: object
+
+
+@dataclass(frozen=True)
+class TAdd:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class TSub:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class TMul:
+    left: object
+    right: object
 
 
 def eval_ast(ast, t: float, alpha: float) -> float:
-    """Direct t-domain evaluation of a forcing AST (oracle for lowering)."""
-    if ast is None:
-        return 0.0
+    """Direct t-domain evaluation of a forcing tree."""
     if isinstance(ast, TNum):
-        return ast.value
+        return float(ast.value)
     if isinstance(ast, TPow):
         return t ** (ast.k * alpha)
     if isinstance(ast, TFunc):
-        arg = ast.c * t ** alpha
+        arg = float(ast.c) * t ** alpha
         return {"exp": math.exp, "sin": math.sin, "cos": math.cos}[ast.kind](arg)
     if isinstance(ast, TNeg):
         return -eval_ast(ast.child, t, alpha)
@@ -43,14 +86,41 @@ def eval_ast(ast, t: float, alpha: float) -> float:
         return eval_ast(ast.left, t, alpha) - eval_ast(ast.right, t, alpha)
     if isinstance(ast, TMul):
         return eval_ast(ast.left, t, alpha) * eval_ast(ast.right, t, alpha)
-    raise TypeError(f"not a forcing AST node: {ast!r}")
+    raise TypeError(f"not a forcing node: {ast!r}")
 
 
-# ---------------------------------------------------------------------------
-# rendering: canonical text that reparses to the same AST
+def lower_reference(ast, alpha: float):
+    """The tree rewritten in u = t^alpha / alpha, node by node.
+
+    t^(k*alpha) = (alpha*u)^k, e^(c*t^alpha) = e^(c*alpha*u), and likewise
+    for sin/cos, with alpha read as ``Fraction(repr(alpha))``.
+    """
+    a = F(repr(alpha))
+
+    def go(node):
+        if isinstance(node, TNum):
+            return expr(UTerm(node.value))
+        if isinstance(node, TPow):
+            return expr(UTerm(a ** node.k, node.k))
+        if isinstance(node, TFunc):
+            rate = node.c * a
+            if node.kind == "exp":
+                return expr(UTerm(1, erate=rate))
+            return expr(UTerm(1, trig=SIN if node.kind == "sin" else COS, tfreq=rate))
+        if isinstance(node, TNeg):
+            return scale(go(node.child), -1)
+        if isinstance(node, TAdd):
+            return add(go(node.left), go(node.right))
+        if isinstance(node, TSub):
+            return add(go(node.left), scale(go(node.right), -1))
+        if isinstance(node, TMul):
+            return mul(go(node.left), go(node.right))
+        raise TypeError(f"not a forcing node: {node!r}")
+
+    return go(ast)
 
 
-def _num_text(x: float) -> str:
+def _num_text(x) -> str:
     return repr(float(x))
 
 
@@ -68,7 +138,7 @@ def _prec(node) -> int:
 
 
 def render_texpr(node) -> str:
-    """Canonical text for a forcing AST; reparses to the identical tree."""
+    """Text for a forcing tree, parenthesised so it parses as that tree."""
 
     def go(n, floor: int) -> str:
         if isinstance(n, TNum):
@@ -76,7 +146,7 @@ def render_texpr(node) -> str:
         elif isinstance(n, TPow):
             txt = "t^a" if n.k == 1 else f"t^({n.k} a)"
         elif isinstance(n, TFunc):
-            arg = "t^a" if n.c == 1.0 else f"{_num_text(n.c)} t^a"
+            arg = "t^a" if n.c == 1 else f"{_num_text(n.c)} t^a"
             txt = f"{n.kind}({arg})"
         elif isinstance(n, TNeg):
             txt = "-" + go(n.child, _PREC_UNARY)
@@ -87,92 +157,137 @@ def render_texpr(node) -> str:
         elif isinstance(n, TMul):
             txt = go(n.left, _PREC_PROD) + " * " + go(n.right, _PREC_PROD + 1)
         else:
-            raise TypeError(f"not a forcing AST node: {n!r}")
+            raise TypeError(f"not a forcing node: {n!r}")
         return f"({txt})" if _prec(n) < floor else txt
 
     return go(node, _PREC_SUM)
 
 
-def render_equation(eq: EquationAst) -> str:
-    """Canonical text for an equation; reparses to the identical AST."""
-    chunks = []
-    for i, (order, coeff) in enumerate(eq.terms):
-        mag = abs(coeff)
-        body = "" if mag == 1.0 else _num_text(mag) + " "
-        body += ("y" if order == 0 else "T y" if order == 1 else f"T{order} y")
-        if i == 0:
-            chunks.append(("-" if coeff < 0 else "") + body)
+def _decimal(x: F) -> str:
+    """Exact decimal text of a rational whose denominator is 2^i 5^j."""
+    digits = 0
+    while (x * 10 ** digits).denominator != 1:
+        digits += 1
+        assert digits < 400, f"{x} has no finite decimal"
+    text = str(abs(x * 10 ** digits).numerator).rjust(digits + 1, "0")
+    if digits:
+        text = text[:-digits] + "." + text[-digits:]
+    return ("-" if x < 0 else "") + text
+
+
+def _join(pairs) -> str:
+    """``c body`` pairs as a signed sum; a unit coefficient is left out."""
+    out = ""
+    for c, body in pairs:
+        text = body if abs(c) == 1 and body else f"{_decimal(abs(c))} {body}".strip()
+        if out:
+            out += (" - " if c < 0 else " + ") + text
         else:
-            chunks.append((" - " if coeff < 0 else " + ") + body)
-    rhs = "0" if eq.rhs is None else render_texpr(eq.rhs)
-    return "".join(chunks) + " = " + rhs
+            out = ("-" if c < 0 else "") + text
+    return out or "0"
 
 
-def terms_dict(eq: EquationAst) -> dict:
-    return dict(eq.terms)
+def render_problem(spec) -> str:
+    """Text for a problem at alpha 1, where u = t and a rate is the number
+    written.  Every coefficient is scaled by their least common
+    denominator, which the parser's monic scaling divides out again."""
+    assert spec.alpha == 1.0
+    scale_by = math.lcm(*(c.denominator for c in spec.coeffs),
+                        *(t.coeff.denominator for t in spec.forcing.terms))
+    left = [(scale_by, f"T{spec.order} y")] + [
+        (c * scale_by, "y" if k == 0 else f"T{k} y")
+        for k, c in sorted(enumerate(spec.coeffs), reverse=True) if c]
+    right = []
+    for t in spec.forcing.terms:
+        factors = [f"t^({t.upow} a)"] if t.upow else []
+        if t.erate:
+            factors.append(f"exp({_decimal(t.erate)} t^a)")
+        if t.trig:
+            factors.append(f"{t.trig}({_decimal(t.tfreq)} t^a)")
+        right.append((t.coeff * scale_by, " * ".join(factors)))
+    return f"{_join(left)} = {_join(right)}"
 
 
 # ---------------------------------------------------------------------------
 # worked source strings
 
 
+def term(coeff, upow=0, erate=0, trig=None, tfreq=0) -> UTerm:
+    return UTerm(F(coeff), upow, F(erate), trig, F(tfreq))
+
+
+def forcing(src: str, alpha: float = 1.0):
+    return problem_from_source(src, alpha).forcing
+
+
 def test_parse_forced_equation():
-    eq = parse_equation("T2 y + 4 T y + 3 y = exp(2 t^a)")
-    assert terms_dict(eq) == {2: 1.0, 1: 4.0, 0: 3.0}
-    assert eq.rhs == TFunc("exp", 2.0)
-    assert eq.coeff_vector() == (3.0, 4.0)
+    spec = problem_from_source("T2 y + 4 T y + 3 y = exp(2 t^a)", 0.5)
+    assert spec.coeffs == (3, 4)
+    assert spec.forcing == expr(term(1, erate=1))
 
 
 def test_parse_homogeneous_equation():
-    eq = parse_equation("T2 y - 10 T y + 25 y = 0")
-    assert terms_dict(eq) == {2: 1.0, 1: -10.0, 0: 25.0}
-    assert eq.rhs is None
+    spec = problem_from_source("T2 y - 10 T y + 25 y = 0", 0.5)
+    assert spec.coeffs == (25, -10)
+    assert spec.forcing.is_zero()
 
 
 def test_parse_polynomial_forcing():
-    eq = parse_equation("T2 y + 4 T y + 3 y = 2 t^(2 a) + t^a - 3")
-    assert eq.rhs == TSub(TAdd(TMul(TNum(2.0), TPow(2)), TPow(1)), TNum(3.0))
+    # at alpha 1/2, t^(k a) = (u/2)^k
+    assert forcing("T2 y + 4 T y + 3 y = 2 t^(2 a) + t^a - 3", 0.5) == expr(
+        term(F(1, 2), 2), term(F(1, 2), 1), term(-3))
+    # left-associative: (1 - t^a) - 2, not 1 - (t^a - 2)
+    assert forcing("T y = 1 - t^a - 2") == expr(term(-1), term(-1, 1))
+    # a product binds tighter than a sum, both spelled and implicit
+    assert forcing("T y = 1 + 2 * t^a") == forcing("T y = 1 + 2 t^a") == expr(
+        term(1), term(2, 1))
+    # unary minus takes one factor: (-1) + t^a, not -(1 + t^a)
+    assert forcing("T y = - 1 + t^a") == expr(term(-1), term(1, 1))
 
 
 def test_parse_sine_and_product_forcing():
-    assert parse_equation("T y = sin(2 t^a)").rhs == TFunc("sin", 2.0)
-    assert parse_equation("T y = exp(2 t^a) t^a").rhs == TMul(TFunc("exp", 2.0), TPow(1))
-    assert parse_equation("T y = sin(2 * t^a)").rhs == TFunc("sin", 2.0)
+    assert forcing("T y = sin(2 t^a)") == expr(term(1, trig=SIN, tfreq=2))
+    assert forcing("T y = exp(2 t^a) t^a") == expr(term(1, 1, erate=2))
+    assert forcing("T y = sin(2 * t^a)") == forcing("T y = sin(2 t^a)")
 
 
 def test_parse_negative_function_rate():
-    assert parse_equation("T y = exp(-4 t^a)").rhs == TFunc("exp", -4.0)
-    assert parse_equation("T y = exp(-t^a)").rhs == TFunc("exp", -1.0)
+    assert forcing("T y = exp(-4 t^a)") == expr(term(1, erate=-4))
+    assert forcing("T y = exp(-t^a)") == expr(term(1, erate=-1))
 
 
 def test_parse_tpow_spellings_agree():
-    a = parse_equation("T y = t^(3 a)").rhs
-    b = parse_equation("T y = (t^a)^3").rhs
-    assert a == b == TPow(3)
-    assert parse_equation("T y = t^a").rhs == TPow(1)
+    a = forcing("T y = t^(3 a)", 0.5)
+    b = forcing("T y = (t^a)^3", 0.5)
+    assert a == b == expr(term(F(1, 8), 3))
+    assert forcing("T y = t^a", 0.5) == expr(term(F(1, 2), 1))
+    # "(t^a)" not followed by "^" is a group
+    assert forcing("T y = (t^a) + 1") == expr(term(1), term(1, 1))
 
 
 def test_parse_bare_derivative_and_order_zero():
-    eq = parse_equation("T y + y = 0")
-    assert terms_dict(eq) == {1: 1.0, 0: 1.0}
-    eq = parse_equation("T3 y - y = 0")
-    assert eq.coeff_vector() == (-1.0, 0.0, 0.0)
+    assert problem_from_source("T y + y = 0", 1.0).coeffs == (1,)
+    assert problem_from_source("T3 y - y = 0", 1.0).coeffs == (-1, 0, 0)
 
 
 def test_monic_normalization_scales_forcing():
-    eq = parse_equation("2 T2 y + 8 T y + 6 y = exp(2 t^a)")
-    assert terms_dict(eq) == {2: 1.0, 1: 4.0, 0: 3.0}
-    assert eq.rhs == TMul(TNum(0.5), TFunc("exp", 2.0))
+    spec = problem_from_source("2 T2 y + 8 T y + 6 y = exp(2 t^a)", 1.0)
+    assert spec.coeffs == (3, 4)
+    assert spec.forcing == expr(term(F(1, 2), erate=2))
+    spec = problem_from_source("3 T y + 3 y = 1 - t^a", 1.0)
+    assert spec.coeffs == (1,)
+    assert spec.forcing == expr(term(F(1, 3)), term(F(-1, 3), 1))
 
 
 def test_duplicate_orders_merge():
-    eq = parse_equation("T y + T y + y = 0")
-    assert terms_dict(eq) == {1: 1.0, 0: 0.5}
+    assert problem_from_source("T y + T y + y = 0", 1.0).coeffs == (F(1, 2),)
+    assert problem_from_source("T2 y + y - 3 y + T2 y = 0", 1.0).coeffs == (-1, 0)
 
 
 def test_unary_minus_and_grouping():
-    eq = parse_equation("T y = -(3 - t^a) * cos(t^a)")
-    assert eq.rhs == TMul(TNeg(TSub(TNum(3.0), TPow(1))), TFunc("cos", 1.0))
+    # -(3 - t^a) cos(t^a) = (t^a - 3) cos(t^a)
+    assert forcing("T y = -(3 - t^a) * cos(t^a)") == expr(
+        term(-3, trig=COS, tfreq=1), term(1, 1, trig=COS, tfreq=1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +297,12 @@ def test_unary_minus_and_grouping():
 def test_dangling_plus_is_positioned():
     src = "T2 y + y + = 3"
     with pytest.raises(EquationSyntaxError) as info:
-        parse_equation(src)
+        problem_from_source(src, 0.5)
     assert info.value.offset == src.index("=")
     assert "left-side term" in str(info.value)
+
+
+LONG_LITERAL = "T y + y = 0." + "0" * 5000 + "1"
 
 
 @pytest.mark.parametrize("src,needle", [
@@ -197,12 +315,39 @@ def test_dangling_plus_is_positioned():
     ("T2 y + 4 T y + 3 y", "'='"),
     ("", "left-side term"),
     ("T2 y = @", "unexpected character"),
+    pytest.param(LONG_LITERAL, "4300 digits", id="long-literal"),
+    pytest.param("T y = 1e-99999999", "exponent 4300", id="long-exponent"),
+    pytest.param("T y = (t^a)^0", "positive integer power", id="tpow-paren-zero"),
+    pytest.param("T y = (t^a)^65", "supported limit 64", id="tpow-paren-limit"),
+    pytest.param("T y = t^(65 a)", "supported limit 64", id="tpow-limit"),
+    pytest.param("T1000000 y + y = 0", "supported limit 256", id="order-limit"),
 ])
 def test_malformed_inputs(src, needle):
     with pytest.raises(EquationSyntaxError) as info:
-        parse_equation(src)
+        problem_from_source(src, 0.5)
     assert needle in str(info.value)
     assert 0 <= info.value.offset <= len(src)
+
+
+@pytest.mark.parametrize("src,at", [
+    (LONG_LITERAL, LONG_LITERAL.index("0.")),
+    ("T y = (t^a)^0", len("T y = (t^a)^")),
+    ("T y = (t^a)^65", len("T y = (t^a)^")),
+    ("T y = 2 - t^(65 a)", len("T y = 2 - t^(")),
+    ("T2 y + T1000000 y + y = 0", len("T2 y + ")),
+    ("T2 y + T" + "0" * 5000 + "257 y = 0", len("T2 y + ")),
+])
+def test_limits_point_at_their_token(src, at):
+    with pytest.raises(EquationSyntaxError) as info:
+        problem_from_source(src, 0.5)
+    assert info.value.offset == at
+
+
+def test_order_limit_is_inclusive():
+    assert problem_from_source(f"T{MAX_ORDER} y + y = 0", 1.0).order == MAX_ORDER
+    assert problem_from_source("T0001 y + y = 0", 1.0).order == 1
+    with pytest.raises(EquationSyntaxError, match="limit 256"):
+        problem_from_source(f"T{MAX_ORDER + 1} y + y = 0", 1.0)
 
 
 @settings(max_examples=120)
@@ -211,7 +356,7 @@ def test_error_totality(src):
     # the parser either succeeds or raises its positioned error; it never
     # escapes with another exception type
     try:
-        parse_equation(src)
+        problem_from_source(src, 0.5)
     except EquationSyntaxError as err:
         assert 0 <= err.offset <= len(src)
 
@@ -237,47 +382,46 @@ ROUND_TRIP_SOURCES = [
 
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
 def test_render_roundtrip(src):
-    ast = parse_equation(src)
-    assert parse_equation(render_equation(ast)) == ast
+    spec = problem_from_source(src, 1.0)
+    assert problem_from_source(render_problem(spec), 1.0) == spec
 
 
 # ---------------------------------------------------------------------------
-# lowering
+# the forcing in u
 
 
 def test_lower_exponential_rate_arithmetic():
-    out = lower_forcing(TFunc("exp", 2.0), SubstMap(0.5))
-    assert out == expr(UTerm(1.0, erate=F(1)))
+    assert forcing("T y = exp(2 t^a)", 0.5) == expr(term(1, erate=1))
+    # alpha is read as its shortest decimal: 3 * 0.3 is exactly 9/10
+    assert forcing("T y = exp(3 t^a)", 0.3) == expr(term(1, erate=F(9, 10)))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
 def test_lower_polynomial_worked(alpha):
-    ast = parse_equation("T y = 2 t^(2 a) + t^a - 3").rhs
-    out = lower_forcing(ast, SubstMap(alpha))
-    got = {t.upow: t.coeff for t in out.terms}
-    assert got[2] == pytest.approx(2 * alpha ** 2, rel=1e-15)
-    assert got[1] == pytest.approx(alpha, rel=1e-15)
-    assert got[0] == -3.0
+    a = F(repr(alpha))
+    assert forcing("T y = 2 t^(2 a) + t^a - 3", alpha) == expr(
+        term(2 * a ** 2, 2), term(a, 1), term(-3))
 
 
 def test_lower_sine_worked():
-    out = lower_forcing(TFunc("sin", 2.0), SubstMap(0.75))
-    assert out == expr(UTerm(1.0, trig=SIN, tfreq=F(3, 2)))
+    assert forcing("T y = sin(2 t^a)", 0.75) == expr(term(1, trig=SIN, tfreq=F(3, 2)))
 
 
 def test_lower_zero_and_power_limit():
-    assert lower_forcing(None, SubstMap(0.5)).is_zero()
-    with pytest.raises(ValueError):
-        lower_forcing(TPow(65), SubstMap(0.5))
-    with pytest.raises(ValueError):
-        lower_forcing(parse_equation("T y = (t^a)^65").rhs, SubstMap(0.5))
+    assert forcing("T y = 0", 0.5).is_zero()
+    assert forcing("T y = 1 - 1", 0.5).is_zero()
+    assert forcing("T y = (t^a)^64", 0.5) == expr(term(F(1, 2) ** 64, 64))
+    with pytest.raises(EquationSyntaxError):
+        forcing("T y = t^(65 a)", 0.5)
+    with pytest.raises(EquationSyntaxError):
+        forcing("T y = (t^a)^65", 0.5)
 
 
 _atoms = st.one_of(
-    st.floats(-5.0, 5.0).map(lambda v: TNum(round(v, 3))),
+    st.floats(-5.0, 5.0).map(lambda v: TNum(F(repr(round(v, 3))))),
     st.integers(1, 4).map(TPow),
     st.builds(TFunc, st.sampled_from(["exp", "sin", "cos"]),
-              st.floats(-2.0, 2.0).map(lambda v: round(v, 3))),
+              st.floats(-2.0, 2.0).map(lambda v: F(repr(round(v, 3))))),
 )
 
 
@@ -298,43 +442,20 @@ _forcing_asts = st.recursive(_atoms, _trees, max_leaves=8)
        t=st.floats(0.3, 2.0))
 def test_lowering_soundness(ast, alpha, t):
     subst = SubstMap(alpha)
-    lowered = lower_forcing(ast, subst)
+    lowered = forcing(f"T y = {render_texpr(ast)}", alpha)
     direct = eval_ast(ast, t, alpha)
     via_u = eval_expr(lowered, t, subst)
     # normalise by the term-magnitude scale: a difference of two large
     # products cancels in both representations, leaving round-off of the
     # large parts, not of the small result
-    scale = sum(abs(eval_expr(expr(term), t, subst)) for term in lowered.terms)
-    assert abs(via_u - direct) <= 1e-10 * max(1.0, abs(direct), scale)
+    magnitude = sum(abs(eval_expr(expr(part), t, subst)) for part in lowered.terms)
+    assert abs(via_u - direct) <= 1e-10 * max(1.0, abs(direct), magnitude)
 
 
 @settings(max_examples=40)
-@given(ast=_forcing_asts)
-def test_texpr_render_roundtrip(ast):
-    txt = render_texpr(ast)
-    assert parse_equation(f"T y = {txt}").rhs == _fold_zero(_canon(ast))
-
-
-def _canon(ast):
-    # the parser folds unary minus into numeric literals and reads every
-    # literal exactly from its text; synthetic trees must be folded and read
-    # the same way before comparison
-    if isinstance(ast, TNum):
-        return TNum(F(_num_text(ast.value)))
-    if isinstance(ast, TFunc):
-        return TFunc(ast.kind, F(_num_text(ast.c)))
-    if isinstance(ast, TNeg):
-        child = _canon(ast.child)
-        return TNum(-child.value) if isinstance(child, TNum) else TNeg(child)
-    if isinstance(ast, (TAdd, TSub, TMul)):
-        return type(ast)(_canon(ast.left), _canon(ast.right))
-    return ast
-
-
-def _fold_zero(ast):
-    # "T y = <rendered 0.0>" normalises a literal zero rhs to None; mirror
-    # that for comparison
-    return None if ast == TNum(0.0) else ast
+@given(ast=_forcing_asts, alpha=st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+def test_texpr_render_roundtrip(ast, alpha):
+    assert forcing(f"T y = {render_texpr(ast)}", alpha) == lower_reference(ast, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +470,17 @@ def test_problem_from_source():
 
     spec = problem_from_source("T2 y + 4 T y + 3 y = exp(2 t^a)", 0.25)
     assert spec.forcing == expr(UTerm(1.0, erate=F(1, 2)))
+    with pytest.raises(ValueError, match="alpha"):
+        problem_from_source("T y = 1", 1.5)
 
 
 def test_problem_from_source_eval_agreement():
     src = "T2 y + 4 T y + 3 y = 2 t^(2 a) + t^a - 3"
-    ast = parse_equation(src)
+    ast = TSub(TAdd(TMul(TNum(F(2)), TPow(2)), TPow(1)), TNum(F(3)))
     for alpha in (0.25, 0.75, 1.0):
         spec = problem_from_source(src, alpha)
+        assert spec.forcing == lower_reference(ast, alpha)
         subst = SubstMap(alpha)
         for t in (0.4, 1.0, 2.2):
-            direct = eval_ast(ast.rhs, t, alpha)
+            direct = eval_ast(ast, t, alpha)
             assert eval_expr(spec.forcing, t, subst) == pytest.approx(direct, rel=1e-12)

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import algebra_reference as ref
+from algebra_reference import apply_operator
 from roots_reference import eval_poly
 
 from confode import cli, ualgebra
@@ -27,8 +28,6 @@ from confode.solver import (
     SolutionBasis,
     _shift_response,
     _solve_linear,
-    apply_operator,
-    derivative_matrix,
     fit_constants,
     format_solution,
     homogeneous_basis,
@@ -174,7 +173,15 @@ def test_basis_count_matches_order():
 
 
 # ---------------------------------------------------------------------------
-# derivative_matrix / wronskian (the reference's Cramer denominator)
+# the constant fit's derivative matrix / wronskian (the reference's Cramer
+# denominator)
+
+
+def derivative_matrix(basis):
+    """Row i holds the i-fold u-derivatives of the basis' lowering, as the
+    constant fit evaluates them."""
+    columns = [ualgebra.lowered_levels(e, basis.n) for e in basis.elements]
+    return [list(row) for row in zip(*columns)]
 
 
 def test_derivative_matrix_worked():
