@@ -9,8 +9,10 @@ Exit codes are a stable contract:
        constant fit), or a value that overflows binary64
     3  verification failure (residual above tolerance)
 
-Errors are one line on stderr, or a JSON object under ``--json``; a
-failing ``solve`` or ``sample`` writes nothing to stdout.
+Errors are one line on stderr, ``confode: <kind>: <message>`` with the kind
+``parse error`` (equation text), ``config error`` or ``solver error``, or
+that kind and message as a JSON object under ``--json``; a failing
+``solve`` or ``sample`` writes nothing to stdout.
 
 ``verify`` accepts either equation text (which it solves first, fitting
 ``--ic`` when given) or a solution document produced by ``solve --json`` —
@@ -26,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .chareq import RootFindingError
 from .conformable import OracleGrid, log_grid, operator_residual
@@ -38,7 +39,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, format_t
+from .ualgebra import ZERO, PointTable, SubstMap, _read_only, format_t
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -58,16 +59,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    alphas: tuple[float, ...]
-    source: str | None          # equation text, when given
-    doc: dict | None            # parsed solution JSON, when given
-    json_out: bool
-    ic: tuple[float, tuple[float, ...]] | None
-    trange: tuple[float, float, int] | None
-    tol: float
-    columns: str
+    """One command's validated flags, read-only.  ``source`` is the equation
+    text and ``doc`` the parsed solution JSON; one of them is None."""
+
+    def __init__(self, alphas: tuple[float, ...], source: str | None, doc: dict | None,
+                 json_out: bool, ic: tuple[float, tuple[float, ...]] | None,
+                 trange: tuple[float, float, int] | None, tol: float, columns: str):
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "doc", doc)
+        object.__setattr__(self, "json_out", json_out)
+        object.__setattr__(self, "ic", ic)
+        object.__setattr__(self, "trange", trange)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "columns", columns)
+
+    __setattr__ = __delattr__ = _read_only
 
 
 def build_parser() -> _Parser:
@@ -353,9 +361,10 @@ def cmd_sample(cfg: RunConfig) -> int:
             columns.append(part_val)
     if not all(math.isfinite(v) for col in columns for v in col):
         raise OverflowError("a sampled value is not finite")
-    print(",".join(header))
-    for row in zip(ts, *columns):
-        print(",".join(repr(v) for v in row))
+    # one write for the whole CSV: unbuffered stdout makes each call a syscall
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in zip(ts, *columns)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -382,7 +391,10 @@ def main(argv=None) -> int:
     command = {"solve": cmd_solve, "verify": cmd_verify, "sample": cmd_sample}[ns.command]
     try:
         return command(cfg)
-    except (ConfigError, EquationSyntaxError, ValueError) as err:
+    except EquationSyntaxError as err:
+        _report_error(json_out, "parse error", str(err))
+        return 1
+    except (ConfigError, ValueError) as err:
         _report_error(json_out, "config error", str(err))
         return 1
     except (RootFindingError, ArithmeticError) as err:

@@ -21,7 +21,6 @@ in the test suite as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chareq import CharPoly, find_roots
@@ -32,6 +31,7 @@ from .ualgebra import (
     SubstMap,
     UExpr,
     UTerm,
+    _read_only,
     add,
     canonicalize,
     eval_expr,
@@ -52,26 +52,33 @@ class SingularSystemError(SolverError):
     """The constant-fitting linear system was singular or unstable."""
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
     """An order-n equation: n-fold derivative + sum p_i * (i-fold) = forcing.
 
     The coefficients are exact rationals, as in :class:`CharPoly` (a float
-    is read as the dyadic value it is).
+    is read as the dyadic value it is).  ``coeffs``, ``alpha`` and
+    ``forcing`` are read-only.
     """
 
-    coeffs: tuple[Fraction, ...]
-    alpha: float
-    forcing: UExpr = ZERO
-
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[Fraction, ...], alpha: float, forcing: UExpr = ZERO):
+        if len(coeffs) < 1:
             raise ValueError("equation order must be at least 1")
-        object.__setattr__(self, "coeffs", CharPoly(self.coeffs).coeffs)
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not isinstance(self.forcing, UExpr):
+        coeffs = CharPoly(coeffs).coeffs
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        if not isinstance(forcing, UExpr):
             raise TypeError("forcing must be a UExpr")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "forcing", forcing)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not ProblemSpec:
+            return NotImplemented
+        return ((self.coeffs, self.alpha, self.forcing)
+                == (other.coeffs, other.alpha, other.forcing))
 
     @property
     def order(self) -> int:
@@ -81,41 +88,62 @@ class ProblemSpec:
         return CharPoly(self.coeffs)
 
 
-@dataclass(frozen=True)
 class BasisOrigin:
-    """Where a basis element came from: root, power level, trig partner."""
+    """Where a basis element came from: ``root``, power ``level`` and trig
+    ``part`` (None for a real root, COS/SIN for a conjugate pair), all
+    read-only."""
 
-    root: complex
-    level: int
-    part: str | None  # None for a real root, COS/SIN for a conjugate pair
+    def __init__(self, root: complex, level: int, part: str | None):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "part", part)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not BasisOrigin:
+            return NotImplemented
+        return (self.root, self.level, self.part) == (other.root, other.level, other.part)
 
 
-@dataclass(frozen=True)
 class SolutionBasis:
-    elements: tuple[UExpr, ...]
-    origins: tuple[BasisOrigin, ...]
+    """``elements`` with one ``origins`` entry each, both read-only."""
 
-    def __post_init__(self):
-        if not self.elements or len(self.elements) != len(self.origins):
+    def __init__(self, elements: tuple[UExpr, ...], origins: tuple[BasisOrigin, ...]):
+        if not elements or len(elements) != len(origins):
             raise ValueError("basis needs one origin per element")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "origins", origins)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not SolutionBasis:
+            return NotImplemented
+        return (self.elements, self.origins) == (other.elements, other.origins)
 
     @property
     def n(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class GeneralSolution:
-    spec: ProblemSpec
-    basis: SolutionBasis
-    particular: UExpr | None = None
-    constants: tuple[float, ...] | None = None
+    """A problem's ``spec``, its ``basis``, the ``particular`` solution when
+    it is forced and the fitted ``constants`` when it has initial values,
+    all read-only."""
 
-    def __post_init__(self):
-        if self.particular is not None and self.spec.forcing.is_zero():
+    def __init__(self, spec: ProblemSpec, basis: SolutionBasis,
+                 particular: UExpr | None = None, constants: tuple[float, ...] | None = None):
+        if particular is not None and spec.forcing.is_zero():
             raise ValueError("particular solution present without forcing")
-        if self.constants is not None and len(self.constants) != self.basis.n:
+        if constants is not None and len(constants) != basis.n:
             raise ValueError("need one fitted constant per basis element")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "constants", constants)
+
+    __setattr__ = __delattr__ = _read_only
 
 
 def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,7 +48,20 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of a class whose attributes are
+    set once, when it is built.
+
+    ``__init__`` sets them with ``object.__setattr__``, one at a time, which
+    keeps CPython's compact per-instance storage; assigning a whole
+    ``__dict__`` makes an instance of one to three attributes 248 bytes
+    instead of 88-104 (64-bit CPython 3.11).  :class:`UTerm`
+    and :func:`_term` still assign the whole dict, which is the faster way
+    to store its six entries.
+    """
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class UTerm:
     """One product ``coeff * u^upow * e^(erate*u) * trig(tfreq*u)``.
 
@@ -62,27 +74,21 @@ class UTerm:
     A float is read as its dyadic value; only the terms of a
     :attr:`UExpr.lowered` expression hold floats.
 
-    It also computes the term's integer merge key once (see :func:`_term`).
-    The key sits in the instance dict but is not a field, so equality,
-    hashing and repr do not see it.
+    The fields are ``coeff``, ``upow``, ``erate``, ``trig`` and ``tfreq``;
+    they are read-only.  The term also computes its integer merge key once
+    (see :func:`_term`).  The key sits in the instance dict next to the
+    fields, but equality, hashing and repr read only the fields.
     """
 
-    coeff: Fraction
-    upow: int = 0
-    erate: Fraction = Fraction(0)
-    trig: str | None = None
-    tfreq: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        upow = self.upow
+    def __init__(self, coeff: Fraction, upow: int = 0, erate: Fraction = Fraction(0),
+                 trig: str | None = None, tfreq: Fraction = Fraction(0)):
         if upow != int(upow) or upow < 0:
             raise ValueError(f"upow must be a non-negative integer, got {upow!r}")
-        if self.trig not in _TRIG_ORDER:
-            raise ValueError(f"trig must be None, {COS!r} or {SIN!r}, got {self.trig!r}")
-        coeff = _rat(self.coeff)
-        erate = _rat(self.erate)
-        tfreq = _rat(self.tfreq)
-        trig = self.trig
+        if trig not in _TRIG_ORDER:
+            raise ValueError(f"trig must be None, {COS!r} or {SIN!r}, got {trig!r}")
+        coeff = _rat(coeff)
+        erate = _rat(erate)
+        tfreq = _rat(tfreq)
         if trig is None:
             if tfreq != 0:
                 raise ValueError("tfreq must be zero when there is no trig factor")
@@ -100,6 +106,23 @@ class UTerm:
             "_mkey": (upow, erate.numerator, erate.denominator, _TRIG_ORDER[trig],
                       tfreq.numerator, tfreq.denominator)})
 
+    __setattr__ = __delattr__ = _read_only
+
+    def _fields(self) -> tuple:
+        return (self.coeff, self.upow, self.erate, self.trig, self.tfreq)
+
+    def __eq__(self, other):
+        if type(other) is not UTerm:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"UTerm(coeff={self.coeff!r}, upow={self.upow!r}, erate={self.erate!r}, "
+                f"trig={self.trig!r}, tfreq={self.tfreq!r})")
+
     @property
     def key(self):
         """The key ``(upow, erate, trig rank, tfreq)`` canonical order sorts by."""
@@ -109,7 +132,7 @@ class UTerm:
 def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTerm:
     """A :class:`UTerm` from fields that are already canonical, not re-validated.
 
-    ``mkey`` is the merge key ``__post_init__`` would compute for the exact
+    ``mkey`` is the merge key ``UTerm(...)`` would compute for the exact
     fields: ``(upow, erate numerator, erate denominator, trig rank, tfreq
     numerator, tfreq denominator)``; a lowered term passes floats with it.
     """
@@ -119,17 +142,32 @@ def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTer
     return term
 
 
-@dataclass(frozen=True)
 class UExpr:
     """A canonical sum of :class:`UTerm`: keys unique, sorted, no zero term.
 
-    The empty tuple is the zero function.  Instances are only built
-    through :func:`canonicalize` (or the operations below, which all
-    re-canonicalize), so structural equality of exact expressions is
-    semantic equality.
+    ``terms`` is the one field, read-only; the empty tuple is the zero
+    function.  Instances are only built through :func:`canonicalize` (or
+    the operations below, which all re-canonicalize), so structural
+    equality of exact expressions is semantic equality.  Equality, hashing
+    and repr read ``terms`` only, never the cached lowering and
+    derivative.
     """
 
-    terms: tuple[UTerm, ...] = ()
+    def __init__(self, terms: tuple[UTerm, ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not UExpr:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"UExpr(terms={self.terms!r})"
 
     @property
     def lowered(self) -> UExpr:
@@ -197,17 +235,16 @@ def expr(*terms: UTerm) -> UExpr:
     return canonicalize(terms)
 
 
-@dataclass(frozen=True)
 class SubstMap:
-    """Carries alpha and the substitution ``u = t**alpha / alpha``."""
+    """Carries alpha (read-only) and the substitution ``u = t**alpha / alpha``."""
 
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
+    def __init__(self, alpha: float):
+        a = float(alpha)
         if not 0.0 < a <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         object.__setattr__(self, "alpha", a)
+
+    __setattr__ = __delattr__ = _read_only
 
     def u_of(self, t: float | complex) -> float | complex:
         """``t**alpha / alpha``; a complex ``t`` is a step off a real point."""

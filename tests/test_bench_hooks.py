@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 
 from confode import cli
+from confode.chareq import CharPoly, find_roots
 from confode.conformable import log_grid
 from confode.eqparse import problem_from_source
 from confode.solver import solve_problem
@@ -61,3 +62,11 @@ def test_verify_one_accepts_a_plain_list_of_floats():
     assert report["ok"]
     assert report["grid"] == {"t_lo": grid[0], "t_hi": grid[-1], "count": len(grid)}
     assert report["worst_t"] in grid
+
+
+def test_equal_root_sets_have_equal_reprs():
+    # the runner checks each distinct roots outcome once, keyed by its repr
+    first, second = (find_roots(CharPoly((2, 3))) for _ in range(2))
+    assert first is not second
+    assert repr(first) == repr(second) == ("RootSet(entries=(((-2+0j), 1), ((-1+0j), 1)), "
+                                           "exact_parts=(((-2, 1), (0, 1)), ((-1, 1), (0, 1))))")

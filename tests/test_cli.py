@@ -49,7 +49,24 @@ def test_alpha_zero_is_config_error(capsys):
 def test_parse_error_exits_one(capsys):
     code, _, err = run_cli(["solve", "--alpha", "0.5", "T y + + y = 0"], capsys)
     assert code == 1
-    assert "offset" in err
+    assert err.startswith("confode: parse error:") and "offset" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["solve", "--alpha", "1", "T1000000 y + y = 0"], "limit 256 at offset 0",
+                 id="order-limit"),
+    # only text starting with '{' is a solution document: this is equation text
+    pytest.param(["verify", "--alpha", "0.5", "[1, 2]"], "'[' at offset 0", id="json-array"),
+])
+def test_parse_error_kind_in_text_and_json(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: parse error:") and named in err
+    assert err.count("\n") == 1
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "parse error" and named in payload["error"]["message"]
 
 
 def test_missing_alpha_is_usage_error(capsys):
@@ -128,7 +145,6 @@ def _doc_with(path, value) -> str:
 @pytest.mark.parametrize("text, named", [
     ('{"foo": 1}', "'coeffs'"),
     ('{"coeffs": [1, 2], "alpha": 0.5}', "'forcing'"),
-    ('[1, 2]', "'['"),
     pytest.param(_doc_with(("coeffs", 0), math.nan), "'coeffs'", id="nan-coefficient"),
     pytest.param(_doc_with(("particular", 0, "coeff"), math.inf), "'particular'",
                  id="infinite-particular-coefficient"),
@@ -643,6 +659,33 @@ def test_sample_full_rows_equal_point_by_point_evaluation(argv, capsys):
     spec = problem_from_source(argv[-1], alpha)
     sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
     assert out.splitlines()[1:] == _sample_rows_point_by_point(sol, lo, hi, count)
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_sample_writes_the_csv_in_one_call(monkeypatch):
+    stub = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", stub)
+    code = main(["sample", "--columns", "full", "--alpha", "0.3", "--ic", "1:0.5,-2",
+                 "--range", "0.2:3:101", FORCED])
+    assert (code, stub.writes) == (0, 1)
+    # the reference prints one row per call
+    sol = solve_problem(problem_from_source(FORCED, 0.3), t0=1.0, targets=(0.5, -2.0))
+    want = io.StringIO()
+    print("t,y,y_basis_1,y_basis_2,y_particular", file=want)
+    for line in _sample_rows_point_by_point(sol, 0.2, 3.0, 101):
+        print(line, file=want)
+    assert stub.getvalue() == want.getvalue()
 
 
 def test_sample_rejects_alpha_list(capsys):

@@ -1,4 +1,5 @@
-"""Package-level contract: the public names, and what importing loads.
+"""Package-level contract: the public names, what importing loads, and
+read-only records.
 
 confode declares no runtime dependency: numpy and the other installed
 packages are for tests and the benchmark only, and the library never
@@ -6,7 +7,9 @@ reaches into ``tests/`` for its reference modules.  The import check runs
 in a fresh interpreter with both ``src`` and ``tests`` on the path, so a
 library module that imported a test-only package would succeed there and
 show up in ``sys.modules``; it also runs each command once, so a lazy
-import on a command's path shows up too.
+import on a command's path shows up too.  Neither ``dataclasses`` nor the
+``inspect`` it imports may load either, because they are a large share of
+a ``confode`` process's start-up.
 """
 
 from __future__ import annotations
@@ -20,11 +23,16 @@ from pathlib import Path
 import pytest
 
 import confode
+from confode import ProblemSpec, SubstMap, UTerm, expr, find_roots, solve_problem
+from confode.cli import build_parser, config_from_args
 
 ROOT = Path(__file__).resolve().parents[1]
 
 TEST_ONLY = ("numpy", "scipy", "sympy", "mpmath", "hypothesis", "pytest",
              "algebra_reference", "oracle_reference", "roots_reference", "vop_reference")
+
+# slow to import; the probe below loads neither itself
+START_UP_COST = ("dataclasses", "inspect")
 
 EQUATION = "T2 y + 3 T y + 2 y = exp(t^a)"
 
@@ -46,9 +54,11 @@ def test_import_and_commands_load_no_numpy_and_no_test_only_module():
     # every submodule too: the package itself does not import cli
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    probe = ("import contextlib, importlib, io, json, pkgutil, sys, confode\n"
-             "for mod in pkgutil.iter_modules(confode.__path__):\n"
-             "    importlib.import_module('confode.' + mod.name)\n"
+    # os.listdir, not pkgutil.iter_modules, which imports inspect
+    probe = ("import contextlib, importlib, io, json, os, sys, confode\n"
+             "for name in sorted(os.listdir(confode.__path__[0])):\n"
+             "    if name.endswith('.py') and name != '__init__.py':\n"
+             "        importlib.import_module('confode.' + name[:-3])\n"
              "from confode.cli import main\n"
              "codes = []\n"
              "for argv in json.loads(sys.argv[1]):\n"
@@ -62,6 +72,24 @@ def test_import_and_commands_load_no_numpy_and_no_test_only_module():
     loaded = {name.split(".")[0] for name in modules}
     assert "numpy" not in loaded
     assert not loaded & set(TEST_ONLY), sorted(loaded & set(TEST_ONLY))
+    assert not loaded & set(START_UP_COST), sorted(loaded & set(START_UP_COST))
+
+
+def test_records_are_read_only():
+    spec = ProblemSpec((3, 4), 0.5, expr(UTerm(1)))
+    sol = solve_problem(spec)
+    cfg = config_from_args(build_parser().parse_args(["solve", "--alpha", "0.5", "T y = 1"]))
+    records = [(UTerm(1), "coeff"), (sol.particular, "terms"), (SubstMap(0.5), "alpha"),
+               (spec.char_poly(), "coeffs"), (find_roots(spec.char_poly()), "entries"),
+               (spec, "forcing"), (sol.basis.origins[0], "root"), (sol.basis, "elements"),
+               (sol, "constants"), (cfg, "tol")]
+    for record, name in records:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
 
 
 def test_no_runtime_dependencies_are_declared():
