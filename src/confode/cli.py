@@ -1,5 +1,12 @@
 """Command-line front door: solve, verify, sample.
 
+Each command takes only the flags it reads, and argparse checks each flag
+value as it parses it:
+
+    solve   --alpha | --alpha-list, --json, --ic, --file
+    verify  the solve flags, plus --range and --tol
+    sample  --alpha, --json, --ic, --range (required), --columns, --file
+
 Exit codes are a stable contract:
 
     0  success
@@ -10,9 +17,10 @@ Exit codes are a stable contract:
     3  verification failure (residual above tolerance)
 
 Errors are one line on stderr, ``confode: <kind>: <message>`` with the kind
-``parse error`` (equation text), ``config error`` or ``solver error``, or
-that kind and message as a JSON object under ``--json``; a failing
-``solve`` or ``sample`` writes nothing to stdout.
+``parse error`` (equation text), ``config error`` (a usage error, a bad
+flag value or a bad solution document) or ``solver error``, or that kind
+and message as a JSON object under ``--json``; an error writes nothing to
+stdout.  Until argv parses, ``--json`` anywhere in it selects JSON.
 
 ``verify`` accepts either equation text (which it solves first, fitting
 ``--ic`` when given) or a solution document produced by ``solve --json`` —
@@ -39,7 +47,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, _read_only, format_t
+from .ualgebra import ZERO, PointTable, SubstMap, format_t
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -47,77 +55,44 @@ DEFAULT_GRID_HI = 3.0
 DEFAULT_GRID_COUNT = 50
 
 
-class ConfigError(ValueError):
-    """Bad flag combination or malformed flag value."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Usage error, bad flag value or unusable input.  When a flag's ``type``
+    callable raises it, argparse reports ``argument --flag: message``."""
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors must exit 1, not argparse's default 2
+    # main reports usage errors on its one error path, exit 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ConfigError(message)
 
 
-class RunConfig:
-    """One command's validated flags, read-only.  ``source`` is the equation
-    text and ``doc`` the parsed solution JSON; one of them is None."""
-
-    def __init__(self, alphas: tuple[float, ...], source: str | None, doc: dict | None,
-                 json_out: bool, ic: tuple[float, tuple[float, ...]] | None,
-                 trange: tuple[float, float, int] | None, tol: float, columns: str):
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "doc", doc)
-        object.__setattr__(self, "json_out", json_out)
-        object.__setattr__(self, "ic", ic)
-        object.__setattr__(self, "trange", trange)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "columns", columns)
-
-    __setattr__ = __delattr__ = _read_only
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"invalid float value: {text!r}") from None
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="confode", description=(
-        "Closed-form general solutions to sequential linear conformable "
-        "fractional differential equations with constant coefficients."))
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (("solve", "solve an equation and print the general solution"),
-                      ("verify", "check a solution numerically on a grid"),
-                      ("sample", "evaluate a solution to CSV")):
-        sp = sub.add_parser(name, help=doc)
-        group = sp.add_mutually_exclusive_group(required=True)
-        group.add_argument("--alpha", type=float, help="derivative order in (0, 1]")
-        group.add_argument("--alpha-list",
-                           help="comma-separated alpha values to sweep")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--ic", help="initial conditions t0:v0,v1,...")
-        sp.add_argument("--range", dest="trange", help="t grid lo:hi:count")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="verification tolerance (relative)")
-        sp.add_argument("--columns", choices=("basic", "full"), default="basic",
-                        help="sample: emit per-basis columns with 'full'")
-        sp.add_argument("--file", help="read the equation/solution from a file")
-        sp.add_argument("source", nargs="?",
-                        help="equation text, or solution JSON for verify")
-    return p
-
-
-def _parse_alphas(ns) -> tuple[float, ...]:
-    if ns.alpha is not None:
-        alphas = (ns.alpha,)
-    else:
-        try:
-            alphas = tuple(float(v) for v in ns.alpha_list.split(","))
-        except ValueError as err:
-            raise ConfigError(f"bad --alpha-list: {err}") from err
-        if not alphas:
-            raise ConfigError("--alpha-list is empty")
-    for a in alphas:
+def _alphas(values: list[float]) -> tuple[float, ...]:
+    for a in values:
         if not (0.0 < a <= 1.0):
             raise ConfigError(f"alpha must lie in (0, 1], got {a}")
-    return alphas
+    return tuple(values)
+
+
+def _alpha(text: str) -> tuple[float, ...]:
+    return _alphas([_float(text)])
+
+
+def _alpha_list(text: str) -> tuple[float, ...]:
+    return _alphas([_float(v) for v in text.split(",")])
+
+
+def _tol(text: str) -> float:
+    tol = _float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _parse_ic(text: str):
@@ -151,8 +126,43 @@ def _parse_range(text: str):
     return lo, hi, n
 
 
-def config_from_args(ns) -> RunConfig:
-    alphas = _parse_alphas(ns)
+def build_parser() -> _Parser:
+    p = _Parser(prog="confode", description=(
+        "Closed-form general solutions to sequential linear conformable "
+        "fractional differential equations with constant coefficients."))
+    sub = p.add_subparsers(dest="command", required=True)
+    solve = sub.add_parser("solve", help="solve an equation and print the general solution")
+    verify = sub.add_parser("verify", help="check a solution numerically on a grid")
+    sample = sub.add_parser("sample", help="evaluate a solution to CSV")
+    alpha_help = "derivative order in (0, 1]"
+    for sp in (solve, verify):
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_alpha,
+                           help=alpha_help)
+        group.add_argument("--alpha-list", dest="alphas", metavar="ALPHA_LIST",
+                           type=_alpha_list, help="comma-separated alpha values to sweep")
+    sample.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_alpha, required=True,
+                        help=alpha_help)
+    for sp in (solve, verify, sample):
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.add_argument("--ic", type=_parse_ic, help="initial conditions t0:v0,v1,...")
+    for sp in (verify, sample):
+        sp.add_argument("--range", dest="trange", metavar="RANGE", type=_parse_range,
+                        required=sp is sample, help="t grid lo:hi:count")
+    verify.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
+                        help="verification tolerance (relative)")
+    sample.add_argument("--columns", choices=("basic", "full"), default="basic",
+                        help="emit per-basis columns with 'full'")
+    for sp in (solve, verify, sample):
+        sp.add_argument("--file", help="read the equation/solution from a file")
+        sp.add_argument("source", nargs="?",
+                        help="equation text, or solution JSON for verify")
+    return p
+
+
+def _read_source(ns: argparse.Namespace) -> str | dict:
+    """The equation text, or for verify a parsed solution document: inline,
+    from ``--file`` or, for verify only, from standard input."""
     if ns.source is not None and ns.file is not None:
         raise ConfigError("give the equation either inline or via --file, not both")
     text = ns.source
@@ -163,43 +173,28 @@ def config_from_args(ns) -> RunConfig:
         except OSError as err:
             raise ConfigError(f"cannot read --file: {err}") from err
     if text is None:
-        if ns.command == "verify":
-            text = sys.stdin.read().strip()
-        else:
-            raise ConfigError("missing equation (positional argument or --file)")
-    doc = None
-    source = text
-    if text.lstrip().startswith("{"):
         if ns.command != "verify":
-            raise ConfigError("solution JSON input is only accepted by verify")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad solution JSON: {err}") from err
-        source = None
-    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
-        raise ConfigError(f"tolerance must be positive and finite, got {ns.tol}")
-    return RunConfig(
-        alphas=alphas,
-        source=source,
-        doc=doc,
-        json_out=ns.json,
-        ic=None if ns.ic is None else _parse_ic(ns.ic),
-        trange=None if ns.trange is None else _parse_range(ns.trange),
-        tol=ns.tol,
-        columns=ns.columns,
-    )
+            raise ConfigError("missing equation (positional argument or --file)")
+        text = sys.stdin.read().strip()
+    if not text.lstrip().startswith("{"):
+        return text
+    if ns.command != "verify":
+        raise ConfigError("solution JSON input is only accepted by verify")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"bad solution JSON: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def _solve_one(cfg: RunConfig, alpha: float) -> GeneralSolution:
-    spec = problem_from_source(cfg.source, alpha)
-    if cfg.ic is None:
+def _solve_one(ns: argparse.Namespace, source: str, alpha: float) -> GeneralSolution:
+    spec = problem_from_source(source, alpha)
+    if ns.ic is None:
         return solve_problem(spec)
-    t0, targets = cfg.ic
+    t0, targets = ns.ic
     if len(targets) != spec.order:
         raise ConfigError(
             f"--ic needs {spec.order} target values for this equation, "
@@ -221,10 +216,11 @@ def _solution_lines(sol: GeneralSolution) -> list[str]:
     return lines
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(ns: argparse.Namespace) -> int:
+    source = _read_source(ns)
     # everything is rendered before anything is printed: a failure prints nothing
-    sols = [_solve_one(cfg, alpha) for alpha in cfg.alphas]
-    if cfg.json_out:
+    sols = [_solve_one(ns, source, alpha) for alpha in ns.alphas]
+    if ns.json:
         docs = [solution_to_doc(sol) for sol in sols]
         print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
     else:
@@ -236,9 +232,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 # verify
 
 
-def _verify_grid(cfg: RunConfig) -> list[float]:
-    if cfg.trange is not None:
-        lo, hi, count = cfg.trange
+def _verify_grid(ns: argparse.Namespace) -> list[float]:
+    if ns.trange is not None:
+        lo, hi, count = ns.trange
         return log_grid(lo, hi, count)
     return log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
 
@@ -293,28 +289,28 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     }
 
 
-def _doc_solution(cfg: RunConfig) -> GeneralSolution:
+def _doc_solution(ns: argparse.Namespace, doc: dict) -> GeneralSolution:
     """The document's solution, refusing flags that would not apply to it."""
-    if cfg.ic is not None:
+    if ns.ic is not None:
         raise ConfigError("--ic does not apply to a solution document; "
                           "fit the constants with solve --ic")
-    sol = solution_from_doc(cfg.doc)
-    for alpha in cfg.alphas:
+    sol = solution_from_doc(doc)
+    for alpha in ns.alphas:
         if alpha != sol.spec.alpha:
             raise ConfigError(f"alpha {alpha!r} differs from the solution document's "
                               f"alpha {sol.spec.alpha!r}")
     return sol
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    grid = _verify_grid(cfg)
-    reports = []
-    if cfg.doc is not None:
-        reports.append(_verify_one(_doc_solution(cfg), grid, cfg.tol))
+def cmd_verify(ns: argparse.Namespace) -> int:
+    source = _read_source(ns)
+    grid = _verify_grid(ns)
+    if isinstance(source, dict):
+        reports = [_verify_one(_doc_solution(ns, source), grid, ns.tol)]
     else:
-        for alpha in cfg.alphas:
-            reports.append(_verify_one(_solve_one(cfg, alpha), grid, cfg.tol))
-    if cfg.json_out:
+        reports = [_verify_one(_solve_one(ns, source, alpha), grid, ns.tol)
+                   for alpha in ns.alphas]
+    if ns.json:
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:
         for rep in reports:
@@ -329,20 +325,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 # sample
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    if cfg.trange is None:
-        raise ConfigError("sample needs --range lo:hi:count")
-    if len(cfg.alphas) != 1:
-        raise ConfigError("sample needs a single --alpha")
-    lo, hi, count = cfg.trange
-    sol = _solve_one(cfg, cfg.alphas[0])
+def cmd_sample(ns: argparse.Namespace) -> int:
+    lo, hi, count = ns.trange
+    sol = _solve_one(ns, _read_source(ns), ns.alphas[0])
     subst = SubstMap(sol.spec.alpha)
     constants = sol.constants
     if constants is None:
         constants = tuple(0.0 for _ in sol.basis.elements)
 
     header = ["t", "y"]
-    if cfg.columns == "full":
+    if ns.columns == "full":
         header += [f"y_basis_{i + 1}" for i in range(sol.basis.n)]
         if sol.particular is not None:
             header.append("y_particular")
@@ -355,7 +347,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     for c, vals in zip(constants, basis_vals):
         y = [s + c * v for s, v in zip(y, vals)]
     columns = [[s + v for s, v in zip(y, part_val)]]
-    if cfg.columns == "full":
+    if ns.columns == "full":
         columns += basis_vals
         if sol.particular is not None:
             columns.append(part_val)
@@ -381,20 +373,18 @@ def _report_error(json_out: bool, kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    json_out = bool(getattr(ns, "json", False))
+    if argv is None:
+        argv = sys.argv[1:]
+    json_out = "--json" in argv  # until argv parses
     try:
-        cfg = config_from_args(ns)
-    except ConfigError as err:
-        _report_error(json_out, "config error", str(err))
-        return 1
-    command = {"solve": cmd_solve, "verify": cmd_verify, "sample": cmd_sample}[ns.command]
-    try:
-        return command(cfg)
+        ns = build_parser().parse_args(argv)
+        json_out = ns.json
+        command = {"solve": cmd_solve, "verify": cmd_verify, "sample": cmd_sample}[ns.command]
+        return command(ns)
     except EquationSyntaxError as err:
         _report_error(json_out, "parse error", str(err))
         return 1
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError, DomainError, a bad solution document
         _report_error(json_out, "config error", str(err))
         return 1
     except (RootFindingError, ArithmeticError) as err:

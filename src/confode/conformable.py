@@ -97,7 +97,8 @@ class OracleGrid:
     def quotient(self, f: UExpr) -> list[float]:
         """The limit quotient of ``f`` at each grid point.
 
-        Kept per expression object, like :meth:`PointTable.eval`'s results.
+        Values and quotients are kept per expression object, so the table
+        evaluates each expression once per grid.
         """
         return self._split(f)[2]
 

@@ -398,6 +398,9 @@ def solution_from_doc(doc) -> GeneralSolution:
     Each float is read as its dyadic value.  A document that is not an
     object, lacks a required key, or holds a value of the wrong shape or a
     non-finite number (json reads ``NaN``) raises ValueError naming the key.
+    So does a ``basis`` that is not ``order`` distinct one-term elements, or
+    ``origins`` other than the ones those terms imply: root ``(erate,
+    tfreq)``, level ``upow``, part ``trig``.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -427,7 +430,15 @@ def solution_from_doc(doc) -> GeneralSolution:
     if order != spec.order:
         raise ValueError(f"order field {order} does not match {spec.order} coefficients")
     elements = field("basis", lambda v: tuple(expr_from_records(r) for r in v))
+    if (len(elements) != order or len(set(elements)) != order
+            or any(len(e.terms) != 1 for e in elements)):
+        raise ValueError(f"solution document key 'basis' must hold {order} distinct "
+                         f"one-term elements")
     origins = field("origins", lambda v: tuple(origin(o) for o in v))
+    if origins != tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig)
+                        for (t,) in (e.terms for e in elements)):
+        raise ValueError("solution document key 'origins' differs from the roots, levels "
+                         "and parts of the basis elements")
     particular = field("particular", expr_from_records, required=False)
     constants = field("constants", lambda v: tuple(_finite(c) for c in v), required=False)
     return GeneralSolution(spec, SolutionBasis(elements, origins), particular, constants)

@@ -400,8 +400,8 @@ class PointTable:
     :mod:`cmath`'s functions instead; nothing else differs.  Their values'
     real parts then equal the real table's except where complex ``**``
     rounds ``u**k``, ``k >= 3``, differently, by an ulp or so.  Results
-    are kept per expression object for the table's life: an expression
-    passed again is not evaluated again.
+    are not kept: a caller that needs an expression's values twice keeps
+    them itself, as :class:`~confode.conformable.OracleGrid` does.
     """
 
     def __init__(self, ts, subst: SubstMap):
@@ -409,7 +409,6 @@ class PointTable:
         lib = cmath if any(type(u) is complex for u in self.u) else math
         self._exp, self._cos, self._sin = lib.exp, lib.cos, lib.sin
         self._columns: dict[tuple, list[float]] = {}
-        self._results: dict[int, tuple[UExpr, tuple[float, ...]]] = {}
 
     def _column(self, kind, x) -> list[float]:
         """``u**x`` (kind None) or ``kind(x*u)`` at every point, filled once."""
@@ -423,10 +422,7 @@ class PointTable:
         return col
 
     def eval(self, f: UExpr) -> tuple[float, ...]:
-        """Values of ``f`` at every point, as a tuple shared by every caller."""
-        hit = self._results.get(id(f))
-        if hit is not None:
-            return hit[1]
+        """Values of ``f`` at every point."""
         total = [0.0] * len(self.u)
         for coeff, upow, erate, trig, tfreq in f.float_rows:
             cols = []
@@ -447,9 +443,7 @@ class PointTable:
                 total = [s + coeff * a * b for s, a, b in zip(total, *cols)]
             else:
                 total = [s + coeff * a * b * c for s, a, b, c in zip(total, *cols)]
-        result = tuple(total)
-        self._results[id(f)] = (f, result)  # holding f keeps its id unique
-        return result
+        return tuple(total)
 
 
 # ---------------------------------------------------------------------------

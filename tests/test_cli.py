@@ -142,6 +142,13 @@ def _doc_with(path, value) -> str:
     return json.dumps(doc)
 
 
+def _homogeneous_doc(edit) -> str:
+    """The solve --json document of T2 y + 3 T y + 2 y = 0 at alpha 0.5,
+    passed through ``edit``."""
+    sol = solve_problem(problem_from_source("T2 y + 3 T y + 2 y = 0", 0.5))
+    return json.dumps(edit(solution_to_doc(sol)))
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"foo": 1}', "'coeffs'"),
     ('{"coeffs": [1, 2], "alpha": 0.5}', "'forcing'"),
@@ -154,6 +161,15 @@ def _doc_with(path, value) -> str:
     pytest.param(_doc_with(("constants", 1), math.nan), "'constants'", id="nan-constant"),
     pytest.param(_doc_with(("alpha",), math.inf), "'alpha'", id="infinite-alpha"),
     pytest.param(_doc_with(("origins", 0, "root", 0), math.nan), "'origins'", id="nan-root"),
+    # documents that are not general solutions
+    pytest.param(_homogeneous_doc(lambda d: {**d, "basis": d["basis"][:1],
+                                             "origins": d["origins"][:1]}),
+                 "'basis'", id="basis-too-short"),
+    pytest.param(_homogeneous_doc(lambda d: {**d, "basis": [d["basis"][0]] * 2}),
+                 "'basis'", id="basis-repeated"),
+    pytest.param(_homogeneous_doc(lambda d: {**d, "origins": [
+        {**d["origins"][0], "root": [5.0, 0.0]}, *d["origins"][1:]]}),
+                 "'origins'", id="origin-root-differs"),
 ])
 def test_malformed_solution_document_is_config_error(text, named, capsys):
     code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
@@ -174,6 +190,28 @@ def test_malformed_solution_document_is_config_error(text, named, capsys):
 def test_solution_from_doc_names_the_bad_key(doc, named):
     with pytest.raises(ValueError, match=named):
         solution_from_doc(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", HOMOG], id="missing-alpha"),
+    pytest.param([], id="no-command"),
+    pytest.param(["solve", "--alpha", "0.5", "--bogus", "1", HOMOG], id="unknown-flag"),
+    pytest.param(["solve", "--alpha", "0.5", "--tol", "1e-3", HOMOG], id="solve-tol"),
+    pytest.param(["verify", "--alpha", "0.5", "--columns", "full", HOMOG], id="verify-columns"),
+    pytest.param(["sample", "--alpha-list", "0.5,1", "--range", "1:2:3", HOMOG],
+                 id="sample-alpha-list"),
+    pytest.param(["sample", "--alpha", "0.5", "--range", "1:2:3", "--columns", "fancy", HOMOG],
+                 id="columns-fancy"),
+    pytest.param(["verify", "--alpha", "0.5", "--tol", "abc", HOMOG], id="tol-abc"),
+])
+def test_usage_errors_are_one_line_config_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: config error:") and err.count("\n") == 1
+    assert "usage:" not in err
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"]["kind"] == "config error"
 
 
 def test_json_mode_errors_are_json_on_stderr(capsys):

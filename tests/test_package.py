@@ -24,7 +24,6 @@ import pytest
 
 import confode
 from confode import ProblemSpec, SubstMap, UTerm, expr, find_roots, solve_problem
-from confode.cli import build_parser, config_from_args
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,14 +74,25 @@ def test_import_and_commands_load_no_numpy_and_no_test_only_module():
     assert not loaded & set(START_UP_COST), sorted(loaded & set(START_UP_COST))
 
 
+def test_console_script_reads_sys_argv():
+    # the confode script calls main() with no argv, so main reads sys.argv
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    entry = "import sys; from confode.cli import main; sys.exit(main())"
+    done = subprocess.run([sys.executable, "-c", entry, "solve", "--json", "T y = 0"], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"]["kind"] == "config error"
+
+
 def test_records_are_read_only():
     spec = ProblemSpec((3, 4), 0.5, expr(UTerm(1)))
     sol = solve_problem(spec)
-    cfg = config_from_args(build_parser().parse_args(["solve", "--alpha", "0.5", "T y = 1"]))
     records = [(UTerm(1), "coeff"), (sol.particular, "terms"), (SubstMap(0.5), "alpha"),
                (spec.char_poly(), "coeffs"), (find_roots(spec.char_poly()), "entries"),
                (spec, "forcing"), (sol.basis.origins[0], "root"), (sol.basis, "elements"),
-               (sol, "constants"), (cfg, "tol")]
+               (sol, "constants")]
     for record, name in records:
         value = getattr(record, name)
         with pytest.raises(AttributeError):
