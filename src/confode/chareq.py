@@ -7,9 +7,9 @@ exact in the math before any float step:
 
 * lifted: the coefficients are scaled by the lcm of their denominators to
   integers, which loses nothing;
-* split: Yun's square-free factorisation gives factors whose roots are
-  all simple, each with its exact multiplicity (a gcd modulo one prime
-  certifies the common square-free case without rational arithmetic);
+* split: Yun's square-free factorisation (Yun 1976, SYMSAC), with gcds
+  from primitive pseudo-remainder sequences over the integers, gives
+  factors whose roots are all simple, each with its exact multiplicity;
 * landed: Aberth-Ehrlich simultaneous iteration approximates each
   factor's roots, each approximation is rounded to the real ``a/q`` or
   Gaussian ``(a ± ib)/q`` with the least denominator the rational root
@@ -42,8 +42,6 @@ ABERTH_STEP_TOL = 1e-13
 # a candidate is tried at the least denominator that puts it this close
 # (relative) to its approximation
 CANDIDATE_RADIUS = 1e-6
-# word-sized prime for the square-free certificate
-_PRIME = 2**61 - 1
 
 _EPS = sys.float_info.epsilon
 
@@ -250,36 +248,10 @@ def _gcd(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
-    """Whether f and g are coprime modulo _PRIME.  Neither leading
-    coefficient may vanish modulo it, and len(f) >= len(g)."""
-    f = [c % _PRIME for c in f]
-    g = [c % _PRIME for c in g]
-    while len(g) > 1:
-        inv = pow(g[0], -1, _PRIME)
-        n = len(g)
-        for i in range(len(f) - n + 1):
-            c = f[i] * inv % _PRIME
-            if c:
-                for j in range(1, n):
-                    f[i + j] = (f[i + j] - c * g[j]) % _PRIME
-        r = f[len(f) - n + 1:]
-        while r and r[0] == 0:
-            r = r[1:]
-        if not r:
-            return False
-        f, g = g, r
-    return True
-
-
 def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's square-free factorisation: primitive pairwise-coprime factors,
     each with roots of exactly the given multiplicity."""
     df = _deriv(f)
-    # when f's leading coefficient survives reduction modulo the prime,
-    # coprimality there proves f square-free
-    if f[0] % _PRIME and _coprime_mod_prime(f, df):
-        return [(_primitive(f), 1)]
     a = _gcd(f, df)
     b, c = _quotient(f, a), _quotient(df, a)
     out = []

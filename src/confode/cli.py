@@ -1,7 +1,7 @@
 """Command-line front door: solve, verify, sample.
 
-Each command takes only the flags it reads, and argparse checks each flag
-value as it parses it:
+Each command takes only the flags it reads, each under its full name
+only, and argparse checks each flag value as it parses it:
 
     solve   --alpha | --alpha-list, --json, --ic, --file
     verify  the solve flags, plus --range and --tol
@@ -65,6 +65,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        # A flag this command does not read lets the positional take the
+        # flag's value, so argparse would report the equation text too.
+        stray = [a for a in extras if a.startswith("--")]
+        if stray:
+            self.error(f"unrecognized arguments: {' '.join(stray)}")
+        return ns, extras
+
 
 def _float(text: str) -> float:
     try:
@@ -127,13 +136,16 @@ def _parse_range(text: str):
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="confode", description=(
+    p = _Parser(prog="confode", allow_abbrev=False, description=(
         "Closed-form general solutions to sequential linear conformable "
         "fractional differential equations with constant coefficients."))
     sub = p.add_subparsers(dest="command", required=True)
-    solve = sub.add_parser("solve", help="solve an equation and print the general solution")
-    verify = sub.add_parser("verify", help="check a solution numerically on a grid")
-    sample = sub.add_parser("sample", help="evaluate a solution to CSV")
+    # no prefixes: the flag table in the module docstring is every spelling
+    solve = sub.add_parser("solve", allow_abbrev=False,
+                           help="solve an equation and print the general solution")
+    verify = sub.add_parser("verify", allow_abbrev=False,
+                            help="check a solution numerically on a grid")
+    sample = sub.add_parser("sample", allow_abbrev=False, help="evaluate a solution to CSV")
     alpha_help = "derivative order in (0, 1]"
     for sp in (solve, verify):
         group = sp.add_mutually_exclusive_group(required=True)

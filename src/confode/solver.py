@@ -107,11 +107,15 @@ class BasisOrigin:
 
 
 class SolutionBasis:
-    """``elements`` with one ``origins`` entry each, both read-only."""
+    """One-term ``elements`` and the ``origins`` their terms imply: root
+    ``erate + i·tfreq``, level ``upow`` and part ``trig``.  Both are
+    read-only."""
 
-    def __init__(self, elements: tuple[UExpr, ...], origins: tuple[BasisOrigin, ...]):
-        if not elements or len(elements) != len(origins):
-            raise ValueError("basis needs one origin per element")
+    def __init__(self, elements: tuple[UExpr, ...]):
+        if not elements or any(len(e.terms) != 1 for e in elements):
+            raise ValueError("a basis needs one or more one-term elements")
+        origins = tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig)
+                        for (t,) in (e.terms for e in elements))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "origins", origins)
 
@@ -120,7 +124,7 @@ class SolutionBasis:
     def __eq__(self, other):
         if type(other) is not SolutionBasis:
             return NotImplemented
-        return (self.elements, self.origins) == (other.elements, other.origins)
+        return self.elements == other.elements
 
     @property
     def n(self) -> int:
@@ -160,7 +164,6 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     """
     roots = find_roots(spec.char_poly())
     elements: list[UExpr] = []
-    origins: list[BasisOrigin] = []
     for (root, mult), exact in zip(roots.entries, roots.exact_parts):
         if root.imag < 0:
             continue  # handled via its conjugate partner
@@ -169,12 +172,11 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
         for level in range(mult):
             for part in (COS, SIN) if beta else (None,):
                 elements.append(expr(UTerm(1, level, theta, part, beta)))
-                origins.append(BasisOrigin(root, level, part))
     if len(elements) != spec.order:
         raise SolverError(
             f"basis count {len(elements)} != order {spec.order} "
             f"for {spec.char_poly().describe()}")
-    return SolutionBasis(tuple(elements), tuple(origins))
+    return SolutionBasis(tuple(elements))
 
 
 def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
@@ -304,12 +306,11 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
     return x
 
 
-def fit_constants(sol: GeneralSolution, t0: float, targets, subst: SubstMap | None = None):
+def fit_constants(sol: GeneralSolution, t0: float, targets):
     """Solve for the c_i matching the 0..n-1-fold derivative values at t0."""
     if t0 <= 0.0:
         raise ValueError(f"initial point must be positive, got {t0}")
-    if subst is None:
-        subst = SubstMap(sol.spec.alpha)
+    subst = SubstMap(sol.spec.alpha)
     n = sol.basis.n
     b = [float(v) for v in targets]
     if len(b) != n:
@@ -434,11 +435,10 @@ def solution_from_doc(doc) -> GeneralSolution:
             or any(len(e.terms) != 1 for e in elements)):
         raise ValueError(f"solution document key 'basis' must hold {order} distinct "
                          f"one-term elements")
-    origins = field("origins", lambda v: tuple(origin(o) for o in v))
-    if origins != tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig)
-                        for (t,) in (e.terms for e in elements)):
+    basis = SolutionBasis(elements)
+    if field("origins", lambda v: tuple(origin(o) for o in v)) != basis.origins:
         raise ValueError("solution document key 'origins' differs from the roots, levels "
                          "and parts of the basis elements")
     particular = field("particular", expr_from_records, required=False)
     constants = field("constants", lambda v: tuple(_finite(c) for c in v), required=False)
-    return GeneralSolution(spec, SolutionBasis(elements, origins), particular, constants)
+    return GeneralSolution(spec, basis, particular, constants)

@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from confode import cli
@@ -70,3 +71,10 @@ def test_equal_root_sets_have_equal_reprs():
     assert first is not second
     assert repr(first) == repr(second) == ("RootSet(entries=(((-2+0j), 1), ((-1+0j), 1)), "
                                            "exact_parts=(((-2, 1), (0, 1)), ((-1, 1), (0, 1))))")
+    # equal polynomials given as ints, floats and Fractions: a triple root,
+    # a conjugate pair, and certified irrational roots
+    for ints, other in [((1, 3, 3), (1.0, Fraction(3), 3.0)),
+                        ((5, 2), (Fraction(10, 2), 2.0)),
+                        ((-2, 0), (-2.0, Fraction(0)))]:
+        first, second = find_roots(CharPoly(ints)), find_roots(CharPoly(other))
+        assert first is not second and repr(first) == repr(second)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from confode.ualgebra import SubstMap, eval_expr
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
 HOMOG = "T2 y + 4 T y + 3 y = 0"
+MISSING_FILE = str(Path(__file__).with_name("no-such-equation.txt"))
+STDIN_TEXT = '{"alpha": 0.5,'
 
 
 def run_cli(argv, capsys):
@@ -192,26 +195,51 @@ def test_solution_from_doc_names_the_bad_key(doc, named):
         solution_from_doc(doc)
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["solve", HOMOG], id="missing-alpha"),
-    pytest.param([], id="no-command"),
-    pytest.param(["solve", "--alpha", "0.5", "--bogus", "1", HOMOG], id="unknown-flag"),
-    pytest.param(["solve", "--alpha", "0.5", "--tol", "1e-3", HOMOG], id="solve-tol"),
-    pytest.param(["verify", "--alpha", "0.5", "--columns", "full", HOMOG], id="verify-columns"),
-    pytest.param(["sample", "--alpha-list", "0.5,1", "--range", "1:2:3", HOMOG],
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["solve", HOMOG], "--alpha", id="missing-alpha"),
+    pytest.param([], "command", id="no-command"),
+    pytest.param(["solve", "--alpha", "0.5", "--bogus", "1", HOMOG], "arguments: --bogus",
+                 id="unknown-flag"),
+    # argparse reads 1e-3 as the positional, and leaves the equation text over
+    pytest.param(["solve", "--alpha", "0.5", "--tol", "1e-3", HOMOG], "arguments: --tol",
+                 id="solve-tol"),
+    pytest.param(["verify", "--alpha", "0.5", "--columns", "full", HOMOG], "--columns",
+                 id="verify-columns"),
+    pytest.param(["sample", "--alpha-list", "0.5,1", "--range", "1:2:3", HOMOG], "--alpha",
                  id="sample-alpha-list"),
     pytest.param(["sample", "--alpha", "0.5", "--range", "1:2:3", "--columns", "fancy", HOMOG],
-                 id="columns-fancy"),
-    pytest.param(["verify", "--alpha", "0.5", "--tol", "abc", HOMOG], id="tol-abc"),
+                 "--columns", id="columns-fancy"),
+    pytest.param(["verify", "--alpha", "0.5", "--tol", "abc", HOMOG], "--tol", id="tol-abc"),
+    # flags answer to their full names only
+    pytest.param(["sample", "--al", "0.5", "--range", "1:2:3", HOMOG], "--alpha",
+                 id="abbrev-al"),
+    pytest.param(["sample", "--alpha", "0.5", "--ra", "1:2:3", HOMOG], "--range",
+                 id="abbrev-ra"),
+    pytest.param(["solve", "--alpha", "0.5", "--ic", "1:a", HOMOG], "--ic",
+                 id="ic-not-a-number"),
+    pytest.param(["solve", "--alpha", "0.5", "--ic", "0:1,0", HOMOG], "--ic", id="ic-at-zero"),
+    pytest.param(["verify", "--alpha", "0.5", "--range", "3:1:5", HOMOG], "--range",
+                 id="range-decreasing"),
+    pytest.param(["sample", "--alpha", "0.5", "--range", "1:3:1", HOMOG], "--range",
+                 id="range-one-point"),
+    pytest.param(["solve", "--alpha", "0.5", "--file", MISSING_FILE], "--file",
+                 id="file-unreadable"),
+    # no source: verify reads STDIN_TEXT, which is not JSON
+    pytest.param(["verify", "--alpha", "0.5"], "solution JSON", id="stdin-bad-json"),
 ])
-def test_usage_errors_are_one_line_config_errors(argv, capsys):
+def test_usage_errors_are_one_line_config_errors(argv, named, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_TEXT))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("confode: config error:") and err.count("\n") == 1
+    assert named in err and HOMOG not in err
     assert "usage:" not in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(STDIN_TEXT))
     code, out, err = run_cli(argv + ["--json"], capsys)
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and json.loads(err)["error"]["kind"] == "config error"
+    payload = json.loads(err)
+    assert err.count("\n") == 1 and payload["error"]["kind"] == "config error"
+    assert named in payload["error"]["message"]
 
 
 def test_json_mode_errors_are_json_on_stderr(capsys):
@@ -381,6 +409,29 @@ def test_solve_alpha_list_emits_each_section(capsys):
         ["solve", "--alpha-list", "0.25,0.5,0.75,1.0", HOMOG], capsys)
     assert code == 0
     assert out.count("alpha = ") == 4
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["solve", "--alpha", "0.5", "--ic", "1:1,0", "T2 y + 2 T y + 5 y = 0"], [
+        "alpha = 0.5",
+        "basis:",
+        "  y1(t) = e^{-2·t^0.5}·cos(4·t^0.5)",
+        "  y2(t) = e^{-2·t^0.5}·sin(4·t^0.5)",
+        "constants: c1 = -2.033781336448894, c2 = -8.006960785275673",
+        "y(t) = -2.033781336·e^{-2·t^0.5}·cos(4·t^0.5)"
+        " - 8.006960785·e^{-2·t^0.5}·sin(4·t^0.5)",
+    ], id="pair-with-ic"),
+    pytest.param(["solve", "--alpha", "0.5", "T2 y + 3 T y + 2 y = cos(2 t^a)"], [
+        "alpha = 0.5",
+        "basis:",
+        "  y1(t) = e^{-4·t^0.5}",
+        "  y2(t) = e^{-2·t^0.5}",
+        "particular: v(t) = 0.1·cos(2·t^0.5) + 0.3·sin(2·t^0.5)",
+        "y(t) = c1·e^{-4·t^0.5} + c2·e^{-2·t^0.5} + (0.1·cos(2·t^0.5) + 0.3·sin(2·t^0.5))",
+    ], id="two-term-particular"),
+])
+def test_solve_text_output(argv, expected, capsys):
+    assert run_cli(argv, capsys) == (0, "\n".join(expected) + "\n", "")
 
 
 def test_solve_with_ic_reports_constants(capsys):

@@ -226,11 +226,19 @@ def test_wronskian_complex_pair():
 
 
 def test_wronskian_rejects_dependent_set():
-    dup = SolutionBasis(
-        (exp_term(-1), exp_term(-1)),
-        (BasisOrigin(-1 + 0j, 0, None), BasisOrigin(-1 + 0j, 0, None)))
+    dup = SolutionBasis((exp_term(-1), exp_term(-1)))
     with pytest.raises(WronskianError):
         wronskian(dup)
+
+
+def test_solution_basis_derives_origins_from_its_terms():
+    basis = SolutionBasis((exp_term(-1), exp_term(-1, upow=2),
+                           expr(UTerm(1, 1, F(-1, 2), COS, F(3)))))
+    assert basis.origins == (BasisOrigin(-1 + 0j, 0, None), BasisOrigin(-1 + 0j, 2, None),
+                             BasisOrigin(-0.5 + 3j, 1, COS))
+    for elements in [(), (expr(UTerm(1), UTerm(1, 1)),)]:
+        with pytest.raises(ValueError, match="one-term"):
+            SolutionBasis(elements)
 
 
 def test_div_by_term():
@@ -443,9 +451,7 @@ def test_fit_constants_validation_and_singularity():
         fit_constants(sol, -1.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         fit_constants(sol, 1.0, (0.0,))
-    dup = SolutionBasis(
-        (exp_term(-1), exp_term(-1)),
-        (BasisOrigin(-1 + 0j, 0, None), BasisOrigin(-1 + 0j, 0, None)))
+    dup = SolutionBasis((exp_term(-1), exp_term(-1)))
     broken = GeneralSolution(spec, dup)
     with pytest.raises(SingularSystemError):
         fit_constants(broken, 1.0, (1.0, 0.0))
