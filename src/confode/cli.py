@@ -22,12 +22,17 @@ flag value or a bad solution document) or ``solver error``, or that kind
 and message as a JSON object under ``--json``; an error writes nothing to
 stdout.  Until argv parses, ``--json`` anywhere in it selects JSON.
 
-``verify`` accepts either equation text (which it solves first, fitting
-``--ic`` when given) or a solution document produced by ``solve --json`` —
-input starting with ``{`` is treated as JSON.  A document fixes its
-solution: ``--ic``, or an alpha other than the document's, is a
-configuration error.  With no positional source and no ``--file``, verify
-reads standard input, so ``solve --json | verify`` works as a pipe.
+Every command takes its input through one step, ``_solutions``, which
+yields one solution per alpha.  The source is the positional argument or
+``--file``; ``verify`` accepts either equation text (which it solves
+first, fitting ``--ic`` when given) or a solution document produced by
+``solve --json`` — input starting with ``{`` is treated as JSON.  A
+document fixes its solution: ``--ic``, or an alpha other than the
+document's, is a configuration error.  With no positional source and no
+``--file``, verify reads standard input, so ``solve --json | verify``
+works as a pipe.  Verify checks each basis element, the particular
+solution and the fitted solution in one loop, on ``--range`` (by default
+50 log-spaced points on [0.01, 3]).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from .chareq import RootFindingError
 from .conformable import OracleGrid, log_grid, operator_residual
@@ -65,14 +71,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+
+class _CommandParser(_Parser):
     def parse_known_args(self, args=None, namespace=None):
-        ns, extras = super().parse_known_args(args, namespace)
-        # A flag this command does not read lets the positional take the
-        # flag's value, so argparse would report the equation text too.
-        stray = [a for a in extras if a.startswith("--")]
+        # A flag this command does not read is named before argparse parses:
+        # a misspelt required flag would read as that flag missing, and the
+        # positional would take the flag's value and be reported too.
+        # Like argparse, "--" ends the flags and a token with a space is text.
+        flags = args[:args.index("--")] if "--" in args else args
+        stray = [a for a in flags if a.startswith("--") and " " not in a
+                 and a.split("=", 1)[0] not in self._option_string_actions]
         if stray:
             self.error(f"unrecognized arguments: {' '.join(stray)}")
-        return ns, extras
+        return super().parse_known_args(args, namespace)
 
 
 def _float(text: str) -> float:
@@ -139,7 +150,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="confode", allow_abbrev=False, description=(
         "Closed-form general solutions to sequential linear conformable "
         "fractional differential equations with constant coefficients."))
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     # no prefixes: the flag table in the module docstring is every spelling
     solve = sub.add_parser("solve", allow_abbrev=False,
                            help="solve an equation and print the general solution")
@@ -158,9 +169,11 @@ def build_parser() -> _Parser:
     for sp in (solve, verify, sample):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--ic", type=_parse_ic, help="initial conditions t0:v0,v1,...")
-    for sp in (verify, sample):
-        sp.add_argument("--range", dest="trange", metavar="RANGE", type=_parse_range,
-                        required=sp is sample, help="t grid lo:hi:count")
+    verify.add_argument("--range", dest="trange", metavar="RANGE", type=_parse_range,
+                        default=(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT),
+                        help="log-spaced t grid lo:hi:count")
+    sample.add_argument("--range", dest="trange", metavar="RANGE", type=_parse_range,
+                        required=True, help="t grid lo:hi:count")
     verify.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
                         help="verification tolerance (relative)")
     sample.add_argument("--columns", choices=("basic", "full"), default="basic",
@@ -172,9 +185,14 @@ def build_parser() -> _Parser:
     return p
 
 
-def _read_source(ns: argparse.Namespace) -> str | dict:
-    """The equation text, or for verify a parsed solution document: inline,
-    from ``--file`` or, for verify only, from standard input."""
+def _solutions(ns: argparse.Namespace) -> Iterator[GeneralSolution]:
+    """One solution per alpha, one at a time.
+
+    The source is inline, from ``--file`` or, for verify only, from standard
+    input.  Equation text is solved at each alpha, fitting ``--ic`` when
+    given; a solution document (verify only) is the one solution, and
+    ``--ic`` or another alpha is refused.
+    """
     if ns.source is not None and ns.file is not None:
         raise ConfigError("give the equation either inline or via --file, not both")
     text = ns.source
@@ -188,30 +206,38 @@ def _read_source(ns: argparse.Namespace) -> str | dict:
         if ns.command != "verify":
             raise ConfigError("missing equation (positional argument or --file)")
         text = sys.stdin.read().strip()
-    if not text.lstrip().startswith("{"):
-        return text
-    if ns.command != "verify":
-        raise ConfigError("solution JSON input is only accepted by verify")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"bad solution JSON: {err}") from err
+    if text.lstrip().startswith("{"):
+        if ns.command != "verify":
+            raise ConfigError("solution JSON input is only accepted by verify")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"bad solution JSON: {err}") from err
+        if ns.ic is not None:
+            raise ConfigError("--ic does not apply to a solution document; "
+                              "fit the constants with solve --ic")
+        sol = solution_from_doc(doc)
+        for alpha in ns.alphas:
+            if alpha != sol.spec.alpha:
+                raise ConfigError(f"alpha {alpha!r} differs from the solution document's "
+                                  f"alpha {sol.spec.alpha!r}")
+        yield sol
+        return
+    for alpha in ns.alphas:
+        spec = problem_from_source(text, alpha)
+        if ns.ic is None:
+            yield solve_problem(spec)
+            continue
+        t0, targets = ns.ic
+        if len(targets) != spec.order:
+            raise ConfigError(
+                f"--ic needs {spec.order} target values for this equation, "
+                f"got {len(targets)}")
+        yield solve_problem(spec, t0=t0, targets=targets)
 
 
 # ---------------------------------------------------------------------------
 # solve
-
-
-def _solve_one(ns: argparse.Namespace, source: str, alpha: float) -> GeneralSolution:
-    spec = problem_from_source(source, alpha)
-    if ns.ic is None:
-        return solve_problem(spec)
-    t0, targets = ns.ic
-    if len(targets) != spec.order:
-        raise ConfigError(
-            f"--ic needs {spec.order} target values for this equation, "
-            f"got {len(targets)}")
-    return solve_problem(spec, t0=t0, targets=targets)
 
 
 def _solution_lines(sol: GeneralSolution) -> list[str]:
@@ -229,9 +255,8 @@ def _solution_lines(sol: GeneralSolution) -> list[str]:
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
-    source = _read_source(ns)
     # everything is rendered before anything is printed: a failure prints nothing
-    sols = [_solve_one(ns, source, alpha) for alpha in ns.alphas]
+    sols = list(_solutions(ns))
     if ns.json:
         docs = [solution_to_doc(sol) for sol in sols]
         print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
@@ -244,56 +269,38 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_grid(ns: argparse.Namespace) -> list[float]:
-    if ns.trange is not None:
-        lo, hi, count = ns.trange
-        return log_grid(lo, hi, count)
-    return log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
-
-
-def _max_residual(sol: GeneralSolution, y, forcing, grid: OracleGrid):
-    residuals = operator_residual([float(c) for c in sol.spec.coeffs], y, forcing, grid)
-    worst, worst_t = -1.0, grid.ts[0]
-    for t, r in zip(grid.ts, residuals):
-        if not math.isfinite(r):  # a value overflowed; nan would never be the worst
-            raise OverflowError(f"the residual at t = {t!r} is not finite")
-        if r > worst:
-            worst, worst_t = r, t
-    return worst, worst_t
-
-
 def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     oracle = OracleGrid(sol.spec.alpha, grid)
-    elements = []
-    overall, overall_t, overall_what = -1.0, grid[0], ""
-    for i, e in enumerate(sol.basis.elements):
-        r, t = _max_residual(sol, e, ZERO, oracle)
-        elements.append({"index": i, "max_residual": r, "worst_t": t})
-        if r > overall:
-            overall, overall_t, overall_what = r, t, f"basis element {i + 1}"
-    particular = None
+    coeffs = [float(c) for c in sol.spec.coeffs]
+    checks = [(f"basis element {i + 1}", e, ZERO) for i, e in enumerate(sol.basis.elements)]
     if sol.particular is not None:
-        r, t = _max_residual(sol, sol.particular, sol.spec.forcing, oracle)
-        particular = {"max_residual": r, "worst_t": t}
-        if r > overall:
-            overall, overall_t, overall_what = r, t, "particular solution"
-    combined = None
+        checks.append(("particular solution", sol.particular, sol.spec.forcing))
     if sol.constants is not None:
         # v + sum c_i e_i, from the levels the checks above evaluated
         y = [] if sol.particular is None else [(1.0, sol.particular)]
         y += zip(sol.constants, sol.basis.elements)
-        r, t = _max_residual(sol, y, sol.spec.forcing, oracle)
-        combined = {"max_residual": r, "worst_t": t}
-        if r > overall:
-            overall, overall_t, overall_what = r, t, "fitted solution"
+        checks.append(("fitted solution", y, sol.spec.forcing))
+    found = {}
+    overall, overall_t, overall_what = -1.0, grid[0], ""
+    for label, y, forcing in checks:
+        worst, worst_t = -1.0, grid[0]
+        for t, r in zip(grid, operator_residual(coeffs, y, forcing, oracle)):
+            if not math.isfinite(r):  # a value overflowed; nan would never be the worst
+                raise OverflowError(f"the residual at t = {t!r} is not finite")
+            if r > worst:
+                worst, worst_t = r, t
+        found[label] = {"max_residual": worst, "worst_t": worst_t}
+        if worst > overall:
+            overall, overall_t, overall_what = worst, worst_t, label
     return {
         "alpha": sol.spec.alpha,
         "order": sol.spec.order,
         "tol": tol,
         "grid": {"t_lo": grid[0], "t_hi": grid[-1], "count": len(grid)},
-        "elements": elements,
-        "particular": particular,
-        "combined": combined,
+        "elements": [{"index": i, **found[f"basis element {i + 1}"]}
+                     for i in range(sol.basis.n)],
+        "particular": found.get("particular solution"),
+        "combined": found.get("fitted solution"),
         "max_residual": overall,
         "worst_t": overall_t,
         "worst_part": overall_what,
@@ -301,27 +308,10 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     }
 
 
-def _doc_solution(ns: argparse.Namespace, doc: dict) -> GeneralSolution:
-    """The document's solution, refusing flags that would not apply to it."""
-    if ns.ic is not None:
-        raise ConfigError("--ic does not apply to a solution document; "
-                          "fit the constants with solve --ic")
-    sol = solution_from_doc(doc)
-    for alpha in ns.alphas:
-        if alpha != sol.spec.alpha:
-            raise ConfigError(f"alpha {alpha!r} differs from the solution document's "
-                              f"alpha {sol.spec.alpha!r}")
-    return sol
-
-
 def cmd_verify(ns: argparse.Namespace) -> int:
-    source = _read_source(ns)
-    grid = _verify_grid(ns)
-    if isinstance(source, dict):
-        reports = [_verify_one(_doc_solution(ns, source), grid, ns.tol)]
-    else:
-        reports = [_verify_one(_solve_one(ns, source, alpha), grid, ns.tol)
-                   for alpha in ns.alphas]
+    grid = log_grid(*ns.trange)
+    # one alpha at a time: the first failure reported is the first alpha's
+    reports = [_verify_one(sol, grid, ns.tol) for sol in _solutions(ns)]
     if ns.json:
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:
@@ -339,7 +329,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_sample(ns: argparse.Namespace) -> int:
     lo, hi, count = ns.trange
-    sol = _solve_one(ns, _read_source(ns), ns.alphas[0])
+    [sol] = _solutions(ns)
     subst = SubstMap(sol.spec.alpha)
     constants = sol.constants
     if constants is None:

@@ -450,6 +450,8 @@ class PointTable:
 # rendering
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):  # such as a rate over an alpha near zero
+        raise OverflowError(f"the t form of the solution holds {x}")
     return f"{x:.10g}"
 
 
@@ -483,10 +485,13 @@ def format_t(f: UExpr, subst: SubstMap) -> str:
     """Deterministic rendering in the t variable with alpha substituted.
 
     Powers of u are folded into the coefficient: ``u^k = t^(k*alpha) /
-    alpha^k``.  The lowering is what is rendered.
+    alpha^k``.  The lowering is what is rendered.  A number that does not
+    fit binary64 in the t form raises OverflowError.
     """
     alpha = subst.alpha
-    return _join([(t.coeff / alpha ** t.upow, _term_factors_t(t, alpha))
+    # an alpha^k that underflows to 0 overflows the coefficient
+    return _join([(t.coeff / alpha ** t.upow if alpha ** t.upow else math.inf,
+                   _term_factors_t(t, alpha))
                   for t in f.lowered.terms])
 
 

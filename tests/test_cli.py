@@ -211,10 +211,14 @@ def test_solution_from_doc_names_the_bad_key(doc, named):
                  "--columns", id="columns-fancy"),
     pytest.param(["verify", "--alpha", "0.5", "--tol", "abc", HOMOG], "--tol", id="tol-abc"),
     # flags answer to their full names only
-    pytest.param(["sample", "--al", "0.5", "--range", "1:2:3", HOMOG], "--alpha",
+    pytest.param(["sample", "--al", "0.5", "--range", "1:2:3", HOMOG], "arguments: --al",
                  id="abbrev-al"),
-    pytest.param(["sample", "--alpha", "0.5", "--ra", "1:2:3", HOMOG], "--range",
+    pytest.param(["sample", "--alpha", "0.5", "--ra", "1:2:3", HOMOG], "arguments: --ra",
                  id="abbrev-ra"),
+    # named even where argparse would report the required flag missing
+    pytest.param(["solve", "--al", "0.5", HOMOG], "arguments: --al", id="solve-abbrev-al"),
+    pytest.param(["sample", "--al", "0.5", "--ra", "1:2:3", HOMOG], "arguments: --al --ra",
+                 id="abbrev-al-ra"),
     pytest.param(["solve", "--alpha", "0.5", "--ic", "1:a", HOMOG], "--ic",
                  id="ic-not-a-number"),
     pytest.param(["solve", "--alpha", "0.5", "--ic", "0:1,0", HOMOG], "--ic", id="ic-at-zero"),
@@ -280,6 +284,20 @@ def test_overflow_is_solver_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert "overflows binary64" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "1e-310", "T y + y = 0"],  # the t rate -1/alpha overflows
+    ["solve", "--alpha", "1e-200", "T3 y = 0"],  # alpha^2 underflows to 0
+])
+def test_text_solution_beyond_binary64_is_solver_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("confode: solver error: a value overflows binary64 (")
+    assert err.count("\n") == 1
+    # the document holds only the u-domain numbers, which are finite
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0 and "Infinity" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -593,6 +611,15 @@ def test_verify_doc_alpha_wins_over_flag(capsys):
         assert out == ""
         message = json.loads(err)["error"]["message"]
         assert "0.5" in message and "0.75" in message
+
+
+def test_verify_doc_without_optional_keys(capsys):
+    text = _homogeneous_doc(
+        lambda d: {k: v for k, v in d.items() if k not in ("particular", "constants")})
+    sol = solution_from_doc(json.loads(text))
+    assert sol.particular is None and sol.constants is None
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", text], capsys)
+    assert code == 0 and out.endswith("-> ok\n")
 
 
 def test_verify_doc_refuses_ic(capsys, monkeypatch):

@@ -338,6 +338,12 @@ def test_operator_residual_flags_wrong_solution():
     assert worst > 1e-3
 
 
+def test_operator_residual_needs_an_operator():
+    y = expr(UTerm(1.0, erate=Fraction(-3)))
+    with pytest.raises(ValueError, match="order n >= 1"):
+        operator_residual([], y, ZERO, OracleGrid(0.5, [1.0]))
+
+
 def test_operator_residual_with_forcing():
     # y = (1/15) e^{2u} solves y'' + 4y' + 3y = e^{2u}.
     y = expr(UTerm(1.0 / 15.0, erate=Fraction(2)))

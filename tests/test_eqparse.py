@@ -321,6 +321,9 @@ LONG_LITERAL = "T y + y = 0." + "0" * 5000 + "1"
     pytest.param("T y = (t^a)^65", "supported limit 64", id="tpow-paren-limit"),
     pytest.param("T y = t^(65 a)", "supported limit 64", id="tpow-limit"),
     pytest.param("T1000000 y + y = 0", "supported limit 256", id="order-limit"),
+    pytest.param("T y = )", "offset 6 (expected a forcing factor)", id="no-forcing-factor"),
+    pytest.param("T y = exp(2)", "offset 11 (expected 't^a')", id="exp-without-tpow"),
+    pytest.param("T y = t^b", "offset 8 (expected 'a')", id="tpow-not-alpha"),
 ])
 def test_malformed_inputs(src, needle):
     with pytest.raises(EquationSyntaxError) as info:

@@ -451,6 +451,8 @@ def test_fit_constants_validation_and_singularity():
         fit_constants(sol, -1.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         fit_constants(sol, 1.0, (0.0,))
+    with pytest.raises(ValueError, match="base point t0"):
+        solve_problem(spec, targets=(0.0, 0.0))
     dup = SolutionBasis((exp_term(-1), exp_term(-1)))
     broken = GeneralSolution(spec, dup)
     with pytest.raises(SingularSystemError):

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/report_hash.py --seed 7
     python3 tools/report_hash.py --seed 7 --residuals
+    python3 tools/report_hash.py --seed 7 --cli
 
 For every case of order-sweep batches 0-1 and forcing-sweep batches 0-5
 (generated by ``bench/workloads.py``) it solves the equation, fitting
@@ -18,6 +19,14 @@ With ``--residuals`` it also prints, per workload, how many verifies were
 ok, not ok and raised, and the median and max log10 of the verify
 reports' ``max_residual``.  That is the check for a change that moves the
 hashes on purpose: no verify should get worse.
+
+With ``--cli`` it prints instead one sha256 over the whole command line:
+``cli.main`` runs in-process, with stdout and stderr captured, over
+cli-roundtrip batches 0-2 of the seed (a piped case reads the previous
+run's stdout), the README's CLI examples, and one run of each usage,
+parse, config and solver error, each also under ``--json``.  The hash is
+of ``json.dumps`` of the list of ``[argv, exit, stdout, stderr]`` of every
+run.
 
 A change that claims bit-identical output must print the same hashes as
 its parent.  Characteristic roots carry floating-point dust that depends on
@@ -44,12 +53,66 @@ from confode import cli  # noqa: E402
 from confode.conformable import log_grid  # noqa: E402
 from confode.eqparse import problem_from_source  # noqa: E402
 from confode.solver import solution_to_doc, solve_problem  # noqa: E402
-from workloads import forcing_sweep, order_sweep  # noqa: E402
+from workloads import cli_roundtrip, forcing_sweep, order_sweep  # noqa: E402
 
 GRID = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
 
 SAMPLE_ARGV = ["sample", "--alpha", "0.5", "--range", "0.5:4:10000", "--columns", "full",
                "T2 y + 2 T y + 5 y = cos(2 t^a)"]
+
+#: The README's CLI section, as (piped, argv): a piped run reads the
+#: previous run's stdout, any other run an empty stdin.
+README_RUNS = [
+    (False, ["solve", "--alpha", "0.5", "T2 y + 4 T y + 3 y = exp(2 t^a)"]),
+    (False, ["solve", "--alpha-list", "0.25,0.5,0.75,1.0", "T2 y - 10 T y + 25 y = 0"]),
+    (False, ["solve", "--alpha", "1", "--ic", "1:0.417,-0.538", "T2 y + 4 T y + 3 y = 0"]),
+    (False, ["verify", "--alpha", "0.75", "T2 y + 4 T y + 3 y = t^(2 a)"]),
+    (False, ["verify", "--alpha", "0.5", "--ic", "1:1,0", "T2 y + 3 T y + 2 y = 0"]),
+    (False, ["solve", "--alpha", "0.75", "--json", "T2 y + 4 T y + 3 y = sin(2 t^a)"]),
+    (True, ["verify", "--alpha", "0.75", "--json"]),
+    (False, ["sample", "--alpha", "0.5", "--range", "0.5:4:200", "--columns", "full",
+             "T2 y + T y + y = 0"]),
+]
+
+HOMOG = "T2 y + 4 T y + 3 y = 0"
+#: One run of each kind of error, and a failed verify; each runs again
+#: with --json appended.
+ERROR_RUNS = [
+    # usage
+    [],
+    ["solve", HOMOG],
+    ["solve", "--alpha", "0.5", "--bogus", "1", HOMOG],
+    ["solve", "--alpha", "0.5", "--tol", "1e-3", HOMOG],
+    ["solve", "--al", "0.5", HOMOG],
+    ["sample", "--al", "0.5", "--ra", "1:2:3", HOMOG],
+    ["sample", "--alpha", "0.5", "--ra", "1:2:3", HOMOG],
+    ["solve", "--alpha", "0.5", "--alpha-list", "0.5,1", HOMOG],
+    ["sample", "--alpha", "0.5", "--range", "1:2:3", "--columns", "fancy", HOMOG],
+    # parse
+    ["solve", "--alpha", "0.5", "T2 y = tan(t^a)"],
+    ["solve", "--alpha", "0.5", "T y = )"],
+    ["verify", "--alpha", "0.5", "[1, 2]"],
+    # config
+    ["solve", "--alpha", "1.5", HOMOG],
+    ["verify", "--alpha", "0.5", "--tol", "nan", HOMOG],
+    ["solve", "--alpha", "0.5", "--ic", "nan:1,0", HOMOG],
+    ["solve", "--alpha", "0.5", "--ic", "1:1", HOMOG],
+    ["sample", "--alpha", "0.5", "--range", "0:3:3", HOMOG],
+    ["solve", "--alpha", "0.5", "--file", "no-such-equation.txt"],
+    ["solve", "--alpha", "0.5", "--file", "no-such-equation.txt", HOMOG],
+    ["solve", "--alpha", "0.5"],
+    ["solve", "--alpha", "0.5", '{"alpha": 0.5}'],
+    ["verify", "--alpha", "0.5", '{"alpha": 0.5,'],
+    ["verify", "--alpha", "0.5", '{"foo": 1}'],
+    ["verify", "--alpha", "0.5", "--range", "1:2000000:5", HOMOG],
+    # solver, and a failed verify
+    ["sample", "--alpha", "1", "--range", "1:1000:3", "T y - 2 y = 0"],
+    ["verify", "--alpha", "1", "--range", "1:1000:3", "T y - 2 y = 0"],
+    ["solve", "--alpha", "1", "--ic", "1000:1", "T y - 2 y = 0"],
+    ["solve", "--alpha", "1e-310", "T y + y = 0"],
+    ["solve", "--alpha", "1e-200", "T3 y = 0"],
+    ["verify", "--alpha", "0.5", "--tol", "1e-30", HOMOG],
+]
 
 
 def case_record(case) -> list:
@@ -80,12 +143,46 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def cli_run(argv: list[str], stdin: str) -> list:
+    """``[argv, exit code, stdout, stderr]`` of one in-process ``cli.main``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as stop:
+                code = stop.code
+    finally:
+        sys.stdin = saved
+    return [list(argv), code, out.getvalue(), err.getvalue()]
+
+
+def cli_records(seed: int) -> list:
+    """The runs ``--cli`` fingerprints, in order."""
+    records = []
+    runs = [(case.pipe, case.argv) for batch in range(3)
+            for case in cli_roundtrip(seed, batch)]
+    for piped, argv in runs + README_RUNS:
+        records.append(cli_run(argv, records[-1][2] if piped else ""))
+    for argv in ERROR_RUNS:
+        records += [cli_run(argv, ""), cli_run(argv + ["--json"], "")]
+    return records
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True, help="workload seed")
     ap.add_argument("--residuals", action="store_true",
                     help="also summarise each workload's verify outcomes and residuals")
+    ap.add_argument("--cli", action="store_true",
+                    help="fingerprint whole command lines instead (see above)")
     ns = ap.parse_args(argv)
+    if ns.cli:
+        records = cli_records(ns.seed)
+        print(f"cli {len(records)} runs {digest(json.dumps(records))}")
+        return 0
     for name, make, batches in (("order-sweep", order_sweep, 2),
                                 ("forcing-sweep", forcing_sweep, 6)):
         records = [case_record(case) for batch in range(batches)
