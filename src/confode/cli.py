@@ -11,9 +11,9 @@ Exit codes are a stable contract:
 
     0  success
     1  usage, parse, or configuration error, including a flag value that
-       is not a finite number
-    2  solver failure (root non-convergence, incomplete basis, singular
-       constant fit), or a value that overflows binary64
+       is not a finite number and a closed standard output
+    2  solver failure (root non-convergence, singular constant fit), a value
+       that overflows binary64, or a verify check whose values all underflow
     3  verification failure (residual above tolerance)
 
 Errors are one line on stderr, ``confode: <kind>: <message>`` with the kind
@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 
@@ -53,7 +54,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, format_t
+from .ualgebra import ZERO, PointTable, SubstMap, UExpr, format_t
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -289,6 +290,9 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
                 raise OverflowError(f"the residual at t = {t!r} is not finite")
             if r > worst:
                 worst, worst_t = r, t
+        # values that all underflow to 0 check nothing; a fitted y = 0 is an answer
+        if isinstance(y, UExpr) and not y.is_zero() and not any(oracle.values(y.lowered)):
+            raise FloatingPointError(f"every value of the {label} underflows to 0")
         found[label] = {"max_residual": worst, "worst_t": worst_t}
         if worst > overall:
             overall, overall_t, overall_what = worst, worst_t, label
@@ -382,7 +386,14 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
         json_out = ns.json
         command = {"solve": cmd_solve, "verify": cmd_verify, "sample": cmd_sample}[ns.command]
-        return command(ns)
+        code = command(ns)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _report_error(json_out, "config error", "standard output is closed")
+        return 1
     except EquationSyntaxError as err:
         _report_error(json_out, "parse error", str(err))
         return 1
@@ -391,8 +402,8 @@ def main(argv=None) -> int:
         return 1
     except (RootFindingError, ArithmeticError) as err:
         message = str(err)
-        if isinstance(err, OverflowError):
-            message = f"a value overflows binary64 ({message})"
+        if isinstance(err, OverflowError):  # the last argument is the text
+            message = f"a value overflows binary64 ({err.args[-1] if err.args else ''})"
         _report_error(json_out, "solver error", message)
         return 2
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chareq import CharPoly, find_roots
 from .ualgebra import (
@@ -88,34 +89,27 @@ class ProblemSpec:
         return CharPoly(self.coeffs)
 
 
-class BasisOrigin:
+class BasisOrigin(NamedTuple):
     """Where a basis element came from: ``root``, power ``level`` and trig
-    ``part`` (None for a real root, COS/SIN for a conjugate pair), all
-    read-only."""
+    ``part`` (None for a real root, COS/SIN for a conjugate pair)."""
 
-    def __init__(self, root: complex, level: int, part: str | None):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "part", part)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other):
-        if type(other) is not BasisOrigin:
-            return NotImplemented
-        return (self.root, self.level, self.part) == (other.root, other.level, other.part)
+    root: complex
+    level: int
+    part: str | None
 
 
 class SolutionBasis:
-    """One-term ``elements`` and the ``origins`` their terms imply: root
-    ``erate + i·tfreq``, level ``upow`` and part ``trig``.  Both are
-    read-only."""
+    """One-term ``elements`` that differ in more than their coefficients,
+    and the ``origins`` their terms imply: root ``erate + i·tfreq``, level
+    ``upow`` and part ``trig``.  Both are read-only."""
 
     def __init__(self, elements: tuple[UExpr, ...]):
         if not elements or any(len(e.terms) != 1 for e in elements):
-            raise ValueError("a basis needs one or more one-term elements")
-        origins = tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig)
-                        for (t,) in (e.terms for e in elements))
+            raise ValueError("'basis' needs one or more one-term elements")
+        terms = [t for (t,) in (e.terms for e in elements)]
+        if len({t.key for t in terms}) != len(terms):
+            raise ValueError("'basis' elements must differ in more than their coefficients")
+        origins = tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig) for t in terms)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "origins", origins)
 
@@ -132,14 +126,16 @@ class SolutionBasis:
 
 
 class GeneralSolution:
-    """A problem's ``spec``, its ``basis``, the ``particular`` solution when
-    it is forced and the fitted ``constants`` when it has initial values,
-    all read-only."""
+    """A problem's ``spec``, its ``basis`` of ``spec.order`` elements, the
+    ``particular`` solution exactly when it is forced, and the fitted
+    ``constants`` when it has initial values, all read-only."""
 
     def __init__(self, spec: ProblemSpec, basis: SolutionBasis,
                  particular: UExpr | None = None, constants: tuple[float, ...] | None = None):
-        if particular is not None and spec.forcing.is_zero():
-            raise ValueError("particular solution present without forcing")
+        if basis.n != spec.order:
+            raise ValueError(f"'basis' must hold order {spec.order} elements, got {basis.n}")
+        if (particular is None) != spec.forcing.is_zero():
+            raise ValueError("'particular' must be given exactly when there is forcing")
         if constants is not None and len(constants) != basis.n:
             raise ValueError("need one fitted constant per basis element")
         object.__setattr__(self, "spec", spec)
@@ -172,10 +168,6 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
         for level in range(mult):
             for part in (COS, SIN) if beta else (None,):
                 elements.append(expr(UTerm(1, level, theta, part, beta)))
-    if len(elements) != spec.order:
-        raise SolverError(
-            f"basis count {len(elements)} != order {spec.order} "
-            f"for {spec.char_poly().describe()}")
     return SolutionBasis(tuple(elements))
 
 
@@ -399,9 +391,10 @@ def solution_from_doc(doc) -> GeneralSolution:
     Each float is read as its dyadic value.  A document that is not an
     object, lacks a required key, or holds a value of the wrong shape or a
     non-finite number (json reads ``NaN``) raises ValueError naming the key.
-    So does a ``basis`` that is not ``order`` distinct one-term elements, or
-    ``origins`` other than the ones those terms imply: root ``(erate,
-    tfreq)``, level ``upow``, part ``trig``.
+    So does a document that is not a general solution (the records refuse
+    it), an ``order`` other than the number of coefficients, or ``origins``
+    other than the ones the basis terms imply: root ``(erate, tfreq)``,
+    level ``upow``, part ``trig``.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -430,12 +423,7 @@ def solution_from_doc(doc) -> GeneralSolution:
     order = field("order", int)
     if order != spec.order:
         raise ValueError(f"order field {order} does not match {spec.order} coefficients")
-    elements = field("basis", lambda v: tuple(expr_from_records(r) for r in v))
-    if (len(elements) != order or len(set(elements)) != order
-            or any(len(e.terms) != 1 for e in elements)):
-        raise ValueError(f"solution document key 'basis' must hold {order} distinct "
-                         f"one-term elements")
-    basis = SolutionBasis(elements)
+    basis = SolutionBasis(field("basis", lambda v: tuple(expr_from_records(r) for r in v)))
     if field("origins", lambda v: tuple(origin(o) for o in v)) != basis.origins:
         raise ValueError("solution document key 'origins' differs from the roots, levels "
                          "and parts of the basis elements")

@@ -173,6 +173,12 @@ def _homogeneous_doc(edit) -> str:
     pytest.param(_homogeneous_doc(lambda d: {**d, "origins": [
         {**d["origins"][0], "root": [5.0, 0.0]}, *d["origins"][1:]]}),
                  "'origins'", id="origin-root-differs"),
+    # the second element is twice the first, with its origins to match
+    pytest.param(_homogeneous_doc(lambda d: {
+        **d, "basis": [d["basis"][0], [{**d["basis"][0][0], "coeff": 2.0}]],
+        "origins": [d["origins"][0]] * 2}), "'basis'", id="basis-dependent"),
+    pytest.param(_doc_with(("particular",), None), "'particular'",
+                 id="forced-without-particular"),
 ])
 def test_malformed_solution_document_is_config_error(text, named, capsys):
     code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
@@ -272,6 +278,8 @@ def _huge_growing_doc() -> str:
     ["solve", "--alpha", "1", "--ic", "1000:1", GROWING],
     ["sample", "--alpha", "1", "--range", "1:300:3", "--ic", "1:1e300", GROWING],
     ["verify", "--alpha", "1", "--range", "10:20:3", _huge_growing_doc()],
+    # u^2 overflows in the sampled table, an OverflowError with an errno
+    ["sample", "--alpha", "1e-200", "--range", "1:2:3", "T3 y = 0"],
 ])
 def test_overflow_is_solver_error(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -279,11 +287,43 @@ def test_overflow_is_solver_error(argv, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("confode: solver error:") and "overflows binary64" in err
+    assert "(34, " not in err
 
     code, out, err = run_cli(argv + ["--json"], capsys)
     assert code == 2
     assert out == ""
     assert "overflows binary64" in json.loads(err)["error"]["message"]
+    assert "(34, " not in err
+
+
+@pytest.mark.parametrize("argv, piped, code", [
+    pytest.param(["--alpha", "1", "--range", "800:900:5", "T y + y = 0"], False, 2,
+                 id="range-homogeneous"),
+    pytest.param(["--alpha", "1", "--range", "800:900:5", "T2 y + 3 T y + 2 y = 1"], False, 2,
+                 id="range-forced"),
+    # u = t^a / a is inf, then about 1e300: e^{-u} is 0 at every point
+    pytest.param(["--alpha", "1e-310", "T y + y = 0"], True, 2, id="piped-alpha-1e-310"),
+    pytest.param(["--alpha", "1e-300", "T y + y = 0"], True, 2, id="piped-alpha-1e-300"),
+    # a fitted solution that is 0 everywhere is a real answer
+    pytest.param(["--alpha", "0.5", "--ic", "1:0,0", "T2 y + 3 T y + 2 y = 0"], False, 0,
+                 id="fitted-zero"),
+])
+def test_verify_refuses_a_check_whose_values_all_underflow(argv, piped, code, capsys,
+                                                           monkeypatch):
+    if piped:
+        *flags, source = argv
+        solved, doc, _ = run_cli(["solve", *flags, "--json", source], capsys)
+        assert solved == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        argv = flags
+    got, out, err = run_cli(["verify", *argv], capsys)
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("confode: solver error: every value of the basis element 1 "
+                              "underflows to 0")
+    else:
+        assert out.endswith("-> ok\n")
 
 
 @pytest.mark.parametrize("argv", [

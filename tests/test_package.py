@@ -86,6 +86,30 @@ def test_console_script_reads_sys_argv():
     assert json.loads(done.stderr)["error"]["kind"] == "config error"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_stdout_is_one_config_error_line(json_flag):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    entry = "import sys; from confode.cli import main; sys.exit(main())"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", entry, "solve", "--alpha", "0.5",
+                               *json_flag, "T y + y = 0"], env=env, cwd=ROOT,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    if json_flag:
+        assert json.loads(done.stderr)["error"]["kind"] == "config error"
+    else:
+        assert done.stderr.startswith("confode: config error: standard output is closed")
+
+
 def test_records_are_read_only():
     spec = ProblemSpec((3, 4), 0.5, expr(UTerm(1)))
     sol = solve_problem(spec)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_general_solution_validation():
         GeneralSolution(spec, basis, particular=one())
     with pytest.raises(ValueError):
         GeneralSolution(spec, basis, constants=(1.0,))
+
+
+def test_general_solution_is_order_elements_and_a_particular_when_forced():
+    forced = ProblemSpec((3.0, 4.0), 1.0, exp_term(1))
+    with pytest.raises(ValueError, match="'particular'"):
+        GeneralSolution(forced, homogeneous_basis(forced))
+    spec = ProblemSpec((3.0, 4.0), 1.0)
+    with pytest.raises(ValueError, match="'basis' must hold order 2 elements, got 1"):
+        GeneralSolution(spec, SolutionBasis(homogeneous_basis(spec).elements[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +236,12 @@ def test_wronskian_complex_pair():
 
 
 def test_wronskian_rejects_dependent_set():
-    dup = SolutionBasis((exp_term(-1), exp_term(-1)))
+    # the reference reads .elements and .n only; SolutionBasis refuses the pair
+    pair = (exp_term(-1), exp_term(-1, coeff=2.0))
     with pytest.raises(WronskianError):
-        wronskian(dup)
+        wronskian(SimpleNamespace(elements=pair, n=2))
+    with pytest.raises(ValueError, match="'basis' elements must differ"):
+        SolutionBasis(pair)
 
 
 def test_solution_basis_derives_origins_from_its_terms():
@@ -453,10 +466,9 @@ def test_fit_constants_validation_and_singularity():
         fit_constants(sol, 1.0, (0.0,))
     with pytest.raises(ValueError, match="base point t0"):
         solve_problem(spec, targets=(0.0, 0.0))
-    dup = SolutionBasis((exp_term(-1), exp_term(-1)))
-    broken = GeneralSolution(spec, dup)
+    # both basis values underflow to 0 at t0 = 800
     with pytest.raises(SingularSystemError):
-        fit_constants(broken, 1.0, (1.0, 0.0))
+        fit_constants(sol, 800.0, (1.0, 0.0))
 
 
 def test_solve_linear_agrees_with_numpy():
