@@ -30,9 +30,9 @@ first, fitting ``--ic`` when given) or a solution document produced by
 document fixes its solution: ``--ic``, or an alpha other than the
 document's, is a configuration error.  With no positional source and no
 ``--file``, verify reads standard input, so ``solve --json | verify``
-works as a pipe.  Verify checks each basis element, the particular
-solution and the fitted solution in one loop, on ``--range`` (by default
-50 log-spaced points on [0.01, 3]).
+works as a pipe.  Verify checks each basis element and the particular
+solution on ``--range`` (by default 50 log-spaced points on [0.01, 3]),
+and a fitted solution's derivatives at ``t0`` against its initial values.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, UExpr, format_t
+from .ualgebra import ZERO, PointTable, SubstMap, format_t, lowered_levels
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -276,26 +276,39 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     checks = [(f"basis element {i + 1}", e, ZERO) for i, e in enumerate(sol.basis.elements)]
     if sol.particular is not None:
         checks.append(("particular solution", sol.particular, sol.spec.forcing))
-    if sol.constants is not None:
-        # v + sum c_i e_i, from the levels the checks above evaluated
-        y = [] if sol.particular is None else [(1.0, sol.particular)]
-        y += zip(sol.constants, sol.basis.elements)
-        checks.append(("fitted solution", y, sol.spec.forcing))
     found = {}
-    overall, overall_t, overall_what = -1.0, grid[0], ""
-    for label, y, forcing in checks:
-        worst, worst_t = -1.0, grid[0]
-        for t, r in zip(grid, operator_residual(coeffs, y, forcing, oracle)):
+
+    def note(label, ts, residuals):
+        worst, worst_t = -1.0, ts[0]
+        for t, r in zip(ts, residuals):
             if not math.isfinite(r):  # a value overflowed; nan would never be the worst
                 raise OverflowError(f"the residual at t = {t!r} is not finite")
             if r > worst:
                 worst, worst_t = r, t
-        # values that all underflow to 0 check nothing; a fitted y = 0 is an answer
-        if isinstance(y, UExpr) and not y.is_zero() and not any(oracle.values(y.lowered)):
-            raise FloatingPointError(f"every value of the {label} underflows to 0")
         found[label] = {"max_residual": worst, "worst_t": worst_t}
-        if worst > overall:
-            overall, overall_t, overall_what = worst, worst_t, label
+
+    for label, y, forcing in checks:
+        note(label, grid, operator_residual(coeffs, y, forcing, oracle))
+        # values that all underflow to 0 check nothing
+        if not y.is_zero() and not any(oracle.values(y.lowered)):
+            raise FloatingPointError(f"every value of the {label} underflows to 0")
+    if sol.ic is not None:
+        # v + sum c_i e_i at t0 against the targets: level 0 is the value,
+        # level k the quotient of level k - 1, which the fit never takes
+        t0, targets = sol.ic
+        at_t0 = OracleGrid(sol.spec.alpha, [t0])
+        parts = [] if sol.particular is None else [(1.0, sol.particular)]
+        parts += zip(sol.constants, sol.basis.elements)
+        rows = []
+        for c, f in parts:
+            levels = lowered_levels(f, sol.spec.order)
+            rows.append([c * at_t0.values(levels[0])[0]]
+                        + [c * at_t0.quotient(level)[0] for level in levels[:-1]])
+        note("initial values", [t0] * len(targets),
+             [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
+              for *terms, target in zip(*rows, targets)])
+    worst_part = max(found, key=lambda label: found[label]["max_residual"])
+    overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]
     return {
         "alpha": sol.spec.alpha,
         "order": sol.spec.order,
@@ -304,10 +317,10 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
         "elements": [{"index": i, **found[f"basis element {i + 1}"]}
                      for i in range(sol.basis.n)],
         "particular": found.get("particular solution"),
-        "combined": found.get("fitted solution"),
+        "combined": found.get("initial values"),
         "max_residual": overall,
         "worst_t": overall_t,
-        "worst_part": overall_what,
+        "worst_part": worst_part,
         "ok": overall < tol,
     }
 

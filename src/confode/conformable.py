@@ -103,23 +103,7 @@ class OracleGrid:
         return self._split(f)[2]
 
 
-#: A linear combination ``sum(c * f for c, f in parts)`` of expressions.
-Combination = Sequence[tuple[float, UExpr]]
-
-
-def _combined(chains: list[tuple[float, list[UExpr]]], k: int,
-              values_of) -> list[float]:
-    """``values_of`` level k of a combination, from its ``(c, levels)``
-    pairs summed pointwise in their order: no sum of expressions is built
-    or derived."""
-    total: list[float] = []
-    for i, (c, levels) in enumerate(chains):
-        vals = values_of(levels[k])
-        total = [c * v for v in vals] if i == 0 else [s + c * v for s, v in zip(total, vals)]
-    return total
-
-
-def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExpr,
+def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
                       grid: OracleGrid) -> list[float]:
     """Relative residuals of ``L_alpha[y] - q`` at each point of ``grid``.
 
@@ -131,21 +115,15 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
     per term exercises the defining limit, and keeps every estimate at
     binary64 accuracy.
 
-    ``y`` is an expression, or a :data:`Combination` of ``(c, f)`` pairs
-    (a fitted solution ``v + sum c_i e_i``).  A combination's values and
-    quotients are summed pointwise from those of the ``f`` and their
-    levels; the quotient is linear, so this is the combination's own
-    quotient up to rounding.
-
-    The symbolic levels are the cached derivative chain of each
-    expression's binary64 :attr:`~confode.ualgebra.UExpr.lowered` form, so
-    levels that the constant fit or an earlier check derived are reused.
+    The symbolic levels are the cached derivative chain of ``y``'s binary64
+    :attr:`~confode.ualgebra.UExpr.lowered` form, so levels that the
+    constant fit or an earlier check derived are reused.
     Every expression is evaluated on the grid's one complex table, all
     points at once, and the grid keeps each value and quotient, so nothing
     passed again on the same grid is evaluated again.  The quotients, sums
     and scales follow a point-by-point loop over a complex
     :func:`~confode.ualgebra.eval_expr` operation for operation, so each
-    residual for an expression ``y`` is the one that loop gives.
+    residual is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
@@ -155,13 +133,8 @@ def operator_residual(coeffs: list[float], y: UExpr | Combination, forcing: UExp
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    if isinstance(y, UExpr):
-        levels = lowered_levels(y, n)
-        values = [grid.values(levels[0])] + [grid.quotient(f) for f in levels]
-    else:
-        chains = [(c, lowered_levels(f, n)) for c, f in y]
-        values = [_combined(chains, 0, grid.values)]
-        values += [_combined(chains, k, grid.quotient) for k in range(n)]
+    levels = lowered_levels(y, n)
+    values = [grid.values(levels[0])] + [grid.quotient(f) for f in levels]
     out = []
     for row in zip(*values, grid.values(forcing)):
         top, q = row[n], row[n + 1]

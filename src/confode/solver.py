@@ -127,21 +127,29 @@ class SolutionBasis:
 
 class GeneralSolution:
     """A problem's ``spec``, its ``basis`` of ``spec.order`` elements, the
-    ``particular`` solution exactly when it is forced, and the fitted
-    ``constants`` when it has initial values, all read-only."""
+    ``particular`` solution exactly when it is forced, and, together or not
+    at all, the initial values ``ic = (t0, targets)`` (the 0..n-1-fold
+    derivatives at a finite ``t0 > 0``) and the ``constants`` fitted to
+    them, all read-only."""
 
     def __init__(self, spec: ProblemSpec, basis: SolutionBasis,
-                 particular: UExpr | None = None, constants: tuple[float, ...] | None = None):
+                 particular: UExpr | None = None, constants: tuple[float, ...] | None = None,
+                 ic: tuple[float, tuple[float, ...]] | None = None):
         if basis.n != spec.order:
             raise ValueError(f"'basis' must hold order {spec.order} elements, got {basis.n}")
         if (particular is None) != spec.forcing.is_zero():
             raise ValueError("'particular' must be given exactly when there is forcing")
         if constants is not None and len(constants) != basis.n:
             raise ValueError("need one fitted constant per basis element")
+        if (ic is None) != (constants is None):
+            raise ValueError("'ic' and 'constants' must be given together")
+        if ic is not None and (len(ic[1]) != spec.order or not 0.0 < ic[0] < math.inf):
+            raise ValueError(f"'ic' needs a finite t0 > 0 and {spec.order} targets, got {ic}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "particular", particular)
         object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "ic", ic)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -339,7 +347,7 @@ def solve_problem(spec: ProblemSpec, t0: float | None = None,
         if t0 is None:
             raise ValueError("initial conditions need a base point t0")
         sol = GeneralSolution(spec, basis, particular,
-                              fit_constants(sol, t0, targets))
+                              fit_constants(sol, t0, targets), (t0, tuple(targets)))
     return sol
 
 
@@ -376,6 +384,7 @@ def solution_to_doc(sol: GeneralSolution) -> dict:
         ],
         "particular": None if sol.particular is None else term_records(sol.particular),
         "constants": None if sol.constants is None else list(sol.constants),
+        "ic": None if sol.ic is None else {"t0": sol.ic[0], "targets": list(sol.ic[1])},
     }
 
 
@@ -391,8 +400,10 @@ def solution_from_doc(doc) -> GeneralSolution:
     Each float is read as its dyadic value.  A document that is not an
     object, lacks a required key, or holds a value of the wrong shape or a
     non-finite number (json reads ``NaN``) raises ValueError naming the key.
-    So does a document that is not a general solution (the records refuse
-    it), an ``order`` other than the number of coefficients, or ``origins``
+    ``particular``, ``constants`` and ``ic`` may be absent or null.  A
+    document that is not a general solution raises too (the records refuse
+    it, so fitted ``constants`` without their ``ic`` name ``'ic'``), as does
+    an ``order`` other than the number of coefficients, or ``origins``
     other than the ones the basis terms imply: root ``(erate, tfreq)``,
     level ``upow``, part ``trig``.
     """
@@ -429,4 +440,6 @@ def solution_from_doc(doc) -> GeneralSolution:
                          "and parts of the basis elements")
     particular = field("particular", expr_from_records, required=False)
     constants = field("constants", lambda v: tuple(_finite(c) for c in v), required=False)
-    return GeneralSolution(spec, basis, particular, constants)
+    ic = field("ic", lambda v: (_finite(v["t0"]), tuple(_finite(x) for x in v["targets"])),
+               required=False)
+    return GeneralSolution(spec, basis, particular, constants, ic)

@@ -132,11 +132,16 @@ def test_corrupted_solution_fails_verification(capsys):
     assert "FAIL" in out
 
 
-def _doc_with(path, value) -> str:
-    """A solve --ic --json document of FORCED at alpha 0.5 with the value at
-    ``path`` replaced; json writes a non-finite float as NaN or Infinity."""
+def _fitted_doc() -> dict:
+    """The solve --ic 1:1,0 --json document of FORCED at alpha 0.5."""
     sol = solve_problem(problem_from_source(FORCED, 0.5), t0=1.0, targets=(1.0, 0.0))
-    doc = solution_to_doc(sol)
+    return solution_to_doc(sol)
+
+
+def _doc_with(path, value) -> str:
+    """:func:`_fitted_doc` with the value at ``path`` replaced; json writes a
+    non-finite float as NaN or Infinity."""
+    doc = _fitted_doc()
     *keys, last = path
     node = doc
     for key in keys:
@@ -179,6 +184,13 @@ def _homogeneous_doc(edit) -> str:
         "origins": [d["origins"][0]] * 2}), "'basis'", id="basis-dependent"),
     pytest.param(_doc_with(("particular",), None), "'particular'",
                  id="forced-without-particular"),
+    # fitted constants mean something only with the initial values they fit
+    pytest.param(json.dumps({k: v for k, v in _fitted_doc().items() if k != "ic"}), "'ic'",
+                 id="fitted-without-ic"),
+    pytest.param(_doc_with(("constants",), None), "'ic'", id="ic-without-constants"),
+    pytest.param(_doc_with(("ic", "targets"), [1.0]), "'ic'", id="ic-target-count"),
+    pytest.param(_doc_with(("ic", "t0"), 0.0), "'ic'", id="ic-t0-not-positive"),
+    pytest.param(_doc_with(("ic", "targets", 1), math.nan), "'ic'", id="ic-nan-target"),
 ])
 def test_malformed_solution_document_is_config_error(text, named, capsys):
     code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
@@ -614,23 +626,26 @@ def test_verify_range_below_the_domain_floor_is_config_error(capsys):
 NEAR_EQUAL_RATES = "T2 y + 3 T y + 2 y = 1.3 * exp(0.9 t^a) - 0.7 * exp(0.90000000000000001 t^a)"
 
 
-@pytest.mark.parametrize("alpha, source", [
-    ("0.75", FORCED),
-    ("1", "T3 y + 9 T2 y + 18 T y = 0.5 * exp(1.5 t^a) * sin(1 t^a)"),
-    ("0.3", "T3 y + 3 T2 y - 9 T y + 5 y = 1.5 * t^a * sin(1 t^a) - 2 * exp(0.5 t^a)"),
-    ("1", NEAR_EQUAL_RATES),
-], ids=["forced", "trig-forcing", "decimal-alpha-resonance", "near-equal-rates"])
-def test_solve_json_pipes_to_identical_verify_report(alpha, source, capsys, monkeypatch):
-    # the document holds the binary64 lowering, which is what verify evaluates
+@pytest.mark.parametrize("alpha, args", [
+    ("0.75", [FORCED]),
+    ("1", ["T3 y + 9 T2 y + 18 T y = 0.5 * exp(1.5 t^a) * sin(1 t^a)"]),
+    ("0.3", ["T3 y + 3 T2 y - 9 T y + 5 y = 1.5 * t^a * sin(1 t^a) - 2 * exp(0.5 t^a)"]),
+    ("1", [NEAR_EQUAL_RATES]),
+    ("0.3", ["--ic", "1:1,0,-1,0.5", "T4 y + 2 T3 y + T2 y = 3 + t^a"]),
+], ids=["forced", "trig-forcing", "decimal-alpha-resonance", "near-equal-rates",
+        "initial-values"])
+def test_solve_json_pipes_to_identical_verify_report(alpha, args, capsys, monkeypatch):
+    # the document holds the binary64 lowering, which is what verify
+    # evaluates, and the initial values the constants were fitted to
     code, sol_json, _ = run_cli(
-        ["solve", "--alpha", alpha, "--json", source], capsys)
+        ["solve", "--alpha", alpha, "--json", *args], capsys)
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(sol_json))
     code, report_from_doc, _ = run_cli(
         ["verify", "--alpha", alpha, "--json"], capsys)
     assert code == 0
     code, report_from_text, _ = run_cli(
-        ["verify", "--alpha", alpha, "--json", source], capsys)
+        ["verify", "--alpha", alpha, "--json", *args], capsys)
     assert code == 0
     assert report_from_doc == report_from_text
 
@@ -655,9 +670,9 @@ def test_verify_doc_alpha_wins_over_flag(capsys):
 
 def test_verify_doc_without_optional_keys(capsys):
     text = _homogeneous_doc(
-        lambda d: {k: v for k, v in d.items() if k not in ("particular", "constants")})
+        lambda d: {k: v for k, v in d.items() if k not in ("particular", "constants", "ic")})
     sol = solution_from_doc(json.loads(text))
-    assert sol.particular is None and sol.constants is None
+    assert sol.particular is None and sol.constants is None and sol.ic is None
     code, out, _ = run_cli(["verify", "--alpha", "0.5", text], capsys)
     assert code == 0 and out.endswith("-> ok\n")
 
@@ -681,12 +696,44 @@ def test_verify_ic_checks_the_fitted_solution(capsys):
     report = json.loads(out)
     assert report["combined"] is not None
     assert report["combined"]["max_residual"] < report["tol"]
-    # with forcing, the fitted sum is checked against it too
+    # with forcing, v's derivatives at t0 count towards the initial values
     code, out, _ = run_cli(
         ["verify", "--alpha", "0.75", "--json", "--ic", "1:1,0", FORCED], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["particular"] is not None and report["combined"] is not None
+
+
+def test_verify_refuses_constants_that_miss_the_initial_values(capsys):
+    # L[v + sum c_i e_i] = q for any constants, so only the initial values
+    # tell a wrong fit: here each constant c is replaced by 3c + 5
+    code, out, _ = run_cli(["solve", "--alpha", "0.5", "--ic", "1:1,0", "--json",
+                            "T2 y + 3 T y + 2 y = 0"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    doc["constants"] = [3 * c + 5 for c in doc["constants"]]
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", json.dumps(doc)], capsys)
+    assert code == 3
+    assert "(initial values at t = 1)" in out and out.endswith("-> FAIL\n")
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "--json", json.dumps(doc)], capsys)
+    assert code == 3
+    report = json.loads(out)
+    assert (report["worst_part"], report["worst_t"]) == ("initial values", 1.0)
+    assert report["combined"]["max_residual"] == report["max_residual"] > report["tol"]
+
+
+@pytest.mark.parametrize("alpha, ic, source, named", [
+    ("1", "1e7:1", "T y = 0", "t=10000000.0"),
+    ("0.5", "1e-7:1,0", "T2 y + 3 T y + 2 y = 0", "t=1e-07"),
+])
+def test_verify_refuses_t0_outside_the_oracle_domain(alpha, ic, source, named, capsys):
+    # solve fits at any t0 > 0; verify evaluates at t0 only inside the domain
+    code, _, _ = run_cli(["solve", "--alpha", alpha, "--ic", ic, source], capsys)
+    assert code == 0
+    code, out, err = run_cli(["verify", "--alpha", alpha, "--ic", ic, source], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: config error:") and named in err
+    assert "not interior" in err
 
 
 def test_verify_ic_on_a_resonant_order_four_equation(capsys):

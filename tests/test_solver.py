@@ -101,6 +101,17 @@ def test_general_solution_validation():
         GeneralSolution(spec, basis, particular=one())
     with pytest.raises(ValueError):
         GeneralSolution(spec, basis, constants=(1.0,))
+    # fitted constants come with the initial values they were fitted to
+    with pytest.raises(ValueError, match="'ic'"):
+        GeneralSolution(spec, basis, constants=(1.0, 0.0))
+    with pytest.raises(ValueError, match="'ic'"):
+        GeneralSolution(spec, basis, ic=(1.0, (1.0, 0.0)))
+    for ic in [(1.0, (1.0,)), (0.0, (1.0, 0.0)), (math.inf, (1.0, 0.0)),
+               (math.nan, (1.0, 0.0))]:
+        with pytest.raises(ValueError, match="'ic'"):
+            GeneralSolution(spec, basis, constants=(1.0, 0.0), ic=ic)
+    sol = GeneralSolution(spec, basis, constants=(1.0, 0.0), ic=(1.0, (1.0, 0.0)))
+    assert sol.ic == (1.0, (1.0, 0.0))
 
 
 def test_general_solution_is_order_elements_and_a_particular_when_forced():
@@ -828,8 +839,8 @@ def test_shift_response_equals_reference_on_resonances():
 ])
 def test_each_level_is_derived_once(monkeypatch, source, ic):
     # The constant fit and verify share the basis and particular levels, v's
-    # n-th level is never built, and the fitted sum's levels are combined
-    # from them pointwise, not derived.
+    # n-th level is never built, and the initial-value check takes the
+    # fitted sum's levels at t0 from them, not derived.
     derived = []
     derive = ualgebra._derive
 
