@@ -6,8 +6,8 @@ constant-coefficient linear ODE.  The pipeline is:
 
   1. characteristic roots (:mod:`confode.chareq`) -> homogeneous basis,
   2. a particular solution by exponential-shift inversion, term by term
-     over the forcing, in exact Gaussian-rational arithmetic (no roots,
-     basis or determinants),
+     over the forcing (no roots, basis or determinants), worked on Gaussian
+     integers, with a Fraction made only per part of each coefficient out,
   3. optional constant fitting against initial values.
 
 Steps 1 and 2 are exact (resonance is an exact zero test, and the
@@ -33,6 +33,7 @@ from .ualgebra import (
     UExpr,
     UTerm,
     _read_only,
+    _term,
     add,
     canonicalize,
     eval_expr,
@@ -179,15 +180,6 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     return SolutionBasis(tuple(elements))
 
 
-def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _ginv(x: tuple[Fraction, Fraction]):
-    norm = x[0] * x[0] + x[1] * x[1]
-    return (x[0] / norm, -x[1] / norm)
-
-
 def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
                     k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
     """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``.
@@ -199,13 +191,16 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
     applied to ``u^k``; m integrations then give ``w``.  Returns ``(upow,
     coefficient)`` pairs over the Gaussian rationals.
 
-    The Taylor coefficients come from synthetic division on plain
-    integers.  With ``s = complex(sa, sb) / d`` and ``lcd`` the common
-    denominator of the (rational) coefficients, slot i of the division holds
-    its value times ``lcd * d**i``, so each step is the Gaussian-integer
-    update ``W_i += complex(sa, sb) * W_(i-1)``, with no gcd, and a slot is
-    zero exactly when both its integers are.  Only the coefficients that
-    are kept become :class:`~fractions.Fraction`.
+    It runs on Gaussian integers (pairs of ints) and reduces nothing.  With
+    ``s = complex(sa, sb) / d`` and ``lcd`` the common denominator of the
+    (rational) coefficients, slot i of the synthetic division holds its
+    value times ``lcd * d**i``, so each step is ``W_i += complex(sa, sb) *
+    W_(i-1)`` and a slot is zero exactly when both its integers are.  The
+    kept slots give ``a_(m+i) = A_i / D`` with ``A_i = W_(n-m-i) * d**i``
+    and ``D = lcd * d**(n-m)``, and the inverse is ``b_i = D * B_i /
+    A_0**(i+1)`` with ``B_0 = 1``, ``B_i = -sum_(l=1..i) A_l * B_(i-l) *
+    A_0**(l-1)``.  Only the output becomes :class:`~fractions.Fraction`,
+    one per part of ``D k! B_i conj(A_0)**(i+1) / (|A_0|**(2i+2) (k+m-i)!)``.
     """
     n = len(coeffs)
     # Repeated synthetic division by (r - s), highest coefficient first:
@@ -217,8 +212,7 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
     # Slot i starts as lcd * d**i * c_(n-i), imaginary part zero.
     w_re = [lcd] + [num * (lcd // den) * d ** i for i, (num, den) in enumerate(ratios, 1)]
     w_im = [0] * (n + 1)
-    taylor: list[tuple[Fraction, Fraction]] = []
-    m = None
+    kept, m = [], None  # A_0, A_1, ... and the multiplicity
     for j in range(n + 1):
         for i in range(1, n + 1 - j):
             xr, xi = w_re[i - 1], w_im[i - 1]
@@ -229,25 +223,32 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
             if not (w_re[slot] or w_im[slot]):
                 continue
             m = j
-        den = lcd * d ** slot
-        taylor.append((Fraction(w_re[slot], den), Fraction(w_im[slot], den)))
+        kept.append((w_re[slot] * d ** (j - m), w_im[slot] * d ** (j - m)))
         if j == m + k:
             break
-    # Series inverse b of sum_i taylor[i] D^i, up to degree k.
-    head = _ginv(taylor[0])
-    inv = [head]
+    # steps[l-1] = A_l * A_0**(l-1), so that B_i = -sum_l steps[l-1] * B_(i-l).
+    (hr, hi), pr, pi, steps = kept[0], 1, 0, []
+    for ar, ai in kept[1:]:
+        steps.append((ar * pr - ai * pi, ar * pi + ai * pr))
+        pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
+    b_re, b_im = [1], [0]
     for i in range(1, k + 1):
-        acc = (Fraction(0), Fraction(0))
-        for l in range(1, min(i, len(taylor) - 1) + 1):
-            t = _gmul(taylor[l], inv[i - l])
-            acc = (acc[0] + t[0], acc[1] + t[1])
-        t = _gmul(head, acc)
-        inv.append((-t[0], -t[1]))
+        acc_re = acc_im = 0
+        for l, (qr, qi) in enumerate(steps[:i], 1):
+            xr, xi = b_re[i - l], b_im[i - l]
+            acc_re += qr * xr - qi * xi
+            acc_im += qr * xi + qi * xr
+        b_re.append(-acc_re)
+        b_im.append(-acc_im)
     # b_i D^i u^k integrated m times: b_i * k! / (k + m - i)! * u^(k + m - i).
+    num = lcd * d ** (n - m) * math.factorial(k)
+    norm = hr * hr + hi * hi
+    cr, ci, den = num * hr, -num * hi, norm  # num * conj(A_0)**(i+1), |A_0|**(2(i+1))
     out = []
-    for i, b in enumerate(inv):
-        f = Fraction(math.factorial(k), math.factorial(k + m - i))
-        out.append((k + m - i, (b[0] * f, b[1] * f)))
+    for i, (xr, xi) in enumerate(zip(b_re, b_im)):
+        q = den * math.factorial(k + m - i)
+        out.append((k + m - i, (Fraction(xr * cr - xi * ci, q), Fraction(xr * ci + xi * cr, q))))
+        cr, ci, den = cr * hr + ci * hi, ci * hr - cr * hi, den * norm
     return out
 
 
@@ -259,24 +260,23 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
     is worked out exactly over the Gaussian rationals, and so is the
     result.  Resonant forcing (s a root of multiplicity m, tested exactly)
     picks up the ``u^m`` growth from the m-fold integration.  No roots,
-    basis or determinants are involved.
+    basis or determinants are involved.  The fields are canonical, so a term
+    keeps its forcing term's merge key, with its own ``upow`` and trig rank.
     """
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
     out: list[UTerm] = []
     for term in spec.forcing.terms:
-        c, a, b = term.coeff, term.erate, term.tfreq
+        c, a, b, trig, key = term.coeff, term.erate, term.tfreq, term.trig, term._mkey
         for upow, (wr, wi) in _shift_response(spec.coeffs, (a, b), term.upow):
-            if term.trig is None:
-                out.append(UTerm(c * wr, upow, a))
-            elif term.trig == COS:
+            rkey = (upow,) + key[1:]
+            out.append(_term(c * wr, upow, a, trig, b, rkey))
+            if trig == COS:
                 # Re[(wr + i wi)(cos bu + i sin bu)]
-                out.append(UTerm(c * wr, upow, a, COS, b))
-                out.append(UTerm(-c * wi, upow, a, SIN, b))
-            else:
+                out.append(_term(-c * wi, upow, a, SIN, b, rkey[:3] + (2,) + rkey[4:]))
+            elif trig == SIN:
                 # Im[(wr + i wi)(cos bu + i sin bu)]
-                out.append(UTerm(c * wr, upow, a, SIN, b))
-                out.append(UTerm(c * wi, upow, a, COS, b))
+                out.append(_term(c * wi, upow, a, COS, b, rkey[:3] + (1,) + rkey[4:]))
     return canonicalize(out)
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from confode import cli
+from confode import cli, solver
 from confode.chareq import CharPoly, find_roots
 from confode.conformable import log_grid
 from confode.eqparse import problem_from_source
@@ -53,6 +53,23 @@ def test_module_attributes_used_by_the_runner_exist():
     assert ("cli", "_verify_one") in used
     for module, attr in used:
         assert hasattr(importlib.import_module(f"confode.{module}"), attr), f"{module}.{attr}"
+
+
+def test_solve_problem_calls_particular_solution_through_the_module(monkeypatch):
+    # bench/spans.py times solver.particular_ms by patching this attribute
+    calls = []
+    real = solver.particular_solution
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(solver, "particular_solution", counting)
+    forced = problem_from_source("T2 y + 4 T y + 3 y = exp(2 t^a)", 0.5)
+    solve_problem(forced)
+    assert calls == [forced]
+    solve_problem(problem_from_source("T2 y + 4 T y + 3 y = 0", 0.5))
+    assert calls == [forced]
 
 
 def test_verify_one_accepts_a_plain_list_of_floats():

@@ -605,6 +605,20 @@ def test_verify_growing_exponential_to_large_t_passes(source, capsys):
     assert "-> ok" in out
 
 
+@pytest.mark.parametrize("source", [
+    # the basis rate is tiny but the quotient of e^{-u} keeps its bits
+    "T y + y = exp(1e-300 t^a)",
+    pytest.param("T y - 1e-290 y = exp(1e-290 t^a)", marks=pytest.mark.xfail(strict=True, reason=(
+        "v = -2e290 e^{5e-291 u} is right, but the oracle's step rate * STEP is "
+        "subnormal, so v's quotient loses its bits: residual 1.053e-04 on the "
+        "particular solution (0.333 at 1e-300)"))),
+])
+def test_verify_tiny_rates(source, capsys):
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", source], capsys)
+    assert code == 0, out
+    assert out.endswith("-> ok\n")
+
+
 def test_verify_honours_a_range_start_below_the_default(capsys):
     code, out, _ = run_cli(
         ["verify", "--json", "--alpha", "0.3", "--range", "0.00001:3:50",

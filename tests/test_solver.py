@@ -20,7 +20,7 @@ from confode import cli, ualgebra
 from confode.chareq import find_roots
 from confode.conformable import log_grid
 from confode.conformable import OracleGrid, operator_residual
-from confode.eqparse import problem_from_source
+from confode.eqparse import MAX_T_POWER, problem_from_source
 from confode.solver import (
     BasisOrigin,
     GeneralSolution,
@@ -828,6 +828,95 @@ def test_shift_response_equals_reference_on_resonances():
             got = _shift_response(coeffs, decimal, k)
             assert got == ref.shift_response(coeffs, decimal, k)
             assert got[0][0] == k  # no resonance
+
+
+PAIR = (F(-1, 2), F(3, 2))
+QUARTERS = [F(-j, 4) for j in range(1, 25)]
+
+
+@pytest.mark.parametrize("s, m, others, k", [
+    # resonance multiplicity 4, 5 and 8, at a real and a Gaussian s
+    ((F(-1, 2), F(0)), 4, [F(1, 4)], 8),
+    (PAIR, 4, [F(1, 4)], 0),
+    (PAIR, 5, [F(1, 4)], 8),
+    ((F(2), F(0)), 8, [], 8),
+    (PAIR, 8, [], 8),
+    # k up to MAX_T_POWER, resonant or not
+    ((F(1, 2), F(0)), 0, [F(-1), F(-2)], MAX_T_POWER),
+    ((F(-1), F(0)), 4, [F(1, 3)], MAX_T_POWER),
+    ((F(1, 3), F(2)), 1, [F(-1)], MAX_T_POWER),
+    # planted polynomials of order 12, 16 and 24
+    ((F(-13, 4), F(0)), 1, QUARTERS[:11], 8),
+    ((F(-1, 8), F(1, 4)), 2, QUARTERS[:12], 8),
+    ((F(1, 2), F(0)), 0, QUARTERS, 8),
+    (PAIR, 0, QUARTERS, 1),
+    ((F(-5, 3), F(0)), 4, QUARTERS[:20], 8),
+], ids=["m4-real", "m4-pair-k0", "m5-pair", "m8-real", "m8-pair", "k64", "k64-m4",
+        "k64-pair", "order12-m1", "order16-pair-m2", "order24", "order24-pair", "order24-m4"])
+def test_shift_response_equals_reference_at_scale(s, m, others, k):
+    coeffs = _expand_poly(others, s, m)
+    got = _shift_response(coeffs, s, k)
+    assert got == ref.shift_response(coeffs, s, k)
+    assert got[0][0] == k + m  # the resonance multiplicity is seen exactly
+
+
+@pytest.mark.parametrize("alpha", ["0.1", "0.3", "0.7"])
+@pytest.mark.parametrize("c, b", [(3, 0), (-2, 5)])
+def test_shift_response_equals_reference_at_decimal_alpha(alpha, c, b):
+    # s as the parser lowers exp(c t^a) {cos|sin}(b t^a): an exact
+    # polynomial with the root s four times resonates at multiplicity 4;
+    # its binary64 expansion is a rounding off s and does not resonate
+    s = (c * F(alpha), b * F(alpha))
+    for k in (0, 8):
+        coeffs = _expand_poly([F(1, 4), F(-2)], s, 4)
+        got = _shift_response(coeffs, s, k)
+        assert got == ref.shift_response(coeffs, s, k)
+        assert got[0][0] == k + 4
+        coeffs = _expand_poly([0.25, -2.0], (float(s[0]), float(s[1])), 4)
+        got = _shift_response(coeffs, s, k)
+        assert got == ref.shift_response(coeffs, s, k)
+        assert got[0][0] == k
+
+
+@pytest.mark.parametrize("others, pair, m", [
+    (QUARTERS[:8], PAIR, 4),  # order 16
+    (QUARTERS[:16], PAIR, 4),  # order 24
+], ids=["order16", "order24"])
+def test_particular_is_exact_at_high_order(others, pair, m):
+    # every forcing term resonates: e^{-u/4} is a simple root, the pair
+    # -1/2 ± 3i/2 is a quadruple one
+    coeffs = _expand_poly(others, pair, m)
+    forcing = expr(UTerm(F(3, 2), 2, F(-1, 4)), UTerm(1, 1, PAIR[0], COS, PAIR[1]),
+                   UTerm(F(-2, 3), 0, PAIR[0], SIN, PAIR[1]))
+    spec = ProblemSpec(coeffs, 0.5, forcing)
+    assert len(coeffs) == len(others) + 2 * m
+    v = particular_solution(spec)
+    assert apply_operator(spec, v) == spec.forcing
+    assert {t.upow for t in v.terms if t.trig is not None} >= {m, m + 1}
+
+
+@pytest.mark.parametrize("alpha, terms", [
+    (0.5, [UTerm(3)]),
+    (0.5, [UTerm(2, 0, F(1, 2), COS, F(3))]),
+    (0.5, [UTerm(-1, 0, F(0), SIN, F(1, 3))]),
+    (0.5, [UTerm(F(1, 3), 3, F(2))]),
+    (0.5, [UTerm(1, 1, F(-1)), UTerm(F(5, 2), 0, F(0), SIN, F(2)),
+           UTerm(-1, 2, F(0), COS, F(2))]),
+    (0.3, [UTerm(1, 0, F(7, 10) * F("0.3")), UTerm(F(9, 10), 1, F(-3, 10), COS, F(9, 10))]),
+], ids=["plain", "cos", "sin", "u^k", "resonant", "decimal-rate"])
+def test_particular_terms_are_what_the_constructor_builds(alpha, terms):
+    # particular_solution builds its terms without re-validating them:
+    # each must equal, key for key, the term UTerm() would build
+    # (r + 1)^2 (r^2 + 4): -1 is a double root and ±2i a simple pair
+    spec = ProblemSpec((F(4), F(8), F(5), F(2)), alpha, expr(*terms))
+    v = particular_solution(spec)
+    assert v.terms
+    for t in v.terms:
+        built = UTerm(t.coeff, t.upow, t.erate, t.trig, t.tfreq)
+        assert built == t and built._mkey == t._mkey
+        assert (t.tfreq > 0) == (t.trig is not None)
+        assert t.coeff != 0
+    assert apply_operator(spec, v) == spec.forcing
 
 
 # --- derivation count -----------------------------------------------------
