@@ -271,42 +271,65 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
-    oracle = OracleGrid(sol.spec.alpha, grid)
+    """Verify's report on ``sol``: each check's worst residual on ``grid``.
+
+    The oracle is one :class:`OracleGrid` over the grid and, for a fitted
+    solution, ``t0`` as one more point, so the initial-value check reads
+    the values and quotients that the grid checks evaluated there: the
+    numbers a one-point table at ``t0`` gives.  Residuals, worst points and
+    the underflow test read the grid's points only.  A ``t0`` outside the
+    oracle's domain, or one where a value overflows, is reported after the
+    grid checks.
+    """
+    alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
     checks = [(f"basis element {i + 1}", e, ZERO) for i, e in enumerate(sol.basis.elements)]
     if sol.particular is not None:
         checks.append(("particular solution", sol.particular, sol.spec.forcing))
-    found = {}
+    count = len(grid)
 
-    def note(label, ts, residuals):
+    def worst_point(ts, residuals) -> dict:
         worst, worst_t = -1.0, ts[0]
         for t, r in zip(ts, residuals):
             if not math.isfinite(r):  # a value overflowed; nan would never be the worst
                 raise OverflowError(f"the residual at t = {t!r} is not finite")
             if r > worst:
                 worst, worst_t = r, t
-        found[label] = {"max_residual": worst, "worst_t": worst_t}
+        return {"max_residual": worst, "worst_t": worst_t}
 
-    for label, y, forcing in checks:
-        note(label, grid, operator_residual(coeffs, y, forcing, oracle))
-        # values that all underflow to 0 check nothing
-        if not y.is_zero() and not any(oracle.values(y.lowered)):
-            raise FloatingPointError(f"every value of the {label} underflows to 0")
-    if sol.ic is not None:
-        # v + sum c_i e_i at t0 against the targets: level 0 is the value,
-        # level k the quotient of level k - 1, which the fit never takes
+    def grid_checks(oracle: OracleGrid) -> dict:
+        found = {}
+        for label, y, forcing in checks:
+            found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
+            # values that all underflow to 0 check nothing
+            if not y.is_zero() and not any(oracle.values(y.lowered)[:count]):
+                raise FloatingPointError(f"every value of the {label} underflows to 0")
+        return found
+
+    if sol.ic is None:
+        found = grid_checks(OracleGrid(alpha, grid))
+    else:
         t0, targets = sol.ic
-        at_t0 = OracleGrid(sol.spec.alpha, [t0])
+        try:
+            oracle = OracleGrid(alpha, [*grid, t0])
+            found = grid_checks(oracle)
+        except (ValueError, ArithmeticError):  # t0 may have raised: the grid goes first
+            found = grid_checks(OracleGrid(alpha, grid))
+            oracle = OracleGrid(alpha, [t0])
+        # v + sum c_i e_i at t0, the table's last point, against the targets:
+        # level 0 is the value, level k the quotient of level k - 1, which the
+        # fit never takes
         parts = [] if sol.particular is None else [(1.0, sol.particular)]
         parts += zip(sol.constants, sol.basis.elements)
         rows = []
         for c, f in parts:
             levels = lowered_levels(f, sol.spec.order)
-            rows.append([c * at_t0.values(levels[0])[0]]
-                        + [c * at_t0.quotient(level)[0] for level in levels[:-1]])
-        note("initial values", [t0] * len(targets),
-             [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
-              for *terms, target in zip(*rows, targets)])
+            rows.append([c * oracle.values(levels[0])[-1]]
+                        + [c * oracle.quotient(level)[-1] for level in levels[:-1]])
+        found["initial values"] = worst_point(
+            [t0] * len(targets),
+            [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
+             for *terms, target in zip(*rows, targets)])
     worst_part = max(found, key=lambda label: found[label]["max_residual"])
     overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]
     return {

@@ -61,6 +61,11 @@ class OracleGrid:
     ``STEP**2`` relative), and its imaginary part divided by :data:`STEP`
     is the limit quotient at ``t``.
 
+    Each point's values depend on that point alone, so a point may join
+    any table: verify's table holds the grid and, for a fitted solution,
+    ``t0`` as one more point, whose values and quotients are those of a
+    one-point grid at ``t0``.
+
     Points are checked in order, and the first bad one raises.
 
     Raises:
@@ -80,17 +85,17 @@ class OracleGrid:
                     f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
             points.append(complex(t, STEP * t ** (1.0 - alpha)))
         self.table = PointTable(points, subst)
-        self._parts: dict[int, tuple[UExpr, tuple[float, ...], list[float]]] = {}
+        self._parts: dict[int, tuple[UExpr, list[float], list[float]]] = {}
 
-    def _split(self, f: UExpr) -> tuple[UExpr, tuple[float, ...], list[float]]:
+    def _split(self, f: UExpr) -> tuple[UExpr, list[float], list[float]]:
         hit = self._parts.get(id(f))
         if hit is None:
             vals = self.table.eval(f)
-            hit = (f, tuple(v.real for v in vals), [v.imag / STEP for v in vals])
+            hit = (f, [v.real for v in vals], [v.imag / STEP for v in vals])
             self._parts[id(f)] = hit  # holding f keeps its id unique
         return hit
 
-    def values(self, f: UExpr) -> tuple[float, ...]:
+    def values(self, f: UExpr) -> list[float]:
         """``f`` at each grid point."""
         return self._split(f)[1]
 

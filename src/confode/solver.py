@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import ualgebra
 from .chareq import CharPoly, find_roots
 from .ualgebra import (
     COS,
@@ -36,7 +37,6 @@ from .ualgebra import (
     _term,
     add,
     canonicalize,
-    eval_expr,
     expr,
     expr_from_records,
     format_t,
@@ -316,12 +316,13 @@ def fit_constants(sol: GeneralSolution, t0: float, targets):
     if len(b) != n:
         raise ValueError(f"need {n} target values, got {len(b)}")
     # row i holds the i-fold u-derivatives of the basis' lowering, levels
-    # shared with the oracle, which derives the same lowerings
+    # shared with the oracle, which derives the same lowerings; eval_expr is
+    # looked up on its module, where the benchmark's tracer wraps it
     columns = [lowered_levels(e, n) for e in sol.basis.elements]
-    a = [[eval_expr(col[i], t0, subst) for col in columns] for i in range(n)]
+    a = [[ualgebra.eval_expr(col[i], t0, subst) for col in columns] for i in range(n)]
     if sol.particular is not None:
         for i, level in enumerate(lowered_levels(sol.particular, n)):
-            b[i] -= eval_expr(level, t0, subst)
+            b[i] -= ualgebra.eval_expr(level, t0, subst)
     x = _solve_linear(a, b)
     if x is None:
         raise SingularSystemError(f"initial-condition system is singular at t0={t0}")

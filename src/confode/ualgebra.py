@@ -23,7 +23,7 @@ Exact work is done once.  Each term carries a merge key of plain ints
 (``upow``, the numerator and denominator of ``erate``, the trig rank, the
 numerator and denominator of ``tfreq``), computed when the term is built,
 so :func:`canonicalize` hashes ints rather than :class:`~fractions.Fraction`
-objects and compares exact rates only to sort the distinct keys.  Terms
+objects, and sorts exact rates as integers over a common denominator.  Terms
 whose fields are already canonical (merged totals, derivative children)
 are built by a private constructor that skips re-validation.  Each
 :class:`UExpr` derives itself once: :func:`diff_u` returns the cached
@@ -37,6 +37,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 COS = "cos"
 SIN = "sin"
@@ -257,13 +258,33 @@ def _slot_key(slot):
     return slot[1].key
 
 
+def _canonical_order(acc: dict) -> list:
+    """The slots of ``acc`` in the order of their terms' :attr:`UTerm.key`.
+
+    Lowered terms hold binary64 rates, which compare exactly as they are.
+    Exact rates are put over the common denominator of their kind, so the
+    integer numerators order as the rates do and no
+    :class:`~fractions.Fraction` is compared.  Either order is exact for
+    any mix of terms; the first term picks the faster one.
+    """
+    slots = list(acc.values())
+    if type(slots[0][1].erate) is float:
+        return sorted(slots, key=_slot_key)
+    e_den = math.lcm(*[k[2] for k in acc])
+    f_den = math.lcm(*[k[5] for k in acc])
+
+    def key(slot):
+        upow, en, ed, rank, fn, fd = slot[1]._mkey
+        return upow, en * (e_den // ed), rank, fn * (f_den // fd)
+    return sorted(slots, key=key)
+
+
 def canonicalize(terms) -> UExpr:
     """Merge like terms, drop exact zeros, sort by key.
 
     Terms merge on their integer keys, summed in input order, and a merged
     coefficient is dropped only when it is exactly zero.  Only the distinct
-    keys are sorted: by the exact key, or for lowered terms by the
-    binary64 one.
+    keys are sorted (see :func:`_canonical_order`).
 
     Idempotent: applying it to an already-canonical expression returns an
     equal expression.
@@ -276,7 +297,7 @@ def canonicalize(terms) -> UExpr:
         else:
             slot[0] += term.coeff
     out = []
-    for total, t in sorted(acc.values(), key=_slot_key):
+    for total, t in _canonical_order(acc) if len(acc) > 1 else acc.values():
         if total:
             out.append(t if total is t.coeff  # not merged
                        else _term(total, t.upow, t.erate, t.trig, t.tfreq, t._mkey))
@@ -422,8 +443,13 @@ class PointTable:
         return col
 
     def eval(self, f: UExpr) -> tuple[float, ...]:
-        """Values of ``f`` at every point."""
-        total = [0.0] * len(self.u)
+        """Values of ``f`` at every point.
+
+        Each point's value depends on that point alone, so a point gives the
+        same value in any table that holds it (verify's oracle adds ``t0``
+        to the grid's table on that ground).
+        """
+        total = repeat(0.0, len(self.u))  # the first row adds to 0.0, as in eval_expr
         for coeff, upow, erate, trig, tfreq in f.float_rows:
             cols = []
             if upow:

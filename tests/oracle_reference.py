@@ -4,9 +4,11 @@ The library's verify runs only :class:`confode.conformable.OracleGrid`,
 which takes the complex-step quotient at every grid point at once.  This
 module keeps scalar definitions as references for the tests: the same
 complex step at one point, operation for operation (the parity tests
-compare the batched oracle against it bit for bit); and, independent of
-it, the central quotient of a callback at one point, nested to any order,
-with the matching conformable integral by adaptive Simpson quadrature.
+compare the batched oracle against it bit for bit); verify's initial-value
+check on a table of its own at ``t0``; and, independent of the complex
+step, the central quotient of a callback at one point, nested to any
+order, with the matching conformable integral by adaptive Simpson
+quadrature.
 
 The conformable derivative of order ``alpha`` acts on a function ``f`` of
 ``t > 0`` as the limit of ``(f(t + eps*t**(1-alpha)) - f(t)) / eps``; for
@@ -20,8 +22,8 @@ import cmath
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, STEP, DomainError
-from confode.ualgebra import SubstMap, UExpr, eval_expr
+from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, STEP, DomainError, OracleGrid
+from confode.ualgebra import SubstMap, UExpr, eval_expr, lowered_levels
 
 _EPS = 2.220446049250313e-16
 
@@ -100,6 +102,27 @@ def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
         raise DomainError(f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
     z = complex_eval_expr(f, complex(t, STEP * t ** (1.0 - alpha)), subst)
     return z.real, z.imag / STEP
+
+
+def initial_value_check(sol) -> dict:
+    """Verify's ``combined`` record of a fitted solution, on a one-point grid.
+
+    ``v + sum c_i e_i`` and its first ``n - 1`` quotients at ``t0``,
+    against the targets, each evaluated on an :class:`OracleGrid` that holds
+    ``t0`` alone: level 0 is the value, level k the quotient of level k - 1.
+    """
+    t0, targets = sol.ic
+    at_t0 = OracleGrid(sol.spec.alpha, [t0])
+    parts = [] if sol.particular is None else [(1.0, sol.particular)]
+    parts += zip(sol.constants, sol.basis.elements)
+    rows = []
+    for c, f in parts:
+        levels = lowered_levels(f, sol.spec.order)
+        rows.append([c * at_t0.values(levels[0])[0]]
+                    + [c * at_t0.quotient(level)[0] for level in levels[:-1]])
+    residuals = [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
+                 for *terms, target in zip(*rows, targets)]
+    return {"max_residual": max(residuals), "worst_t": t0}
 
 
 def _check_alpha(alpha: float) -> None:

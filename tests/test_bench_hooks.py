@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from confode import cli, solver
+from confode import cli, solver, ualgebra
 from confode.chareq import CharPoly, find_roots
 from confode.conformable import log_grid
 from confode.eqparse import problem_from_source
@@ -70,6 +70,23 @@ def test_solve_problem_calls_particular_solution_through_the_module(monkeypatch)
     assert calls == [forced]
     solve_problem(problem_from_source("T2 y + 4 T y + 3 y = 0", 0.5))
     assert calls == [forced]
+
+
+def test_fit_constants_calls_eval_expr_through_the_module(monkeypatch):
+    # bench/spans.py times ualgebra.eval_ms by patching this attribute
+    calls = []
+    real = ualgebra.eval_expr
+
+    def counting(f, t, subst):
+        calls.append(t)
+        return real(f, t, subst)
+
+    monkeypatch.setattr(ualgebra, "eval_expr", counting)
+    forced = problem_from_source("T2 y + 4 T y + 3 y = exp(2 t^a)", 0.5)
+    sol = solve_problem(forced, t0=1.5, targets=(1.0, 0.0))
+    assert sol.constants is not None
+    # two basis values and two particular values at each of two levels
+    assert calls == [1.5] * 6
 
 
 def test_verify_one_accepts_a_plain_list_of_floats():

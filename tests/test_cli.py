@@ -14,10 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from confode.cli import _parse_ic, _parse_range, main
+from confode.cli import (
+    DEFAULT_GRID_COUNT,
+    DEFAULT_GRID_HI,
+    DEFAULT_GRID_LO,
+    DEFAULT_TOL,
+    _parse_ic,
+    _parse_range,
+    _verify_one,
+    main,
+)
+from confode.conformable import log_grid
 from confode.eqparse import problem_from_source
 from confode.solver import solution_from_doc, solution_to_doc, solve_problem
 from confode.ualgebra import SubstMap, eval_expr
+from oracle_reference import initial_value_check
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
 HOMOG = "T2 y + 4 T y + 3 y = 0"
@@ -313,6 +324,9 @@ def test_overflow_is_solver_error(argv, capsys):
                  id="range-homogeneous"),
     pytest.param(["--alpha", "1", "--range", "800:900:5", "T2 y + 3 T y + 2 y = 1"], False, 2,
                  id="range-forced"),
+    # t0 = 1 shares the grid's table, and its values do not count
+    pytest.param(["--alpha", "1", "--range", "800:900:5", "--ic", "1:1", "T y + y = 0"], False,
+                 2, id="range-fitted"),
     # u = t^a / a is inf, then about 1e300: e^{-u} is 0 at every point
     pytest.param(["--alpha", "1e-310", "T y + y = 0"], True, 2, id="piped-alpha-1e-310"),
     pytest.param(["--alpha", "1e-300", "T y + y = 0"], True, 2, id="piped-alpha-1e-300"),
@@ -748,6 +762,47 @@ def test_verify_refuses_t0_outside_the_oracle_domain(alpha, ic, source, named, c
     assert (code, out) == (1, "")
     assert err.startswith("confode: config error:") and named in err
     assert "not interior" in err
+
+
+@pytest.mark.parametrize("alpha, ic, source", [
+    (0.5, (1.0, (1.0, 0.0)), FORCED),
+    # roots 0, 0, -1, -1: the forcing resonates with the double root 0
+    (0.3, (1.0, (1.0, 0.0, -1.0, 0.5)), "T4 y + 2 T3 y + T2 y = 3 + t^a"),
+    # the conjugate pair -1 +- 2i, forced at its own frequency
+    (1.0, (0.7, (0.5, -1.0)), "T2 y + 2 T y + 5 y = exp(-t^a) * cos(2 t^a)"),
+    # a conjugate pair and a real root, with t0 on the grid's last point
+    (0.3, (3.0, (1.0, 2.0, -1.0)), "T3 y + 3 T2 y + 4 T y + 2 y = 0"),
+    (1.0, (0.05, (2.0, -3.0)), HOMOG),
+])
+def test_initial_values_read_the_grid_table_as_a_table_of_their_own(alpha, ic, source):
+    # t0 is one more point of verify's table: the record equals the check
+    # on a one-point table at t0, bit for bit
+    sol = solve_problem(problem_from_source(source, alpha), t0=ic[0], targets=ic[1])
+    grid = log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
+    report = _verify_one(sol, grid, DEFAULT_TOL)
+    assert report["combined"] == initial_value_check(sol)
+    assert report["combined"]["max_residual"] < DEFAULT_TOL
+
+
+def _fitted_doc(doc: dict, t0: float) -> str:
+    return json.dumps({**doc, "constants": [1.0] * doc["order"],
+                       "ic": {"t0": t0, "targets": [1.0] * doc["order"]}})
+
+
+@pytest.mark.parametrize("doc, argv, named", [
+    # t0 is outside the oracle's domain, and the basis overflows on the grid
+    pytest.param(lambda: _fitted_doc(json.loads(_huge_growing_doc()), 1e7),
+                 ["--range", "10:20:3"], "overflows binary64", id="t0-beyond-the-domain"),
+    # e^u overflows at t0 only, and the particular solution underflows on the grid
+    pytest.param(lambda: _fitted_doc(solution_to_doc(solve_problem(
+        problem_from_source("T y - y = exp(-20 t^a)", 1.0))), 800.0),
+                 ["--range", "80:90:3"], "every value of the particular solution underflows to 0",
+                 id="overflow-at-t0-only"),
+])
+def test_verify_reports_the_grid_before_t0(doc, argv, named, capsys):
+    code, out, err = run_cli(["verify", "--alpha", "1", *argv, doc()], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("confode: solver error:") and named in err
 
 
 def test_verify_ic_on_a_resonant_order_four_equation(capsys):

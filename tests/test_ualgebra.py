@@ -331,6 +331,40 @@ def test_canonicalize_equals_reference(terms):
     assert repr(got) == repr(want)
 
 
+# Rates that are distinct but round to one binary64 value, and one beyond
+# binary64: canonical order must still be the order of the exact keys.
+_CLOSE_RATES = [Fraction(0), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
+                Fraction(-1, 3), Fraction(-1, 3) - Fraction(1, 10**30), Fraction(1, 2),
+                Fraction("0.3"), Fraction(0.3), Fraction(2 * 10**308)]
+_CLOSE_FREQS = [Fraction(1), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
+                Fraction(5, 2), Fraction("0.7"), Fraction(0.7)]
+
+
+@given(st.lists(st.tuples(st.floats(min_value=0.5, max_value=4.0, **finite),
+                          st.integers(0, 2), st.sampled_from(_CLOSE_RATES),
+                          st.sampled_from([None, COS, SIN]), st.sampled_from(_CLOSE_FREQS)),
+                min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_canonical_order_is_the_sort_by_key(fields, rng):
+    # positive coefficients: no merged term cancels, so every key survives
+    terms = [UTerm(c, upow, erate, trig, tfreq if trig else 0)
+             for c, upow, erate, trig, tfreq in fields]
+    f = canonicalize(terms)
+    assert [t.key for t in f.terms] == sorted({t.key for t in terms})
+    finite_terms = [t for t in f.terms if abs(t.erate) < 1e300]
+    if finite_terms:
+        low = canonicalize(finite_terms).lowered
+        shuffled = list(low.terms)
+        rng.shuffle(shuffled)
+        keys = [t.key for t in canonicalize(shuffled).terms]
+        assert keys == [t.key for t in low.terms] == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        # lowered and exact terms together, whichever comes first
+        mixed = list(low.terms) + terms
+        rng.shuffle(mixed)
+        assert [t.key for t in canonicalize(mixed).terms] == sorted({t.key for t in mixed})
+
+
 @given(colliding_term_lists().map(canonicalize))
 def test_diff_u_equals_reference(f):
     want = ref.diff_u(f)
