@@ -52,18 +52,24 @@ class RootFindingError(RuntimeError):
 
 class CharPoly:
     """Coefficients ``p_0 ... p_{n-1}`` as exact rationals; the leading
-    coefficient is an implied 1.  ``coeffs`` is read-only."""
+    coefficient is an implied 1.  ``lifted`` is the whole polynomial,
+    highest first, times the lcm of the denominators: the least integer
+    multiple, which loses nothing.  Both are read-only."""
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
         if not coeffs:
             raise ValueError("a characteristic polynomial needs degree >= 1")
         try:
             coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-            # rounded to binary64 once, for every float evaluation
-            lowered = [1.0] + [c.numerator / c.denominator for c in reversed(coeffs)]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            lifted = (den, *(c.numerator * (den // c.denominator) for c in reversed(coeffs)))
+            # int / int is correctly rounded: the binary64 value of each
+            # coefficient, rounded once, for every float evaluation
+            lowered = [c / den for c in lifted]
         except (OverflowError, ValueError) as err:  # inf, nan, beyond binary64
             raise RootFindingError(f"non-finite coefficient in binary64 ({err})") from err
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "lifted", lifted)
         object.__setattr__(self, "_lowered", lowered)
 
     __setattr__ = __delattr__ = _read_only
@@ -174,15 +180,7 @@ def _aberth(full: list[float]) -> list[complex]:
 
 # --- exact integer polynomials ----------------------------------------------
 #
-# Highest-first lists of Python ints; the zero polynomial is [].
-
-
-def _lift(p: CharPoly) -> list[int]:
-    """p's full coefficients times the lcm of their denominators, the least
-    positive integer that makes them all integers."""
-    full = p.full()
-    den = math.lcm(*(c.denominator for c in full))
-    return [c.numerator * (den // c.denominator) for c in full]
+# Highest-first lists (or tuples) of Python ints; the zero polynomial is [].
 
 
 def _deriv(f: list[int]) -> list[int]:
@@ -410,7 +408,7 @@ def _factor_roots(g: list[int], mult: int) -> list[tuple]:
 
 def find_roots(p: CharPoly) -> RootSet:
     found = []
-    for g, mult in _squarefree_factors(_lift(p)):
+    for g, mult in _squarefree_factors(p.lifted):
         found.extend(_factor_roots(g, mult))
     found.sort(key=lambda e: (e[0].real, e[0].imag))
     rs = RootSet(tuple((z, m) for z, m, _ in found), tuple(x for _, _, x in found))

@@ -25,14 +25,17 @@ stdout.  Until argv parses, ``--json`` anywhere in it selects JSON.
 Every command takes its input through one step, ``_solutions``, which
 yields one solution per alpha.  The source is the positional argument or
 ``--file``; ``verify`` accepts either equation text (which it solves
-first, fitting ``--ic`` when given) or a solution document produced by
-``solve --json`` — input starting with ``{`` is treated as JSON.  A
-document fixes its solution: ``--ic``, or an alpha other than the
-document's, is a configuration error.  With no positional source and no
-``--file``, verify reads standard input, so ``solve --json | verify``
-works as a pipe.  Verify checks each basis element and the particular
-solution on ``--range`` (by default 50 log-spaced points on [0.01, 3]),
-and a fitted solution's derivatives at ``t0`` against its initial values.
+first, fitting ``--ic`` when given) or what ``solve --json`` prints: one
+solution document, or an array of them for ``--alpha-list`` — input
+starting with ``{`` or ``[`` is treated as JSON.  A document fixes its
+solution: ``--ic``, or alphas other than the documents' in order, is a
+configuration error.  With no positional source and no ``--file``, verify
+reads standard input, so ``solve --json | verify`` works as a pipe.
+Verify checks each basis element and the particular solution on
+``--range`` (by default 50 log-spaced points on [0.01, 3]), and a fitted
+solution's derivatives at ``t0`` against its initial values.  One oracle
+table holds the grid and, last, ``t0``: a point outside the oracle's
+domain, ``t0`` included, is a configuration error before any check runs.
 """
 
 from __future__ import annotations
@@ -191,8 +194,8 @@ def _solutions(ns: argparse.Namespace) -> Iterator[GeneralSolution]:
 
     The source is inline, from ``--file`` or, for verify only, from standard
     input.  Equation text is solved at each alpha, fitting ``--ic`` when
-    given; a solution document (verify only) is the one solution, and
-    ``--ic`` or another alpha is refused.
+    given.  Verify also reads solution documents, one or an array of them,
+    whose alphas in order must be the requested ones; ``--ic`` is refused.
     """
     if ns.source is not None and ns.file is not None:
         raise ConfigError("give the equation either inline or via --file, not both")
@@ -207,22 +210,22 @@ def _solutions(ns: argparse.Namespace) -> Iterator[GeneralSolution]:
         if ns.command != "verify":
             raise ConfigError("missing equation (positional argument or --file)")
         text = sys.stdin.read().strip()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         if ns.command != "verify":
             raise ConfigError("solution JSON input is only accepted by verify")
         try:
-            doc = json.loads(text)
+            docs = json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad solution JSON: {err}") from err
         if ns.ic is not None:
             raise ConfigError("--ic does not apply to a solution document; "
                               "fit the constants with solve --ic")
-        sol = solution_from_doc(doc)
-        for alpha in ns.alphas:
-            if alpha != sol.spec.alpha:
-                raise ConfigError(f"alpha {alpha!r} differs from the solution document's "
-                                  f"alpha {sol.spec.alpha!r}")
-        yield sol
+        sols = [solution_from_doc(doc) for doc in (docs if isinstance(docs, list) else [docs])]
+        alphas = tuple(sol.spec.alpha for sol in sols)
+        if alphas != ns.alphas:
+            raise ConfigError(f"alphas {list(ns.alphas)} differ from the solution "
+                              f"documents' alphas {list(alphas)}")
+        yield from sols
         return
     for alpha in ns.alphas:
         spec = problem_from_source(text, alpha)
@@ -274,12 +277,13 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     """Verify's report on ``sol``: each check's worst residual on ``grid``.
 
     The oracle is one :class:`OracleGrid` over the grid and, for a fitted
-    solution, ``t0`` as one more point, so the initial-value check reads
+    solution, ``t0`` as its last point, so the initial-value check reads
     the values and quotients that the grid checks evaluated there: the
     numbers a one-point table at ``t0`` gives.  Residuals, worst points and
-    the underflow test read the grid's points only.  A ``t0`` outside the
-    oracle's domain, or one where a value overflows, is reported after the
-    grid checks.
+    the underflow test read the grid's points only.  ``t0`` is checked like
+    every grid point: one outside the oracle's domain raises before any
+    check runs, and a value that overflows there fails the first check that
+    evaluates it.
     """
     alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
@@ -287,6 +291,7 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     if sol.particular is not None:
         checks.append(("particular solution", sol.particular, sol.spec.forcing))
     count = len(grid)
+    oracle = OracleGrid(alpha, grid if sol.ic is None else [*grid, sol.ic[0]])
 
     def worst_point(ts, residuals) -> dict:
         worst, worst_t = -1.0, ts[0]
@@ -297,25 +302,14 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
                 worst, worst_t = r, t
         return {"max_residual": worst, "worst_t": worst_t}
 
-    def grid_checks(oracle: OracleGrid) -> dict:
-        found = {}
-        for label, y, forcing in checks:
-            found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
-            # values that all underflow to 0 check nothing
-            if not y.is_zero() and not any(oracle.values(y.lowered)[:count]):
-                raise FloatingPointError(f"every value of the {label} underflows to 0")
-        return found
-
-    if sol.ic is None:
-        found = grid_checks(OracleGrid(alpha, grid))
-    else:
+    found = {}
+    for label, y, forcing in checks:
+        found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
+        # values that all underflow to 0 check nothing
+        if not y.is_zero() and not any(oracle.values(y.lowered)[:count]):
+            raise FloatingPointError(f"every value of the {label} underflows to 0")
+    if sol.ic is not None:
         t0, targets = sol.ic
-        try:
-            oracle = OracleGrid(alpha, [*grid, t0])
-            found = grid_checks(oracle)
-        except (ValueError, ArithmeticError):  # t0 may have raised: the grid goes first
-            found = grid_checks(OracleGrid(alpha, grid))
-            oracle = OracleGrid(alpha, [t0])
         # v + sum c_i e_i at t0, the table's last point, against the targets:
         # level 0 is the value, level k the quotient of level k - 1, which the
         # fit never takes

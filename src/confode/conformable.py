@@ -62,11 +62,12 @@ class OracleGrid:
     is the limit quotient at ``t``.
 
     Each point's values depend on that point alone, so a point may join
-    any table: verify's table holds the grid and, for a fitted solution,
-    ``t0`` as one more point, whose values and quotients are those of a
-    one-point grid at ``t0``.
+    any table: verify's one table holds the grid and, for a fitted
+    solution, ``t0`` as its last point, whose values and quotients are
+    those of a one-point grid at ``t0``.
 
-    Points are checked in order, and the first bad one raises.
+    Points are checked in order, ``t0`` like any other, and the first bad
+    one raises.
 
     Raises:
         ValueError: bad ``alpha``, or a point ``t <= 0``.

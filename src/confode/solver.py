@@ -40,6 +40,7 @@ from .ualgebra import (
     expr,
     expr_from_records,
     format_t,
+    json_int,
     lowered_levels,
     scale,
     term_records,
@@ -65,12 +66,13 @@ class ProblemSpec:
     def __init__(self, coeffs: tuple[Fraction, ...], alpha: float, forcing: UExpr = ZERO):
         if len(coeffs) < 1:
             raise ValueError("equation order must be at least 1")
-        coeffs = CharPoly(coeffs).coeffs
+        poly = CharPoly(coeffs)
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         if not isinstance(forcing, UExpr):
             raise TypeError("forcing must be a UExpr")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", poly.coeffs)
+        object.__setattr__(self, "_poly", poly)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "forcing", forcing)
 
@@ -87,7 +89,7 @@ class ProblemSpec:
         return len(self.coeffs)
 
     def char_poly(self) -> CharPoly:
-        return CharPoly(self.coeffs)
+        return self._poly
 
 
 class BasisOrigin(NamedTuple):
@@ -180,7 +182,7 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     return SolutionBasis(tuple(elements))
 
 
-def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
+def _shift_response(poly: CharPoly, s: tuple[Fraction, Fraction],
                     k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
     """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``.
 
@@ -192,25 +194,23 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
     coefficient)`` pairs over the Gaussian rationals.
 
     It runs on Gaussian integers (pairs of ints) and reduces nothing.  With
-    ``s = complex(sa, sb) / d`` and ``lcd`` the common denominator of the
-    (rational) coefficients, slot i of the synthetic division holds its
-    value times ``lcd * d**i``, so each step is ``W_i += complex(sa, sb) *
-    W_(i-1)`` and a slot is zero exactly when both its integers are.  The
+    ``s = complex(sa, sb) / d`` and ``lcd = poly.lifted[0]``, the common
+    denominator of the coefficients, slot i of the synthetic division holds
+    its value times ``lcd * d**i``, so each step is ``W_i += complex(sa, sb)
+    * W_(i-1)`` and a slot is zero exactly when both its integers are.  The
     kept slots give ``a_(m+i) = A_i / D`` with ``A_i = W_(n-m-i) * d**i``
     and ``D = lcd * d**(n-m)``, and the inverse is ``b_i = D * B_i /
     A_0**(i+1)`` with ``B_0 = 1``, ``B_i = -sum_(l=1..i) A_l * B_(i-l) *
     A_0**(l-1)``.  Only the output becomes :class:`~fractions.Fraction`,
     one per part of ``D k! B_i conj(A_0)**(i+1) / (|A_0|**(2i+2) (k+m-i)!)``.
     """
-    n = len(coeffs)
+    n = poly.degree
     # Repeated synthetic division by (r - s), highest coefficient first:
     # pass j leaves a_j in slot n - j.
-    ratios = [c.as_integer_ratio() for c in reversed(coeffs)]
-    lcd = math.lcm(*(den for _, den in ratios))
     d = math.lcm(s[0].denominator, s[1].denominator)
     sa, sb = s[0].numerator * (d // s[0].denominator), s[1].numerator * (d // s[1].denominator)
     # Slot i starts as lcd * d**i * c_(n-i), imaginary part zero.
-    w_re = [lcd] + [num * (lcd // den) * d ** i for i, (num, den) in enumerate(ratios, 1)]
+    w_re = [c * d ** i for i, c in enumerate(poly.lifted)]
     w_im = [0] * (n + 1)
     kept, m = [], None  # A_0, A_1, ... and the multiplicity
     for j in range(n + 1):
@@ -241,7 +241,7 @@ def _shift_response(coeffs: tuple[Fraction, ...], s: tuple[Fraction, Fraction],
         b_re.append(-acc_re)
         b_im.append(-acc_im)
     # b_i D^i u^k integrated m times: b_i * k! / (k + m - i)! * u^(k + m - i).
-    num = lcd * d ** (n - m) * math.factorial(k)
+    num = poly.lifted[0] * d ** (n - m) * math.factorial(k)
     norm = hr * hr + hi * hi
     cr, ci, den = num * hr, -num * hi, norm  # num * conj(A_0)**(i+1), |A_0|**(2(i+1))
     out = []
@@ -268,7 +268,7 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
     out: list[UTerm] = []
     for term in spec.forcing.terms:
         c, a, b, trig, key = term.coeff, term.erate, term.tfreq, term.trig, term._mkey
-        for upow, (wr, wi) in _shift_response(spec.coeffs, (a, b), term.upow):
+        for upow, (wr, wi) in _shift_response(spec.char_poly(), (a, b), term.upow):
             rkey = (upow,) + key[1:]
             out.append(_term(c * wr, upow, a, trig, b, rkey))
             if trig == COS:
@@ -398,9 +398,11 @@ def _finite(value) -> float:
 def solution_from_doc(doc) -> GeneralSolution:
     """Rebuild a GeneralSolution from its JSON document.
 
-    Each float is read as its dyadic value.  A document that is not an
-    object, lacks a required key, or holds a value of the wrong shape or a
-    non-finite number (json reads ``NaN``) raises ValueError naming the key.
+    Each float is read as its dyadic value; ``order``, each record's
+    ``upow`` and each origin's ``level`` must be JSON integers (``2.0`` or
+    ``true`` is refused).  A document that is not an object, lacks a
+    required key, or holds a value of the wrong shape or a non-finite number
+    (json reads ``NaN``) raises ValueError naming the key.
     ``particular``, ``constants`` and ``ic`` may be absent or null.  A
     document that is not a general solution raises too (the records refuse
     it, so fitted ``constants`` without their ``ic`` name ``'ic'``), as does
@@ -426,13 +428,14 @@ def solution_from_doc(doc) -> GeneralSolution:
             raise ValueError(f"solution document key {key!r} is ill-typed ({detail})") from err
 
     def origin(o):
-        return BasisOrigin(complex(*map(_finite, o["root"])), int(o["level"]), o["part"])
+        return BasisOrigin(complex(*map(_finite, o["root"])), json_int(o["level"], "level"),
+                           o["part"])
 
     coeffs = field("coeffs", lambda v: tuple(Fraction(float(c)) for c in v))
     alpha = field("alpha", _finite)
     forcing = field("forcing", expr_from_records)
     spec = ProblemSpec(coeffs, alpha, forcing)
-    order = field("order", int)
+    order = field("order", lambda v: json_int(v, "order"))
     if order != spec.order:
         raise ValueError(f"order field {order} does not match {spec.order} coefficients")
     basis = SolutionBasis(field("basis", lambda v: tuple(expr_from_records(r) for r in v)))

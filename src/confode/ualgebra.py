@@ -529,10 +529,18 @@ def term_records(f: UExpr) -> list[dict]:
     ]
 
 
+def json_int(value, key: str) -> int:
+    """``value`` read from the JSON key ``key``, which must hold an integer:
+    a float or a bool raises ValueError naming the key."""
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def expr_from_records(records) -> UExpr:
     """Term records read exactly (NaN raises ValueError, inf OverflowError)."""
     return canonicalize([
-        UTerm(float(r["coeff"]), int(r["upow"]), float(r["erate"]), r["trig"],
+        UTerm(float(r["coeff"]), json_int(r["upow"], "upow"), float(r["erate"]), r["trig"],
               float(r["tfreq"]))
         for r in records
     ])

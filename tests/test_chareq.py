@@ -295,6 +295,31 @@ def test_non_finite_coefficients_are_reported():
         find_roots(CharPoly((math.nan,)))
 
 
+@pytest.mark.parametrize("coeffs", [
+    (Fraction("1e-400"), Fraction(2)),  # underflows to 0.0
+    (Fraction("0.1"), Fraction(1, 3), Fraction(-7, 6)),
+    (Fraction(3, 10**400), Fraction(10**300, 7)),  # a small and a large denominator
+    (0.1, -2.5, 1e300),
+], ids=["underflow", "decimals", "wide-denominators", "floats"])
+def test_charpoly_lowers_the_lifted_form_per_coefficient(coeffs):
+    p = CharPoly(coeffs)
+    den = p.lifted[0]
+    assert p.full() == [Fraction(c, den) for c in p.lifted]
+    assert math.gcd(*p.lifted) == 1  # the least integer multiple
+    # int / int rounds correctly, so the lifted form gives each coefficient's
+    # own binary64 value
+    assert p._lowered == [1.0] + [c.numerator / c.denominator for c in reversed(p.coeffs)]
+
+
+@pytest.mark.parametrize("coeffs", [(Fraction(10) ** 400,), (Fraction(1, 3), -Fraction(10) ** 309)],
+                         ids=["integer", "beside-a-fraction"])
+def test_coefficient_beyond_binary64_is_reported(coeffs):
+    with pytest.raises(RootFindingError) as err:
+        CharPoly(coeffs)
+    assert str(err.value) == (
+        "non-finite coefficient in binary64 (integer division result too large for a float)")
+
+
 @pytest.mark.parametrize("planted", [
     real_roots(-1, mult=4),
     real_roots(-1, mult=5),
@@ -397,7 +422,7 @@ separated_roots = st.lists(
 def test_aberth_matches_the_numpy_reference(roots):
     planted = [(Fraction(z.real), Fraction(abs(z.imag)), 1) for z in roots if z.imag >= 0]
     p = CharPoly(tuple(float(c) for c in reversed(expand(planted)[1:])))
-    assume(len(chareq._squarefree_factors(chareq._lift(p))) == 1)
+    assume(len(chareq._squarefree_factors(p.lifted)) == 1)
     full = [float(c) for c in p.full()]
     got = chareq._aberth(full)
     want = list(roots_reference._aberth(full))

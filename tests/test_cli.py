@@ -69,8 +69,6 @@ def test_parse_error_exits_one(capsys):
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["solve", "--alpha", "1", "T1000000 y + y = 0"], "limit 256 at offset 0",
                  id="order-limit"),
-    # only text starting with '{' is a solution document: this is equation text
-    pytest.param(["verify", "--alpha", "0.5", "[1, 2]"], "'[' at offset 0", id="json-array"),
 ])
 def test_parse_error_kind_in_text_and_json(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -202,6 +200,8 @@ def _homogeneous_doc(edit) -> str:
     pytest.param(_doc_with(("ic", "targets"), [1.0]), "'ic'", id="ic-target-count"),
     pytest.param(_doc_with(("ic", "t0"), 0.0), "'ic'", id="ic-t0-not-positive"),
     pytest.param(_doc_with(("ic", "targets", 1), math.nan), "'ic'", id="ic-nan-target"),
+    # text starting with '[' is an array of solution documents: this one holds none
+    pytest.param("[1, 2]", "JSON object", id="json-array"),
 ])
 def test_malformed_solution_document_is_config_error(text, named, capsys):
     code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
@@ -222,6 +222,40 @@ def test_malformed_solution_document_is_config_error(text, named, capsys):
 def test_solution_from_doc_names_the_bad_key(doc, named):
     with pytest.raises(ValueError, match=named):
         solution_from_doc(doc)
+
+
+RAMP = "T2 y + 3 T y + 2 y = t^a"
+
+
+def _ramp_doc(edit) -> str:
+    """The solve --json document of RAMP at alpha 0.5, edited in place by
+    ``edit``; its particular solution has one term in u and one constant."""
+    doc = solution_to_doc(solve_problem(problem_from_source(RAMP, 0.5)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set_linear_upow(value):
+    def edit(doc):
+        [term] = [t for t in doc["particular"] if t["upow"] == 1]
+        term["upow"] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param(_set_linear_upow(1.5), "'upow'", id="upow-float"),
+    pytest.param(_set_linear_upow(True), "'upow'", id="upow-bool"),
+    pytest.param(lambda doc: doc.update(order=2.7), "'order'", id="order-float"),
+    pytest.param(lambda doc: doc.update(order=2.0), "'order'", id="order-integral-float"),
+    pytest.param(lambda doc: doc["origins"][1].update(level=0.0), "'level'", id="level-float"),
+])
+def test_document_integers_must_be_json_integers(edit, key, capsys):
+    # truncated to an integer, each of these would verify a different solution
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", _ramp_doc(lambda doc: None)], capsys)
+    assert code == 0 and out.endswith("-> ok\n")
+    code, out, err = run_cli(["verify", "--alpha", "0.5", _ramp_doc(edit)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: config error:") and key in err and "integer" in err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -696,6 +730,27 @@ def test_verify_doc_alpha_wins_over_flag(capsys):
         assert "0.5" in message and "0.75" in message
 
 
+def test_verify_reads_the_array_that_solve_alpha_list_prints(capsys, monkeypatch):
+    source = "T y + y = 1"
+    code, docs, _ = run_cli(["solve", "--alpha-list", "0.5,1", "--json", source], capsys)
+    assert code == 0 and docs.startswith("[")
+    monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+    code, from_docs, _ = run_cli(["verify", "--alpha-list", "0.5,1", "--json"], capsys)
+    assert code == 0
+    code, from_text, _ = run_cli(["verify", "--alpha-list", "0.5,1", "--json", source], capsys)
+    assert code == 0
+    assert from_docs == from_text and len(json.loads(from_text)) == 2
+    # one document is an array of one
+    first = json.dumps(json.loads(docs)[:1])
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "--json", first], capsys)
+    assert code == 0 and json.loads(out) == json.loads(from_text)[0]
+    # the alphas must be the documents', in order
+    for flag in (["--alpha-list", "1,0.5"], ["--alpha", "0.5"], ["--alpha-list", "0.5,1,1"]):
+        code, out, err = run_cli(["verify", *flag, docs], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("confode: config error:") and "[0.5, 1.0]" in err
+
+
 def test_verify_doc_without_optional_keys(capsys):
     text = _homogeneous_doc(
         lambda d: {k: v for k, v in d.items() if k not in ("particular", "constants", "ic")})
@@ -789,20 +844,23 @@ def _fitted_doc(doc: dict, t0: float) -> str:
                        "ic": {"t0": t0, "targets": [1.0] * doc["order"]}})
 
 
-@pytest.mark.parametrize("doc, argv, named", [
-    # t0 is outside the oracle's domain, and the basis overflows on the grid
+@pytest.mark.parametrize("doc, argv, code, kind, named", [
+    # t0 is outside the oracle's domain, and the basis overflows on the grid:
+    # t0 is refused with the grid, before any check runs
     pytest.param(lambda: _fitted_doc(json.loads(_huge_growing_doc()), 1e7),
-                 ["--range", "10:20:3"], "overflows binary64", id="t0-beyond-the-domain"),
-    # e^u overflows at t0 only, and the particular solution underflows on the grid
+                 ["--range", "10:20:3"], 1, "config error", "t=10000000.0",
+                 id="t0-beyond-the-domain"),
+    # e^u overflows at t0 only, and the particular solution underflows on the
+    # grid: the first check, the basis element's, evaluates t0 and overflows
     pytest.param(lambda: _fitted_doc(solution_to_doc(solve_problem(
         problem_from_source("T y - y = exp(-20 t^a)", 1.0))), 800.0),
-                 ["--range", "80:90:3"], "every value of the particular solution underflows to 0",
+                 ["--range", "80:90:3"], 2, "solver error", "overflows binary64",
                  id="overflow-at-t0-only"),
 ])
-def test_verify_reports_the_grid_before_t0(doc, argv, named, capsys):
-    code, out, err = run_cli(["verify", "--alpha", "1", *argv, doc()], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("confode: solver error:") and named in err
+def test_verify_checks_t0_as_one_more_table_point(doc, argv, code, kind, named, capsys):
+    got, out, err = run_cli(["verify", "--alpha", "1", *argv, doc()], capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"confode: {kind}:") and named in err
 
 
 def test_verify_ic_on_a_resonant_order_four_equation(capsys):

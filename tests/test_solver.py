@@ -17,7 +17,7 @@ from algebra_reference import apply_operator
 from roots_reference import eval_poly
 
 from confode import cli, ualgebra
-from confode.chareq import find_roots
+from confode.chareq import CharPoly, find_roots
 from confode.conformable import log_grid
 from confode.conformable import OracleGrid, operator_residual
 from confode.eqparse import MAX_T_POWER, problem_from_source
@@ -808,7 +808,7 @@ def test_shift_response_equals_reference(alpha, c, b, m, k, others):
     if m == 0 and not others:
         others = [1.0]
     coeffs = _expand_poly(others, (float(s[0]), float(s[1])), m)
-    assert _shift_response(coeffs, s, k) == ref.shift_response(coeffs, s, k)
+    assert _shift_response(CharPoly(coeffs), s, k) == ref.shift_response(coeffs, s, k)
 
 
 def test_shift_response_equals_reference_on_resonances():
@@ -821,11 +821,11 @@ def test_shift_response_equals_reference_on_resonances():
         for k in range(4):
             for s in ((F(2), F(0)), (F(-1, 2), F(3, 2)), decimal):
                 coeffs = _expand_poly([F(1, 4)], s, m)
-                got = _shift_response(coeffs, s, k)
+                got = _shift_response(CharPoly(coeffs), s, k)
                 assert got == ref.shift_response(coeffs, s, k)
                 assert got[0][0] == k + m  # the resonance is seen
             coeffs = _expand_poly([0.25], (float(decimal[0]), 0.0), m)
-            got = _shift_response(coeffs, decimal, k)
+            got = _shift_response(CharPoly(coeffs), decimal, k)
             assert got == ref.shift_response(coeffs, decimal, k)
             assert got[0][0] == k  # no resonance
 
@@ -855,7 +855,7 @@ QUARTERS = [F(-j, 4) for j in range(1, 25)]
         "k64-pair", "order12-m1", "order16-pair-m2", "order24", "order24-pair", "order24-m4"])
 def test_shift_response_equals_reference_at_scale(s, m, others, k):
     coeffs = _expand_poly(others, s, m)
-    got = _shift_response(coeffs, s, k)
+    got = _shift_response(CharPoly(coeffs), s, k)
     assert got == ref.shift_response(coeffs, s, k)
     assert got[0][0] == k + m  # the resonance multiplicity is seen exactly
 
@@ -869,11 +869,11 @@ def test_shift_response_equals_reference_at_decimal_alpha(alpha, c, b):
     s = (c * F(alpha), b * F(alpha))
     for k in (0, 8):
         coeffs = _expand_poly([F(1, 4), F(-2)], s, 4)
-        got = _shift_response(coeffs, s, k)
+        got = _shift_response(CharPoly(coeffs), s, k)
         assert got == ref.shift_response(coeffs, s, k)
         assert got[0][0] == k + 4
         coeffs = _expand_poly([0.25, -2.0], (float(s[0]), float(s[1])), 4)
-        got = _shift_response(coeffs, s, k)
+        got = _shift_response(CharPoly(coeffs), s, k)
         assert got == ref.shift_response(coeffs, s, k)
         assert got[0][0] == k
 

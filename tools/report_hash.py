@@ -91,7 +91,7 @@ ERROR_RUNS = [
     # parse
     ["solve", "--alpha", "0.5", "T2 y = tan(t^a)"],
     ["solve", "--alpha", "0.5", "T y = )"],
-    ["verify", "--alpha", "0.5", "[1, 2]"],
+    ["verify", "--alpha", "0.5", "[1, 2]"],  # config: JSON, but no solution document
     # config
     ["solve", "--alpha", "1.5", HOMOG],
     ["verify", "--alpha", "0.5", "--tol", "nan", HOMOG],
