@@ -12,13 +12,16 @@ of the term algebra is analytic for ``t > 0``, so the limit may be taken
 along the imaginary axis: ``Im f(t + i*eps*t**(1-alpha)) / eps``, the
 complex step (Squire & Trapp 1998), subtracts nothing and so cancels
 nothing.  :class:`OracleGrid` takes it at every point of a grid at once,
-and :func:`operator_residual` combines those quotients into the residual
-of a whole equation.
+once per term shape ``u**k * exp(r*u) * trig(b*u)``, and sums each
+expression's values and quotients from those shape columns in binary64;
+:func:`operator_residual` combines the quotients into the residual of a
+whole equation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
 
 from .ualgebra import PointTable, SubstMap, UExpr, lowered_levels
 
@@ -56,10 +59,18 @@ class OracleGrid:
     """The points of a verify grid, each stepped off the real axis.
 
     One :class:`PointTable` over the complex points ``t + i*STEP*t**(1-alpha)``
-    is shared by every expression checked on the grid.  The real part of a
-    value there is the value at ``t`` (to rounding: the step moves it by
-    ``STEP**2`` relative), and its imaginary part divided by :data:`STEP`
-    is the limit quotient at ``t``.
+    fills the factor columns ``u**k``, ``exp(r*u)`` and ``cos``/``sin(b*u)``
+    shared by every expression checked on the grid.  Every term of every
+    derivative level is a real coefficient times a *shape*
+    ``u**k * exp(r*u) * trig(b*u)``, keyed ``(upow, erate, trig, tfreq)``
+    as in :attr:`~confode.ualgebra.UExpr.float_rows`.  The grid multiplies
+    each shape's factor columns once, left to right, and splits the complex
+    product once: its real part is the shape's value at ``t`` (to rounding:
+    the step moves it by ``STEP**2`` relative), and its imaginary part
+    divided by :data:`STEP` is the shape's limit quotient at ``t``.  An
+    expression's values and quotients are then binary64 sums,
+    ``s + coeff * column`` over its terms in order, each computed when
+    first asked for and kept per expression object.
 
     Each point's values depend on that point alone, so a point may join
     any table: verify's one table holds the grid and, for a fitted
@@ -86,27 +97,44 @@ class OracleGrid:
                     f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
             points.append(complex(t, STEP * t ** (1.0 - alpha)))
         self.table = PointTable(points, subst)
-        self._parts: dict[int, tuple[UExpr, list[float], list[float]]] = {}
+        self._shapes: dict[tuple, tuple[list[float], list[float]]] = {}
+        # per expression id: the expression (holding it keeps its id unique)
+        # and its sums, one cache for values and one for quotients
+        self._sums: tuple[dict, dict] = ({}, {})
 
-    def _split(self, f: UExpr) -> tuple[UExpr, list[float], list[float]]:
-        hit = self._parts.get(id(f))
+    def _shape(self, key: tuple) -> tuple[list[float], list[float]]:
+        """The values and quotients of the shape ``key`` at every point."""
+        hit = self._shapes.get(key)
         if hit is None:
-            vals = self.table.eval(f)
-            hit = (f, [v.real for v in vals], [v.imag / STEP for v in vals])
-            self._parts[id(f)] = hit  # holding f keeps its id unique
+            cols = self.table.factors(*key)
+            if not cols:
+                hit = ([1.0] * len(self.ts), [0.0] * len(self.ts))
+            else:
+                z = cols[0]
+                for col in cols[1:]:
+                    z = [a * b for a, b in zip(z, col)]
+                hit = ([v.real for v in z], [v.imag / STEP for v in z])
+            self._shapes[key] = hit
         return hit
+
+    def _sum(self, f: UExpr, part: int) -> list[float]:
+        """``f``'s values (part 0) or quotients (part 1), summed once."""
+        hit = self._sums[part].get(id(f))
+        if hit is None:
+            total = repeat(0.0, len(self.ts))  # the first row adds to 0.0
+            for row in f.float_rows:
+                coeff, col = row[0], self._shape(row[1:])[part]
+                total = [s + coeff * v for s, v in zip(total, col)]
+            hit = self._sums[part][id(f)] = (f, list(total))
+        return hit[1]
 
     def values(self, f: UExpr) -> list[float]:
         """``f`` at each grid point."""
-        return self._split(f)[1]
+        return self._sum(f, 0)
 
     def quotient(self, f: UExpr) -> list[float]:
-        """The limit quotient of ``f`` at each grid point.
-
-        Values and quotients are kept per expression object, so the table
-        evaluates each expression once per grid.
-        """
-        return self._split(f)[2]
+        """The limit quotient of ``f`` at each grid point."""
+        return self._sum(f, 1)
 
 
 def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
@@ -124,12 +152,11 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     The symbolic levels are the cached derivative chain of ``y``'s binary64
     :attr:`~confode.ualgebra.UExpr.lowered` form, so levels that the
     constant fit or an earlier check derived are reused.
-    Every expression is evaluated on the grid's one complex table, all
-    points at once, and the grid keeps each value and quotient, so nothing
-    passed again on the same grid is evaluated again.  The quotients, sums
-    and scales follow a point-by-point loop over a complex
-    :func:`~confode.ualgebra.eval_expr` operation for operation, so each
-    residual is the one that loop gives.
+    Every level is summed from the grid's shape columns, all points at
+    once, and the grid keeps each sum, so nothing passed again on the same
+    grid is summed again.  The sums, and then the combination and scale
+    below, follow a point-by-point loop over the points in the same
+    operations, so each residual is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,

@@ -40,6 +40,7 @@ from .ualgebra import (
     expr,
     expr_from_records,
     format_t,
+    json_float,
     json_int,
     lowered_levels,
     scale,
@@ -389,8 +390,8 @@ def solution_to_doc(sol: GeneralSolution) -> dict:
     }
 
 
-def _finite(value) -> float:
-    if not math.isfinite(x := float(value)):
+def _finite(value, key: str) -> float:
+    if not math.isfinite(x := json_float(value, key)):
         raise ValueError(f"{x!r} is not finite")
     return x
 
@@ -398,9 +399,10 @@ def _finite(value) -> float:
 def solution_from_doc(doc) -> GeneralSolution:
     """Rebuild a GeneralSolution from its JSON document.
 
-    Each float is read as its dyadic value; ``order``, each record's
-    ``upow`` and each origin's ``level`` must be JSON integers (``2.0`` or
-    ``true`` is refused).  A document that is not an object, lacks a
+    Each float is read as its dyadic value, and must be a JSON number
+    (``"0.5"`` or ``true`` is refused); ``order``, each record's ``upow``
+    and each origin's ``level`` must be JSON integers (``2.0`` or ``true``
+    is refused).  A document that is not an object, lacks a
     required key, or holds a value of the wrong shape or a non-finite number
     (json reads ``NaN``) raises ValueError naming the key.
     ``particular``, ``constants`` and ``ic`` may be absent or null.  A
@@ -428,11 +430,11 @@ def solution_from_doc(doc) -> GeneralSolution:
             raise ValueError(f"solution document key {key!r} is ill-typed ({detail})") from err
 
     def origin(o):
-        return BasisOrigin(complex(*map(_finite, o["root"])), json_int(o["level"], "level"),
-                           o["part"])
+        return BasisOrigin(complex(*(_finite(x, "root") for x in o["root"])),
+                           json_int(o["level"], "level"), o["part"])
 
-    coeffs = field("coeffs", lambda v: tuple(Fraction(float(c)) for c in v))
-    alpha = field("alpha", _finite)
+    coeffs = field("coeffs", lambda v: tuple(Fraction(json_float(c, "coeffs")) for c in v))
+    alpha = field("alpha", lambda v: _finite(v, "alpha"))
     forcing = field("forcing", expr_from_records)
     spec = ProblemSpec(coeffs, alpha, forcing)
     order = field("order", lambda v: json_int(v, "order"))
@@ -443,7 +445,9 @@ def solution_from_doc(doc) -> GeneralSolution:
         raise ValueError("solution document key 'origins' differs from the roots, levels "
                          "and parts of the basis elements")
     particular = field("particular", expr_from_records, required=False)
-    constants = field("constants", lambda v: tuple(_finite(c) for c in v), required=False)
-    ic = field("ic", lambda v: (_finite(v["t0"]), tuple(_finite(x) for x in v["targets"])),
+    constants = field("constants", lambda v: tuple(_finite(c, "constants") for c in v),
+                      required=False)
+    ic = field("ic", lambda v: (_finite(v["t0"], "t0"),
+                                tuple(_finite(x, "targets") for x in v["targets"])),
                required=False)
     return GeneralSolution(spec, basis, particular, constants, ic)

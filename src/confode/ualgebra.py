@@ -418,11 +418,9 @@ class PointTable:
     :mod:`math`, and :meth:`eval` multiplies and sums them in the order of
     :func:`eval_expr`, so ``eval(f)[i] == eval_expr(f, ts[i], subst)``
     bit for bit.  Complex points (the oracle's complex step) take
-    :mod:`cmath`'s functions instead; nothing else differs.  Their values'
-    real parts then equal the real table's except where complex ``**``
-    rounds ``u**k``, ``k >= 3``, differently, by an ulp or so.  Results
-    are not kept: a caller that needs an expression's values twice keeps
-    them itself, as :class:`~confode.conformable.OracleGrid` does.
+    :mod:`cmath`'s functions instead, and only their factor columns are
+    read: :class:`~confode.conformable.OracleGrid` multiplies them into
+    one column per term shape itself.  Results are not kept.
     """
 
     def __init__(self, ts, subst: SubstMap):
@@ -442,24 +440,26 @@ class PointTable:
             self._columns[kind, x] = col
         return col
 
-    def eval(self, f: UExpr) -> tuple[float, ...]:
-        """Values of ``f`` at every point.
+    def factors(self, upow: int, erate: float, trig: int, tfreq: float) -> list[list[float]]:
+        """The factor columns of the shape ``u**upow * exp(erate*u) * trig(tfreq*u)``
+        (trig rank 0, 1 for cos or 2 for sin), in that order, each present
+        factor only: an empty list is the constant shape 1."""
+        cols = []
+        if upow:
+            cols.append(self._column(None, upow))
+        if erate:
+            cols.append(self._column(self._exp, erate))
+        if trig == 1:  # COS
+            cols.append(self._column(self._cos, tfreq))
+        elif trig == 2:  # SIN
+            cols.append(self._column(self._sin, tfreq))
+        return cols
 
-        Each point's value depends on that point alone, so a point gives the
-        same value in any table that holds it (verify's oracle adds ``t0``
-        to the grid's table on that ground).
-        """
+    def eval(self, f: UExpr) -> tuple[float, ...]:
+        """Values of ``f`` at every point."""
         total = repeat(0.0, len(self.u))  # the first row adds to 0.0, as in eval_expr
-        for coeff, upow, erate, trig, tfreq in f.float_rows:
-            cols = []
-            if upow:
-                cols.append(self._column(None, upow))
-            if erate:
-                cols.append(self._column(self._exp, erate))
-            if trig == 1:  # COS
-                cols.append(self._column(self._cos, tfreq))
-            elif trig == 2:  # SIN
-                cols.append(self._column(self._sin, tfreq))
+        for coeff, *shape in f.float_rows:
+            cols = self.factors(*shape)
             # one product per point, left to right from coeff as in eval_expr
             if not cols:
                 total = [s + coeff for s in total]
@@ -537,10 +537,19 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def json_float(value, key: str) -> float:
+    """``value`` read from the JSON key ``key``, which must hold a number (a
+    JSON int or float): a string, a bool or any other value raises
+    ValueError naming the key."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def expr_from_records(records) -> UExpr:
     """Term records read exactly (NaN raises ValueError, inf OverflowError)."""
     return canonicalize([
-        UTerm(float(r["coeff"]), json_int(r["upow"], "upow"), float(r["erate"]), r["trig"],
-              float(r["tfreq"]))
+        UTerm(json_float(r["coeff"], "coeff"), json_int(r["upow"], "upow"),
+              json_float(r["erate"], "erate"), r["trig"], json_float(r["tfreq"], "tfreq"))
         for r in records
     ])

@@ -3,12 +3,13 @@
 The library's verify runs only :class:`confode.conformable.OracleGrid`,
 which takes the complex-step quotient at every grid point at once.  This
 module keeps scalar definitions as references for the tests: the same
-complex step at one point, operation for operation (the parity tests
-compare the batched oracle against it bit for bit); verify's initial-value
-check on a table of its own at ``t0``; and, independent of the complex
-step, the central quotient of a callback at one point, nested to any
-order, with the matching conformable integral by adaptive Simpson
-quadrature.
+complex step at one point, once summed term by term as a complex
+``eval_expr`` sums it, and once in the batched oracle's operation order
+(the parity tests compare the batched oracle against that one bit for
+bit); verify's initial-value check on a table of its own at ``t0``; and,
+independent of the complex step, the central quotient of a callback at
+one point, nested to any order, with the matching conformable integral
+by adaptive Simpson quadrature.
 
 The conformable derivative of order ``alpha`` acts on a function ``f`` of
 ``t > 0`` as the limit of ``(f(t + eps*t**(1-alpha)) - f(t)) / eps``; for
@@ -89,19 +90,55 @@ def complex_eval_expr(f: UExpr, t: complex, subst: SubstMap) -> complex:
     return total
 
 
-def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
-    """``f(t)`` and the complex-step limit quotient of ``f`` at ``t``.
-
-    Both come from one value at ``t + i*STEP*t**(1-alpha)``: its real part
-    and its imaginary part divided by ``STEP``.  ``t`` is checked as
-    :class:`~confode.conformable.OracleGrid` checks its points.
-    """
-    subst = SubstMap(alpha)
+def _stepped(t: float, alpha: float, subst: SubstMap) -> complex:
+    """``t + i*STEP*t**(1-alpha)``, ``t`` checked as
+    :class:`~confode.conformable.OracleGrid` checks its points."""
     subst.u_of(t)  # raises for t <= 0 ahead of the domain check
     if not DOMAIN_FLOOR < t < DOMAIN_CEILING:
         raise DomainError(f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")
-    z = complex_eval_expr(f, complex(t, STEP * t ** (1.0 - alpha)), subst)
+    return complex(t, STEP * t ** (1.0 - alpha))
+
+
+def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
+    """``f(t)`` and the complex-step limit quotient of ``f`` at ``t``.
+
+    Both come from one value at ``t + i*STEP*t**(1-alpha)``, summed as
+    :func:`complex_eval_expr` sums it: its real part and its imaginary
+    part divided by ``STEP``.
+    """
+    subst = SubstMap(alpha)
+    z = complex_eval_expr(f, _stepped(t, alpha, subst), subst)
     return z.real, z.imag / STEP
+
+
+def shape_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
+    """``f(t)`` and its complex-step quotient at ``t``, in
+    :class:`~confode.conformable.OracleGrid`'s operation order.
+
+    Each term's shape ``u**k * exp(r*u) * trig(b*u)`` is one complex
+    product at ``t + i*STEP*t**(1-alpha)``, left to right, split into its
+    real part and its imaginary part divided by ``STEP``; the value and the
+    quotient are then the binary64 sums of ``coeff`` times each part.
+    """
+    subst = SubstMap(alpha)
+    u = subst.u_of(_stepped(t, alpha, subst))
+    value = quotient = 0.0
+    for coeff, upow, erate, trig, tfreq in f.float_rows:
+        factors = []
+        if upow:
+            factors.append(u ** upow)
+        if erate:
+            factors.append(cmath.exp(erate * u))
+        if trig == 1:  # COS
+            factors.append(cmath.cos(tfreq * u))
+        elif trig == 2:  # SIN
+            factors.append(cmath.sin(tfreq * u))
+        z = complex(1.0, 0.0) if not factors else factors[0]
+        for factor in factors[1:]:
+            z = z * factor
+        value = value + coeff * z.real
+        quotient = quotient + coeff * (z.imag / STEP)
+    return value, quotient
 
 
 def initial_value_check(sol) -> dict:

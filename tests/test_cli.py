@@ -258,6 +258,38 @@ def test_document_integers_must_be_json_integers(edit, key, capsys):
     assert err.startswith("confode: config error:") and key in err and "integer" in err
 
 
+def _set_constant_term(key, value):
+    def edit(doc):
+        [term] = [t for t in doc["particular"] if t["upow"] == 0]
+        term[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param(_ramp_doc(lambda doc: doc.update(alpha="0.5")), "'alpha'", id="alpha-string"),
+    pytest.param(_ramp_doc(lambda doc: doc.update(alpha=True)), "'alpha'", id="alpha-bool"),
+    pytest.param(_ramp_doc(lambda doc: doc["coeffs"].__setitem__(0, "2")), "'coeffs'",
+                 id="coeffs-string"),
+    pytest.param(_ramp_doc(lambda doc: doc["coeffs"].__setitem__(0, True)), "'coeffs'",
+                 id="coeffs-bool"),
+    pytest.param(_ramp_doc(_set_constant_term("coeff", "-0.375")), "'coeff'",
+                 id="coeff-string"),
+    pytest.param(_ramp_doc(_set_constant_term("erate", False)), "'erate'", id="erate-bool"),
+    pytest.param(_ramp_doc(lambda doc: doc["forcing"][0].update(tfreq="0")), "'tfreq'",
+                 id="tfreq-string"),
+    pytest.param(_ramp_doc(lambda doc: doc["origins"][0]["root"].__setitem__(0, "-1")),
+                 "'root'", id="root-string"),
+    pytest.param(_doc_with(("constants", 0), "1"), "'constants'", id="constant-string"),
+    pytest.param(_doc_with(("ic", "t0"), True), "'t0'", id="t0-bool"),
+    pytest.param(_doc_with(("ic", "targets", 0), "0"), "'targets'", id="target-string"),
+])
+def test_document_floats_must_be_json_numbers(text, key, capsys):
+    # float() would read each of these as a number, and verify the document
+    code, out, err = run_cli(["verify", "--alpha", "0.5", text], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("confode: config error:") and key in err and "number" in err
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["solve", HOMOG], "--alpha", id="missing-alpha"),
     pytest.param([], "command", id="no-command"),

@@ -36,6 +36,7 @@ from oracle_reference import (
     expr_grid,
     numeric_conformable_integral,
     numeric_t_alpha_derivative,
+    shape_step,
 )
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0]
@@ -381,11 +382,12 @@ def test_operator_residual_grid_matches_single_points_forced():
 
 
 # ---------------------------------------------------------------------------
-# The batched oracle against the point-by-point loop it replaced
+# The batched oracle against point-by-point references
 
 
 def point_by_point_residual(coeffs, alpha, y, forcing, ts):
-    """operator_residual as one loop over the points, scalar throughout."""
+    """operator_residual as one loop over the points, scalar throughout,
+    each value and quotient summed in the oracle's order (shape_step)."""
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
@@ -394,10 +396,10 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
         levels.append(diff_u(levels[-1]))
     out = []
     for t in ts:
-        values = [complex_step(y, t, alpha)[0]]
+        values = [shape_step(y, t, alpha)[0]]
         for level in levels:
-            values.append(complex_step(level, t, alpha)[1])
-        q_val = complex_step(forcing, t, alpha)[0]
+            values.append(shape_step(level, t, alpha)[1])
+        q_val = shape_step(forcing, t, alpha)[0]
         acc = values[n] - q_val
         scale = abs(values[n]) + abs(q_val)
         for i, p in enumerate(coeffs):
@@ -444,6 +446,40 @@ def test_operator_residual_reuses_one_grid_across_expressions():
         y = random_expr(rng, 3)
         got = operator_residual(coeffs, y, forcing, oracle)
         assert got == point_by_point_residual(coeffs, 0.3, y, forcing, grid)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+def test_oracle_grid_agrees_with_the_per_term_complex_step(alpha):
+    # complex_step sums each term's complex value coeff*a*b*c as eval_expr
+    # would; the grid multiplies coeff into the split shape a*b*c instead.
+    # Only rounding differs: a few ulps of the summed term magnitudes, those
+    # of f's terms for values and those of their derivatives for quotients.
+    rng = random.Random(int(alpha * 10) + 40)
+    subst = SubstMap(alpha)
+    grid = log_grid(0.01, 3.0, 50)
+    oracle = OracleGrid(alpha, grid)
+    for _ in range(30):
+        f = random_expr(rng, rng.randint(1, 5)).lowered
+        for t, value, quotient in zip(grid, oracle.values(f), oracle.quotient(f)):
+            terms = [expr(term) for term in f.terms]
+            steps = [complex_step(term, t, alpha) for term in terms]
+            sizes = (sum(abs(eval_expr(term, t, subst)) for term in terms),
+                     sum(abs(eval_expr(expr(d), t, subst))
+                         for term in terms for d in diff_u(term).terms))
+            for k, got in enumerate((value, quotient)):
+                want = sum(step[k] for step in steps)
+                assert abs(got - want) <= 4 * 2.0 ** -52 * sizes[k], (f, t, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_a_root_family_shares_one_shape_column_per_power(m):
+    # (r+1)^m: the basis is u^l e^{-u}, l < m, and every derivative level of
+    # every element is a combination of the same m shapes u^k e^{-u}
+    spec = ProblemSpec(tuple(float(math.comb(m, k)) for k in range(m)), 0.5)
+    oracle = OracleGrid(spec.alpha, log_grid(0.01, 3.0, 20))
+    for element in homogeneous_basis(spec).elements:
+        assert max(operator_residual(list(spec.coeffs), element, ZERO, oracle)) < 1e-12
+    assert len(oracle._shapes) <= m
 
 
 def test_point_table_equals_eval_expr_at_every_point():
