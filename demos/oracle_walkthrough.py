@@ -35,7 +35,7 @@ def main():
     grid = OracleGrid(ALPHA, points)
     print(f"complex-step quotient Im f(t + i*eps*t^{{1-alpha}}) / eps, eps = {STEP!r}, "
           "of e^{2 t^alpha} against 2*alpha*f(t):")
-    for t, got, value in zip(points, grid.quotient(f), grid.values(f)):
+    for t, got, value in zip(points, grid.quotient(f.float_rows), grid.values(f.float_rows)):
         want = 2.0 * ALPHA * value
         print(f"  t={t:<4} quotient={got:.10f}  closed form={want:.10f}  "
               f"relative error={abs(got - want) / abs(want):.2e}")
@@ -49,7 +49,7 @@ def main():
     grid = OracleGrid(ALPHA, points)
     residuals = operator_residual(list(sol.spec.coeffs), sol.particular,
                                   sol.spec.forcing, grid)
-    for t, v, r in zip(points, grid.values(sol.particular), residuals):
+    for t, v, r in zip(points, grid.values(sol.particular.float_rows), residuals):
         print(f"  t={t:<5} v(t)={v:+.6f}  residual={r:.2e}")
 
 

@@ -7,7 +7,7 @@ classical constant-coefficient problem over a small closed term algebra
 (powers of u times exponentials times sin/cos).  The package exposes:
 
 - :mod:`confode.ualgebra` — the exact term algebra, its calculus, and
-  its binary64 lowering for evaluation
+  its binary64 rows for evaluation
 - :mod:`confode.chareq` — characteristic polynomials and their exact or
   certified roots
 - :mod:`confode.solver` — solution bases, particular solutions by

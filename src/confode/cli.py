@@ -280,10 +280,11 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     solution, ``t0`` as its last point, so the initial-value check reads
     the values and quotients that the grid checks evaluated there: the
     numbers a one-point table at ``t0`` gives.  Residuals, worst points and
-    the underflow test read the grid's points only.  ``t0`` is checked like
-    every grid point: one outside the oracle's domain raises before any
-    check runs, and a value that overflows there fails the first check that
-    evaluates it.
+    the underflow test read the grid's points only, and the underflow test
+    reads the level-0 sum that the residual already took.  ``t0`` is
+    checked like every grid point: one outside the oracle's domain raises
+    before any check runs, and a value that overflows there fails the first
+    check that evaluates it.
     """
     alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
@@ -306,7 +307,7 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     for label, y, forcing in checks:
         found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
         # values that all underflow to 0 check nothing
-        if not y.is_zero() and not any(oracle.values(y.lowered)[:count]):
+        if not y.is_zero() and not any(oracle.values(y.float_rows)[:count]):
             raise FloatingPointError(f"every value of the {label} underflows to 0")
     if sol.ic is not None:
         t0, targets = sol.ic

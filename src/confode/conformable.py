@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import repeat
 
-from .ualgebra import PointTable, SubstMap, UExpr, lowered_levels
+from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels
 
 #: The complex step ``eps``: a power of two, so dividing by it is exact,
 #: and small enough that the quotient's truncation (``eps**2`` relative)
@@ -63,14 +63,16 @@ class OracleGrid:
     shared by every expression checked on the grid.  Every term of every
     derivative level is a real coefficient times a *shape*
     ``u**k * exp(r*u) * trig(b*u)``, keyed ``(upow, erate, trig, tfreq)``
-    as in :attr:`~confode.ualgebra.UExpr.float_rows`.  The grid multiplies
+    as in the rows of :attr:`~confode.ualgebra.UExpr.float_rows`, the
+    library's one binary64 form of an expression and of each of its
+    derivative levels.  The grid multiplies
     each shape's factor columns once, left to right, and splits the complex
     product once: its real part is the shape's value at ``t`` (to rounding:
     the step moves it by ``STEP**2`` relative), and its imaginary part
-    divided by :data:`STEP` is the shape's limit quotient at ``t``.  An
-    expression's values and quotients are then binary64 sums,
-    ``s + coeff * column`` over its terms in order, each computed when
-    first asked for and kept per expression object.
+    divided by :data:`STEP` is the shape's limit quotient at ``t``.  The
+    values and quotients of a level are then binary64 sums,
+    ``s + coeff * column`` over its rows in order, each computed when first
+    asked for and kept per level object, which the grid holds.
 
     Each point's values depend on that point alone, so a point may join
     any table: verify's one table holds the grid and, for a fitted
@@ -98,8 +100,8 @@ class OracleGrid:
             points.append(complex(t, STEP * t ** (1.0 - alpha)))
         self.table = PointTable(points, subst)
         self._shapes: dict[tuple, tuple[list[float], list[float]]] = {}
-        # per expression id: the expression (holding it keeps its id unique)
-        # and its sums, one cache for values and one for quotients
+        # per level id: the level (holding it keeps its id unique) and its
+        # sums, one cache for values and one for quotients
         self._sums: tuple[dict, dict] = ({}, {})
 
     def _shape(self, key: tuple) -> tuple[list[float], list[float]]:
@@ -117,24 +119,26 @@ class OracleGrid:
             self._shapes[key] = hit
         return hit
 
-    def _sum(self, f: UExpr, part: int) -> list[float]:
-        """``f``'s values (part 0) or quotients (part 1), summed once."""
-        hit = self._sums[part].get(id(f))
+    def _sum(self, level: Rows, part: int) -> list[float]:
+        """``level``'s values (part 0) or quotients (part 1), summed once."""
+        hit = self._sums[part].get(id(level))
         if hit is None:
             total = repeat(0.0, len(self.ts))  # the first row adds to 0.0
-            for row in f.float_rows:
+            for row in level:
                 coeff, col = row[0], self._shape(row[1:])[part]
                 total = [s + coeff * v for s, v in zip(total, col)]
-            hit = self._sums[part][id(f)] = (f, list(total))
+            hit = self._sums[part][id(level)] = (level, list(total))
         return hit[1]
 
-    def values(self, f: UExpr) -> list[float]:
-        """``f`` at each grid point."""
-        return self._sum(f, 0)
+    def values(self, level: Rows) -> list[float]:
+        """``level`` (an expression's :attr:`~confode.ualgebra.UExpr.float_rows`
+        or a level from :func:`~confode.ualgebra.lowered_levels`) at each
+        grid point."""
+        return self._sum(level, 0)
 
-    def quotient(self, f: UExpr) -> list[float]:
-        """The limit quotient of ``f`` at each grid point."""
-        return self._sum(f, 1)
+    def quotient(self, level: Rows) -> list[float]:
+        """The limit quotient of ``level`` at each grid point."""
+        return self._sum(level, 1)
 
 
 def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
@@ -149,9 +153,9 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     per term exercises the defining limit, and keeps every estimate at
     binary64 accuracy.
 
-    The symbolic levels are the cached derivative chain of ``y``'s binary64
-    :attr:`~confode.ualgebra.UExpr.lowered` form, so levels that the
-    constant fit or an earlier check derived are reused.
+    The symbolic levels are ``y``'s binary64 rows and the rows derived from
+    them, :func:`~confode.ualgebra.lowered_levels`, cached on ``y``, so
+    levels that the constant fit or an earlier check derived are reused.
     Every level is summed from the grid's shape columns, all points at
     once, and the grid keeps each sum, so nothing passed again on the same
     grid is summed again.  The sums, and then the combination and scale
@@ -167,9 +171,9 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     if n < 1:
         raise ValueError("operator needs order n >= 1")
     levels = lowered_levels(y, n)
-    values = [grid.values(levels[0])] + [grid.quotient(f) for f in levels]
+    values = [grid.values(levels[0])] + [grid.quotient(level) for level in levels]
     out = []
-    for row in zip(*values, grid.values(forcing)):
+    for row in zip(*values, grid.values(forcing.float_rows)):
         top, q = row[n], row[n + 1]
         acc = top - q
         scale = abs(top) + abs(q)

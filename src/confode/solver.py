@@ -12,7 +12,7 @@ constant-coefficient linear ODE.  The pipeline is:
 
 Steps 1 and 2 are exact (resonance is an exact zero test, and the
 operator applied to the particular solution gives the forcing exactly);
-step 3 evaluates the binary64 lowering of each expression.
+step 3 evaluates the binary64 rows of each expression and of its levels.
 
 The paper's variation of parameters (Wronskian and Cramer minors) is kept
 in the test suite as an independent reference.
@@ -308,7 +308,14 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
 
 
 def fit_constants(sol: GeneralSolution, t0: float, targets):
-    """Solve for the c_i matching the 0..n-1-fold derivative values at t0."""
+    """Solve for the c_i matching the 0..n-1-fold derivative values at t0.
+
+    Row i of the system evaluates the i-fold u-derivative levels of the
+    basis elements, and of the particular solution, at ``t0``: binary64 rows
+    from :func:`~confode.ualgebra.lowered_levels`, cached on each
+    expression, so verify's oracle reads the same levels without deriving
+    them again.
+    """
     if t0 <= 0.0:
         raise ValueError(f"initial point must be positive, got {t0}")
     subst = SubstMap(sol.spec.alpha)
@@ -316,9 +323,7 @@ def fit_constants(sol: GeneralSolution, t0: float, targets):
     b = [float(v) for v in targets]
     if len(b) != n:
         raise ValueError(f"need {n} target values, got {len(b)}")
-    # row i holds the i-fold u-derivatives of the basis' lowering, levels
-    # shared with the oracle, which derives the same lowerings; eval_expr is
-    # looked up on its module, where the benchmark's tracer wraps it
+    # eval_expr is looked up on its module, where the benchmark's tracer wraps it
     columns = [lowered_levels(e, n) for e in sol.basis.elements]
     a = [[ualgebra.eval_expr(col[i], t0, subst) for col in columns] for i in range(n)]
     if sol.particular is not None:

@@ -13,11 +13,14 @@ ring operations, d/du, and evaluation back in the t domain, at one point
 (:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`).
 
 Every number in a term is an exact rational, so the cancellation the
-solver depends on is exact, and merging drops only exact zeros.  Numbers
-are rounded to binary64 once per expression, in :attr:`UExpr.lowered`, which
-evaluation, rendering and the JSON records read, and which the constant
-fit and the oracle derive: the same float levels for an exact expression
-and for a JSON document that holds only its lowering.
+solver depends on is exact, and merging drops only exact zeros.  The one
+binary64 form of an expression is its rows, :attr:`UExpr.float_rows`: one
+``(coeff, upow, erate, trig rank, tfreq)`` tuple of floats and ints per
+term, each number rounded once.  Evaluation, rendering and the JSON records
+read them.  The constant fit and the oracle read its derivative *levels*,
+rows derived from the previous level's rows by :func:`lowered_levels`: the
+same float levels for an exact expression and for a JSON document that
+holds only its rows.
 
 Exact work is done once.  Each term carries a merge key of plain ints
 (``upow``, the numerator and denominator of ``erate``, the trig rank, the
@@ -26,9 +29,11 @@ so :func:`canonicalize` hashes ints rather than :class:`~fractions.Fraction`
 objects, and sorts exact rates as integers over a common denominator.  Terms
 whose fields are already canonical (merged totals, derivative children)
 are built by a private constructor that skips re-validation.  Each
-:class:`UExpr` derives itself once: :func:`diff_u` returns the cached
-:attr:`UExpr.derivative`, so every caller that differentiates the same
-expression object (the constant fit, the oracle) shares its levels.
+:class:`UExpr` derives itself once, exactly and in binary64:
+:func:`diff_u` returns the cached :attr:`UExpr.derivative`, and
+:func:`lowered_levels` the levels cached on the expression, so every caller
+that differentiates the same expression object (the constant fit, the
+oracle) shares them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from itertools import repeat
 COS = "cos"
 SIN = "sin"
 
-_TRIG_ORDER = {None: 0, COS: 1, SIN: 2}
+_TRIG_NAMES = (None, COS, SIN)  # by trig rank
 
 
 def _rat(x) -> Fraction:
@@ -72,8 +77,9 @@ class UTerm:
     term with ``trig is None`` always has ``tfreq == 0`` and a term with
     a trig factor always has ``tfreq > 0``.
 
-    A float is read as its dyadic value; only the terms of a
-    :attr:`UExpr.lowered` expression hold floats.
+    Every number a term holds is an exact
+    :class:`~fractions.Fraction`; a float is read as its dyadic value.  The
+    binary64 form of terms is the rows of :attr:`UExpr.float_rows`.
 
     The fields are ``coeff``, ``upow``, ``erate``, ``trig`` and ``tfreq``;
     they are read-only.  The term also computes its integer merge key once
@@ -85,7 +91,7 @@ class UTerm:
                  trig: str | None = None, tfreq: Fraction = Fraction(0)):
         if upow != int(upow) or upow < 0:
             raise ValueError(f"upow must be a non-negative integer, got {upow!r}")
-        if trig not in _TRIG_ORDER:
+        if trig not in _TRIG_NAMES:
             raise ValueError(f"trig must be None, {COS!r} or {SIN!r}, got {trig!r}")
         coeff = _rat(coeff)
         erate = _rat(erate)
@@ -104,7 +110,7 @@ class UTerm:
         upow = int(upow)
         object.__setattr__(self, "__dict__", {
             "coeff": coeff, "upow": upow, "erate": erate, "trig": trig, "tfreq": tfreq,
-            "_mkey": (upow, erate.numerator, erate.denominator, _TRIG_ORDER[trig],
+            "_mkey": (upow, erate.numerator, erate.denominator, _TRIG_NAMES.index(trig),
                       tfreq.numerator, tfreq.denominator)})
 
     __setattr__ = __delattr__ = _read_only
@@ -135,12 +141,17 @@ def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTer
 
     ``mkey`` is the merge key ``UTerm(...)`` would compute for the exact
     fields: ``(upow, erate numerator, erate denominator, trig rank, tfreq
-    numerator, tfreq denominator)``; a lowered term passes floats with it.
+    numerator, tfreq denominator)``.
     """
     term = object.__new__(UTerm)
     object.__setattr__(term, "__dict__", {"coeff": coeff, "upow": upow, "erate": erate,
                                           "trig": trig, "tfreq": tfreq, "_mkey": mkey})
     return term
+
+
+#: The binary64 form of an expression or of one of its derivative levels:
+#: ``(coeff, upow, erate, trig rank, tfreq)`` per term, sorted by the rest.
+Rows = tuple[tuple[float, int, float, int, float], ...]
 
 
 class UExpr:
@@ -149,9 +160,8 @@ class UExpr:
     ``terms`` is the one field, read-only; the empty tuple is the zero
     function.  Instances are only built through :func:`canonicalize` (or
     the operations below, which all re-canonicalize), so structural
-    equality of exact expressions is semantic equality.  Equality, hashing
-    and repr read ``terms`` only, never the cached lowering and
-    derivative.
+    equality is semantic equality.  Equality, hashing and repr read
+    ``terms`` only, never the cached rows, levels and derivative.
     """
 
     def __init__(self, terms: tuple[UTerm, ...] = ()):
@@ -170,41 +180,37 @@ class UExpr:
     def __repr__(self):
         return f"UExpr(terms={self.terms!r})"
 
-    @property
-    def lowered(self) -> UExpr:
-        """Every number rounded to binary64 once, as ``float(Fraction)`` does
-        (``int / int``); terms that round to zero are dropped, terms whose
-        rates round to the same binary64 values are merged, as reading the
-        JSON records merges them, and a coefficient beyond binary64 raises
-        OverflowError."""
-        terms = self.terms
-        return self if not terms or type(terms[0].coeff) is float else self._rounded
-
     @cached_property
-    def _rounded(self) -> UExpr:
-        out = []
+    def float_rows(self) -> Rows:
+        """The binary64 form: ``(coeff, upow, erate, trig rank, tfreq)`` per
+        term, trig rank 0, 1 for cos or 2 for sin.
+
+        Every number is rounded once, as ``float(Fraction)`` does (``int /
+        int``); a coefficient that rounds to zero drops its term, terms whose
+        rates round to the same binary64 values merge in input order, as
+        reading the JSON records merges them, and a merge that cancels
+        drops its row.  The rows sort by ``(upow, erate, trig rank,
+        tfreq)``.  A coefficient beyond binary64 raises OverflowError.
+        """
+        acc = {}
         for t in self.terms:
-            c = t.coeff.numerator / t.coeff.denominator
-            if c:
+            if c := t.coeff.numerator / t.coeff.denominator:
                 upow, erate_num, erate_den, rank, tfreq_num, tfreq_den = t._mkey
-                erate, tfreq = erate_num / erate_den, tfreq_num / tfreq_den
-                out.append(_term(c, upow, erate, t.trig, tfreq,
-                                 (upow, *erate.as_integer_ratio(), rank,
-                                  *tfreq.as_integer_ratio())))
-        return canonicalize(out)
+                key = (upow, erate_num / erate_den, rank, tfreq_num / tfreq_den)
+                acc[key] = acc.get(key, 0.0) + c
+        return tuple([(c, *key) for key, c in sorted(acc.items()) if c])
 
     @cached_property
-    def float_rows(self) -> tuple[tuple[float, int, float, int, float], ...]:
-        """``(coeff, upow, erate, trig rank, tfreq)`` per term of the lowering."""
-        return tuple((t.coeff, t.upow, t.erate, t._mkey[3], t.tfreq) for t in self.lowered.terms)
+    def _levels(self) -> list[Rows]:
+        # the binary64 levels lowered_levels has derived so far
+        return [self.float_rows]
 
     @cached_property
     def derivative(self) -> UExpr:
         """d/du of this expression, derived once per instance.
 
-        :func:`diff_u` returns it, so the levels of one expression object
-        are shared by every caller.  The derivative of a lowered expression
-        is lowered: float products of its floats.
+        :func:`diff_u` returns it, so the exact levels of one expression
+        object are shared by every caller.
         """
         return _derive(self)
 
@@ -254,29 +260,20 @@ class SubstMap:
         return t ** self.alpha / self.alpha
 
 
-def _slot_key(slot):
-    return slot[1].key
-
-
 def _canonical_order(acc: dict) -> list:
     """The slots of ``acc`` in the order of their terms' :attr:`UTerm.key`.
 
-    Lowered terms hold binary64 rates, which compare exactly as they are.
-    Exact rates are put over the common denominator of their kind, so the
-    integer numerators order as the rates do and no
-    :class:`~fractions.Fraction` is compared.  Either order is exact for
-    any mix of terms; the first term picks the faster one.
+    Rates are put over the common denominator of their kind, so the integer
+    numerators order as the rates do and no :class:`~fractions.Fraction` is
+    compared.
     """
-    slots = list(acc.values())
-    if type(slots[0][1].erate) is float:
-        return sorted(slots, key=_slot_key)
     e_den = math.lcm(*[k[2] for k in acc])
     f_den = math.lcm(*[k[5] for k in acc])
 
     def key(slot):
         upow, en, ed, rank, fn, fd = slot[1]._mkey
         return upow, en * (e_den // ed), rank, fn * (f_den // fd)
-    return sorted(slots, key=key)
+    return sorted(acc.values(), key=key)
 
 
 def canonicalize(terms) -> UExpr:
@@ -360,8 +357,8 @@ def diff_u(f: UExpr) -> UExpr:
 
 
 def _derive(f: UExpr) -> UExpr:
-    # Children multiply the parent's fields (exact, or float for a lowered
-    # term) and take the parent's merge keys: no term is re-validated.
+    # Children multiply the parent's exact fields and take the parent's
+    # merge keys: no term is re-validated.
     out = []
     for t in f.terms:
         coeff, upow, erate, tfreq, key = t.coeff, t.upow, t.erate, t.tfreq, t._mkey
@@ -370,32 +367,55 @@ def _derive(f: UExpr) -> UExpr:
                              (upow - 1,) + key[1:]))
         if key[1]:  # erate != 0, tested exactly
             out.append(_term(coeff * erate, upow, erate, t.trig, tfreq, key))
-        if key[3] == 1:  # COS
-            out.append(_term(-coeff * tfreq, upow, erate, SIN, tfreq,
-                             key[:3] + (2,) + key[4:]))
-        elif key[3] == 2:  # SIN
-            out.append(_term(coeff * tfreq, upow, erate, COS, tfreq,
-                             key[:3] + (1,) + key[4:]))
+        if key[3]:  # cos to -sin, sin to cos
+            rank = 3 - key[3]
+            out.append(_term((-coeff if rank == 2 else coeff) * tfreq, upow, erate,
+                             _TRIG_NAMES[rank], tfreq, key[:3] + (rank,) + key[4:]))
     return canonicalize(out)
 
 
-def lowered_levels(f: UExpr, count: int) -> list[UExpr]:
-    """``f``'s binary64 lowering and its first ``count - 1`` u-derivatives.
+def _derive_rows(rows: Rows) -> Rows:
+    """d/du of a level: :func:`_derive`'s product rule on binary64 rows.
 
-    The levels are the lowering's cached derivative chain, so the constant
-    fit and the oracle share every level either of them derives.
+    The children ``coeff*upow``, ``coeff*erate`` and ``-coeff*tfreq`` (cos
+    to sin) or ``coeff*tfreq`` (sin to cos) merge on their keys in input
+    order, as :attr:`UExpr.float_rows` merges terms; zeros drop and the
+    rest sort by key.
     """
-    levels = [f.lowered]
-    for _ in range(count - 1):
-        levels.append(levels[-1].derivative)
-    return levels
+    acc = {}
+    for coeff, upow, erate, rank, tfreq in rows:
+        if upow:
+            key = (upow - 1, erate, rank, tfreq)
+            acc[key] = acc.get(key, 0.0) + coeff * upow
+        if erate:
+            key = (upow, erate, rank, tfreq)
+            acc[key] = acc.get(key, 0.0) + coeff * erate
+        if rank:
+            key = (upow, erate, 3 - rank, tfreq)
+            acc[key] = acc.get(key, 0.0) + (-coeff if rank == 1 else coeff) * tfreq
+    return tuple([(c, *key) for key, c in sorted(acc.items()) if c])
 
 
-def eval_expr(f: UExpr, t: float, subst: SubstMap) -> float:
-    """Evaluate back in the t domain through ``u = t**alpha / alpha``."""
+def lowered_levels(f: UExpr, count: int) -> list[Rows]:
+    """``f``'s rows and the rows of its first ``count - 1`` u-derivatives.
+
+    Each level is derived from the previous level's rows
+    (:func:`_derive_rows`) once per expression object and cached on it, so
+    the constant fit and the oracle share every level either of them
+    derives.
+    """
+    levels = f._levels
+    while len(levels) < count:
+        levels.append(_derive_rows(levels[-1]))
+    return levels[:count]
+
+
+def eval_expr(f: UExpr | Rows, t: float, subst: SubstMap) -> float:
+    """Evaluate an expression, or a level from :func:`lowered_levels`, back
+    in the t domain through ``u = t**alpha / alpha``."""
     u = subst.u_of(t)
     total = 0.0
-    for coeff, upow, erate, trig, tfreq in f.float_rows:
+    for coeff, upow, erate, trig, tfreq in f.float_rows if isinstance(f, UExpr) else f:
         v = coeff
         if upow:
             v *= u ** upow
@@ -481,15 +501,14 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _term_factors_t(term: UTerm, alpha: float) -> list[str]:
-    # term is lowered: its numbers are floats
+def _row_factors_t(upow: int, erate: float, rank: int, tfreq: float, alpha: float) -> list[str]:
     factors = []
-    if term.upow:
-        factors.append("t^" + _fmt(term.upow * alpha))
-    if term.erate:
-        factors.append("e^{" + _fmt(term.erate / alpha) + "·t^" + _fmt(alpha) + "}")
-    if term.trig:
-        factors.append(f"{term.trig}({_fmt(term.tfreq / alpha)}·t^{_fmt(alpha)})")
+    if upow:
+        factors.append("t^" + _fmt(upow * alpha))
+    if erate:
+        factors.append("e^{" + _fmt(erate / alpha) + "·t^" + _fmt(alpha) + "}")
+    if rank:
+        factors.append(f"{_TRIG_NAMES[rank]}({_fmt(tfreq / alpha)}·t^{_fmt(alpha)})")
     return factors
 
 
@@ -511,21 +530,21 @@ def format_t(f: UExpr, subst: SubstMap) -> str:
     """Deterministic rendering in the t variable with alpha substituted.
 
     Powers of u are folded into the coefficient: ``u^k = t^(k*alpha) /
-    alpha^k``.  The lowering is what is rendered.  A number that does not
+    alpha^k``.  The rows are what is rendered.  A number that does not
     fit binary64 in the t form raises OverflowError.
     """
     alpha = subst.alpha
     # an alpha^k that underflows to 0 overflows the coefficient
-    return _join([(t.coeff / alpha ** t.upow if alpha ** t.upow else math.inf,
-                   _term_factors_t(t, alpha))
-                  for t in f.lowered.terms])
+    return _join([(coeff / alpha ** upow if alpha ** upow else math.inf,
+                   _row_factors_t(upow, *shape, alpha))
+                  for coeff, upow, *shape in f.float_rows])
 
 
 def term_records(f: UExpr) -> list[dict]:
-    """JSON-ready list of the lowering's term records (numbers as floats)."""
+    """JSON-ready list of term records, one per row (numbers as floats)."""
     return [
-        {"coeff": t.coeff, "upow": t.upow, "erate": t.erate, "trig": t.trig, "tfreq": t.tfreq}
-        for t in f.lowered.terms
+        {"coeff": coeff, "upow": upow, "erate": erate, "trig": _TRIG_NAMES[rank], "tfreq": tfreq}
+        for coeff, upow, erate, rank, tfreq in f.float_rows
     ]
 
 

@@ -10,6 +10,14 @@ Gaussian rationals, normalising a ``Fraction`` at every step, with an
 keys, cached derivative levels and plain integers, and the tests require
 results equal to these.
 
+``lowered_levels`` is the binary64 derivation as the library once did it:
+each exact term rounded to a float term (``num / den``), then float terms
+derived by the product rule and merged, slot by slot, on the exact integer
+ratios of their floats, as the float branch of ``canonicalize`` merged
+them.  The library now derives rows from rows without building a term,
+and the tests require its levels to equal these, row for row and type for
+type.
+
 ``apply_operator`` applies an equation's left side to an expression with
 the library's own exact operations; the tests require ``apply_operator(spec,
 v) - q`` to be exactly zero for a particular solution ``v`` of forcing ``q``
@@ -53,6 +61,54 @@ def diff_u(f: UExpr) -> UExpr:
         elif t.trig == SIN:
             out.append(UTerm(t.coeff * t.tfreq, t.upow, t.erate, COS, t.tfreq))
     return canonicalize(out)
+
+
+def _float_canonicalize(terms) -> tuple:
+    """Merge float terms ``(coeff, upow, erate, rank, tfreq)`` on the integer
+    ratios of their numbers, summed in input order from the first term,
+    drop zero totals, sort by ``(upow, erate, rank, tfreq)``."""
+    acc: dict[tuple, list] = {}
+    for term in terms:
+        coeff, upow, erate, rank, tfreq = term
+        mkey = (upow, *erate.as_integer_ratio(), rank, *tfreq.as_integer_ratio())
+        slot = acc.get(mkey)
+        if slot is None:
+            acc[mkey] = [coeff, term]
+        else:
+            slot[0] += coeff
+    slots = sorted(acc.values(), key=lambda slot: slot[1][1:])
+    return tuple((total, *term[1:]) for total, term in slots if total)
+
+
+def _float_derive(rows) -> tuple:
+    out = []
+    for coeff, upow, erate, rank, tfreq in rows:
+        if upow:
+            out.append((coeff * upow, upow - 1, erate, rank, tfreq))
+        if erate.as_integer_ratio()[0]:
+            out.append((coeff * erate, upow, erate, rank, tfreq))
+        if rank == 1:  # COS
+            out.append((-coeff * tfreq, upow, erate, 2, tfreq))
+        elif rank == 2:  # SIN
+            out.append((coeff * tfreq, upow, erate, 1, tfreq))
+    return _float_canonicalize(out)
+
+
+def lowered_levels(f: UExpr, count: int) -> list[tuple]:
+    """``f`` rounded once to float terms, then its first ``count - 1``
+    u-derivatives in binary64, each as rows ``(coeff, upow, erate, trig
+    rank, tfreq)``."""
+    rounded = []
+    for t in f.terms:
+        coeff = t.coeff.numerator / t.coeff.denominator
+        if coeff:  # the rates are rounded only for a term that survives
+            rank = _TRIG_BY_ORDER.index(t.trig)
+            rounded.append((coeff, t.upow, t.erate.numerator / t.erate.denominator, rank,
+                            t.tfreq.numerator / t.tfreq.denominator))
+    levels = [_float_canonicalize(rounded)]
+    while len(levels) < count:
+        levels.append(_float_derive(levels[-1]))
+    return levels
 
 
 def _gmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):

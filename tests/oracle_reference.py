@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, STEP, DomainError, OracleGrid
-from confode.ualgebra import SubstMap, UExpr, eval_expr, lowered_levels
+from confode.ualgebra import Rows, SubstMap, UExpr, eval_expr, lowered_levels
 
 _EPS = 2.220446049250313e-16
 
@@ -72,11 +72,15 @@ def expr_grid(f: UExpr, subst: SubstMap, t_lo: float = DOMAIN_FLOOR,
     return GridFn(lambda t: eval_expr(f, t, subst), t_lo, t_hi)
 
 
-def complex_eval_expr(f: UExpr, t: complex, subst: SubstMap) -> complex:
+def _rows(f: UExpr | Rows) -> Rows:
+    return f.float_rows if isinstance(f, UExpr) else f
+
+
+def complex_eval_expr(f: UExpr | Rows, t: complex, subst: SubstMap) -> complex:
     """:func:`~confode.ualgebra.eval_expr` at a complex point, with cmath."""
     u = subst.u_of(t)
     total = 0.0
-    for coeff, upow, erate, trig, tfreq in f.float_rows:
+    for coeff, upow, erate, trig, tfreq in _rows(f):
         v = coeff
         if upow:
             v *= u ** upow
@@ -99,7 +103,7 @@ def _stepped(t: float, alpha: float, subst: SubstMap) -> complex:
     return complex(t, STEP * t ** (1.0 - alpha))
 
 
-def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
+def complex_step(f: UExpr | Rows, t: float, alpha: float) -> tuple[float, float]:
     """``f(t)`` and the complex-step limit quotient of ``f`` at ``t``.
 
     Both come from one value at ``t + i*STEP*t**(1-alpha)``, summed as
@@ -111,7 +115,7 @@ def complex_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
     return z.real, z.imag / STEP
 
 
-def shape_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
+def shape_step(f: UExpr | Rows, t: float, alpha: float) -> tuple[float, float]:
     """``f(t)`` and its complex-step quotient at ``t``, in
     :class:`~confode.conformable.OracleGrid`'s operation order.
 
@@ -123,7 +127,7 @@ def shape_step(f: UExpr, t: float, alpha: float) -> tuple[float, float]:
     subst = SubstMap(alpha)
     u = subst.u_of(_stepped(t, alpha, subst))
     value = quotient = 0.0
-    for coeff, upow, erate, trig, tfreq in f.float_rows:
+    for coeff, upow, erate, trig, tfreq in _rows(f):
         factors = []
         if upow:
             factors.append(u ** upow)

@@ -89,6 +89,21 @@ def test_fit_constants_calls_eval_expr_through_the_module(monkeypatch):
     assert calls == [1.5] * 6
 
 
+def test_eval_expr_takes_an_exact_expression_or_a_level():
+    # bench/checks.py evaluates exact diff_u levels; the constant fit
+    # evaluates the binary64 levels of lowered_levels
+    f = ualgebra.expr(ualgebra.UTerm(Fraction(3, 2), 2, Fraction(-1, 3), ualgebra.COS, 2),
+                      ualgebra.UTerm(Fraction(1, 7), 0, Fraction(1, 2)))
+    subst = ualgebra.SubstMap(0.5)
+    exact = [f, ualgebra.diff_u(f), ualgebra.diff_u(ualgebra.diff_u(f))]
+    levels = ualgebra.lowered_levels(f, 3)
+    assert ualgebra.eval_expr(levels[0], 1.3, subst) == ualgebra.eval_expr(f, 1.3, subst)
+    for d, level in zip(exact, levels):
+        want, got = ualgebra.eval_expr(d, 1.3, subst), ualgebra.eval_expr(level, 1.3, subst)
+        assert type(want) is type(got) is float
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_verify_one_accepts_a_plain_list_of_floats():
     grid = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
     assert type(grid) is list and all(type(t) is float for t in grid)

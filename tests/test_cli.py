@@ -871,7 +871,8 @@ def test_initial_values_read_the_grid_table_as_a_table_of_their_own(alpha, ic, s
     assert report["combined"]["max_residual"] < DEFAULT_TOL
 
 
-def _fitted_doc(doc: dict, t0: float) -> str:
+def _with_unit_ic(doc: dict, t0: float) -> str:
+    """``doc`` as JSON, with unit constants and unit targets at ``t0``."""
     return json.dumps({**doc, "constants": [1.0] * doc["order"],
                        "ic": {"t0": t0, "targets": [1.0] * doc["order"]}})
 
@@ -879,12 +880,12 @@ def _fitted_doc(doc: dict, t0: float) -> str:
 @pytest.mark.parametrize("doc, argv, code, kind, named", [
     # t0 is outside the oracle's domain, and the basis overflows on the grid:
     # t0 is refused with the grid, before any check runs
-    pytest.param(lambda: _fitted_doc(json.loads(_huge_growing_doc()), 1e7),
+    pytest.param(lambda: _with_unit_ic(json.loads(_huge_growing_doc()), 1e7),
                  ["--range", "10:20:3"], 1, "config error", "t=10000000.0",
                  id="t0-beyond-the-domain"),
     # e^u overflows at t0 only, and the particular solution underflows on the
     # grid: the first check, the basis element's, evaluates t0 and overflows
-    pytest.param(lambda: _fitted_doc(solution_to_doc(solve_problem(
+    pytest.param(lambda: _with_unit_ic(solution_to_doc(solve_problem(
         problem_from_source("T y - y = exp(-20 t^a)", 1.0))), 800.0),
                  ["--range", "80:90:3"], 2, "solver error", "overflows binary64",
                  id="overflow-at-t0-only"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algebra_reference
 import oracle_reference
 from confode.conformable import (
     DOMAIN_CEILING,
@@ -28,6 +29,7 @@ from confode.ualgebra import (
     diff_u,
     eval_expr,
     expr,
+    lowered_levels,
 )
 from oracle_reference import (
     GridFn,
@@ -305,7 +307,7 @@ def test_quotient_matches_symbolic_derivative(terms, alpha, t):
     sym = eval_expr(diff_u(f), t, subst)
     num = numeric_t_alpha_derivative(expr_grid(f, subst), t, alpha)
     assert abs(num - sym) <= 1e-4 * max(1.0, abs(sym))
-    batched = OracleGrid(alpha, [t]).quotient(f)[0]
+    batched = OracleGrid(alpha, [t]).quotient(f.float_rows)[0]
     assert abs(batched - sym) <= 1e-4 * max(1.0, abs(sym))
 
 
@@ -391,9 +393,8 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    levels = [y.lowered]  # the oracle derives the binary64 lowering
-    for _ in range(n - 1):
-        levels.append(diff_u(levels[-1]))
+    # the oracle derives the binary64 rows; the reference derives float terms
+    levels = algebra_reference.lowered_levels(y, n)
     out = []
     for t in ts:
         values = [shape_step(y, t, alpha)[0]]
@@ -459,13 +460,14 @@ def test_oracle_grid_agrees_with_the_per_term_complex_step(alpha):
     grid = log_grid(0.01, 3.0, 50)
     oracle = OracleGrid(alpha, grid)
     for _ in range(30):
-        f = random_expr(rng, rng.randint(1, 5)).lowered
-        for t, value, quotient in zip(grid, oracle.values(f), oracle.quotient(f)):
-            terms = [expr(term) for term in f.terms]
+        f = random_expr(rng, rng.randint(1, 5))
+        rows = f.float_rows
+        for t, value, quotient in zip(grid, oracle.values(rows), oracle.quotient(rows)):
+            terms = [(row,) for row in f.float_rows]  # one level per row
             steps = [complex_step(term, t, alpha) for term in terms]
             sizes = (sum(abs(eval_expr(term, t, subst)) for term in terms),
-                     sum(abs(eval_expr(expr(d), t, subst))
-                         for term in terms for d in diff_u(term).terms))
+                     sum(abs(eval_expr((d,), t, subst))
+                         for term in f.terms for d in lowered_levels(expr(term), 2)[1]))
             for k, got in enumerate((value, quotient)):
                 want = sum(step[k] for step in steps)
                 assert abs(got - want) <= 4 * 2.0 ** -52 * sizes[k], (f, t, k)
@@ -546,6 +548,6 @@ def test_quotient_is_within_rounding_of_the_exact_derivative(alpha):
     for _ in range(25):
         f = random_expr(rng, rng.randint(1, 5))
         df = diff_u(f)
-        for t, got in zip(grid, oracle.quotient(f)):
+        for t, got in zip(grid, oracle.quotient(f.float_rows)):
             magnitude = sum(abs(eval_expr(expr(term), t, subst)) for term in df.terms)
             assert abs(got - eval_expr(df, t, subst)) <= 1e-12 * max(magnitude, 1e-300), (f, t)

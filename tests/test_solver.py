@@ -199,7 +199,7 @@ def test_basis_count_matches_order():
 
 
 def derivative_matrix(basis):
-    """Row i holds the i-fold u-derivatives of the basis' lowering, as the
+    """Row i holds the i-fold u-derivative levels of the basis' rows, as the
     constant fit evaluates them."""
     columns = [ualgebra.lowered_levels(e, basis.n) for e in basis.elements]
     return [list(row) for row in zip(*columns)]
@@ -208,24 +208,25 @@ def derivative_matrix(basis):
 def test_derivative_matrix_worked():
     basis = homogeneous_basis(ProblemSpec((3.0, 4.0), 0.5))
     m = derivative_matrix(basis)
-    assert m[0][0] == exp_term(-3).lowered and m[0][1] == exp_term(-1).lowered
-    assert m[1][0] == exp_term(-3, coeff=-3.0).lowered
-    assert m[1][1] == exp_term(-1, coeff=-1.0).lowered
-    # the rows derive the lowering: float numbers throughout
-    assert all(type(t.coeff) is float for row in m for e in row for t in e.terms)
+    assert m[0][0] == exp_term(-3).float_rows and m[0][1] == exp_term(-1).float_rows
+    assert m[1][0] == exp_term(-3, coeff=-3.0).float_rows
+    assert m[1][1] == exp_term(-1, coeff=-1.0).float_rows
+    # the levels derive the rows: float numbers throughout
+    assert all(type(r[0]) is type(r[2]) is type(r[4]) is float
+               for row in m for level in row for r in level)
 
 
 def test_derivative_matrix_order_one():
     basis = homogeneous_basis(ProblemSpec((2.0,), 1.0))
     m = derivative_matrix(basis)
-    assert m == [[exp_term(-2).lowered]]
+    assert m == [[exp_term(-2).float_rows]]
 
 
 def test_derivative_matrix_double_root_row():
     basis = homogeneous_basis(ProblemSpec((25.0, -10.0), 0.5))
     row = derivative_matrix(basis)[1]
-    assert row[0] == exp_term(5, coeff=5.0).lowered
-    assert [(t.coeff, t.upow, t.erate) for t in row[1].terms] == [(1.0, 0, 5.0), (5.0, 1, 5.0)]
+    assert row[0] == exp_term(5, coeff=5.0).float_rows
+    assert [r[:3] for r in row[1]] == [(1.0, 0, 5.0), (5.0, 1, 5.0)]
 
 
 def test_wronskian_distinct_roots():
@@ -929,28 +930,42 @@ def test_particular_terms_are_what_the_constructor_builds(alpha, terms):
 def test_each_level_is_derived_once(monkeypatch, source, ic):
     # The constant fit and verify share the basis and particular levels, v's
     # n-th level is never built, and the initial-value check takes the
-    # fitted sum's levels at t0 from them, not derived.
-    derived = []
-    derive = ualgebra._derive
+    # fitted sum's levels at t0 from them, not derived.  Each level is
+    # summed once per part on verify's grid: the underflow test reads the
+    # level-0 sum the residual took.
+    derived, exact, summed = [], [], []
+    derive_rows, sum_rows = ualgebra._derive_rows, OracleGrid._sum
 
-    def counting(f):
-        derived.append(f)  # holding f keeps its id unique
-        return derive(f)
+    def counting(rows):
+        derived.append(rows)  # holding the rows keeps their id unique
+        return derive_rows(rows)
 
-    monkeypatch.setattr(ualgebra, "_derive", counting)
+    def counting_sums(grid, level, part):
+        if id(level) not in grid._sums[part]:
+            summed.append((part, level))
+        return sum_rows(grid, level, part)
+
+    monkeypatch.setattr(ualgebra, "_derive_rows", counting)
+    monkeypatch.setattr(ualgebra, "_derive", lambda f: exact.append(f))
+    monkeypatch.setattr(OracleGrid, "_sum", counting_sums)
     spec = problem_from_source(source, 0.5)
     n = spec.order
     sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
     grid = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
     cli._verify_one(sol, grid, cli.DEFAULT_TOL)
-    ids = [id(f) for f in derived]
+    ids = [id(rows) for rows in derived]
     assert len(set(ids)) == len(ids)
-    # the numeric consumers derive the binary64 lowering, never the exact form
-    chains = [e.lowered for e in sol.basis.elements]
+    # the numeric consumers derive the binary64 rows, never the exact form
+    assert exact == []
+    chains = list(sol.basis.elements)
     if sol.particular is not None:
-        chains.append(sol.particular.lowered)
-    for level in chains:
-        for _ in range(n - 1):
-            assert id(level) in ids
-            level = diff_u(level)
+        chains.append(sol.particular)
+    held = {id(sol.spec.forcing.float_rows), id(ualgebra.ZERO.float_rows)}
+    for f in chains:
+        levels = ualgebra.lowered_levels(f, n)
+        assert levels[0] is f.float_rows
+        assert [id(level) in ids for level in levels] == [True] * (n - 1) + [False]
+        held.update(map(id, levels))
     assert len(derived) == len(chains) * (n - 1)
+    # every sum reads a level the expressions hold, never a second copy
+    assert all(id(rows) in held for _, rows in summed)

@@ -20,12 +20,14 @@ from confode.ualgebra import (
     expr,
     expr_from_records,
     format_t,
+    lowered_levels,
     mul,
     scale,
     term_records,
 )
 import algebra_reference as ref
 from confode import ualgebra
+from test_conformable import random_expr
 from vop_reference import format_u, integrate_u
 
 
@@ -246,7 +248,7 @@ def _eval_by_terms(f, t, subst):
 @given(st.lists(uterms(), min_size=1, max_size=6).map(canonicalize),
        st.sampled_from([0.1, 0.3, 0.5, 0.75, 1.0]))
 def test_eval_bit_identical_to_term_loop(f, alpha):
-    # eval_expr reads floats lowered once per expression; every value must
+    # eval_expr reads the rows, rounded once per expression; every value must
     # match the per-term Fraction loop exactly, not just closely.
     subst = SubstMap(alpha)
     for t in EVAL_POINTS:
@@ -258,6 +260,7 @@ def test_float_rows_stay_out_of_equality_hash_and_repr():
     g = expr(*f.terms)
     before = repr(f)
     eval_expr(f, 1.3, SubstMap(0.5))
+    lowered_levels(f, 3)
     assert f.float_rows == ((-0.5, 1, 0.0, 0, 0.0), (1.5, 2, -0.3, 1, 7 / 3))
     assert f == g and hash(f) == hash(g)
     assert repr(f) == before == repr(g)
@@ -353,16 +356,13 @@ def test_canonical_order_is_the_sort_by_key(fields, rng):
     assert [t.key for t in f.terms] == sorted({t.key for t in terms})
     finite_terms = [t for t in f.terms if abs(t.erate) < 1e300]
     if finite_terms:
-        low = canonicalize(finite_terms).lowered
-        shuffled = list(low.terms)
-        rng.shuffle(shuffled)
-        keys = [t.key for t in canonicalize(shuffled).terms]
-        assert keys == [t.key for t in low.terms] == sorted(keys)
-        assert len(set(keys)) == len(keys)
-        # lowered and exact terms together, whichever comes first
-        mixed = list(low.terms) + terms
-        rng.shuffle(mixed)
-        assert [t.key for t in canonicalize(mixed).terms] == sorted({t.key for t in mixed})
+        # the rows, and the rows derived from them in any order, sort by key
+        rows = list(canonicalize(finite_terms).float_rows)
+        rng.shuffle(rows)
+        for level in (canonicalize(finite_terms).float_rows, ualgebra._derive_rows(rows)):
+            keys = [row[1:] for row in level]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
 
 
 @given(colliding_term_lists().map(canonicalize))
@@ -446,7 +446,10 @@ def test_json_term_records_round_trip(f):
         assert set(r) == {"coeff", "upow", "erate", "trig", "tfreq"}
         assert all(type(r[k]) is float for k in ("coeff", "erate", "tfreq"))
     assert term_records(expr_from_records(records)) == records
-    assert expr_from_records(records).lowered == f.lowered
+    assert expr_from_records(records).float_rows == f.float_rows
+    # the records read back exactly: no term holds a float
+    assert all(type(x) is Fraction
+               for t in expr_from_records(records).terms for x in (t.coeff, t.erate, t.tfreq))
 
 
 def test_lowering_merges_rates_equal_in_binary64():
@@ -454,11 +457,46 @@ def test_lowering_merges_rates_equal_in_binary64():
     near = Fraction("0.90000000000000001")
     f = expr(UTerm(Fraction(13, 10), erate=Fraction(9, 10)), UTerm(Fraction(-7, 10), erate=near))
     assert len(f.terms) == 2
-    assert f.lowered.terms == (UTerm(1.3 - 0.7, erate=0.9),)
+    assert f.float_rows == ((1.3 - 0.7, 0, 0.9, 0, 0.0),)
     records = term_records(f)
     assert len(records) == 1
-    assert expr_from_records(records).lowered == f.lowered
-    assert diff_u(f.lowered) == diff_u(expr_from_records(records).lowered)
+    assert expr_from_records(records).float_rows == f.float_rows
+    assert lowered_levels(f, 3) == lowered_levels(expr_from_records(records), 3)
+
+
+# Levels equal the float-term derivation (algebra_reference.lowered_levels)
+# bit for bit, on rates that round to one binary64, a coefficient that
+# rounds to 0, merges that cancel to exactly 0, and sin/cos alternation.
+_NEAR = Fraction("0.90000000000000001")
+_LEVEL_CASES = [
+    expr(UTerm(Fraction(13, 10), erate=Fraction(9, 10)), UTerm(Fraction(-7, 10), erate=_NEAR)),
+    expr(UTerm(Fraction(1, 10 ** 400), 2, 1), UTerm(Fraction(3, 7), 1, Fraction(-1, 3), COS, 2)),
+    expr(UTerm(Fraction(1, 2), 1, Fraction(9, 10)), UTerm(Fraction(-1, 2), 1, _NEAR)),
+    expr(UTerm(1, 1, -1), UTerm(1, 0, -1)),  # level 1 cancels e^{-u}
+    expr(UTerm(1, 3, -1, SIN, Fraction(5, 3)), UTerm(2, 0, 0, COS, 1),
+         UTerm(Fraction(-1, 3), 1, Fraction(1, 2), SIN, 1)),
+]
+
+
+def _assert_levels_are_the_float_term_derivation(f):
+    got, want = lowered_levels(f, 17), ref.lowered_levels(f, 17)
+    assert got == want
+    assert [[tuple(map(type, row)) for row in level] for level in got] == \
+        [[tuple(map(type, row)) for row in level] for level in want]
+
+
+def test_levels_equal_the_float_term_derivation():
+    rng = random.Random(26)
+    for f in _LEVEL_CASES + [random_expr(rng, rng.randint(0, 8)) for _ in range(150)]:
+        _assert_levels_are_the_float_term_derivation(f)
+    assert lowered_levels(_LEVEL_CASES[1], 1) == [((3 / 7, 1, -1 / 3, 1, 2.0),)]
+    assert lowered_levels(_LEVEL_CASES[2], 1) == [()]
+    assert [len(level) for level in lowered_levels(_LEVEL_CASES[3], 3)] == [2, 1, 2]
+
+
+@given(st.one_of(uexprs, colliding_term_lists().map(canonicalize)))
+def test_levels_equal_the_float_term_derivation_on_drawn_expressions(f):
+    _assert_levels_are_the_float_term_derivation(f)
 
 
 @given(uexprs)

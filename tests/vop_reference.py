@@ -39,22 +39,22 @@ def one() -> UExpr:
     return expr(UTerm(1.0))
 
 
-def _term_factors_u(term: UTerm) -> list[str]:
+def _row_factors_u(upow: int, erate: float, rank: int, tfreq: float) -> list[str]:
     factors = []
-    if term.upow == 1:
+    if upow == 1:
         factors.append("u")
-    elif term.upow:
-        factors.append(f"u^{term.upow}")
-    if term.erate:
-        factors.append("e^{" + _fmt(term.erate) + "·u}")
-    if term.trig:
-        factors.append(f"{term.trig}({_fmt(term.tfreq)}·u)")
+    elif upow:
+        factors.append(f"u^{upow}")
+    if erate:
+        factors.append("e^{" + _fmt(erate) + "·u}")
+    if rank:
+        factors.append(f"{(None, COS, SIN)[rank]}({_fmt(tfreq)}·u)")
     return factors
 
 
 def format_u(f: UExpr) -> str:
-    """Deterministic plain-text rendering of the binary64 lowering in u."""
-    return _join([(t.coeff, _term_factors_u(t)) for t in f.lowered.terms])
+    """Deterministic plain-text rendering of the binary64 rows in u."""
+    return _join([(coeff, _row_factors_u(*shape)) for coeff, *shape in f.float_rows])
 
 
 class WronskianError(SolverError):
