@@ -279,12 +279,13 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     The oracle is one :class:`OracleGrid` over the grid and, for a fitted
     solution, ``t0`` as its last point, so the initial-value check reads
     the values and quotients that the grid checks evaluated there: the
-    numbers a one-point table at ``t0`` gives.  Residuals, worst points and
-    the underflow test read the grid's points only, and the underflow test
-    reads the level-0 sum that the residual already took.  ``t0`` is
-    checked like every grid point: one outside the oracle's domain raises
-    before any check runs, and a value that overflows there fails the first
-    check that evaluates it.
+    numbers a one-point table at ``t0`` gives.  After each check only those
+    ``t0`` entries are kept, and the grid drops the check's sums.
+    Residuals, worst points and the underflow test read the grid's points
+    only, and the underflow test reads the level-0 sum that the residual
+    already took.  ``t0`` is checked like every grid point: one outside
+    the oracle's domain raises before any check runs, and a value that
+    overflows there fails the first check that evaluates it.
     """
     alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
@@ -304,23 +305,27 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
         return {"max_residual": worst, "worst_t": worst_t}
 
     found = {}
+    at_t0 = []  # per check, what the initial-value check reads at t0
     for label, y, forcing in checks:
         found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
         # values that all underflow to 0 check nothing
         if not y.is_zero() and not any(oracle.values(y.float_rows)[:count]):
             raise FloatingPointError(f"every value of the {label} underflows to 0")
+        if sol.ic is not None:
+            # level 0's value and the quotient of each level below the
+            # last, at the table's last point: the residual took them all
+            levels = lowered_levels(y, sol.spec.order)
+            at_t0.append([oracle.values(levels[0])[-1]]
+                         + [oracle.quotient(level)[-1] for level in levels[:-1]])
+        oracle.drop_sums()
     if sol.ic is not None:
         t0, targets = sol.ic
-        # v + sum c_i e_i at t0, the table's last point, against the targets:
-        # level 0 is the value, level k the quotient of level k - 1, which the
-        # fit never takes
-        parts = [] if sol.particular is None else [(1.0, sol.particular)]
-        parts += zip(sol.constants, sol.basis.elements)
-        rows = []
-        for c, f in parts:
-            levels = lowered_levels(f, sol.spec.order)
-            rows.append([c * oracle.values(levels[0])[-1]]
-                        + [c * oracle.quotient(level)[-1] for level in levels[:-1]])
+        # v + sum c_i e_i at t0 against the targets: level 0 is the value,
+        # level k the quotient of level k - 1, which the fit never takes
+        parts = list(zip(sol.constants, at_t0))  # the basis elements' checks come first
+        if sol.particular is not None:
+            parts.insert(0, (1.0, at_t0[-1]))
+        rows = [[c * v for v in values] for c, values in parts]
         found["initial values"] = worst_point(
             [t0] * len(targets),
             [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)

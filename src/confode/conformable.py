@@ -72,7 +72,8 @@ class OracleGrid:
     divided by :data:`STEP` is the shape's limit quotient at ``t``.  The
     values and quotients of a level are then binary64 sums,
     ``s + coeff * column`` over its rows in order, each computed when first
-    asked for and kept per level object, which the grid holds.
+    asked for and kept per level object, which the grid holds until
+    :meth:`drop_sums`.
 
     Each point's values depend on that point alone, so a point may join
     any table: verify's one table holds the grid and, for a fitted
@@ -129,6 +130,12 @@ class OracleGrid:
                 total = [s + coeff * v for s, v in zip(total, col)]
             hit = self._sums[part][id(level)] = (level, list(total))
         return hit[1]
+
+    def drop_sums(self):
+        """Forget every level's values and quotients, and the levels; the
+        shape columns stay."""
+        for sums in self._sums:
+            sums.clear()
 
     def values(self, level: Rows) -> list[float]:
         """``level`` (an expression's :attr:`~confode.ualgebra.UExpr.float_rows`

@@ -25,10 +25,21 @@ following symbol or parenthesis, never to another number, and a bare ``-``
 after a factor always means subtraction.  Orders above :data:`MAX_ORDER`
 and t-powers above :data:`MAX_T_POWER` are refused.
 
-Every literal is read exactly from its text, so ``0.9`` is 9/10, and
-alpha as its shortest round-trip decimal, so ``exp(3 t^a)`` at alpha 0.3
-has the rate 9/10: with ``u = t^alpha / alpha``, ``t^(k alpha)`` is
-``alpha^k u^k`` and ``e^(c t^alpha)`` is ``e^(c alpha u)``, all exact.
+Every literal is read exactly from its digits, as an integer over a power
+of ten, so ``0.9`` is 9/10, and alpha as its shortest round-trip decimal,
+so ``exp(3 t^a)`` at alpha 0.3 has the rate 9/10: with ``u = t^alpha /
+alpha``, ``t^(k alpha)`` is ``alpha^k u^k`` and ``e^(c t^alpha)`` is
+``e^(c alpha u)``, all exact.
+
+One parse does a fixed amount of exact work per token and per term.  The
+lexer scans the whole text once, before any grammar rule runs, so a bad
+literal or character anywhere is reported ahead of a grammar error to its
+left.  Each product's numbers, t-powers and exponentials multiply into the
+integer fields of one term, which becomes a :class:`UTerm` once; only trig
+factors (product-to-sum) and parenthesised groups multiply out into more
+terms.  A sum gathers every product's terms, each scaled by the sign and by
+the reciprocal of the leading coefficient, and is canonicalised once, so
+parse time grows linearly with the text.
 """
 
 from __future__ import annotations
@@ -36,19 +47,25 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .solver import ProblemSpec
-from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, add, expr, mul, scale
+from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, _mul_terms, canonicalize, mul
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9]*)
-  | (?P<sym>[-+*()^=])
-""", re.VERBOSE)
+# one token per match, its leading whitespace skipped; "bad" is the first
+# character no token starts with, and a match of no group the end
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<num>(?P<mantissa>\d+(?:\.\d*)?|\.\d+)(?:[eE](?P<exp>[+-]?\d+))?)
+  | (?P<word>[A-Za-z][A-Za-z0-9]*|[-+*()^=])
+  | (?P<bad>\S)
+  | \Z
+)""", re.VERBOSE)
 
 _FUNCTIONS = ("exp", "sin", "cos")
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+# the tokens that may follow a factor as an implicit product
+_IMPLICIT = ("t", *_FUNCTIONS, "(")
 
 # the tokens that commit a factor to "(t^a)^" integer
 _TPOW_PAREN = ["(", "t", "^", "a", ")", "^"]
@@ -76,41 +93,65 @@ class EquationSyntaxError(ValueError):
         self.expected = expected
 
 
-class _Token(NamedTuple):
-    kind: str  # num | ident | sym | end
-    text: str
-    pos: int
-    value: Fraction | None = None  # a num's exact value
-
-
-def _number(text: str, pos: int) -> Fraction:
-    """A literal's exact value.  Text longer than the digit limit, or an
-    exponent beyond it, is refused before anything is converted: Python
-    refuses the first and would take unbounded time over the second."""
-    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
-    if len(text) > _MAX_DIGITS or len(exponent) > 4 or int(exponent or 0) > _MAX_DIGITS:
+def _number(m: re.Match, pos: int) -> Fraction:
+    """A literal's exact value, an integer over a power of ten.  Text longer
+    than the digit limit, or an exponent beyond it, is refused before
+    anything is converted: Python refuses the first and would take
+    unbounded time over the second."""
+    text, mantissa, exponent = m.group("num", "mantissa", "exp")
+    digits = (exponent or "").lstrip("+-").lstrip("0")
+    if len(text) > _MAX_DIGITS or len(digits) > 4 or int(digits or 0) > _MAX_DIGITS:
         raise EquationSyntaxError(
             f"numeric literal beyond {_MAX_DIGITS} digits or exponent {_MAX_DIGITS}", pos)
     if not math.isfinite(float(text)):
         raise EquationSyntaxError("non-finite numeric literal", pos)
-    return Fraction(text)
+    whole, _, fraction = mantissa.partition(".")
+    shift = len(fraction) - int(exponent or 0)
+    return Fraction(int(whole + fraction) * 10 ** max(-shift, 0), 10 ** max(shift, 0))
 
 
-def _lex(src: str) -> list[_Token]:
+def _lex(src: str) -> list[tuple[str, int, Fraction | None]]:
+    """``(text, offset, value)`` per token, the value a number's only; the
+    last token is ``("", len(src), None)``, the end of input."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
+            break
+        pos = m.start(kind)
+        if kind == "bad":
             raise EquationSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        kind, text = m.lastgroup, m.group()
-        if kind == "num":
-            tokens.append(_Token(kind, text, pos, _number(text, pos)))
-        elif kind != "ws":
-            tokens.append(_Token(kind, text, pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(src)))
+        tokens.append((m.group(kind), pos, _number(m, pos) if kind == "num" else None))
+    tokens.append(("", len(src), None))
     return tokens
+
+
+class _Product:
+    """One product's factors, read into the fields of one term as integers:
+    the coefficient ``num / den``, ``upow`` and the rate ``enum / eden``.
+    Trig factors and parenthesised groups are kept aside and multiplied in
+    by :meth:`terms`."""
+
+    __slots__ = ("num", "den", "upow", "enum", "eden", "trigs", "groups")
+
+    def __init__(self, coeff: Fraction):
+        self.num, self.den = coeff.numerator, coeff.denominator
+        self.upow, self.enum, self.eden = 0, 0, 1
+        self.trigs, self.groups = [], []  # (trig, tfreq) pairs, UExprs
+
+    def terms(self) -> list[UTerm]:
+        """The product's terms: one unless trig factors or groups multiply
+        it out (product-to-sum through :func:`~confode.ualgebra._mul_terms`,
+        groups through :func:`~confode.ualgebra.mul`)."""
+        trigs = self.trigs or [(None, _ZERO)]
+        erate = Fraction(self.enum, self.eden) if self.enum else _ZERO
+        terms = [UTerm(Fraction(self.num, self.den), self.upow, erate, *trigs[0])]
+        for trig, tfreq in trigs[1:]:
+            factor = UTerm(_ONE, trig=trig, tfreq=tfreq)
+            terms = [p for t in terms for p in _mul_terms(t, factor)]
+        for group in self.groups:
+            terms = list(mul(canonicalize(terms), group).terms)
+        return terms
 
 
 class _Parser:
@@ -119,196 +160,197 @@ class _Parser:
     def __init__(self, src: str, alpha: Fraction):
         self.tokens = _lex(src)
         self.alpha = alpha
+        # alpha**k as (numerator, denominator) by k, each computed once
+        self.powers: dict[int, tuple[int, int]] = {}
         self.i = 0
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The current token's text; "" at the end of input."""
+        return self.tokens[self.i][0]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
+    def take(self) -> str:
+        text = self.tokens[self.i][0]
+        if text:
             self.i += 1
-        return tok
+        return text
 
-    def at_sym(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text in texts
-
-    def expect_sym(self, text: str) -> _Token:
-        if not self.at_sym(text):
+    def expect(self, text: str):
+        if self.tokens[self.i][0] != text:
             self.fail(f"'{text}'")
-        return self.take()
+        self.i += 1
 
     def fail(self, expected: str):
-        tok = self.peek()
-        found = repr(tok.text) if tok.kind != "end" else "end of input"
-        raise EquationSyntaxError(f"found {found}", tok.pos, expected)
+        text, pos, _ = self.tokens[self.i]
+        found = repr(text) if text else "end of input"
+        raise EquationSyntaxError(f"found {found}", pos, expected)
 
     # -- grammar rules
 
     def equation(self) -> tuple[tuple[Fraction, ...], UExpr]:
         """The monic coefficients ``p_0 .. p_{n-1}`` and the forcing."""
         merged: dict[int, Fraction] = {}
-        sign = 1
+        negate = False
         while True:
             order, coeff = self.lhs_term()
-            merged[order] = merged.get(order, 0) + sign * coeff
-            if not self.at_sym("+", "-"):
+            coeff = -coeff if negate else coeff
+            merged[order] = merged[order] + coeff if order in merged else coeff
+            if self.peek() not in ("+", "-"):
                 break
-            sign = -1 if self.take().text == "-" else 1
-        self.expect_sym("=")
-        rhs = self.expr()
-        if self.peek().kind != "end":
-            self.fail("end of input")
+            negate = self.take() == "-"
+        self.expect("=")
         n = max(merged)
+        lead = merged[n]
+        # the forcing is read divided by the leading coefficient
+        rhs = self.expr(_ONE / lead if n and lead else _ONE)
+        if self.peek():
+            self.fail("end of input")
         if n < 1:
             raise EquationSyntaxError(
                 "equation needs at least one derivative of y", 0)
-        lead = merged[n]
         if lead == 0:
             raise EquationSyntaxError(
                 f"leading coefficient (order {n}) is zero", 0)
-        if lead != 1:
-            rhs = scale(rhs, 1 / lead)
-        return tuple(merged.get(i, 0) / lead for i in range(n)), rhs
+        coeffs = [merged.get(i, _ZERO) for i in range(n)]
+        return tuple(coeffs if lead == 1 else [c / lead for c in coeffs]), rhs
 
     def lhs_term(self) -> tuple[int, Fraction]:
-        coeff = Fraction(1)
-        if self.peek().kind == "num":
-            coeff = self.take().value
+        text, pos, coeff = self.tokens[self.i]
+        if coeff is None:
+            coeff = _ONE
+        else:
+            self.i += 1
+            text, pos, _ = self.tokens[self.i]
         order = 0
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text[0] == "T":
-            digits = tok.text[1:] or "1"
+        if text[:1] == "T":
+            digits = text[1:] or "1"
             if not digits.isdigit():
                 self.fail("derivative 'T' or 'T<k>'")
             digits = digits.lstrip("0") or "0"
             # checked before any coefficient vector of that length is built
             if len(digits) > 3 or int(digits) > MAX_ORDER:
                 raise EquationSyntaxError(
-                    f"derivative order above the supported limit {MAX_ORDER}", tok.pos)
-            self.take()
+                    f"derivative order above the supported limit {MAX_ORDER}", pos)
+            self.i += 1
             order = int(digits)
-        tok = self.peek()
-        if not (tok.kind == "ident" and tok.text == "y"):
+        if self.peek() != "y":
             self.fail("a left-side term: [number] [T<k>] 'y'")
-        self.take()
+        self.i += 1
         return order, coeff
 
-    def expr(self) -> UExpr:
-        node = self.prod()
-        while self.at_sym("+", "-"):
-            negate = self.take().text == "-"
-            right = self.prod()
-            node = add(node, scale(right, -1) if negate else right)
-        return node
+    def expr(self, coeff: Fraction) -> UExpr:
+        """``coeff`` times a sum: every product's terms, canonicalised once."""
+        terms = self.prod(coeff)
+        while self.peek() in ("+", "-"):
+            terms += self.prod(-coeff if self.take() == "-" else coeff)
+        return canonicalize(terms)
 
-    def prod(self) -> UExpr:
-        node = self.factor()
+    def prod(self, coeff: Fraction) -> list[UTerm]:
+        product = _Product(coeff)
+        self.factor(product)
         while True:
-            if self.at_sym("*"):
-                self.take()
-                node = mul(node, self.factor())
-                continue
-            tok = self.peek()
+            if self.peek() == "*":
+                self.i += 1
             # implicit product: only before a symbol/function/parenthesis,
             # so "2 3" is rejected and "2 - 3" stays a subtraction
-            if (tok.kind == "ident" and (tok.text == "t" or tok.text in _FUNCTIONS)) \
-                    or self.at_sym("("):
-                node = mul(node, self.factor())
-                continue
-            return node
+            elif self.peek() not in _IMPLICIT:
+                return product.terms()
+            self.factor(product)
 
-    def factor(self) -> UExpr:
-        tok = self.peek()
-        if self.at_sym("-"):
-            self.take()
-            return scale(self.factor(), -1)
-        if tok.kind == "num":
-            return expr(UTerm(self.take().value))
-        if tok.kind == "ident":
-            if tok.text == "t":
-                return self.tpow_plain()
-            if tok.text in _FUNCTIONS:
-                return self.func()
+    def factor(self, product: _Product):
+        """Multiply the next factor into ``product``."""
+        text, pos, value = self.tokens[self.i]
+        if text == "-":
+            self.i += 1
+            product.num = -product.num
+            self.factor(product)
+        elif value is not None:
+            self.i += 1
+            product.num *= value.numerator
+            product.den *= value.denominator
+        elif text == "t":
+            self.tpow_plain(product)
+        elif text in _FUNCTIONS:
+            self.func(product)
+        elif text[:1].isalpha():
             raise EquationSyntaxError(
-                f"{tok.text!r} is not part of the exponential-polynomial-"
-                "trigonometric forcing class", tok.pos,
+                f"{text!r} is not part of the exponential-polynomial-"
+                "trigonometric forcing class", pos,
                 "number, 't^a', exp/sin/cos, or '('")
-        if self.at_sym("("):
+        elif text == "(":
             # "(t^a)^" commits to a t-power; any other "(" opens a group
-            if [t.text for t in self.tokens[self.i:self.i + 6]] == _TPOW_PAREN:
+            if [t[0] for t in self.tokens[self.i:self.i + 6]] == _TPOW_PAREN:
                 self.i += 6
-                return self.tpow(self.integer("a positive integer power"))
-            self.take()
-            node = self.expr()
-            self.expect_sym(")")
-            return node
-        self.fail("a forcing factor")
+                self.tpow(product, self.integer("a positive integer power"))
+                return
+            self.i += 1
+            product.groups.append(self.expr(_ONE))
+            self.expect(")")
+        else:
+            self.fail("a forcing factor")
 
-    def tpow_plain(self) -> UExpr:
+    def tpow_plain(self, product: _Product):
         # "t^a" or "t^(k a)"
-        self.take()  # t
-        self.expect_sym("^")
-        if self.at_sym("("):
-            self.take()
+        self.i += 1  # t
+        self.expect("^")
+        if self.peek() == "(":
+            self.i += 1
             k = self.integer("a positive integer power")
-            self.ident("a")
-            self.expect_sym(")")
-            return self.tpow(k)
-        self.ident("a")
-        return self.tpow(1)
+            self.expect("a")
+            self.expect(")")
+            self.tpow(product, k)
+            return
+        self.expect("a")
+        self.tpow(product, 1)
 
-    def tpow(self, k: int) -> UExpr:
+    def tpow(self, product: _Product, k: int):
         # t^(k alpha) = (alpha u)^k
-        return expr(UTerm(self.alpha ** k, k))
+        power = self.powers.get(k)
+        if power is None:
+            power = self.powers[k] = (self.alpha.numerator ** k, self.alpha.denominator ** k)
+        product.num *= power[0]
+        product.den *= power[1]
+        product.upow += k
 
-    def func(self) -> UExpr:
-        kind = self.take().text
-        self.expect_sym("(")
-        c = Fraction(1)  # also "exp(-t^a)"
-        negate = False
-        if self.at_sym("-"):
-            self.take()
-            negate = True
-        if self.peek().kind == "num":
-            c = self.take().value
-            if self.at_sym("*"):
-                self.take()
-        if negate:
-            c = -c
-        tok = self.peek()
-        if not (tok.kind == "ident" and tok.text == "t"):
+    def func(self, product: _Product):
+        kind = self.take()
+        self.expect("(")
+        num, den = 1, 1  # also "exp(-t^a)"
+        if self.peek() == "-":
+            self.i += 1
+            num = -1
+        value = self.tokens[self.i][2]
+        if value is not None:
+            num, den = num * value.numerator, value.denominator
+            self.i += 1
+            if self.peek() == "*":
+                self.i += 1
+        if self.peek() != "t":
             self.fail("'t^a'")
-        self.take()
-        self.expect_sym("^")
-        self.ident("a")
-        self.expect_sym(")")
-        rate = c * self.alpha
+        self.i += 1
+        self.expect("^")
+        self.expect("a")
+        self.expect(")")
+        # the rate c * alpha
+        num, den = num * self.alpha.numerator, den * self.alpha.denominator
         if kind == "exp":
-            return expr(UTerm(1, erate=rate))
-        return expr(UTerm(1, trig=SIN if kind == "sin" else COS, tfreq=rate))
+            product.enum = product.enum * den + num * product.eden
+            product.eden *= den
+        else:
+            product.trigs.append((SIN if kind == "sin" else COS, Fraction(num, den)))
 
     def integer(self, expected: str) -> int:
         """A positive integer t-power exponent, at most MAX_T_POWER."""
-        tok = self.peek()
-        value = tok.value if tok.kind == "num" else 0
+        _, pos, value = self.tokens[self.i]
+        value = value or 0
         if value.denominator != 1 or value <= 0:
             self.fail(expected)
         if value > MAX_T_POWER:
             raise EquationSyntaxError(
-                f"t-power exponent {value} exceeds the supported limit {MAX_T_POWER}",
-                tok.pos)
-        self.take()
+                f"t-power exponent {value} exceeds the supported limit {MAX_T_POWER}", pos)
+        self.i += 1
         return int(value)
-
-    def ident(self, name: str):
-        tok = self.peek()
-        if not (tok.kind == "ident" and tok.text == name):
-            self.fail(f"'{name}'")
-        self.take()
 
 
 def problem_from_source(src: str, alpha: float) -> ProblemSpec:

@@ -24,7 +24,7 @@ from confode.cli import (
     _verify_one,
     main,
 )
-from confode.conformable import log_grid
+from confode.conformable import OracleGrid, log_grid
 from confode.eqparse import problem_from_source
 from confode.solver import solution_from_doc, solution_to_doc, solve_problem
 from confode.ualgebra import SubstMap, eval_expr
@@ -870,6 +870,26 @@ def test_initial_values_read_the_grid_table_as_a_table_of_their_own(alpha, ic, s
     assert report["combined"] == initial_value_check(sol)
     assert report["combined"]["max_residual"] < DEFAULT_TOL
 
+
+@pytest.mark.parametrize("ic", [None, (1.0, (1.0, 0.0, -1.0, 0.5))])
+def test_verify_drops_each_checks_sums(monkeypatch, ic):
+    # the grid holds one check's sums at a time: the checked expression's
+    # levels and the forcing's rows, then drops them
+    source = "T4 y + 2 T2 y + y = t^a * exp(t^a) + cos(2 t^a)"
+    spec = problem_from_source(source, 0.5)
+    sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
+    held, drop = [], OracleGrid.drop_sums
+
+    def recording(grid):
+        held.append([len(sums) for sums in grid._sums])
+        drop(grid)
+
+    monkeypatch.setattr(OracleGrid, "drop_sums", recording)
+    grid = log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
+    report = _verify_one(sol, grid, DEFAULT_TOL)
+    assert report["ok"]
+    # level 0 and the forcing summed as values, the 4 levels as quotients
+    assert held == [[2, 4]] * 5
 
 def _with_unit_ic(doc: dict, t0: float) -> str:
     """``doc`` as JSON, with unit constants and unit targets at ``t0``."""

@@ -8,17 +8,26 @@ and sources are chosen so that a wrong associativity, precedence or sign
 changes the value.  The forcing trees hypothesis generates are this
 module's own: :func:`render_texpr` writes one as text, :func:`eval_ast`
 evaluates it in the t domain, and :func:`lower_reference` rewrites it in u
-node by node, the exact reference the parsed forcing must equal.
+node by node, the exact reference the parsed forcing must equal.  The
+parser's outcome, a problem or an error, must also equal that of
+``tests/parse_reference.py``, a copy of the parser before its one-pass
+rewrite, on the benchmark's sources, on one-character edits and on those
+trees.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parse_reference import reference_problem
 
+from confode import eqparse, ualgebra
 from confode.eqparse import MAX_ORDER, EquationSyntaxError, problem_from_source
 from confode.ualgebra import COS, SIN, SubstMap, UTerm, add, eval_expr, expr, mul, scale
 
@@ -353,6 +362,47 @@ def test_order_limit_is_inclusive():
         problem_from_source(f"T{MAX_ORDER + 1} y + y = 0", 1.0)
 
 
+_FOUND_Y = "a left-side term: [number] [T<k>] 'y'"
+_FACTOR = "number, 't^a', exp/sin/cos, or '('"
+_LITERAL_LIMIT = "numeric literal beyond 4300 digits or exponent 4300"
+
+
+# One source per place the parser raises, with the exact message, offset
+# and expected tokens it gives.
+@pytest.mark.parametrize("src,message,offset,expected", [
+    pytest.param("T2 y = @", "unexpected character '@'", 7, None, id="character"),
+    pytest.param(LONG_LITERAL, _LITERAL_LIMIT, 10, None, id="literal-digits"),
+    pytest.param("T y = 1e-99999999", _LITERAL_LIMIT, 6, None, id="literal-exponent"),
+    pytest.param("T y = 2 + 1e400", "non-finite numeric literal", 10, None, id="non-finite"),
+    pytest.param("T2x y = 0", "found 'T2x'", 0, "derivative 'T' or 'T<k>'", id="bad-T"),
+    pytest.param("T2 y + T257 y = 0", "derivative order above the supported limit 256", 7,
+                 None, id="order-limit"),
+    pytest.param("T2 y + 3 x = 0", "found 'x'", 9, _FOUND_Y, id="missing-y"),
+    pytest.param("T2 y + 4 T y + 3 y", "found end of input", 18, "'='", id="missing-equals"),
+    pytest.param("T2 y = 2 3", "found '3'", 9, "end of input", id="trailing"),
+    pytest.param("T y = )", "found ')'", 6, "a forcing factor", id="missing-factor"),
+    pytest.param("T2 y = tan(t^a)", "'tan' is not part of the exponential-polynomial-"
+                 "trigonometric forcing class", 7, _FACTOR, id="outside-class"),
+    pytest.param("T y = exp(2)", "found ')'", 11, "'t^a'", id="exp-without-tpow"),
+    pytest.param("T y = t^b", "found 'b'", 8, "'a'", id="tpow-not-alpha"),
+    pytest.param("T y = t^(0 a)", "found '0'", 9, "a positive integer power", id="zero-power"),
+    pytest.param("T y = (t^a)^1.5", "found '1.5'", 12, "a positive integer power",
+                 id="fractional-power"),
+    pytest.param("T y = 1 + t^(65 a)", "t-power exponent 65 exceeds the supported limit 64",
+                 13, None, id="power-limit"),
+    pytest.param("0 T2 y + y = 0", "leading coefficient (order 2) is zero", 0, None,
+                 id="zero-lead"),
+    pytest.param("y = 0", "equation needs at least one derivative of y", 0, None,
+                 id="no-derivative"),
+])
+def test_every_parse_error_is_pinned(src, message, offset, expected):
+    with pytest.raises(EquationSyntaxError) as info:
+        problem_from_source(src, 0.5)
+    detail = f" (expected {expected})" if expected else ""
+    assert str(info.value) == f"{message} at offset {offset}{detail}"
+    assert (info.value.offset, info.value.expected) == (offset, expected)
+
+
 @settings(max_examples=120)
 @given(st.text(alphabet="Tty2a^()+-=* .3exp", max_size=30))
 def test_error_totality(src):
@@ -487,3 +537,97 @@ def test_problem_from_source_eval_agreement():
         for t in (0.4, 1.0, 2.2):
             direct = eval_ast(ast, t, alpha)
             assert eval_expr(spec.forcing, t, subst) == pytest.approx(direct, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# against the reference parser (tests/parse_reference.py)
+
+
+def parse_outcome(parse, src: str, alpha: float):
+    """What ``parse(src, alpha)`` gives: the exact coefficients and forcing,
+    and the forcing's rows; or the error's class, text, offset and
+    expected tokens."""
+    try:
+        spec = parse(src, alpha)
+    except Exception as err:  # the class is part of the outcome compared
+        return (type(err), str(err), getattr(err, "offset", None),
+                getattr(err, "expected", None))
+    try:
+        rows = spec.forcing.float_rows
+    except OverflowError as err:  # a coefficient beyond binary64
+        rows = str(err)
+    return spec, repr((spec.coeffs, spec.forcing)), rows
+
+
+def assert_parses_as_reference(src: str, alpha: float):
+    assert parse_outcome(problem_from_source, src, alpha) == \
+        parse_outcome(reference_problem, src, alpha), src
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_sources_parse_as_the_reference():
+    wl = _bench_workloads()
+    cases = [case for seed in (5, 7, 11) for batch in range(2)
+             for case in wl.order_sweep(seed, batch) + wl.forcing_sweep(seed, batch)]
+    cases += [case.equation for seed in (5, 7, 11) for batch in range(3)
+              for case in wl.cli_roundtrip(seed, batch)]
+    assert len(cases) > 400
+    for case in cases:
+        assert_parses_as_reference(case.source, case.alpha)
+
+
+MUTATED_SOURCES = [
+    "\tT2 y + 4 T y + 3 y = exp(2 t^a)\n ",
+    "T3 y - 0.5 T y + 1.25 y = 2 t^(2 a) * cos(3 t^a) - (t^a)^2 sin(t^a)",
+    "2 T2 y + y = -(3 - t^a) * exp(-1.5e-1 t^a) + .5",
+    "T4 y + T0002 y - y = t^a exp(t^a) sin(2 t^a) cos(0.3 t^a) - 7",
+]
+
+
+@pytest.mark.parametrize("src", MUTATED_SOURCES)
+def test_one_character_edits_parse_as_the_reference(src):
+    # every deletion, duplication and replacement of one character
+    edits = set()
+    for i in range(len(src)):
+        edits.add(src[:i] + src[i + 1:])
+        edits.add(src[:i] + src[i] + src[i:])
+        edits.update(src[:i] + c + src[i + 1:] for c in " )(^-.e")
+    for text in sorted(edits):
+        assert_parses_as_reference(text, 0.3)
+
+
+@given(ast=_forcing_asts, alpha=st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+def test_forcing_trees_parse_as_the_reference(ast, alpha):
+    assert_parses_as_reference(f"T2 y - 3 T y + 0.5 y = {render_texpr(ast)}", alpha)
+
+
+def test_parse_work_is_linear_in_the_terms_of_a_sum(monkeypatch):
+    # the terms canonicalisation visits while parsing a sum of n distinct
+    # exponentials; merging the growing sum at every "+" visits ~n^2/2
+    visited = []
+    canonicalize = ualgebra.canonicalize
+
+    def counting(terms):
+        terms = list(terms)
+        visited.append(len(terms))
+        return canonicalize(terms)
+
+    for module in (ualgebra, eqparse):  # the sum and the products' groups
+        monkeypatch.setattr(module, "canonicalize", counting)
+
+    def visits(n: int) -> int:
+        visited.clear()
+        src = "T y + y = " + " + ".join(f"exp({k} t^a)" for k in range(1, n + 1))
+        assert len(problem_from_source(src, 0.5).forcing.terms) == n
+        return sum(visited)
+
+    assert visits(200) >= 200
+    assert visits(400) <= 2.2 * visits(200)

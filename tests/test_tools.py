@@ -36,3 +36,8 @@ def test_report_hash_residuals_runs_in_process(capsys, monkeypatch):
 def test_report_hash_cli_runs_in_process(capsys, monkeypatch):
     [line] = report_hash_lines(monkeypatch, capsys, ["--seed", "7", "--cli"])
     assert re.fullmatch(rf"cli 89 runs {SHA}", line), line
+
+
+def test_report_hash_parse_runs_in_process(capsys, monkeypatch):
+    [line] = report_hash_lines(monkeypatch, capsys, ["--seed", "7", "--parse"])
+    assert re.fullmatch(rf"parse 287 sources {SHA}", line), line

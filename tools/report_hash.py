@@ -5,6 +5,7 @@ Usage::
     python3 tools/report_hash.py --seed 7
     python3 tools/report_hash.py --seed 7 --residuals
     python3 tools/report_hash.py --seed 7 --cli
+    python3 tools/report_hash.py --seed 7 --parse
 
 For every case of order-sweep batches 0-1 and forcing-sweep batches 0-5
 (generated by ``bench/workloads.py``) it solves the equation, fitting
@@ -27,6 +28,13 @@ run's stdout), the README's CLI examples, and one run of each usage,
 parse, config and solver error, each also under ``--json``.  The hash is
 of ``json.dumps`` of the list of ``[argv, exit, stdout, stderr]`` of every
 run.
+
+With ``--parse`` it prints instead one sha256 over the exact parse of
+every equation source above: order-sweep batches 0-1, forcing-sweep
+batches 0-5 and cli-roundtrip batches 0-2.  Each source contributes
+``repr((spec.coeffs, spec.forcing))``, whose rationals are exact, or the
+type and message of the exception it raised; the other hashes go through
+floats, where two exact forms that round alike look the same.
 
 A change that claims bit-identical output must print the same hashes as
 its parent.  Characteristic roots carry floating-point dust that depends on
@@ -171,6 +179,21 @@ def cli_records(seed: int) -> list:
     return records
 
 
+def parse_records(seed: int) -> list[str]:
+    """The exact parse of every source ``--parse`` fingerprints, in order."""
+    cases = [case for make, batches in ((order_sweep, 2), (forcing_sweep, 6))
+             for batch in range(batches) for case in make(seed, batch)]
+    cases += [case.equation for batch in range(3) for case in cli_roundtrip(seed, batch)]
+    records = []
+    for case in cases:
+        try:
+            spec = problem_from_source(case.source, case.alpha)
+            records.append(repr((spec.coeffs, spec.forcing)))
+        except Exception as err:  # a refusal is part of the output being fingerprinted
+            records.append(repr((type(err).__name__, str(err))))
+    return records
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True, help="workload seed")
@@ -178,7 +201,13 @@ def main(argv=None) -> int:
                     help="also summarise each workload's verify outcomes and residuals")
     ap.add_argument("--cli", action="store_true",
                     help="fingerprint whole command lines instead (see above)")
+    ap.add_argument("--parse", action="store_true",
+                    help="fingerprint the exact parse of every source instead (see above)")
     ns = ap.parse_args(argv)
+    if ns.parse:
+        records = parse_records(ns.seed)
+        print(f"parse {len(records)} sources {digest(json.dumps(records))}")
+        return 0
     if ns.cli:
         records = cli_records(ns.seed)
         print(f"cli {len(records)} runs {digest(json.dumps(records))}")
