@@ -31,15 +31,17 @@ so ``exp(3 t^a)`` at alpha 0.3 has the rate 9/10: with ``u = t^alpha /
 alpha``, ``t^(k alpha)`` is ``alpha^k u^k`` and ``e^(c t^alpha)`` is
 ``e^(c alpha u)``, all exact.
 
-One parse does a fixed amount of exact work per token and per term.  The
-lexer scans the whole text once, before any grammar rule runs, so a bad
-literal or character anywhere is reported ahead of a grammar error to its
-left.  Each product's numbers, t-powers and exponentials multiply into the
-integer fields of one term, which becomes a :class:`UTerm` once; only trig
-factors (product-to-sum) and parenthesised groups multiply out into more
-terms.  A sum gathers every product's terms, each scaled by the sign and by
-the reciprocal of the leading coefficient, and is canonicalised once, so
-parse time grows linearly with the text.
+The lexer scans the whole text once, before any grammar rule runs, so a
+bad literal or character anywhere is reported ahead of a grammar error to
+its left.  Each product's numbers, t-powers, exponentials and first trig
+factor multiply into the fields of one term, which becomes a
+:class:`UTerm` once, its coefficient's integers reduced once they grow
+long.  Later trig factors (product-to-sum) and parenthesised groups
+multiply out into more terms through :func:`~confode.ualgebra.mul`, which
+merges like terms after each.  A sum gathers every product's terms, each
+scaled by the sign and by the reciprocal of the leading coefficient, and
+is canonicalised once, so parse time grows linearly with the number of
+terms in a sum; a long product costs what its exact value does.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import re
 from fractions import Fraction
 
 from .solver import ProblemSpec
-from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, _mul_terms, canonicalize, mul
+from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, canonicalize, expr, mul
 
 # one token per match, its leading whitespace skipped; "bad" is the first
 # character no token starts with, and a match of no group the end
@@ -127,28 +129,30 @@ def _lex(src: str) -> list[tuple[str, int, Fraction | None]]:
 
 
 class _Product:
-    """One product's factors, read into the fields of one term as integers:
-    the coefficient ``num / den``, ``upow`` and the rate ``enum / eden``.
-    Trig factors and parenthesised groups are kept aside and multiplied in
-    by :meth:`terms`."""
+    """One product's factors, read into the fields of one term: the
+    coefficient as integers ``num / den``, ``upow``, the rate ``erate`` and
+    the first trig factor.  Parenthesised groups and later trig factors are
+    kept aside and multiplied in by :meth:`terms`."""
 
-    __slots__ = ("num", "den", "upow", "enum", "eden", "trigs", "groups")
+    __slots__ = ("num", "den", "upow", "erate", "trig", "tfreq", "groups")
 
     def __init__(self, coeff: Fraction):
         self.num, self.den = coeff.numerator, coeff.denominator
-        self.upow, self.enum, self.eden = 0, 0, 1
-        self.trigs, self.groups = [], []  # (trig, tfreq) pairs, UExprs
+        self.upow, self.erate = 0, _ZERO
+        self.trig, self.tfreq, self.groups = None, _ZERO, []
+
+    def scale(self, num: int, den: int):
+        """Multiply the coefficient by ``num / den``, put in lowest terms once
+        the denominator is long, so a long product's integers stay about as
+        long as its value."""
+        num, den = self.num * num, self.den * den
+        g = math.gcd(num, den) if den.bit_length() > 64 else 1
+        self.num, self.den = num // g, den // g
 
     def terms(self) -> list[UTerm]:
-        """The product's terms: one unless trig factors or groups multiply
-        it out (product-to-sum through :func:`~confode.ualgebra._mul_terms`,
-        groups through :func:`~confode.ualgebra.mul`)."""
-        trigs = self.trigs or [(None, _ZERO)]
-        erate = Fraction(self.enum, self.eden) if self.enum else _ZERO
-        terms = [UTerm(Fraction(self.num, self.den), self.upow, erate, *trigs[0])]
-        for trig, tfreq in trigs[1:]:
-            factor = UTerm(_ONE, trig=trig, tfreq=tfreq)
-            terms = [p for t in terms for p in _mul_terms(t, factor)]
+        """The product's terms: one unless groups multiply it out through
+        :func:`~confode.ualgebra.mul`, which merges like terms after each."""
+        terms = [UTerm(Fraction(self.num, self.den), self.upow, self.erate, self.trig, self.tfreq)]
         for group in self.groups:
             terms = list(mul(canonicalize(terms), group).terms)
         return terms
@@ -267,8 +271,7 @@ class _Parser:
             self.factor(product)
         elif value is not None:
             self.i += 1
-            product.num *= value.numerator
-            product.den *= value.denominator
+            product.scale(value.numerator, value.denominator)
         elif text == "t":
             self.tpow_plain(product)
         elif text in _FUNCTIONS:
@@ -309,8 +312,7 @@ class _Parser:
         power = self.powers.get(k)
         if power is None:
             power = self.powers[k] = (self.alpha.numerator ** k, self.alpha.denominator ** k)
-        product.num *= power[0]
-        product.den *= power[1]
+        product.scale(*power)
         product.upow += k
 
     def func(self, product: _Product):
@@ -335,10 +337,12 @@ class _Parser:
         # the rate c * alpha
         num, den = num * self.alpha.numerator, den * self.alpha.denominator
         if kind == "exp":
-            product.enum = product.enum * den + num * product.eden
-            product.eden *= den
-        else:
-            product.trigs.append((SIN if kind == "sin" else COS, Fraction(num, den)))
+            product.erate += Fraction(num, den)
+        elif product.trig is None:
+            product.trig, product.tfreq = SIN if kind == "sin" else COS, Fraction(num, den)
+        else:  # product-to-sum, merged like a group's product
+            product.groups.append(expr(UTerm(
+                _ONE, trig=SIN if kind == "sin" else COS, tfreq=Fraction(num, den))))
 
     def integer(self, expected: str) -> int:
         """A positive integer t-power exponent, at most MAX_T_POWER."""

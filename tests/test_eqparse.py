@@ -609,20 +609,25 @@ def test_forcing_trees_parse_as_the_reference(ast, alpha):
     assert_parses_as_reference(f"T2 y - 3 T y + 0.5 y = {render_texpr(ast)}", alpha)
 
 
-def test_parse_work_is_linear_in_the_terms_of_a_sum(monkeypatch):
-    # the terms canonicalisation visits while parsing a sum of n distinct
-    # exponentials; merging the growing sum at every "+" visits ~n^2/2
-    visited = []
+@pytest.fixture
+def visited(monkeypatch):
+    """The length of every term list ``canonicalize`` merges from here on."""
+    lengths = []
     canonicalize = ualgebra.canonicalize
 
     def counting(terms):
         terms = list(terms)
-        visited.append(len(terms))
+        lengths.append(len(terms))
         return canonicalize(terms)
 
-    for module in (ualgebra, eqparse):  # the sum and the products' groups
+    for module in (ualgebra, eqparse):  # the sum, the products' groups and mul
         monkeypatch.setattr(module, "canonicalize", counting)
+    return lengths
 
+
+def test_parse_work_is_linear_in_the_terms_of_a_sum(visited):
+    # the terms canonicalisation visits while parsing a sum of n distinct
+    # exponentials; merging the growing sum at every "+" visits ~n^2/2
     def visits(n: int) -> int:
         visited.clear()
         src = "T y + y = " + " + ".join(f"exp({k} t^a)" for k in range(1, n + 1))
@@ -631,3 +636,30 @@ def test_parse_work_is_linear_in_the_terms_of_a_sum(monkeypatch):
 
     assert visits(200) >= 200
     assert visits(400) <= 2.2 * visits(200)
+
+
+def test_parse_merges_a_trig_products_terms_after_each_factor(visited):
+    # sin(t^a)^16 has 9 frequencies, and merging after each factor keeps the
+    # partial products that short (~250 terms visited in all); multiplying
+    # the factors out before merging doubles the terms per factor (2^15)
+    src = "T y = " + " ".join(["sin(t^a)"] * 16)
+    assert len(problem_from_source(src, 0.5).forcing.terms) == 9
+    assert sum(visited) <= 2 * 16 ** 2
+    assert_parses_as_reference(src, 0.5)
+
+
+def test_parse_keeps_a_long_products_integers_short(monkeypatch):
+    # each literal and t-power multiplies the coefficient's integers; they
+    # are reduced once they grow long, not carried as 10^200 / 10^200
+    lengths = []
+    terms = eqparse._Product.terms
+
+    def recording(product):
+        lengths.append(max(product.num.bit_length(), product.den.bit_length(),
+                           product.erate.denominator.bit_length()))
+        return terms(product)
+
+    monkeypatch.setattr(eqparse._Product, "terms", recording)
+    src = "T y = " + "exp(t^a) * exp(-t^a) * 2 * 0.5 * " * 200 + "t^a"
+    assert problem_from_source(src, 0.3).forcing == expr(UTerm(F(3, 10), 1))
+    assert lengths and max(lengths) <= 128

@@ -34,7 +34,10 @@ every equation source above: order-sweep batches 0-1, forcing-sweep
 batches 0-5 and cli-roundtrip batches 0-2.  Each source contributes
 ``repr((spec.coeffs, spec.forcing))``, whose rationals are exact, or the
 type and message of the exception it raised; the other hashes go through
-floats, where two exact forms that round alike look the same.
+floats, where two exact forms that round alike look the same.  The hash is
+for comparing two commits (copy the tool into the older checkout); within
+one tree, ``tests/test_eqparse.py`` compares the parser with a frozen copy
+of its predecessor on these sources.
 
 A change that claims bit-identical output must print the same hashes as
 its parent.  Characteristic roots carry floating-point dust that depends on
