@@ -35,7 +35,8 @@ def main():
     grid = OracleGrid(ALPHA, points)
     print(f"complex-step quotient Im f(t + i*eps*t^{{1-alpha}}) / eps, eps = {STEP!r}, "
           "of e^{2 t^alpha} against 2*alpha*f(t):")
-    for t, got, value in zip(points, grid.quotient(f.float_rows), grid.values(f.float_rows)):
+    # the grid's columns of f: its values, then the quotient of its rows
+    for t, value, got in zip(points, *grid.columns(f, 1)):
         want = 2.0 * ALPHA * value
         print(f"  t={t:<4} quotient={got:.10f}  closed form={want:.10f}  "
               f"relative error={abs(got - want) / abs(want):.2e}")

@@ -78,10 +78,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def full(self) -> list[Fraction]:
-        """Highest-first coefficient list including the leading 1."""
-        return [Fraction(1), *reversed(self.coeffs)]
-
     def describe(self) -> str:
         parts = [f"r^{self.degree}"]
         for i in range(self.degree - 1, -1, -1):

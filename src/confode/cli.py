@@ -57,7 +57,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, format_t, lowered_levels
+from .ualgebra import ZERO, PointTable, SubstMap, format_t
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -279,13 +279,13 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     The oracle is one :class:`OracleGrid` over the grid and, for a fitted
     solution, ``t0`` as its last point, so the initial-value check reads
     the values and quotients that the grid checks evaluated there: the
-    numbers a one-point table at ``t0`` gives.  After each check only those
-    ``t0`` entries are kept, and the grid drops the check's sums.
-    Residuals, worst points and the underflow test read the grid's points
-    only, and the underflow test reads the level-0 sum that the residual
-    already took.  ``t0`` is checked like every grid point: one outside
-    the oracle's domain raises before any check runs, and a value that
-    overflows there fails the first check that evaluates it.
+    numbers a one-point table at ``t0`` gives.  The grid keeps the columns
+    of the expression whose check runs, which the residual summed; the
+    underflow test reads them at the grid's points, and after each check
+    only their ``t0`` entries are kept.  Residuals and worst points read
+    the grid's points only.  ``t0`` is checked like every grid point: one
+    outside the oracle's domain raises before any check runs, and a value
+    that overflows there fails the first check that evaluates it.
     """
     alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
@@ -306,18 +306,18 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
 
     found = {}
     at_t0 = []  # per check, what the initial-value check reads at t0
+    n = sol.spec.order
     for label, y, forcing in checks:
         found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
-        # values that all underflow to 0 check nothing
-        if not y.is_zero() and not any(oracle.values(y.float_rows)[:count]):
+        # y's columns are the grid's, summed by the residual; no name here
+        # holds them, so the grid releases them before the next check's.
+        # Values that all underflow to 0 check nothing.
+        if not y.is_zero() and not any(oracle.columns(y, n)[0][:count]):
             raise FloatingPointError(f"every value of the {label} underflows to 0")
         if sol.ic is not None:
             # level 0's value and the quotient of each level below the
-            # last, at the table's last point: the residual took them all
-            levels = lowered_levels(y, sol.spec.order)
-            at_t0.append([oracle.values(levels[0])[-1]]
-                         + [oracle.quotient(level)[-1] for level in levels[:-1]])
-        oracle.drop_sums()
+            # last, at the table's last point
+            at_t0.append([column[-1] for column in oracle.columns(y, n)[:n]])
     if sol.ic is not None:
         t0, targets = sol.ic
         # v + sum c_i e_i at t0 against the targets: level 0 is the value,
@@ -383,8 +383,9 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     step = (hi - lo) / (count - 1)
     ts = [hi if i == count - 1 else lo + i * step for i in range(count)]
     table = PointTable(ts, subst)
-    basis_vals = [table.eval(e) for e in sol.basis.elements]
-    part_val = table.eval(sol.particular) if sol.particular is not None else [0.0] * count
+    basis_vals = [table.values(e.float_rows) for e in sol.basis.elements]
+    part_val = ([0.0] * count if sol.particular is None
+                else table.values(sol.particular.float_rows))
     y = [0.0] * count  # summed left to right at each point
     for c, vals in zip(constants, basis_vals):
         y = [s + c * v for s, v in zip(y, vals)]

@@ -21,7 +21,6 @@ whole equation.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat
 
 from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels
 
@@ -59,21 +58,21 @@ class OracleGrid:
     """The points of a verify grid, each stepped off the real axis.
 
     One :class:`PointTable` over the complex points ``t + i*STEP*t**(1-alpha)``
-    fills the factor columns ``u**k``, ``exp(r*u)`` and ``cos``/``sin(b*u)``
+    holds the factor columns ``u**k``, ``exp(r*u)`` and ``cos``/``sin(b*u)``
     shared by every expression checked on the grid.  Every term of every
     derivative level is a real coefficient times a *shape*
     ``u**k * exp(r*u) * trig(b*u)``, keyed ``(upow, erate, trig, tfreq)``
     as in the rows of :attr:`~confode.ualgebra.UExpr.float_rows`, the
     library's one binary64 form of an expression and of each of its
-    derivative levels.  The grid multiplies
-    each shape's factor columns once, left to right, and splits the complex
-    product once: its real part is the shape's value at ``t`` (to rounding:
-    the step moves it by ``STEP**2`` relative), and its imaginary part
-    divided by :data:`STEP` is the shape's limit quotient at ``t``.  The
-    values and quotients of a level are then binary64 sums,
-    ``s + coeff * column`` over its rows in order, each computed when first
-    asked for and kept per level object, which the grid holds until
-    :meth:`drop_sums`.
+    derivative levels.  The grid splits each shape's column,
+    :meth:`PointTable.shape`, once and keeps both parts: the real part is
+    the shape's value at ``t`` (to rounding: the step moves it by
+    ``STEP**2`` relative), and the imaginary part divided by :data:`STEP`
+    is the shape's limit quotient at ``t``.  The values and quotients of a
+    level are binary64 sums, ``s + coeff * column`` over its rows in order,
+    the rounding of :func:`~confode.ualgebra.eval_expr`.  Of those sums the
+    grid keeps one expression's, the last that :meth:`columns` was asked
+    for.
 
     Each point's values depend on that point alone, so a point may join
     any table: verify's one table holds the grid and, for a fitted
@@ -101,51 +100,45 @@ class OracleGrid:
             points.append(complex(t, STEP * t ** (1.0 - alpha)))
         self.table = PointTable(points, subst)
         self._shapes: dict[tuple, tuple[list[float], list[float]]] = {}
-        # per level id: the level (holding it keeps its id unique) and its
-        # sums, one cache for values and one for quotients
-        self._sums: tuple[dict, dict] = ({}, {})
+        # the expression columns() last summed, and its columns
+        self._kept: tuple[UExpr, list[list[float]]] | None = None
 
     def _shape(self, key: tuple) -> tuple[list[float], list[float]]:
         """The values and quotients of the shape ``key`` at every point."""
         hit = self._shapes.get(key)
         if hit is None:
-            cols = self.table.factors(*key)
-            if not cols:
-                hit = ([1.0] * len(self.ts), [0.0] * len(self.ts))
-            else:
-                z = cols[0]
-                for col in cols[1:]:
-                    z = [a * b for a, b in zip(z, col)]
-                hit = ([v.real for v in z], [v.imag / STEP for v in z])
-            self._shapes[key] = hit
+            z = self.table.shape(*key)
+            hit = self._shapes[key] = ([v.real for v in z], [v.imag / STEP for v in z])
         return hit
 
     def _sum(self, level: Rows, part: int) -> list[float]:
-        """``level``'s values (part 0) or quotients (part 1), summed once."""
-        hit = self._sums[part].get(id(level))
-        if hit is None:
-            total = repeat(0.0, len(self.ts))  # the first row adds to 0.0
-            for row in level:
-                coeff, col = row[0], self._shape(row[1:])[part]
-                total = [s + coeff * v for s, v in zip(total, col)]
-            hit = self._sums[part][id(level)] = (level, list(total))
-        return hit[1]
-
-    def drop_sums(self):
-        """Forget every level's values and quotients, and the levels; the
-        shape columns stay."""
-        for sums in self._sums:
-            sums.clear()
+        """``level``'s values (part 0) or quotients (part 1) at every point."""
+        total = [0.0] * len(self.ts)
+        for row in level:
+            coeff, col = row[0], self._shape(row[1:])[part]
+            total = [s + coeff * v for s, v in zip(total, col)]
+        return total
 
     def values(self, level: Rows) -> list[float]:
         """``level`` (an expression's :attr:`~confode.ualgebra.UExpr.float_rows`
         or a level from :func:`~confode.ualgebra.lowered_levels`) at each
-        grid point."""
+        grid point, summed each time it is asked for."""
         return self._sum(level, 0)
 
-    def quotient(self, level: Rows) -> list[float]:
-        """The limit quotient of ``level`` at each grid point."""
-        return self._sum(level, 1)
+    def columns(self, y: UExpr, n: int) -> list[list[float]]:
+        """``y``'s values at each grid point, then the limit quotients of its
+        first ``n`` levels: ``n + 1`` columns.
+
+        The grid keeps the columns of the last expression asked for, so
+        asking again for the same expression object and ``n`` sums nothing,
+        and releases them before it sums another's.
+        """
+        if self._kept is None or self._kept[0] is not y or len(self._kept[1]) != n + 1:
+            self._kept = None
+            levels = lowered_levels(y, n)
+            self._kept = (y, [self._sum(levels[0], 0)]
+                          + [self._sum(level, 1) for level in levels])
+        return self._kept[1]
 
 
 def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
@@ -163,11 +156,12 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     The symbolic levels are ``y``'s binary64 rows and the rows derived from
     them, :func:`~confode.ualgebra.lowered_levels`, cached on ``y``, so
     levels that the constant fit or an earlier check derived are reused.
-    Every level is summed from the grid's shape columns, all points at
-    once, and the grid keeps each sum, so nothing passed again on the same
-    grid is summed again.  The sums, and then the combination and scale
-    below, follow a point-by-point loop over the points in the same
-    operations, so each residual is the one that loop gives.
+    :meth:`OracleGrid.columns` sums them from the grid's shape columns, all
+    points at once, and the grid keeps them until it is asked for another
+    expression's, so a caller reads ``y``'s columns again without summing
+    them.  The sums, and then the combination and scale below, follow a
+    point-by-point loop over the points in the same operations, so each
+    residual is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
@@ -177,10 +171,8 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    levels = lowered_levels(y, n)
-    values = [grid.values(levels[0])] + [grid.quotient(level) for level in levels]
     out = []
-    for row in zip(*values, grid.values(forcing.float_rows)):
+    for row in zip(*grid.columns(y, n), grid.values(forcing.float_rows)):
         top, q = row[n], row[n + 1]
         acc = top - q
         scale = abs(top) + abs(q)

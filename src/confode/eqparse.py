@@ -23,7 +23,8 @@ inside function arguments (``exp(-4 t^a)``) so decaying exponentials can
 be written directly.  Implicit multiplication binds a number to a
 following symbol or parenthesis, never to another number, and a bare ``-``
 after a factor always means subtraction.  Orders above :data:`MAX_ORDER`
-and t-powers above :data:`MAX_T_POWER` are refused.
+and t-powers above :data:`MAX_T_POWER` are refused, and so is a t-power
+not written as digits, such as ``t^(2.0 a)``.
 
 Every literal is read exactly from its digits, as an integer over a power
 of ten, so ``0.9`` is 9/10, and alpha as its shortest round-trip decimal,
@@ -345,10 +346,10 @@ class _Parser:
                 _ONE, trig=SIN if kind == "sin" else COS, tfreq=Fraction(num, den))))
 
     def integer(self, expected: str) -> int:
-        """A positive integer t-power exponent, at most MAX_T_POWER."""
-        _, pos, value = self.tokens[self.i]
-        value = value or 0
-        if value.denominator != 1 or value <= 0:
+        """A positive integer t-power exponent written as digits, at most
+        MAX_T_POWER: ``2.0`` and ``2e0`` are refused, although they equal 2."""
+        text, pos, value = self.tokens[self.i]
+        if not text.isdecimal() or value <= 0:
             self.fail(expected)
         if value > MAX_T_POWER:
             raise EquationSyntaxError(

@@ -9,8 +9,11 @@ finite sum of terms
     coeff * u**upow * exp(erate*u) * {1 | cos(tfreq*u) | sin(tfreq*u)}
 
 and this module implements that sum type: canonical construction, the
-ring operations, d/du, and evaluation back in the t domain, at one point
-(:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`).
+ring operations, d/du, and evaluation back in the t domain.  Evaluation
+has one rounding rule: each row is ``coeff * shape``, the shape's factors
+multiplied left to right, and the rows are summed in order, at one point
+(:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`,
+whose shape columns the oracle reads too).
 
 Every number in a term is an exact rational, so the cancellation the
 solver depends on is exact, and merging drops only exact zeros.  The one
@@ -42,7 +45,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 
 COS = "cos"
 SIN = "sin"
@@ -412,35 +414,37 @@ def lowered_levels(f: UExpr, count: int) -> list[Rows]:
 
 def eval_expr(f: UExpr | Rows, t: float, subst: SubstMap) -> float:
     """Evaluate an expression, or a level from :func:`lowered_levels`, back
-    in the t domain through ``u = t**alpha / alpha``."""
+    in the t domain through ``u = t**alpha / alpha``.
+
+    Each row is ``coeff * shape``, the shape's factors multiplied left to
+    right, and the rows are summed in order, as :meth:`PointTable.values`
+    sums them at every point.
+    """
     u = subst.u_of(t)
     total = 0.0
     for coeff, upow, erate, trig, tfreq in f.float_rows if isinstance(f, UExpr) else f:
-        v = coeff
-        if upow:
-            v *= u ** upow
+        shape = u ** upow if upow else 1.0
         if erate:
-            v *= math.exp(erate * u)
+            shape *= math.exp(erate * u)
         if trig == 1:  # COS
-            v *= math.cos(tfreq * u)
+            shape *= math.cos(tfreq * u)
         elif trig == 2:  # SIN
-            v *= math.sin(tfreq * u)
-        total += v
+            shape *= math.sin(tfreq * u)
+        total += coeff * shape
     return total
 
 
 class PointTable:
-    """Evaluates expressions at a fixed set of points, all points at once.
+    """Evaluates term shapes and rows at a fixed set of points, all points at once.
 
     The factor values ``u**k``, ``exp(r*u)``, ``cos(b*u)`` and ``sin(b*u)``
-    are filled on demand, one column per distinct key, and shared by every
-    expression the table evaluates.  Columns use Python's ``**`` and
-    :mod:`math`, and :meth:`eval` multiplies and sums them in the order of
-    :func:`eval_expr`, so ``eval(f)[i] == eval_expr(f, ts[i], subst)``
-    bit for bit.  Complex points (the oracle's complex step) take
-    :mod:`cmath`'s functions instead, and only their factor columns are
-    read: :class:`~confode.conformable.OracleGrid` multiplies them into
-    one column per term shape itself.  Results are not kept.
+    are filled on demand, one column per distinct key, and kept for every
+    shape the table evaluates.  Columns use Python's ``**`` and :mod:`math`,
+    and :meth:`values` rounds each row as :func:`eval_expr` does, so
+    ``values(f.float_rows)[i] == eval_expr(f, ts[i], subst)`` bit for bit.
+    Complex points (the oracle's complex step) take :mod:`cmath`'s functions
+    instead, and :class:`~confode.conformable.OracleGrid` reads their
+    :meth:`shape` columns only.
     """
 
     def __init__(self, ts, subst: SubstMap):
@@ -460,36 +464,33 @@ class PointTable:
             self._columns[kind, x] = col
         return col
 
-    def factors(self, upow: int, erate: float, trig: int, tfreq: float) -> list[list[float]]:
-        """The factor columns of the shape ``u**upow * exp(erate*u) * trig(tfreq*u)``
-        (trig rank 0, 1 for cos or 2 for sin), in that order, each present
-        factor only: an empty list is the constant shape 1."""
+    def shape(self, upow: int, erate: float, trig: int, tfreq: float) -> list[float]:
+        """The shape ``u**upow * exp(erate*u) * trig(tfreq*u)`` (trig rank 0,
+        1 for cos or 2 for sin) at every point: its factor columns multiplied
+        left to right, or 1.0 for the constant shape.  The product is not
+        kept, and a one-factor shape is the table's own column: read it
+        only."""
         cols = []
         if upow:
             cols.append(self._column(None, upow))
         if erate:
             cols.append(self._column(self._exp, erate))
-        if trig == 1:  # COS
-            cols.append(self._column(self._cos, tfreq))
-        elif trig == 2:  # SIN
-            cols.append(self._column(self._sin, tfreq))
-        return cols
+        if trig:
+            cols.append(self._column(self._cos if trig == 1 else self._sin, tfreq))
+        if not cols:
+            return [1.0] * len(self.u)
+        z = cols[0]
+        for col in cols[1:]:
+            z = [a * b for a, b in zip(z, col)]
+        return z
 
-    def eval(self, f: UExpr) -> tuple[float, ...]:
-        """Values of ``f`` at every point."""
-        total = repeat(0.0, len(self.u))  # the first row adds to 0.0, as in eval_expr
-        for coeff, *shape in f.float_rows:
-            cols = self.factors(*shape)
-            # one product per point, left to right from coeff as in eval_expr
-            if not cols:
-                total = [s + coeff for s in total]
-            elif len(cols) == 1:
-                total = [s + coeff * a for s, a in zip(total, *cols)]
-            elif len(cols) == 2:
-                total = [s + coeff * a * b for s, a, b in zip(total, *cols)]
-            else:
-                total = [s + coeff * a * b * c for s, a, b, c in zip(total, *cols)]
-        return tuple(total)
+    def values(self, rows: Rows) -> list[float]:
+        """The sum of ``rows`` at every point: ``s + coeff * shape`` over
+        the rows in order, from 0.0."""
+        total = [0.0] * len(self.u)
+        for coeff, *shape in rows:
+            total = [s + coeff * v for s, v in zip(total, self.shape(*shape))]
+        return total
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from confode.conformable import DOMAIN_CEILING, DOMAIN_FLOOR, STEP, DomainError, OracleGrid
-from confode.ualgebra import Rows, SubstMap, UExpr, eval_expr, lowered_levels
+from confode.ualgebra import Rows, SubstMap, UExpr, eval_expr
 
 _EPS = 2.220446049250313e-16
 
@@ -156,11 +156,8 @@ def initial_value_check(sol) -> dict:
     at_t0 = OracleGrid(sol.spec.alpha, [t0])
     parts = [] if sol.particular is None else [(1.0, sol.particular)]
     parts += zip(sol.constants, sol.basis.elements)
-    rows = []
-    for c, f in parts:
-        levels = lowered_levels(f, sol.spec.order)
-        rows.append([c * at_t0.values(levels[0])[0]]
-                    + [c * at_t0.quotient(level)[0] for level in levels[:-1]])
+    n = sol.spec.order
+    rows = [[c * column[0] for column in at_t0.columns(f, n)[:n]] for c, f in parts]
     residuals = [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
                  for *terms, target in zip(*rows, targets)]
     return {"max_residual": max(residuals), "worst_t": t0}

@@ -7,8 +7,10 @@ sum at every ``+`` and ``-``.
 ``tests/test_eqparse.py`` parses the same text with both and asserts the
 same :class:`~confode.solver.ProblemSpec`, or the same error with the same
 message, offset and expected tokens.  The code below ``_TOKEN_RE`` is kept
-verbatim; only the imports are adapted, and :func:`reference_problem`
-stands in for ``problem_from_source``.
+verbatim, with one rule added since: a t-power exponent must be written as
+digits, so ``2.0`` and ``2e0`` are refused like ``1.5``.  Only the imports
+are adapted, and :func:`reference_problem` stands in for
+``problem_from_source``.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ class _Parser:
     def integer(self, expected: str) -> int:
         """A positive integer t-power exponent, at most MAX_T_POWER."""
         tok = self.peek()
-        value = tok.value if tok.kind == "num" else 0
+        value = tok.value if tok.kind == "num" and tok.text.isdecimal() else 0
         if value.denominator != 1 or value <= 0:
             self.fail(expected)
         if value > MAX_T_POWER:

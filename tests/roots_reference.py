@@ -1,5 +1,8 @@
 """Test-only helpers for characteristic polynomials.
 
+* :func:`full` lists a :class:`~confode.chareq.CharPoly`'s coefficients
+  highest first, the leading 1 included, the order numpy, mpmath and sympy
+  read.
 * :func:`eval_poly` and :func:`eval_poly_deriv` evaluate a
   :class:`~confode.chareq.CharPoly` (or a derivative of it) by Horner's
   rule in binary64.  ``tests/test_chareq.py``, ``tests/test_solver.py``
@@ -14,6 +17,8 @@
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,8 +37,13 @@ def _horner(coeffs, z):
     return acc
 
 
+def full(p: CharPoly) -> list[Fraction]:
+    """Highest-first coefficient list including the leading 1."""
+    return [Fraction(1), *reversed(p.coeffs)]
+
+
 def _floats(p: CharPoly) -> list[float]:
-    return [float(c) for c in p.full()]
+    return [float(c) for c in full(p)]
 
 
 def eval_poly(p: CharPoly, r: complex) -> complex:

@@ -6,7 +6,7 @@ import pytest
 import roots_reference
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from roots_reference import eval_poly, eval_poly_deriv
+from roots_reference import eval_poly, eval_poly_deriv, full
 
 import confode.chareq as chareq
 from confode.chareq import CharPoly, RootFindingError, RootSet, find_roots
@@ -31,7 +31,7 @@ def test_charpoly_validation():
     with pytest.raises(ValueError):
         CharPoly(())
     assert CharPoly((3, 4)).degree == 2
-    assert CharPoly((3, 4)).full() == [1.0, 4.0, 3.0]
+    assert full(CharPoly((3, 4))) == [1.0, 4.0, 3.0]
 
 
 def test_eval_poly_horner():
@@ -128,7 +128,7 @@ def mpmath_roots(p: CharPoly) -> list[complex]:
     """p's roots to 50 digits, by mpmath, rounded to complex."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p.full()]
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in full(p)]
         return [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)]
 
 
@@ -160,8 +160,8 @@ def test_random_polys_resolve_and_reconstruct(coeffs):
     keys = [(z.real, z.imag) for z, _ in rs.entries]
     assert keys == sorted(keys)
     recon = reconstruct_coeffs(rs)
-    full = np.array([float(c) for c in p.full()])
-    assert np.max(np.abs(recon - full)) <= 1e-8 * (1.0 + np.max(np.abs(full)))
+    want = np.array([float(c) for c in full(p)])
+    assert np.max(np.abs(recon - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
 def planted_decimal_root_sets():
@@ -304,7 +304,7 @@ def test_non_finite_coefficients_are_reported():
 def test_charpoly_lowers_the_lifted_form_per_coefficient(coeffs):
     p = CharPoly(coeffs)
     den = p.lifted[0]
-    assert p.full() == [Fraction(c, den) for c in p.lifted]
+    assert full(p) == [Fraction(c, den) for c in p.lifted]
     assert math.gcd(*p.lifted) == 1  # the least integer multiple
     # int / int rounds correctly, so the lifted form gives each coefficient's
     # own binary64 value
@@ -379,7 +379,7 @@ def has_exact_structure(p: CharPoly) -> bool:
     Gaussian-rational root, decided over Q by sympy."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in p.full()], x,
+    poly = sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in full(p)], x,
                       domain="QQ")
     for factor, mult in poly.factor_list()[1]:
         if mult > 1 or factor.degree() == 1:
@@ -423,14 +423,14 @@ def test_aberth_matches_the_numpy_reference(roots):
     planted = [(Fraction(z.real), Fraction(abs(z.imag)), 1) for z in roots if z.imag >= 0]
     p = CharPoly(tuple(float(c) for c in reversed(expand(planted)[1:])))
     assume(len(chareq._squarefree_factors(p.lifted)) == 1)
-    full = [float(c) for c in p.full()]
-    got = chareq._aberth(full)
-    want = list(roots_reference._aberth(full))
+    floats = [float(c) for c in full(p)]
+    got = chareq._aberth(floats)
+    want = list(roots_reference._aberth(floats))
     assert len(got) == len(want) == p.degree
     for z in got:  # one to one: each approximation has its own partner
         w = min(want, key=lambda w: abs(w - z))
         # Either iteration may stop anywhere |p| is below the noise floor,
         # about floor / |p'| from the root: tight clusters widen that radius.
-        frozen = chareq._noise_floor([abs(c) for c in full], z) / abs(eval_poly_deriv(p, z))
+        frozen = chareq._noise_floor([abs(c) for c in floats], z) / abs(eval_poly_deriv(p, z))
         assert abs(w - z) <= 1e-9 * (1.0 + abs(z)) + 2.0 * frozen, (p, z, w)
         want.remove(w)

@@ -872,24 +872,33 @@ def test_initial_values_read_the_grid_table_as_a_table_of_their_own(alpha, ic, s
 
 
 @pytest.mark.parametrize("ic", [None, (1.0, (1.0, 0.0, -1.0, 0.5))])
-def test_verify_drops_each_checks_sums(monkeypatch, ic):
-    # the grid holds one check's sums at a time: the checked expression's
-    # levels and the forcing's rows, then drops them
+def test_verify_holds_one_expressions_columns_at_a_time(monkeypatch, ic):
+    # the grid holds one expression's columns at a time: the old ones are
+    # released before the next expression's are summed
     source = "T4 y + 2 T2 y + y = t^a * exp(t^a) + cos(2 t^a)"
     spec = problem_from_source(source, 0.5)
     sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
-    held, drop = [], OracleGrid.drop_sums
+    grids, held, sum_rows = [], [], OracleGrid._sum
 
-    def recording(grid):
-        held.append([len(sums) for sums in grid._sums])
-        drop(grid)
+    def recording(grid, level, part):
+        if grid not in grids:
+            grids.append(grid)
+        held.append(None if grid._kept is None else grid._kept[0])
+        return sum_rows(grid, level, part)
 
-    monkeypatch.setattr(OracleGrid, "drop_sums", recording)
+    monkeypatch.setattr(OracleGrid, "_sum", recording)
     grid = log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT)
     report = _verify_one(sol, grid, DEFAULT_TOL)
     assert report["ok"]
-    # level 0 and the forcing summed as values, the 4 levels as quotients
-    assert held == [[2, 4]] * 5
+    # per check: level 0's values and the 4 levels' quotients summed with
+    # nothing held, then the forcing's values beside the check's columns
+    want = []
+    for y in [*sol.basis.elements, sol.particular]:
+        want += [None] * 5 + [y]
+    assert len(held) == len(want) and all(a is b for a, b in zip(held, want))
+    [oracle] = grids
+    assert oracle._kept[0] is sol.particular and len(oracle._kept[1]) == 5
+
 
 def _with_unit_ic(doc: dict, t0: float) -> str:
     """``doc`` as JSON, with unit constants and unit targets at ``t0``."""

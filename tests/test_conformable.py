@@ -307,7 +307,7 @@ def test_quotient_matches_symbolic_derivative(terms, alpha, t):
     sym = eval_expr(diff_u(f), t, subst)
     num = numeric_t_alpha_derivative(expr_grid(f, subst), t, alpha)
     assert abs(num - sym) <= 1e-4 * max(1.0, abs(sym))
-    batched = OracleGrid(alpha, [t]).quotient(f.float_rows)[0]
+    batched = OracleGrid(alpha, [t]).columns(f, 1)[1][0]
     assert abs(batched - sym) <= 1e-4 * max(1.0, abs(sym))
 
 
@@ -461,8 +461,7 @@ def test_oracle_grid_agrees_with_the_per_term_complex_step(alpha):
     oracle = OracleGrid(alpha, grid)
     for _ in range(30):
         f = random_expr(rng, rng.randint(1, 5))
-        rows = f.float_rows
-        for t, value, quotient in zip(grid, oracle.values(rows), oracle.quotient(rows)):
+        for t, value, quotient in zip(grid, *oracle.columns(f, 1)):
             terms = [(row,) for row in f.float_rows]  # one level per row
             steps = [complex_step(term, t, alpha) for term in terms]
             sizes = (sum(abs(eval_expr(term, t, subst)) for term in terms),
@@ -492,8 +491,46 @@ def test_point_table_equals_eval_expr_at_every_point():
         table = PointTable(ts, subst)
         for _ in range(15):
             f = random_expr(rng, rng.randint(0, 5))
-            got = table.eval(f)
-            assert got == tuple(eval_expr(f, t, subst) for t in ts)
+            got = table.values(f.float_rows)
+            assert got == [eval_expr(f, t, subst) for t in ts]
+
+
+# one row of each shape kind: (coeff, upow, erate, trig rank, tfreq)
+_SHAPE_ROWS = {
+    "constant": (-2.5, 0, 0.0, 0, 0.0),
+    "power": (1.75, 3, 0.0, 0, 0.0),
+    "exp": (0.3, 0, -1.25, 0, 0.0),
+    "cos": (-0.7, 0, 0.0, 1, 2.5),
+    "sin": (1.1, 0, 0.0, 2, 1.0 / 3.0),
+    "power-exp": (2.0 / 3.0, 2, 0.7, 0, 0.0),
+    "exp-sin": (-1.3, 0, -0.4, 2, 5.0 / 3.0),
+    "power-cos": (0.9, 1, 0.0, 1, 0.6),
+    "power-exp-cos": (1.0 / 7.0, 4, -1.1, 1, 2.0),
+    "power-exp-sin": (-3.3, 1, 0.45, 2, 0.8),
+}
+
+
+@pytest.mark.parametrize("rows", [(row,) for row in _SHAPE_ROWS.values()]
+                         + [tuple(_SHAPE_ROWS.values()),
+                            # one shape repeated across rows
+                            (_SHAPE_ROWS["power-exp-sin"], (0.25, 1, 0.45, 2, 0.8),
+                             _SHAPE_ROWS["constant"], (-7.0, 1, 0.45, 2, 0.8))],
+                         ids=[*_SHAPE_ROWS, "every-kind", "repeated-shape"])
+def test_point_table_rounds_each_row_as_eval_expr(rows):
+    # coeff * shape, the shape's factors multiplied left to right, rows
+    # summed in order from 0.0: bit for bit at every real point
+    for alpha in (0.3, 1.0):
+        subst = SubstMap(alpha)
+        ts = log_grid(0.01, 30.0, 40)
+        assert PointTable(ts, subst).values(rows) == [eval_expr(rows, t, subst) for t in ts]
+
+
+def test_oracle_grid_constant_row_is_its_coefficient_with_zero_quotient():
+    y = expr(UTerm(Fraction(-5, 3)))
+    oracle = OracleGrid(0.5, log_grid(0.01, 3.0, 20))
+    values, quotients = oracle.columns(y, 1)
+    assert values == [-5 / 3] * 20
+    assert quotients == [0.0] * 20
 
 
 def _raised(fn):
@@ -548,6 +585,6 @@ def test_quotient_is_within_rounding_of_the_exact_derivative(alpha):
     for _ in range(25):
         f = random_expr(rng, rng.randint(1, 5))
         df = diff_u(f)
-        for t, got in zip(grid, oracle.quotient(f.float_rows)):
+        for t, got in zip(grid, oracle.columns(f, 1)[1]):
             magnitude = sum(abs(eval_expr(expr(term), t, subst)) for term in df.terms)
             assert abs(got - eval_expr(df, t, subst)) <= 1e-12 * max(magnitude, 1e-300), (f, t)

@@ -388,6 +388,13 @@ _LITERAL_LIMIT = "numeric literal beyond 4300 digits or exponent 4300"
     pytest.param("T y = t^(0 a)", "found '0'", 9, "a positive integer power", id="zero-power"),
     pytest.param("T y = (t^a)^1.5", "found '1.5'", 12, "a positive integer power",
                  id="fractional-power"),
+    # an integer value not written as digits
+    pytest.param("T y = t^(2.0 a)", "found '2.0'", 9, "a positive integer power",
+                 id="decimal-point-power"),
+    pytest.param("T y = (t^a)^2e0", "found '2e0'", 12, "a positive integer power",
+                 id="exponent-power"),
+    pytest.param("T y = t^(20e-1 a)", "found '20e-1'", 9, "a positive integer power",
+                 id="scaled-exponent-power"),
     pytest.param("T y = 1 + t^(65 a)", "t-power exponent 65 exceeds the supported limit 64",
                  13, None, id="power-limit"),
     pytest.param("0 T2 y + y = 0", "leading coefficient (order 2) is zero", 0, None,

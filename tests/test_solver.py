@@ -931,8 +931,9 @@ def test_each_level_is_derived_once(monkeypatch, source, ic):
     # The constant fit and verify share the basis and particular levels, v's
     # n-th level is never built, and the initial-value check takes the
     # fitted sum's levels at t0 from them, not derived.  Each level is
-    # summed once per part on verify's grid: the underflow test reads the
-    # level-0 sum the residual took.
+    # summed once per check on verify's grid, from the level objects the
+    # expressions hold: the underflow test and the t0 entries read the
+    # columns the residual summed.
     derived, exact, summed = [], [], []
     derive_rows, sum_rows = ualgebra._derive_rows, OracleGrid._sum
 
@@ -941,8 +942,7 @@ def test_each_level_is_derived_once(monkeypatch, source, ic):
         return derive_rows(rows)
 
     def counting_sums(grid, level, part):
-        if id(level) not in grid._sums[part]:
-            summed.append((part, level))
+        summed.append((part, level))
         return sum_rows(grid, level, part)
 
     monkeypatch.setattr(ualgebra, "_derive_rows", counting)
@@ -957,15 +957,16 @@ def test_each_level_is_derived_once(monkeypatch, source, ic):
     assert len(set(ids)) == len(ids)
     # the numeric consumers derive the binary64 rows, never the exact form
     assert exact == []
-    chains = list(sol.basis.elements)
+    checks = [(e, ualgebra.ZERO) for e in sol.basis.elements]
     if sol.particular is not None:
-        chains.append(sol.particular)
-    held = {id(sol.spec.forcing.float_rows), id(ualgebra.ZERO.float_rows)}
-    for f in chains:
+        checks.append((sol.particular, sol.spec.forcing))
+    want = []
+    for f, forcing in checks:
         levels = ualgebra.lowered_levels(f, n)
         assert levels[0] is f.float_rows
         assert [id(level) in ids for level in levels] == [True] * (n - 1) + [False]
-        held.update(map(id, levels))
-    assert len(derived) == len(chains) * (n - 1)
-    # every sum reads a level the expressions hold, never a second copy
-    assert all(id(rows) in held for _, rows in summed)
+        # per check: level 0's values, each level's quotients, the forcing's values
+        want += [(0, levels[0])] + [(1, level) for level in levels] + [(0, forcing.float_rows)]
+    assert len(derived) == len(checks) * (n - 1)
+    assert [part for part, _ in summed] == [part for part, _ in want]
+    assert all(got is rows for (_, got), (_, rows) in zip(summed, want))

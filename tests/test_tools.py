@@ -24,7 +24,9 @@ def report_hash_lines(monkeypatch, capsys, argv: list[str]) -> list[str]:
 
 def test_report_hash_residuals_runs_in_process(capsys, monkeypatch):
     every_verify_ok = r"residuals ok \d+ not-ok 0 raised 0 log10 median \S+ max \S+"
+    # only order-sweep fits constants, so only it has initial-value checks
     patterns = [rf"order-sweep 68 cases {SHA}", rf"order-sweep {every_verify_ok}",
+                r"order-sweep initial values [1-9]\d* checks log10 median \S+ max \S+",
                 rf"forcing-sweep 198 cases {SHA}", rf"forcing-sweep {every_verify_ok}",
                 rf"sample exit 0 {SHA}"]
     lines = report_hash_lines(monkeypatch, capsys, ["--seed", "7", "--residuals"])

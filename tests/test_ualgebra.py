@@ -228,20 +228,21 @@ def test_ring_laws_by_evaluation(f, g, h):
 
 
 def _eval_by_terms(f, t, subst):
-    """Term-by-term evaluation converting each Fraction rate on every call."""
+    """Term-by-term evaluation converting each Fraction rate on every call:
+    the shape's factors multiplied left to right, then the coefficient."""
     u = subst.u_of(t)
     total = 0.0
     for term in f.terms:
-        v = term.coeff
+        shape = 1.0
         if term.upow:
-            v *= u ** term.upow
+            shape *= u ** term.upow
         if term.erate:
-            v *= math.exp(float(term.erate) * u)
+            shape *= math.exp(float(term.erate) * u)
         if term.trig == COS:
-            v *= math.cos(float(term.tfreq) * u)
+            shape *= math.cos(float(term.tfreq) * u)
         elif term.trig == SIN:
-            v *= math.sin(float(term.tfreq) * u)
-        total += v
+            shape *= math.sin(float(term.tfreq) * u)
+        total += term.coeff * shape
     return total
 
 

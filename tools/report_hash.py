@@ -18,8 +18,10 @@ stdout of one ``sample --columns full`` run.
 
 With ``--residuals`` it also prints, per workload, how many verifies were
 ok, not ok and raised, and the median and max log10 of the verify
-reports' ``max_residual``.  That is the check for a change that moves the
-hashes on purpose: no verify should get worse.
+reports' ``max_residual``; and, for a workload with fitted cases, how many
+initial-value checks (the reports' ``combined`` records) ran, with the
+median and max log10 of their ``max_residual``.  That is the check for a
+change that moves the hashes on purpose: no verify should get worse.
 
 With ``--cli`` it prints instead one sha256 over the whole command line:
 ``cli.main`` runs in-process, with stdout and stderr captured, over
@@ -138,16 +140,29 @@ def case_record(case) -> list:
         return [type(err).__name__, str(err)]
 
 
+def log_spread(records: list[dict]) -> str:
+    """The median and max log10 ``max_residual`` of verify records."""
+    logs = [math.log10(r["max_residual"]) if r["max_residual"] > 0 else -math.inf
+            for r in records]
+    if not logs:
+        return "no residuals"
+    return f"log10 median {statistics.median(logs):.2f} max {max(logs):.2f}"
+
+
 def residual_summary(records: list) -> str:
     """Verify outcome counts and log10 residual spread of case records."""
     reports = [r[1] for r in records if isinstance(r[1], dict)]
     ok = sum(1 for r in reports if r["ok"])
-    logs = [math.log10(r["max_residual"]) if r["max_residual"] > 0 else -math.inf
-            for r in reports]
-    spread = (f"log10 median {statistics.median(logs):.2f} max {max(logs):.2f}"
-              if logs else "no residuals")
     return (f"ok {ok} not-ok {len(reports) - ok} raised {len(records) - len(reports)} "
-            f"{spread}")
+            f"{log_spread(reports)}")
+
+
+def initial_value_summary(records: list) -> str | None:
+    """The count and log10 residual spread of the initial-value checks of
+    case records, or None when no case was fitted."""
+    checks = [r[1]["combined"] for r in records
+              if isinstance(r[1], dict) and r[1]["combined"] is not None]
+    return f"{len(checks)} checks {log_spread(checks)}" if checks else None
 
 
 def digest(text: str) -> str:
@@ -222,6 +237,8 @@ def main(argv=None) -> int:
         print(f"{name} {len(records)} cases {digest(json.dumps(records, sort_keys=True))}")
         if ns.residuals:
             print(f"{name} residuals {residual_summary(records)}")
+            if summary := initial_value_summary(records):
+                print(f"{name} initial values {summary}")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(SAMPLE_ARGV)
