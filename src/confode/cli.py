@@ -282,32 +282,39 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     numbers a one-point table at ``t0`` gives.  The grid keeps the columns
     of the expression whose check runs, which the residual summed; the
     underflow test reads them at the grid's points, and after each check
-    only their ``t0`` entries are kept.  Residuals and worst points read
-    the grid's points only.  ``t0`` is checked like every grid point: one
-    outside the oracle's domain raises before any check runs, and a value
-    that overflows there fails the first check that evaluates it.
+    only their ``t0`` entries are kept, each times the check's constant.
+    Residuals and worst points read the grid's points only.  ``t0`` is
+    checked like every grid point: one outside the oracle's domain raises
+    before any check runs, and a value that overflows there fails the first
+    check that evaluates it.
     """
     alpha = sol.spec.alpha
     coeffs = [float(c) for c in sol.spec.coeffs]
-    checks = [(f"basis element {i + 1}", e, ZERO) for i, e in enumerate(sol.basis.elements)]
+    # each check's constant scales its entries at t0; unfitted, none are taken
+    constants = sol.constants or (1.0,) * sol.basis.n
+    checks = [(f"basis element {i + 1}", e, ZERO, c)
+              for i, (e, c) in enumerate(zip(sol.basis.elements, constants))]
     if sol.particular is not None:
-        checks.append(("particular solution", sol.particular, sol.spec.forcing))
+        checks.append(("particular solution", sol.particular, sol.spec.forcing, 1.0))
     count = len(grid)
     oracle = OracleGrid(alpha, grid if sol.ic is None else [*grid, sol.ic[0]])
 
-    def worst_point(ts, residuals) -> dict:
-        worst, worst_t = -1.0, ts[0]
-        for t, r in zip(ts, residuals):
-            if not math.isfinite(r):  # a value overflowed; nan would never be the worst
-                raise OverflowError(f"the residual at t = {t!r} is not finite")
-            if r > worst:
-                worst, worst_t = r, t
-        return {"max_residual": worst, "worst_t": worst_t}
+    def worst_point(ts, residuals: list[float]) -> dict:
+        # the first maximum, as a loop keeping only a strictly greater one
+        if not all(map(math.isfinite, residuals)):  # a value overflowed
+            for t, r in zip(ts, residuals):
+                if not math.isfinite(r):
+                    raise OverflowError(f"the residual at t = {t!r} is not finite")
+        worst = max(residuals)
+        return {"max_residual": worst, "worst_t": ts[residuals.index(worst)]}
 
     found = {}
-    at_t0 = []  # per check, what the initial-value check reads at t0
+    # per check, its terms of v + sum c_i e_i at t0: the constant times
+    # level 0's value and the quotient of each level below the last, at
+    # the table's last point; the particular (constant 1.0) is summed first
+    at_t0 = []
     n = sol.spec.order
-    for label, y, forcing in checks:
+    for label, y, forcing, c in checks:
         found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
         # y's columns are the grid's, summed by the residual; no name here
         # holds them, so the grid releases them before the next check's.
@@ -315,21 +322,17 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
         if not y.is_zero() and not any(oracle.columns(y, n)[0][:count]):
             raise FloatingPointError(f"every value of the {label} underflows to 0")
         if sol.ic is not None:
-            # level 0's value and the quotient of each level below the
-            # last, at the table's last point
-            at_t0.append([column[-1] for column in oracle.columns(y, n)[:n]])
+            at_t0.append([c * column[-1] for column in oracle.columns(y, n)[:n]])
     if sol.ic is not None:
         t0, targets = sol.ic
-        # v + sum c_i e_i at t0 against the targets: level 0 is the value,
-        # level k the quotient of level k - 1, which the fit never takes
-        parts = list(zip(sol.constants, at_t0))  # the basis elements' checks come first
-        if sol.particular is not None:
-            parts.insert(0, (1.0, at_t0[-1]))
-        rows = [[c * v for v in values] for c, values in parts]
+        if sol.particular is not None:  # its check ran last
+            at_t0.insert(0, at_t0.pop())
+        # the sum at t0 against the targets: level 0 is the value, level k
+        # the quotient of level k - 1, which the fit never takes
         found["initial values"] = worst_point(
             [t0] * len(targets),
             [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
-             for *terms, target in zip(*rows, targets)])
+             for *terms, target in zip(*at_t0, targets)])
     worst_part = max(found, key=lambda label: found[label]["max_residual"])
     overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]
     return {
@@ -394,7 +397,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         columns += basis_vals
         if sol.particular is not None:
             columns.append(part_val)
-    if not all(math.isfinite(v) for col in columns for v in col):
+    if not all(all(map(math.isfinite, col)) for col in columns):
         raise OverflowError("a sampled value is not finite")
     # one write for the whole CSV: unbuffered stdout makes each call a syscall
     lines = [",".join(header)]

@@ -21,6 +21,7 @@ whole equation.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels
 
@@ -112,9 +113,19 @@ class OracleGrid:
         return hit
 
     def _sum(self, level: Rows, part: int) -> list[float]:
-        """``level``'s values (part 0) or quotients (part 1) at every point."""
-        total = [0.0] * len(self.ts)
-        for row in level:
+        """``level``'s values (part 0) or quotients (part 1) at every point.
+
+        Each point's sum starts from ``0.0`` and adds ``coeff * column``
+        over the rows in order.  The first row is added to ``0.0`` as it is
+        summed, not to a column of zeros: the same operation, and it keeps
+        the sum ``+0.0`` where that row's product is ``-0.0`` (a negative
+        coefficient on a column that underflows).
+        """
+        if not level:
+            return [0.0] * len(self.ts)
+        coeff, col = level[0][0], self._shape(level[0][1:])[part]
+        total = [0.0 + coeff * v for v in col]
+        for row in level[1:]:
             coeff, col = row[0], self._shape(row[1:])[part]
             total = [s + coeff * v for s, v in zip(total, col)]
         return total
@@ -166,7 +177,11 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     Each residual is normalised by the magnitude of the terms being
     cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
     so the value is comparable across equations whose solutions range over
-    many orders of magnitude.
+    many orders of magnitude.  The floor is written
+    ``1.0 if 1.0 > scale else scale``, which is what ``max(scale, 1.0)``
+    returns for every ``scale``: ``max`` keeps its first argument unless a
+    later one compares greater, so a nan scale stays nan, and so does the
+    residual, which verify then reports as not finite.
     """
     n = len(coeffs)
     if n < 1:
@@ -176,9 +191,8 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
         top, q = row[n], row[n + 1]
         acc = top - q
         scale = abs(top) + abs(q)
-        for p, v in zip(coeffs, row):
-            term = p * v
+        for term in map(mul, coeffs, row):
             acc += term
             scale += abs(term)
-        out.append(abs(acc) / max(scale, 1.0))  # a nan scale stays nan
+        out.append(abs(acc) / (1.0 if 1.0 > scale else scale))
     return out

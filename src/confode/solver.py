@@ -105,14 +105,32 @@ class BasisOrigin(NamedTuple):
 class SolutionBasis:
     """One-term ``elements`` that differ in more than their coefficients,
     and the ``origins`` their terms imply: root ``erate + i·tfreq``, level
-    ``upow`` and part ``trig``.  Both are read-only."""
+    ``upow`` and part ``trig``.  Both are read-only.
+
+    A root's levels come whole, as :func:`homogeneous_basis` makes them: a
+    level-l element needs the level-(l-1) element of the same exact root
+    and part, and a conjugate pair needs its cos and its sin element at
+    every level.  Any other basis is refused, naming the root and level,
+    so a rate moved in one element of a multiple root cannot pass as that
+    root's.
+    """
 
     def __init__(self, elements: tuple[UExpr, ...]):
         if not elements or any(len(e.terms) != 1 for e in elements):
             raise ValueError("'basis' needs one or more one-term elements")
         terms = [t for (t,) in (e.terms for e in elements)]
-        if len({t.key for t in terms}) != len(terms):
+        held = {(t.upow, t.erate, t.trig, t.tfreq) for t in terms}
+        if len(held) != len(terms):
             raise ValueError("'basis' elements must differ in more than their coefficients")
+        for t in terms:
+            root = float(t.erate) if t.trig is None else complex(t.erate, t.tfreq)
+            if t.upow and (t.upow - 1, t.erate, t.trig, t.tfreq) not in held:
+                raise ValueError(f"'basis' has a level-{t.upow} element of root {root!r} "
+                                 f"but no level-{t.upow - 1} element")
+            other = {COS: SIN, SIN: COS}.get(t.trig)
+            if other and (t.upow, t.erate, other, t.tfreq) not in held:
+                raise ValueError(f"'basis' has the {t.trig} element of root {root!r} at "
+                                 f"level {t.upow} but not the {other} element")
         origins = tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig) for t in terms)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "origins", origins)

@@ -114,6 +114,28 @@ def test_verify_one_accepts_a_plain_list_of_floats():
     assert report["worst_t"] in grid
 
 
+def test_verify_one_calls_operator_residual_through_the_module_once_per_check(monkeypatch):
+    # bench/spans.py times conformable.residual_ms by patching this attribute
+    calls = []
+    real = cli.operator_residual
+
+    def counting(coeffs, y, forcing, grid):
+        calls.append(y)
+        return real(coeffs, y, forcing, grid)
+
+    monkeypatch.setattr(cli, "operator_residual", counting)
+    grid = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
+    for source, ic in [("T2 y + 4 T y + 3 y = 0", None),
+                       ("T2 y + 4 T y + 3 y = exp(2 t^a)", None),
+                       ("T3 y + 2 T y + y = cos(t^a)", (1.5, (1.0, 0.0, -1.0)))]:
+        spec = problem_from_source(source, 0.5)
+        sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
+        calls.clear()
+        assert cli._verify_one(sol, grid, cli.DEFAULT_TOL)["ok"]
+        checks = [*sol.basis.elements] + ([] if sol.particular is None else [sol.particular])
+        assert len(calls) == len(checks) and all(a is b for a, b in zip(calls, checks))
+
+
 def test_equal_root_sets_have_equal_reprs():
     # the runner checks each distinct roots outcome once, keyed by its repr
     first, second = (find_roots(CharPoly((2, 3))) for _ in range(2))

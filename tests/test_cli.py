@@ -24,10 +24,11 @@ from confode.cli import (
     _verify_one,
     main,
 )
-from confode.conformable import OracleGrid, log_grid
+from confode import cli
+from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import solution_from_doc, solution_to_doc, solve_problem
-from confode.ualgebra import SubstMap, eval_expr
+from confode.ualgebra import ZERO, SubstMap, eval_expr
 from oracle_reference import initial_value_check
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
@@ -898,6 +899,49 @@ def test_verify_holds_one_expressions_columns_at_a_time(monkeypatch, ic):
     assert len(held) == len(want) and all(a is b for a, b in zip(held, want))
     [oracle] = grids
     assert oracle._kept[0] is sol.particular and len(oracle._kept[1]) == 5
+
+
+def test_verify_names_the_first_grid_point_whose_residual_is_not_finite():
+    # 1e300 e^{2t}: from t = 9.2 on a level overflows and the residual is nan
+    sol = solution_from_doc(json.loads(_huge_growing_doc()))
+    grid = log_grid(1.0, 20.0, 11)
+    residuals = operator_residual([-2.0], sol.basis.elements[0], ZERO, OracleGrid(1.0, grid))
+    bad = [t for t, r in zip(grid, residuals) if not math.isfinite(r)]
+    assert len(bad) > 1 and all(math.isnan(r) for r in residuals[-len(bad):])
+    with pytest.raises(OverflowError) as info:
+        _verify_one(sol, grid, DEFAULT_TOL)
+    assert str(info.value) == f"the residual at t = {bad[0]!r} is not finite"
+
+
+def test_worst_point_is_the_first_of_equal_maxima(monkeypatch):
+    residuals = [1e-9, 4e-8, 2e-8, 4e-8, 3e-8]
+    monkeypatch.setattr(cli, "operator_residual", lambda *args: residuals)
+    grid = log_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, len(residuals))
+    report = _verify_one(solve_problem(problem_from_source(HOMOG, 0.5)), grid, DEFAULT_TOL)
+    assert [element["worst_t"] for element in report["elements"]] == [grid[1]] * 2
+    assert (report["worst_part"], report["worst_t"]) == ("basis element 1", grid[1])
+    assert report["max_residual"] == 4e-8
+
+
+# roots -3/2 and -1, each double: a rate moved by 1% in one element of a
+# double root leaves residuals near 1e-6 only
+DOUBLE_ROOTS = "T4 y + 5 T3 y + 9.25 T2 y + 7.5 T y + 2.25 y = 0"
+
+
+def test_verify_refuses_a_basis_whose_root_lacks_a_level(capsys):
+    code, out, _ = run_cli(["solve", "--alpha", "0.5", "--json", DOUBLE_ROOTS], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["origins"][2] == {"root": [-1.0, 0.0], "level": 0, "part": None}
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", json.dumps(doc)], capsys)
+    assert code == 0 and out.endswith("-> ok\n")
+    # e^{-u} becomes e^{-1.01u}, and its origin with it: the max residual,
+    # 9.4e-7, is under the default tol, so only the whole-root check refuses it
+    doc["basis"][2][0]["erate"] = doc["origins"][2]["root"][0] = -1.01
+    code, out, err = run_cli(["verify", "--alpha", "0.5", json.dumps(doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("confode: config error: 'basis' has a level-1 element of root -1.0 "
+                   "but no level-0 element\n")
 
 
 def _with_unit_ic(doc: dict, t0: float) -> str:

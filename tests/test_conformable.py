@@ -533,6 +533,30 @@ def test_oracle_grid_constant_row_is_its_coefficient_with_zero_quotient():
     assert quotients == [0.0] * 20
 
 
+def test_a_level_whose_first_product_is_negative_zero_sums_to_positive_zero():
+    # e^{-2000u} underflows to +0.0 at every point, and its quotient to
+    # -0.0: -1 times the value and 2000 times the level-1 quotient are -0.0,
+    # and each sum starts from 0.0, so every column holds +0.0
+    y = expr(UTerm(-1, 0, Fraction(-2000)))
+    assert math.copysign(1.0, -1.0 * math.exp(-2000.0)) == -1.0
+    columns = OracleGrid(1.0, log_grid(0.5, 3.0, 7)).columns(y, 2)
+    assert [[math.copysign(1.0, v) for v in column] for column in columns] == [[1.0] * 7] * 3
+    assert columns == [[0.0] * 7] * 3
+
+
+def test_a_non_finite_level_keeps_its_residual_nan():
+    # 1e300 e^{2t} overflows from t = 9.5 on, and its quotient from 9.2:
+    # from there the sum is inf - 2v, with v finite or inf, over an inf
+    # scale, so the residual is nan (not inf, and not 0 or 1 from a floor)
+    grid = log_grid(1.0, 20.0, 11)
+    y = expr(UTerm(1e300, 0, Fraction(2)))
+    got = operator_residual([-2.0], y, ZERO, OracleGrid(1.0, grid))
+    finite = [t for t, r in zip(grid, got) if math.isfinite(r)]
+    assert finite == grid[:len(finite)] and 0 < len(finite) < len(grid) - 1
+    assert max(got[:len(finite)]) < 1e-12
+    assert all(math.isnan(r) for r in got[len(finite):])
+
+
 def _raised(fn):
     try:
         fn()

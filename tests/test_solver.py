@@ -4,6 +4,7 @@ shift, and the variation-of-parameters reference they are checked against."""
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -256,14 +257,44 @@ def test_wronskian_rejects_dependent_set():
         SolutionBasis(pair)
 
 
+def _pair_term(level, part, rate=F(-1, 2), freq=F(3)):
+    return expr(UTerm(1, level, rate, part, freq))
+
+
 def test_solution_basis_derives_origins_from_its_terms():
-    basis = SolutionBasis((exp_term(-1), exp_term(-1, upow=2),
-                           expr(UTerm(1, 1, F(-1, 2), COS, F(3)))))
-    assert basis.origins == (BasisOrigin(-1 + 0j, 0, None), BasisOrigin(-1 + 0j, 2, None),
-                             BasisOrigin(-0.5 + 3j, 1, COS))
+    basis = SolutionBasis((exp_term(-1), exp_term(-1, upow=1), exp_term(-1, upow=2),
+                           *(_pair_term(level, part) for level in (0, 1) for part in (COS, SIN))))
+    assert basis.origins == (
+        *(BasisOrigin(-1 + 0j, level, None) for level in (0, 1, 2)),
+        *(BasisOrigin(-0.5 + 3j, level, part) for level in (0, 1) for part in (COS, SIN)))
     for elements in [(), (expr(UTerm(1), UTerm(1, 1)),)]:
         with pytest.raises(ValueError, match="one-term"):
             SolutionBasis(elements)
+
+
+@pytest.mark.parametrize("elements, named", [
+    pytest.param((exp_term(-1), exp_term(-1, upow=2), _pair_term(1, COS)),
+                 "a level-2 element of root -1.0 but no level-1 element", id="real-gap"),
+    # the rate of a double root's level-0 element moved by 1%
+    pytest.param((exp_term(-1.5), exp_term(-1.5, upow=1), exp_term(-1.01), exp_term(-1, upow=1)),
+                 "a level-1 element of root -1.0 but no level-0 element", id="moved-rate"),
+    pytest.param((_pair_term(0, COS),),
+                 "the cos element of root (-0.5+3j) at level 0 but not the sin element",
+                 id="pair-without-sin"),
+    pytest.param((_pair_term(0, COS), _pair_term(0, SIN), _pair_term(1, SIN)),
+                 "the sin element of root (-0.5+3j) at level 1 but not the cos element",
+                 id="pair-without-cos"),
+    pytest.param((_pair_term(0, COS), _pair_term(0, SIN), _pair_term(2, COS),
+                  _pair_term(2, SIN)),
+                 "a level-2 element of root (-0.5+3j) but no level-1 element", id="pair-gap"),
+    # the same frequency at another rate is another root
+    pytest.param((_pair_term(0, COS), _pair_term(0, SIN, rate=F(-1, 3))),
+                 "the cos element of root (-0.5+3j) at level 0 but not the sin element",
+                 id="pair-split-by-rate"),
+])
+def test_solution_basis_refuses_a_root_without_all_its_levels_and_parts(elements, named):
+    with pytest.raises(ValueError, match=re.escape(f"'basis' has {named}")):
+        SolutionBasis(elements)
 
 
 def test_div_by_term():
