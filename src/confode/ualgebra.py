@@ -32,11 +32,9 @@ so :func:`canonicalize` hashes ints rather than :class:`~fractions.Fraction`
 objects, and sorts exact rates as integers over a common denominator.  Terms
 whose fields are already canonical (merged totals, derivative children)
 are built by a private constructor that skips re-validation.  Each
-:class:`UExpr` derives itself once, exactly and in binary64:
-:func:`diff_u` returns the cached :attr:`UExpr.derivative`, and
-:func:`lowered_levels` the levels cached on the expression, so every caller
-that differentiates the same expression object (the constant fit, the
-oracle) shares them.
+:class:`UExpr` derives its binary64 levels once: :func:`lowered_levels`
+returns the levels cached on the expression, so every caller that lowers
+the same expression object (the constant fit, the oracle) shares them.
 """
 
 from __future__ import annotations
@@ -132,11 +130,6 @@ class UTerm:
         return (f"UTerm(coeff={self.coeff!r}, upow={self.upow!r}, erate={self.erate!r}, "
                 f"trig={self.trig!r}, tfreq={self.tfreq!r})")
 
-    @property
-    def key(self):
-        """The key ``(upow, erate, trig rank, tfreq)`` canonical order sorts by."""
-        return (self.upow, self.erate, self._mkey[3], self.tfreq)
-
 
 def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTerm:
     """A :class:`UTerm` from fields that are already canonical, not re-validated.
@@ -161,9 +154,10 @@ class UExpr:
 
     ``terms`` is the one field, read-only; the empty tuple is the zero
     function.  Instances are only built through :func:`canonicalize` (or
-    the operations below, which all re-canonicalize), so structural
-    equality is semantic equality.  Equality, hashing and repr read
-    ``terms`` only, never the cached rows, levels and derivative.
+    :func:`add`, :func:`scale`, :func:`mul` and :func:`diff_u`, which all
+    re-canonicalize), so structural equality is semantic equality.
+    Equality, hashing and repr read ``terms`` only, never the cached rows
+    and levels.
     """
 
     def __init__(self, terms: tuple[UTerm, ...] = ()):
@@ -207,33 +201,8 @@ class UExpr:
         # the binary64 levels lowered_levels has derived so far
         return [self.float_rows]
 
-    @cached_property
-    def derivative(self) -> UExpr:
-        """d/du of this expression, derived once per instance.
-
-        :func:`diff_u` returns it, so the exact levels of one expression
-        object are shared by every caller.
-        """
-        return _derive(self)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: UExpr) -> UExpr:
-        return add(self, other)
-
-    def __sub__(self, other: UExpr) -> UExpr:
-        return add(self, scale(other, -1))
-
-    def __neg__(self) -> UExpr:
-        return scale(self, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, UExpr):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
 
 
 ZERO = UExpr()
@@ -263,7 +232,8 @@ class SubstMap:
 
 
 def _canonical_order(acc: dict) -> list:
-    """The slots of ``acc`` in the order of their terms' :attr:`UTerm.key`.
+    """The slots of ``acc`` in the order of their terms' ``(upow, erate,
+    trig rank, tfreq)``.
 
     Rates are put over the common denominator of their kind, so the integer
     numerators order as the rates do and no :class:`~fractions.Fraction` is
@@ -351,11 +321,8 @@ def mul(f: UExpr, g: UExpr) -> UExpr:
 
 
 def diff_u(f: UExpr) -> UExpr:
-    """Term-wise d/du (product rule; at most three child terms per term).
-
-    Returns ``f.derivative``: each expression object is derived once.
-    """
-    return f.derivative
+    """Term-wise d/du (product rule; at most three child terms per term)."""
+    return _derive(f)
 
 
 def _derive(f: UExpr) -> UExpr:

@@ -7,8 +7,9 @@ building each child term the same way from the parent's fields; and
 ``shift_response`` runs the exponential-shift synthetic division over
 Gaussian rationals, normalising a ``Fraction`` at every step, with an
 ``== 0`` resonance test.  The library does the same arithmetic on integer
-keys, cached derivative levels and plain integers, and the tests require
-results equal to these.
+merge keys and plain integers, and the tests require results equal to
+these.  ``key`` is the exact key ``(upow, erate, trig rank, tfreq)`` that
+canonical order sorts by.
 
 ``lowered_levels`` is the binary64 derivation as the library once did it:
 each exact term rounded to a float term (``num / den``), then float terms
@@ -20,8 +21,8 @@ type.
 
 ``apply_operator`` applies an equation's left side to an expression with
 the library's own exact operations; the tests require ``apply_operator(spec,
-v) - q`` to be exactly zero for a particular solution ``v`` of forcing ``q``
-and exactly zero for every basis element.
+v) == q`` for a particular solution ``v`` of forcing ``q``, and a zero
+result for every basis element.
 """
 
 from __future__ import annotations
@@ -35,16 +36,22 @@ from confode.ualgebra import COS, SIN, UExpr, UTerm
 _TRIG_BY_ORDER = (None, COS, SIN)
 
 
+def key(term: UTerm) -> tuple:
+    """The exact key ``(upow, erate, trig rank, tfreq)`` of a term."""
+    return (term.upow, term.erate, _TRIG_BY_ORDER.index(term.trig), term.tfreq)
+
+
 def canonicalize(terms) -> UExpr:
     """Merge like terms on the exact key, drop exact zeros, sort."""
     acc: dict[tuple, Fraction] = {}
     for term in terms:
-        acc[term.key] = acc.get(term.key, Fraction(0)) + Fraction(term.coeff)
+        k = key(term)
+        acc[k] = acc.get(k, Fraction(0)) + Fraction(term.coeff)
     out = []
-    for key in sorted(acc):
-        if acc[key]:
-            upow, erate, trig_rank, tfreq = key
-            out.append(UTerm(acc[key], upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
+    for k in sorted(acc):
+        if acc[k]:
+            upow, erate, trig_rank, tfreq = k
+            out.append(UTerm(acc[k], upow, erate, _TRIG_BY_ORDER[trig_rank], tfreq))
     return UExpr(tuple(out))
 
 

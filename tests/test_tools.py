@@ -43,3 +43,11 @@ def test_report_hash_cli_runs_in_process(capsys, monkeypatch):
 def test_report_hash_parse_runs_in_process(capsys, monkeypatch):
     [line] = report_hash_lines(monkeypatch, capsys, ["--seed", "7", "--parse"])
     assert re.fullmatch(rf"parse 287 sources {SHA}", line), line
+
+
+def test_report_hash_roots_runs_in_process(capsys, monkeypatch):
+    [line] = report_hash_lines(monkeypatch, capsys, ["--seed", "7", "--roots"])
+    match = re.fullmatch(rf"roots 1216 cases landed (\d+) raised (\d+) {SHA}", line)
+    assert match, line
+    landed, raised = map(int, match.groups())
+    assert landed + raised == 1216 and landed > 0

@@ -6,6 +6,7 @@ Usage::
     python3 tools/report_hash.py --seed 7 --residuals
     python3 tools/report_hash.py --seed 7 --cli
     python3 tools/report_hash.py --seed 7 --parse
+    python3 tools/report_hash.py --seed 7 --roots
 
 For every case of order-sweep batches 0-1 and forcing-sweep batches 0-5
 (generated by ``bench/workloads.py``) it solves the equation, fitting
@@ -41,6 +42,11 @@ for comparing two commits (copy the tool into the older checkout); within
 one tree, ``tests/test_eqparse.py`` compares the parser with a frozen copy
 of its predecessor on these sources.
 
+With ``--roots`` it prints instead one sha256 over ``find_roots`` on every
+polynomial of roots batches 0-15, with the counts of cases that landed and
+that raised.  Each case contributes ``repr(find_roots(CharPoly(coeffs)))``,
+or the type and message of the exception it raised.
+
 A change that claims bit-identical output must print the same hashes as
 its parent.  Characteristic roots carry floating-point dust that depends on
 the CPU, so compare hashes between commits on one host only.  Nothing is
@@ -63,10 +69,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from confode import cli  # noqa: E402
+from confode.chareq import CharPoly, find_roots  # noqa: E402
 from confode.conformable import log_grid  # noqa: E402
 from confode.eqparse import problem_from_source  # noqa: E402
 from confode.solver import solution_to_doc, solve_problem  # noqa: E402
-from workloads import cli_roundtrip, forcing_sweep, order_sweep  # noqa: E402
+from workloads import cli_roundtrip, forcing_sweep, order_sweep, roots  # noqa: E402
 
 GRID = log_grid(cli.DEFAULT_GRID_LO, cli.DEFAULT_GRID_HI, cli.DEFAULT_GRID_COUNT)
 
@@ -212,6 +219,19 @@ def parse_records(seed: int) -> list[str]:
     return records
 
 
+def roots_records(seed: int) -> list:
+    """The outcome of ``find_roots`` on every polynomial ``--roots``
+    fingerprints, in order: a repr, or a raised exception's
+    ``[type, message]``."""
+    records = []
+    for case in [case for batch in range(16) for case in roots(seed, batch)]:
+        try:
+            records.append(repr(find_roots(CharPoly(case.coeffs))))
+        except Exception as err:  # a refusal is part of the output being fingerprinted
+            records.append([type(err).__name__, str(err)])
+    return records
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True, help="workload seed")
@@ -221,7 +241,15 @@ def main(argv=None) -> int:
                     help="fingerprint whole command lines instead (see above)")
     ap.add_argument("--parse", action="store_true",
                     help="fingerprint the exact parse of every source instead (see above)")
+    ap.add_argument("--roots", action="store_true",
+                    help="fingerprint find_roots on the roots workload instead (see above)")
     ns = ap.parse_args(argv)
+    if ns.roots:
+        records = roots_records(ns.seed)
+        raised = sum(1 for r in records if isinstance(r, list))
+        print(f"roots {len(records)} cases landed {len(records) - raised} raised {raised} "
+              f"{digest(json.dumps(records))}")
+        return 0
     if ns.parse:
         records = parse_records(ns.seed)
         print(f"parse {len(records)} sources {digest(json.dumps(records))}")
