@@ -284,32 +284,24 @@ def scale(f: UExpr, c) -> UExpr:
                          for t in f.terms])
 
 
+#: Product-to-sum: the product of two trig factors of frequencies b1 and b2
+#: is half a sum of two terms of one kind, at b1 - b2 and b1 + b2 (parity
+#: fixed at construction): ``(kind, sign at b1 - b2, sign at b1 + b2)``.
+_PRODUCT_TO_SUM = {(COS, COS): (COS, 1, 1), (SIN, SIN): (COS, 1, -1),
+                   (SIN, COS): (SIN, 1, 1), (COS, SIN): (SIN, -1, 1)}
+
+
 def _mul_terms(t1: UTerm, t2: UTerm) -> list[UTerm]:
     coeff = t1.coeff * t2.coeff
     upow = t1.upow + t2.upow
     erate = t1.erate + t2.erate
-    if t1.trig is None and t2.trig is None:
-        return [UTerm(coeff, upow, erate)]
-    if t1.trig is None:
-        return [UTerm(coeff, upow, erate, t2.trig, t2.tfreq)]
-    if t2.trig is None:
-        return [UTerm(coeff, upow, erate, t1.trig, t1.tfreq)]
-    # Product-to-sum: the class is closed, each trig*trig pair gives two
-    # terms at frequencies b1-b2 and b1+b2 (parity fixed at construction).
-    b1, b2 = t1.tfreq, t2.tfreq
+    if t1.trig is None or t2.trig is None:
+        trig, tfreq = (t2.trig, t2.tfreq) if t1.trig is None else (t1.trig, t1.tfreq)
+        return [UTerm(coeff, upow, erate, trig, tfreq)]
+    kind, minus, plus = _PRODUCT_TO_SUM[t1.trig, t2.trig]
     half = coeff / 2
-    pair = (t1.trig, t2.trig)
-    if pair == (COS, COS):
-        return [UTerm(half, upow, erate, COS, b1 - b2),
-                UTerm(half, upow, erate, COS, b1 + b2)]
-    if pair == (SIN, SIN):
-        return [UTerm(half, upow, erate, COS, b1 - b2),
-                UTerm(-half, upow, erate, COS, b1 + b2)]
-    if pair == (SIN, COS):
-        return [UTerm(half, upow, erate, SIN, b1 + b2),
-                UTerm(half, upow, erate, SIN, b1 - b2)]
-    return [UTerm(half, upow, erate, SIN, b1 + b2),
-            UTerm(-half, upow, erate, SIN, b1 - b2)]
+    return [UTerm(minus * half, upow, erate, kind, t1.tfreq - t2.tfreq),
+            UTerm(plus * half, upow, erate, kind, t1.tfreq + t2.tfreq)]
 
 
 def mul(f: UExpr, g: UExpr) -> UExpr:
@@ -321,13 +313,11 @@ def mul(f: UExpr, g: UExpr) -> UExpr:
 
 
 def diff_u(f: UExpr) -> UExpr:
-    """Term-wise d/du (product rule; at most three child terms per term)."""
-    return _derive(f)
+    """Term-wise d/du (product rule; at most three child terms per term).
 
-
-def _derive(f: UExpr) -> UExpr:
-    # Children multiply the parent's exact fields and take the parent's
-    # merge keys: no term is re-validated.
+    Children multiply the parent's exact fields and take the parent's
+    merge keys: no term is re-validated.
+    """
     out = []
     for t in f.terms:
         coeff, upow, erate, tfreq, key = t.coeff, t.upow, t.erate, t.tfreq, t._mkey
@@ -344,7 +334,7 @@ def _derive(f: UExpr) -> UExpr:
 
 
 def _derive_rows(rows: Rows) -> Rows:
-    """d/du of a level: :func:`_derive`'s product rule on binary64 rows.
+    """d/du of a level: :func:`diff_u`'s product rule on binary64 rows.
 
     The children ``coeff*upow``, ``coeff*erate`` and ``-coeff*tfreq`` (cos
     to sin) or ``coeff*tfreq`` (sin to cos) merge on their keys in input

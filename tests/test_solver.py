@@ -979,7 +979,7 @@ def test_each_level_is_derived_once(monkeypatch, source, ic):
         return sum_rows(grid, level, part)
 
     monkeypatch.setattr(ualgebra, "_derive_rows", counting)
-    monkeypatch.setattr(ualgebra, "_derive", lambda f: exact.append(f))
+    monkeypatch.setattr(ualgebra, "diff_u", lambda f: exact.append(f))
     monkeypatch.setattr(OracleGrid, "_sum", counting_sums)
     spec = problem_from_source(source, 0.5)
     n = spec.order

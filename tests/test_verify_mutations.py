@@ -15,9 +15,13 @@ The changes:
 
 - ``element``: the last basis element's rate ``erate + i tfreq`` and its
   origin's root, times 1 + 1e-3;
-- ``root-1e-3`` and ``root-1e-6``: every element and origin of the first
-  element's root, times 1 + 1e-3 or 1 + 1e-6;
-- ``particular``: the first particular-solution coefficient, times 1 + 1e-9.
+- ``root-1e-3``, ``root-1e-6`` and ``root-1e-9``: every element and origin
+  of the first element's root, times 1 + 1e-3, 1 + 1e-6 or 1 + 1e-9;
+- ``particular``: the first particular-solution coefficient, times 1 + 1e-9;
+- ``drop``: the last basis element and its origin, removed.
+
+Each family runs at orders 4 and 8, and all but ``-1..-n`` at order 16
+too (solve refuses ``-1..-n`` from order 16).
 
 Every changed document is wrong, so verify should exit non-zero.  A float
 residual cannot see a small enough change; the cases that verify passes
@@ -105,6 +109,8 @@ def move(doc: dict, index: int, factor: float) -> None:
 def mutate(doc: dict, change: str) -> None:
     if change == "element":
         move(doc, len(doc["basis"]) - 1, 1 + 1e-3)
+    elif change == "drop":
+        del doc["basis"][-1], doc["origins"][-1]
     elif change == "particular":
         doc["particular"][0]["coeff"] *= 1 + 1e-9
     else:
@@ -118,25 +124,41 @@ def mutate(doc: dict, change: str) -> None:
 #: The cases verify passes today, with the max residual it reports.
 PASSES_TODAY = {
     ("k/4", 4, "root-1e-6"): "3.21e-07",
+    ("k/4", 4, "root-1e-9"): "3.21e-10",
     ("k/4", 4, "particular"): "2.44e-10",
     ("k/4", 8, "root-1e-6"): "2.95e-07",
+    ("k/4", 8, "root-1e-9"): "2.95e-10",
     ("k/4", 8, "particular"): "2.29e-10",
+    ("k/4", 16, "root-1e-6"): "7.16e-08",
+    ("k/4", 16, "root-1e-9"): "7.16e-11",
+    ("k/4", 16, "particular"): "1.08e-10",
     ("pairs", 4, "root-1e-6"): "9.99999e-07",
+    ("pairs", 4, "root-1e-9"): "1.00e-09",
     ("pairs", 4, "particular"): "3.82e-10",
+    ("pairs", 8, "root-1e-9"): "1.70e-09",
     ("pairs", 8, "particular"): "2.69e-10",
+    ("pairs", 16, "root-1e-9"): "1.16e-09",
+    ("pairs", 16, "particular"): "6.91e-11",
     ("2xn/2", 4, "root-1e-6"): "9.48e-07",
+    ("2xn/2", 4, "root-1e-9"): "9.48e-10",
     ("2xn/2", 4, "particular"): "7.87e-11",
+    ("2xn/2", 8, "root-1e-9"): "1.11e-09",
     ("2xn/2", 8, "particular"): "1.47e-10",
+    ("2xn/2", 16, "root-1e-9"): "1.10e-09",
+    ("2xn/2", 16, "particular"): "4.42e-11",
+    ("-1..-n", 4, "root-1e-9"): "1.42e-09",
     ("-1..-n", 4, "particular"): "6.12e-12",
     ("-1..-n", 8, "root-1e-6"): "8.51e-07",
+    ("-1..-n", 8, "root-1e-9"): "8.51e-10",
     ("-1..-n", 8, "particular"): "4.22e-11",
 }
 
 
 def _cases():
     for family in ("k/4", "pairs", "2xn/2", "-1..-n"):
-        for n in (4, 8):
-            for change in ("element", "root-1e-3", "root-1e-6", "particular"):
+        for n in (4, 8) if family == "-1..-n" else (4, 8, 16):
+            for change in ("element", "root-1e-3", "root-1e-6", "root-1e-9", "particular",
+                           "drop"):
                 key = (family, n, change)
                 marks = ()
                 if key in PASSES_TODAY:

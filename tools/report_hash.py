@@ -1,56 +1,43 @@
-"""Fingerprint confode's solve and verify output on the benchmark's cases.
+"""Fingerprint confode's solve, verify, CLI, parse and root-finding output
+on the benchmark's cases.
 
 Usage::
 
     python3 tools/report_hash.py --seed 7
-    python3 tools/report_hash.py --seed 7 --residuals
-    python3 tools/report_hash.py --seed 7 --cli
-    python3 tools/report_hash.py --seed 7 --parse
-    python3 tools/report_hash.py --seed 7 --roots
 
-For every case of order-sweep batches 0-1 and forcing-sweep batches 0-5
-(generated by ``bench/workloads.py``) it solves the equation, fitting
-constants where the case carries initial values, and runs the CLI's
-verify on the benchmark's grid.  Each case contributes
-``[solution_to_doc(sol), cli._verify_one(sol, GRID, DEFAULT_TOL)]``, or the
-type and message of the exception it raised.  The script prints the
-sha256 of ``json.dumps`` of each workload's list (keys sorted), and of the
-stdout of one ``sample --columns full`` run.
+One run prints nine lines, each a sha256 of ``json.dumps`` of a list of
+records, with counts.  A refusal (an exception's type and message) is a
+record like any other.
 
-With ``--residuals`` it also prints, per workload, how many verifies were
-ok, not ok and raised, and the median and max log10 of the verify
-reports' ``max_residual``; and, for a workload with fitted cases, how many
-initial-value checks (the reports' ``combined`` records) ran, with the
-median and max log10 of their ``max_residual``.  That is the check for a
-change that moves the hashes on purpose: no verify should get worse.
+- ``order-sweep`` and ``forcing-sweep``: every case of order-sweep batches
+  0-1 and forcing-sweep batches 0-5 (generated by ``bench/workloads.py``)
+  is solved, fitting constants where the case carries initial values, and
+  checked by the CLI's verify on the benchmark's grid.  A case contributes
+  ``[solution_to_doc(sol), cli._verify_one(sol, GRID, DEFAULT_TOL)]``, and
+  the list is dumped with its keys sorted.  After each hash come how many
+  verifies were ok, not ok and raised, with the median and max log10 of
+  their ``max_residual``; order-sweep, whose cases are fitted, also gets
+  the count and log10 spread of its initial-value checks (the reports'
+  ``combined`` records).  These lines show that a change which moves the
+  hashes on purpose makes no verify worse.
+- ``sample``: the stdout of one ``sample --columns full`` run.
+- ``cli``: ``cli.main`` runs in-process, with stdout and stderr captured,
+  over cli-roundtrip batches 0-2 (a piped case reads the previous run's
+  stdout), the README's CLI examples, and one run of each usage, parse,
+  config and solver error, each also under ``--json``.  A run contributes
+  ``[argv, exit, stdout, stderr]``.
+- ``parse``: the exact parse of every equation source above.  A source
+  contributes ``repr((spec.coeffs, spec.forcing))``, whose rationals are
+  exact, where the other hashes go through floats.
+- ``roots``: ``find_roots`` on every polynomial of roots batches 0-15, with
+  the counts of cases that landed and that raised.  A case contributes
+  ``repr(find_roots(CharPoly(coeffs)))``.
 
-With ``--cli`` it prints instead one sha256 over the whole command line:
-``cli.main`` runs in-process, with stdout and stderr captured, over
-cli-roundtrip batches 0-2 of the seed (a piped case reads the previous
-run's stdout), the README's CLI examples, and one run of each usage,
-parse, config and solver error, each also under ``--json``.  The hash is
-of ``json.dumps`` of the list of ``[argv, exit, stdout, stderr]`` of every
-run.
-
-With ``--parse`` it prints instead one sha256 over the exact parse of
-every equation source above: order-sweep batches 0-1, forcing-sweep
-batches 0-5 and cli-roundtrip batches 0-2.  Each source contributes
-``repr((spec.coeffs, spec.forcing))``, whose rationals are exact, or the
-type and message of the exception it raised; the other hashes go through
-floats, where two exact forms that round alike look the same.  The hash is
-for comparing two commits (copy the tool into the older checkout); within
-one tree, ``tests/test_eqparse.py`` compares the parser with a frozen copy
-of its predecessor on these sources.
-
-With ``--roots`` it prints instead one sha256 over ``find_roots`` on every
-polynomial of roots batches 0-15, with the counts of cases that landed and
-that raised.  Each case contributes ``repr(find_roots(CharPoly(coeffs)))``,
-or the type and message of the exception it raised.
-
-A change that claims bit-identical output must print the same hashes as
-its parent.  Characteristic roots carry floating-point dust that depends on
-the CPU, so compare hashes between commits on one host only.  Nothing is
-written; ``bench/`` is only read.
+A change that claims bit-identical output must print the same lines as its
+parent: copy the tool into the older checkout to compare.  Characteristic
+roots carry floating-point dust that depends on the CPU, so compare
+between commits on one host only.  Nothing is written; ``bench/`` is only
+read.
 """
 
 from __future__ import annotations
@@ -135,16 +122,29 @@ ERROR_RUNS = [
 ]
 
 
-def case_record(case) -> list:
+def outcome(compute, case):
+    """``compute(case)``, or the type and message of the exception it
+    raised: a refusal is part of the output being fingerprinted."""
     try:
-        spec = problem_from_source(case.source, case.alpha)
-        if case.ic is None:
-            sol = solve_problem(spec)
-        else:
-            sol = solve_problem(spec, t0=case.ic[0], targets=case.ic[1])
-        return [solution_to_doc(sol), cli._verify_one(sol, GRID, cli.DEFAULT_TOL)]
-    except Exception as err:  # a refusal is part of the output being fingerprinted
+        return compute(case)
+    except Exception as err:
         return [type(err).__name__, str(err)]
+
+
+def solved(case) -> list:
+    """The solution document and verify report of one sweep case."""
+    spec = problem_from_source(case.source, case.alpha)
+    if case.ic is None:
+        sol = solve_problem(spec)
+    else:
+        sol = solve_problem(spec, t0=case.ic[0], targets=case.ic[1])
+    return [solution_to_doc(sol), cli._verify_one(sol, GRID, cli.DEFAULT_TOL)]
+
+
+def parsed(case) -> tuple:
+    """The exact parse of one equation source."""
+    spec = problem_from_source(case.source, case.alpha)
+    return spec.coeffs, spec.forcing
 
 
 def log_spread(records: list[dict]) -> str:
@@ -192,85 +192,45 @@ def cli_run(argv: list[str], stdin: str) -> list:
     return [list(argv), code, out.getvalue(), err.getvalue()]
 
 
-def cli_records(seed: int) -> list:
-    """The runs ``--cli`` fingerprints, in order."""
+def cli_records(roundtrip: list) -> list:
+    """The command lines fingerprinted, in order: the cli-roundtrip cases,
+    the README's runs and the error runs."""
     records = []
-    runs = [(case.pipe, case.argv) for batch in range(3)
-            for case in cli_roundtrip(seed, batch)]
-    for piped, argv in runs + README_RUNS:
+    for piped, argv in [(case.pipe, case.argv) for case in roundtrip] + README_RUNS:
         records.append(cli_run(argv, records[-1][2] if piped else ""))
     for argv in ERROR_RUNS:
         records += [cli_run(argv, ""), cli_run(argv + ["--json"], "")]
     return records
 
 
-def parse_records(seed: int) -> list[str]:
-    """The exact parse of every source ``--parse`` fingerprints, in order."""
-    cases = [case for make, batches in ((order_sweep, 2), (forcing_sweep, 6))
-             for batch in range(batches) for case in make(seed, batch)]
-    cases += [case.equation for batch in range(3) for case in cli_roundtrip(seed, batch)]
-    records = []
-    for case in cases:
-        try:
-            spec = problem_from_source(case.source, case.alpha)
-            records.append(repr((spec.coeffs, spec.forcing)))
-        except Exception as err:  # a refusal is part of the output being fingerprinted
-            records.append(repr((type(err).__name__, str(err))))
-    return records
-
-
-def roots_records(seed: int) -> list:
-    """The outcome of ``find_roots`` on every polynomial ``--roots``
-    fingerprints, in order: a repr, or a raised exception's
-    ``[type, message]``."""
-    records = []
-    for case in [case for batch in range(16) for case in roots(seed, batch)]:
-        try:
-            records.append(repr(find_roots(CharPoly(case.coeffs))))
-        except Exception as err:  # a refusal is part of the output being fingerprinted
-            records.append([type(err).__name__, str(err)])
-    return records
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, required=True, help="workload seed")
-    ap.add_argument("--residuals", action="store_true",
-                    help="also summarise each workload's verify outcomes and residuals")
-    ap.add_argument("--cli", action="store_true",
-                    help="fingerprint whole command lines instead (see above)")
-    ap.add_argument("--parse", action="store_true",
-                    help="fingerprint the exact parse of every source instead (see above)")
-    ap.add_argument("--roots", action="store_true",
-                    help="fingerprint find_roots on the roots workload instead (see above)")
-    ns = ap.parse_args(argv)
-    if ns.roots:
-        records = roots_records(ns.seed)
-        raised = sum(1 for r in records if isinstance(r, list))
-        print(f"roots {len(records)} cases landed {len(records) - raised} raised {raised} "
-              f"{digest(json.dumps(records))}")
-        return 0
-    if ns.parse:
-        records = parse_records(ns.seed)
-        print(f"parse {len(records)} sources {digest(json.dumps(records))}")
-        return 0
-    if ns.cli:
-        records = cli_records(ns.seed)
-        print(f"cli {len(records)} runs {digest(json.dumps(records))}")
-        return 0
+    seed = ap.parse_args(argv).seed
+    sources = []
     for name, make, batches in (("order-sweep", order_sweep, 2),
                                 ("forcing-sweep", forcing_sweep, 6)):
-        records = [case_record(case) for batch in range(batches)
-                   for case in make(ns.seed, batch)]
+        cases = [case for batch in range(batches) for case in make(seed, batch)]
+        sources += cases
+        records = [outcome(solved, case) for case in cases]
         print(f"{name} {len(records)} cases {digest(json.dumps(records, sort_keys=True))}")
-        if ns.residuals:
-            print(f"{name} residuals {residual_summary(records)}")
-            if summary := initial_value_summary(records):
-                print(f"{name} initial values {summary}")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(SAMPLE_ARGV)
-    print(f"sample exit {code} {digest(out.getvalue())}")
+        print(f"{name} residuals {residual_summary(records)}")
+        if summary := initial_value_summary(records):
+            print(f"{name} initial values {summary}")
+    _, code, out, _ = cli_run(SAMPLE_ARGV, "")
+    print(f"sample exit {code} {digest(out)}")
+    roundtrip = [case for batch in range(3) for case in cli_roundtrip(seed, batch)]
+    records = cli_records(roundtrip)
+    print(f"cli {len(records)} runs {digest(json.dumps(records))}")
+    sources += [case.equation for case in roundtrip]
+    # a refusal's [type, message] is fingerprinted as a tuple, as a parse is
+    records = [repr(tuple(outcome(parsed, case))) for case in sources]
+    print(f"parse {len(records)} sources {digest(json.dumps(records))}")
+    records = [outcome(lambda case: repr(find_roots(CharPoly(case.coeffs))), case)
+               for batch in range(16) for case in roots(seed, batch)]
+    raised = sum(1 for r in records if isinstance(r, list))
+    print(f"roots {len(records)} cases landed {len(records) - raised} raised {raised} "
+          f"{digest(json.dumps(records))}")
     return 0
 
 
