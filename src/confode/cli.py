@@ -52,6 +52,7 @@ from .conformable import OracleGrid, log_grid, operator_residual
 from .eqparse import EquationSyntaxError, problem_from_source
 from .solver import (
     GeneralSolution,
+    _sum_in_order,
     format_solution,
     solution_from_doc,
     solution_to_doc,
@@ -194,8 +195,10 @@ def _solutions(ns: argparse.Namespace) -> Iterator[GeneralSolution]:
 
     The source is inline, from ``--file`` or, for verify only, from standard
     input.  Equation text is solved at each alpha, fitting ``--ic`` when
-    given.  Verify also reads solution documents, one or an array of them,
-    whose alphas in order must be the requested ones; ``--ic`` is refused.
+    given; the roots are found at the first alpha only, and the later ones
+    take its basis.  Verify also reads solution documents, one or an array
+    of them, whose alphas in order must be the requested ones; ``--ic`` is
+    refused.
     """
     if ns.source is not None and ns.file is not None:
         raise ConfigError("give the equation either inline or via --file, not both")
@@ -227,17 +230,17 @@ def _solutions(ns: argparse.Namespace) -> Iterator[GeneralSolution]:
                               f"documents' alphas {list(alphas)}")
         yield from sols
         return
+    sol = None
     for alpha in ns.alphas:
         spec = problem_from_source(text, alpha)
-        if ns.ic is None:
-            yield solve_problem(spec)
-            continue
-        t0, targets = ns.ic
-        if len(targets) != spec.order:
+        t0, targets = ns.ic or (None, None)
+        if targets is not None and len(targets) != spec.order:
             raise ConfigError(
                 f"--ic needs {spec.order} target values for this equation, "
                 f"got {len(targets)}")
-        yield solve_problem(spec, t0=t0, targets=targets)
+        # the u-basis does not depend on alpha: the first alpha's serves all
+        sol = solve_problem(spec, t0=t0, targets=targets, basis=sol.basis if sol else None)
+        yield sol
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,8 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
         # the quotient of level k - 1, which the fit never takes
         found["initial values"] = worst_point(
             [t0] * len(targets),
-            [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
+            [abs(_sum_in_order(terms) - target)
+             / max(_sum_in_order(map(abs, terms)), abs(target), 1.0)
              for *terms, target in zip(*at_t0, targets)])
     worst_part = max(found, key=lambda label: found[label]["max_residual"])
     overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]

@@ -94,7 +94,8 @@ class OracleGrid:
         self.ts = list(ts)
         points = []
         for t in self.ts:
-            subst.u_of(t)  # raises for t <= 0 ahead of the domain check
+            if t <= 0.0:  # as the substitution refuses it, ahead of the domain check
+                raise ValueError(f"the substitution requires t > 0, got t={t!r}")
             if not DOMAIN_FLOOR < t < DOMAIN_CEILING:
                 raise DomainError(
                     f"t={t} is not interior to ({DOMAIN_FLOOR}, {DOMAIN_CEILING})")

@@ -34,10 +34,12 @@ alpha``, ``t^(k alpha)`` is ``alpha^k u^k`` and ``e^(c t^alpha)`` is
 
 The lexer scans the whole text once, before any grammar rule runs, so a
 bad literal or character anywhere is reported ahead of a grammar error to
-its left.  Each product's numbers, t-powers, exponentials and first trig
-factor multiply into the fields of one term, which becomes a
-:class:`UTerm` once, its coefficient's integers reduced once they grow
-long.  Later trig factors (product-to-sum) and parenthesised groups
+its left.  The parser computes on Python ints and makes one
+:class:`~fractions.Fraction` per number it stores: each literal is an
+integer pair, and each product's numbers, t-powers, exponentials and first
+trig factor multiply into the integer fields of one term (reduced once
+they grow long), which becomes a term once, its trig parity fixed as
+:class:`UTerm` fixes it.  Later trig factors (product-to-sum) and parenthesised groups
 multiply out into more terms through :func:`~confode.ualgebra.mul`, which
 merges like terms after each.  A sum gathers every product's terms, each
 scaled by the sign and by the reciprocal of the leading coefficient, and
@@ -52,20 +54,22 @@ import re
 from fractions import Fraction
 
 from .solver import ProblemSpec
-from .ualgebra import COS, SIN, SubstMap, UExpr, UTerm, canonicalize, expr, mul
+from .ualgebra import _TRIG_NAMES, SubstMap, UExpr, UTerm, _term, canonicalize, expr, mul
 
-# one token per match, its leading whitespace skipped; "bad" is the first
-# character no token starts with, and a match of no group the end
-_TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<num>(?P<mantissa>\d+(?:\.\d*)?|\.\d+)(?:[eE](?P<exp>[+-]?\d+))?)
-  | (?P<word>[A-Za-z][A-Za-z0-9]*|[-+*()^=])
+# one token per match: its leading whitespace, then a symbol or word, a
+# number (with its mantissa and exponent), or "bad", the first character
+# no token starts with; a match of no token is the end
+_TOKEN_RE = re.compile(r"""(?P<space>\s*)(?:
+    (?P<word>[-+*()^=]|[A-Za-z][A-Za-z0-9]*)
+  | (?P<num>(?P<mantissa>\d+(?:\.\d*)?|\.\d+)(?:[eE](?P<exp>[+-]?\d+))?)
   | (?P<bad>\S)
   | \Z
 )""", re.VERBOSE)
 
-_FUNCTIONS = ("exp", "sin", "cos")
+# in trig rank order: exp is 0, then cos and sin
+_FUNCTIONS = ("exp", "cos", "sin")
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 # the tokens that may follow a factor as an implicit product
 _IMPLICIT = ("t", *_FUNCTIONS, "(")
@@ -96,64 +100,91 @@ class EquationSyntaxError(ValueError):
         self.expected = expected
 
 
-def _number(m: re.Match, pos: int) -> Fraction:
-    """A literal's exact value, an integer over a power of ten.  Text longer
-    than the digit limit, or an exponent beyond it, is refused before
-    anything is converted: Python refuses the first and would take
-    unbounded time over the second."""
-    text, mantissa, exponent = m.group("num", "mantissa", "exp")
-    digits = (exponent or "").lstrip("+-").lstrip("0")
-    if len(text) > _MAX_DIGITS or len(digits) > 4 or int(digits or 0) > _MAX_DIGITS:
-        raise EquationSyntaxError(
-            f"numeric literal beyond {_MAX_DIGITS} digits or exponent {_MAX_DIGITS}", pos)
-    if not math.isfinite(float(text)):
-        raise EquationSyntaxError("non-finite numeric literal", pos)
+def _number(text: str, mantissa: str, exponent: str, pos: int) -> tuple[int, int]:
+    """A literal's exact value as integers ``(num, den)``, den a power of
+    ten.  A literal with an exponent or of more than 308 characters is
+    checked first: text longer than the digit limit, or an exponent beyond
+    it, is refused before anything is converted (Python refuses the first
+    and would take unbounded time over the second), and so is a value
+    beyond binary64.  Any other literal has at most 308 digits, so it is
+    below 10**308."""
+    if exponent or len(text) > 308:
+        digits = exponent.lstrip("+-").lstrip("0")
+        if len(text) > _MAX_DIGITS or len(digits) > 4 or int(digits or 0) > _MAX_DIGITS:
+            raise EquationSyntaxError(
+                f"numeric literal beyond {_MAX_DIGITS} digits or exponent {_MAX_DIGITS}", pos)
+        if not math.isfinite(float(text)):
+            raise EquationSyntaxError("non-finite numeric literal", pos)
     whole, _, fraction = mantissa.partition(".")
     shift = len(fraction) - int(exponent or 0)
-    return Fraction(int(whole + fraction) * 10 ** max(-shift, 0), 10 ** max(shift, 0))
+    return int(whole + fraction) * 10 ** max(-shift, 0), 10 ** max(shift, 0)
 
 
-def _lex(src: str) -> list[tuple[str, int, Fraction | None]]:
-    """``(text, offset, value)`` per token, the value a number's only; the
-    last token is ``("", len(src), None)``, the end of input."""
+def _lex(src: str) -> list[tuple[str, int, tuple[int, int] | None]]:
+    """``(text, offset, value)`` per token, the value a number's ``(num,
+    den)`` only; the last token is ``("", len(src), None)``, the end of
+    input.  One ``findall`` matches every token, and each offset is the end
+    of the previous token plus the whitespace before this one."""
     tokens = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind is None:
+    end = 0
+    for space, word, num, mantissa, exponent, bad in _TOKEN_RE.findall(src):
+        pos = end + len(space)
+        text = word or num
+        if not text:
+            if bad:
+                raise EquationSyntaxError(f"unexpected character {bad!r}", pos)
             break
-        pos = m.start(kind)
-        if kind == "bad":
-            raise EquationSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        tokens.append((m.group(kind), pos, _number(m, pos) if kind == "num" else None))
+        tokens.append((text, pos, _number(num, mantissa, exponent, pos) if num else None))
+        end = pos + len(text)
     tokens.append(("", len(src), None))
     return tokens
 
 
+def _short(num: int, den: int) -> tuple[int, int]:
+    """``num / den``, put in lowest terms once the denominator is long, so a
+    long product's integers stay about as long as its value."""
+    g = math.gcd(num, den) if den.bit_length() > 64 else 1
+    return num // g, den // g
+
+
+def _term_of(num: int, den: int, upow: int, enum: int, eden: int,
+             rank: int, fnum: int, fden: int) -> UTerm:
+    """``UTerm(num/den, upow, enum/eden, trig, fnum/fden)``, the trig factor
+    by its rank, from integers (``eden`` and ``fden`` positive): the trig
+    parity and a zero frequency are fixed as :class:`UTerm` fixes them, and
+    each number becomes one :class:`~fractions.Fraction`."""
+    if fnum < 0:  # cos(-bu) = cos(bu), sin(-bu) = -sin(bu)
+        fnum, num = -fnum, (-num if rank == 2 else num)
+    elif not fnum:  # cos(0) = 1, sin(0) = 0
+        num, rank = (0 if rank == 2 else num), 0
+    erate = Fraction(enum, eden) if enum else _ZERO
+    tfreq = Fraction(fnum, fden) if fnum else _ZERO
+    return _term(Fraction(num, den), upow, erate, _TRIG_NAMES[rank], tfreq, (
+        upow, erate.numerator, erate.denominator, rank, tfreq.numerator, tfreq.denominator))
+
+
 class _Product:
-    """One product's factors, read into the fields of one term: the
-    coefficient as integers ``num / den``, ``upow``, the rate ``erate`` and
-    the first trig factor.  Parenthesised groups and later trig factors are
-    kept aside and multiplied in by :meth:`terms`."""
+    """One product's factors, read into the integer fields of one term: the
+    coefficient ``num / den``, ``upow``, the rate ``enum / eden`` and the
+    first trig factor, its rank ``trig`` and frequency ``fnum / fden``.
+    Parenthesised groups and later trig factors are kept aside and
+    multiplied in by :meth:`terms`."""
 
-    __slots__ = ("num", "den", "upow", "erate", "trig", "tfreq", "groups")
+    __slots__ = ("num", "den", "upow", "enum", "eden", "trig", "fnum", "fden", "groups")
 
-    def __init__(self, coeff: Fraction):
-        self.num, self.den = coeff.numerator, coeff.denominator
-        self.upow, self.erate = 0, _ZERO
-        self.trig, self.tfreq, self.groups = None, _ZERO, []
+    def __init__(self, num: int, den: int):
+        self.num, self.den, self.upow, self.enum, self.eden = num, den, 0, 0, 1
+        self.trig, self.fnum, self.fden, self.groups = 0, 0, 1, []
 
     def scale(self, num: int, den: int):
-        """Multiply the coefficient by ``num / den``, put in lowest terms once
-        the denominator is long, so a long product's integers stay about as
-        long as its value."""
-        num, den = self.num * num, self.den * den
-        g = math.gcd(num, den) if den.bit_length() > 64 else 1
-        self.num, self.den = num // g, den // g
+        """Multiply the coefficient by ``num / den`` (see :func:`_short`)."""
+        self.num, self.den = _short(self.num * num, self.den * den)
 
     def terms(self) -> list[UTerm]:
         """The product's terms: one unless groups multiply it out through
         :func:`~confode.ualgebra.mul`, which merges like terms after each."""
-        terms = [UTerm(Fraction(self.num, self.den), self.upow, self.erate, self.trig, self.tfreq)]
+        terms = [_term_of(self.num, self.den, self.upow, self.enum, self.eden,
+                          self.trig, self.fnum, self.fden)]
         for group in self.groups:
             terms = list(mul(canonicalize(terms), group).terms)
         return terms
@@ -164,7 +195,7 @@ class _Parser:
 
     def __init__(self, src: str, alpha: Fraction):
         self.tokens = _lex(src)
-        self.alpha = alpha
+        self.alpha = alpha.numerator, alpha.denominator
         # alpha**k as (numerator, denominator) by k, each computed once
         self.powers: dict[int, tuple[int, int]] = {}
         self.i = 0
@@ -195,20 +226,20 @@ class _Parser:
 
     def equation(self) -> tuple[tuple[Fraction, ...], UExpr]:
         """The monic coefficients ``p_0 .. p_{n-1}`` and the forcing."""
-        merged: dict[int, Fraction] = {}
-        negate = False
+        merged: dict[int, tuple[int, int]] = {}  # order: (num, den)
+        sign = 1
         while True:
-            order, coeff = self.lhs_term()
-            coeff = -coeff if negate else coeff
-            merged[order] = merged[order] + coeff if order in merged else coeff
+            order, (num, den) = self.lhs_term()
+            a, b = merged.get(order, (0, 1))
+            merged[order] = _short(a * den + sign * num * b, b * den)
             if self.peek() not in ("+", "-"):
                 break
-            negate = self.take() == "-"
+            sign = -1 if self.take() == "-" else 1
         self.expect("=")
         n = max(merged)
-        lead = merged[n]
+        lead, lead_den = merged[n]
         # the forcing is read divided by the leading coefficient
-        rhs = self.expr(_ONE / lead if n and lead else _ONE)
+        rhs = self.expr(lead_den, lead) if n and lead else self.expr(1, 1)
         if self.peek():
             self.fail("end of input")
         if n < 1:
@@ -217,13 +248,13 @@ class _Parser:
         if lead == 0:
             raise EquationSyntaxError(
                 f"leading coefficient (order {n}) is zero", 0)
-        coeffs = [merged.get(i, _ZERO) for i in range(n)]
-        return tuple(coeffs if lead == 1 else [c / lead for c in coeffs]), rhs
+        return tuple(Fraction(num * lead_den, den * lead)
+                     for num, den in (merged.get(i, (0, 1)) for i in range(n))), rhs
 
-    def lhs_term(self) -> tuple[int, Fraction]:
+    def lhs_term(self) -> tuple[int, tuple[int, int]]:
         text, pos, coeff = self.tokens[self.i]
         if coeff is None:
-            coeff = _ONE
+            coeff = (1, 1)
         else:
             self.i += 1
             text, pos, _ = self.tokens[self.i]
@@ -244,15 +275,15 @@ class _Parser:
         self.i += 1
         return order, coeff
 
-    def expr(self, coeff: Fraction) -> UExpr:
-        """``coeff`` times a sum: every product's terms, canonicalised once."""
-        terms = self.prod(coeff)
+    def expr(self, num: int, den: int) -> UExpr:
+        """``num / den`` times a sum: every product's terms, canonicalised once."""
+        terms = self.prod(num, den)
         while self.peek() in ("+", "-"):
-            terms += self.prod(-coeff if self.take() == "-" else coeff)
+            terms += self.prod(-num if self.take() == "-" else num, den)
         return canonicalize(terms)
 
-    def prod(self, coeff: Fraction) -> list[UTerm]:
-        product = _Product(coeff)
+    def prod(self, num: int, den: int) -> list[UTerm]:
+        product = _Product(num, den)
         self.factor(product)
         while True:
             if self.peek() == "*":
@@ -272,7 +303,7 @@ class _Parser:
             self.factor(product)
         elif value is not None:
             self.i += 1
-            product.scale(value.numerator, value.denominator)
+            product.scale(*value)
         elif text == "t":
             self.tpow_plain(product)
         elif text in _FUNCTIONS:
@@ -289,7 +320,7 @@ class _Parser:
                 self.tpow(product, self.integer("a positive integer power"))
                 return
             self.i += 1
-            product.groups.append(self.expr(_ONE))
+            product.groups.append(self.expr(1, 1))
             self.expect(")")
         else:
             self.fail("a forcing factor")
@@ -312,7 +343,7 @@ class _Parser:
         # t^(k alpha) = (alpha u)^k
         power = self.powers.get(k)
         if power is None:
-            power = self.powers[k] = (self.alpha.numerator ** k, self.alpha.denominator ** k)
+            power = self.powers[k] = (self.alpha[0] ** k, self.alpha[1] ** k)
         product.scale(*power)
         product.upow += k
 
@@ -325,7 +356,7 @@ class _Parser:
             num = -1
         value = self.tokens[self.i][2]
         if value is not None:
-            num, den = num * value.numerator, value.denominator
+            num, den = num * value[0], value[1]
             self.i += 1
             if self.peek() == "*":
                 self.i += 1
@@ -336,26 +367,27 @@ class _Parser:
         self.expect("a")
         self.expect(")")
         # the rate c * alpha
-        num, den = num * self.alpha.numerator, den * self.alpha.denominator
-        if kind == "exp":
-            product.erate += Fraction(num, den)
-        elif product.trig is None:
-            product.trig, product.tfreq = SIN if kind == "sin" else COS, Fraction(num, den)
+        num, den = num * self.alpha[0], den * self.alpha[1]
+        rank = _FUNCTIONS.index(kind)
+        if not rank:
+            product.enum, product.eden = _short(product.enum * den + num * product.eden,
+                                                product.eden * den)
+        elif not product.trig:
+            product.trig, product.fnum, product.fden = rank, num, den
         else:  # product-to-sum, merged like a group's product
-            product.groups.append(expr(UTerm(
-                _ONE, trig=SIN if kind == "sin" else COS, tfreq=Fraction(num, den))))
+            product.groups.append(expr(_term_of(1, 1, 0, 0, 1, rank, num, den)))
 
     def integer(self, expected: str) -> int:
         """A positive integer t-power exponent written as digits, at most
         MAX_T_POWER: ``2.0`` and ``2e0`` are refused, although they equal 2."""
         text, pos, value = self.tokens[self.i]
-        if not text.isdecimal() or value <= 0:
+        if not text.isdecimal() or value[0] <= 0:
             self.fail(expected)
-        if value > MAX_T_POWER:
+        if value[0] > MAX_T_POWER:
             raise EquationSyntaxError(
-                f"t-power exponent {value} exceeds the supported limit {MAX_T_POWER}", pos)
+                f"t-power exponent {value[0]} exceeds the supported limit {MAX_T_POWER}", pos)
         self.i += 1
-        return int(value)
+        return value[0]
 
 
 def problem_from_source(src: str, alpha: float) -> ProblemSpec:

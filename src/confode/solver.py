@@ -7,12 +7,18 @@ constant-coefficient linear ODE.  The pipeline is:
   1. characteristic roots (:mod:`confode.chareq`) -> homogeneous basis,
   2. a particular solution by exponential-shift inversion, term by term
      over the forcing (no roots, basis or determinants), worked on Gaussian
-     integers, with a Fraction made only per part of each coefficient out,
+     integers,
   3. optional constant fitting against initial values.
 
 Steps 1 and 2 are exact (resonance is an exact zero test, and the
 operator applied to the particular solution gives the forcing exactly);
 step 3 evaluates the binary64 rows of each expression and of its levels.
+The exact steps compute on Python ints and make one
+:class:`~fractions.Fraction` per number a term stores: a basis element's
+coefficient and its root's two parts, each particular coefficient.  The
+binary64 sums (back-substitution, the fit's defect check) add left to
+right from 0 on every supported Python; CPython 3.12's builtin ``sum``
+would compensate them.
 
 The paper's variation of parameters (Wronskian and Cramer minors) is kept
 in the test suite as an independent reference.
@@ -21,14 +27,15 @@ in the test suite as an independent reference.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from . import ualgebra
 from .chareq import CharPoly, find_roots
 from .ualgebra import (
-    COS,
-    SIN,
+    _TRIG_NAMES,
     ZERO,
     SubstMap,
     UExpr,
@@ -37,7 +44,6 @@ from .ualgebra import (
     _term,
     add,
     canonicalize,
-    expr,
     expr_from_records,
     format_t,
     json_float,
@@ -118,20 +124,21 @@ class SolutionBasis:
     def __init__(self, elements: tuple[UExpr, ...]):
         if not elements or any(len(e.terms) != 1 for e in elements):
             raise ValueError("'basis' needs one or more one-term elements")
-        terms = [t for (t,) in (e.terms for e in elements)]
-        held = {(t.upow, t.erate, t.trig, t.tfreq) for t in terms}
-        if len(held) != len(terms):
+        # per element (upow, erate num, erate den, trig rank, tfreq num, tfreq den)
+        keys = [t._mkey for (t,) in (e.terms for e in elements)]
+        held = set(keys)
+        if len(held) != len(keys):
             raise ValueError("'basis' elements must differ in more than their coefficients")
-        for t in terms:
-            root = float(t.erate) if t.trig is None else complex(t.erate, t.tfreq)
-            if t.upow and (t.upow - 1, t.erate, t.trig, t.tfreq) not in held:
-                raise ValueError(f"'basis' has a level-{t.upow} element of root {root!r} "
-                                 f"but no level-{t.upow - 1} element")
-            other = {COS: SIN, SIN: COS}.get(t.trig)
-            if other and (t.upow, t.erate, other, t.tfreq) not in held:
-                raise ValueError(f"'basis' has the {t.trig} element of root {root!r} at "
-                                 f"level {t.upow} but not the {other} element")
-        origins = tuple(BasisOrigin(complex(t.erate, t.tfreq), t.upow, t.trig) for t in terms)
+        origins = tuple(BasisOrigin(complex(en / ed, fn / fd), upow, _TRIG_NAMES[rank])
+                        for upow, en, ed, rank, fn, fd in keys)
+        for (upow, en, ed, rank, fn, fd), o in zip(keys, origins):
+            root = o.root if rank else o.root.real
+            if upow and (upow - 1, en, ed, rank, fn, fd) not in held:
+                raise ValueError(f"'basis' has a level-{upow} element of root {root!r} "
+                                 f"but no level-{upow - 1} element")
+            if rank and (upow, en, ed, 3 - rank, fn, fd) not in held:
+                raise ValueError(f"'basis' has the {o.part} element of root {root!r} at "
+                                 f"level {upow} but not the {_TRIG_NAMES[3 - rank]} element")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "origins", origins)
 
@@ -186,23 +193,26 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     of the complex exponentials.
 
     A root that landed gives its exact rate, a certified irrational root
-    its binary64 value.
+    its binary64 value, each part as a reduced ``(num, den)``: the merge
+    key's integers, so each element is built with one coefficient and the
+    root's two parts.
     """
     roots = find_roots(spec.char_poly())
     elements: list[UExpr] = []
     for (root, mult), exact in zip(roots.entries, roots.exact_parts):
         if root.imag < 0:
             continue  # handled via its conjugate partner
-        real, imag = exact or ((root.real,), (root.imag,))
+        real, imag = exact or (root.real.as_integer_ratio(), root.imag.as_integer_ratio())
         theta, beta = Fraction(*real), Fraction(*imag)
         for level in range(mult):
-            for part in (COS, SIN) if beta else (None,):
-                elements.append(expr(UTerm(1, level, theta, part, beta)))
+            for rank in (1, 2) if imag[0] else (0,):
+                elements.append(UExpr((_term(Fraction(1), level, theta, _TRIG_NAMES[rank], beta,
+                                             (level, *real, rank, *imag)),)))
     return SolutionBasis(tuple(elements))
 
 
 def _shift_response(poly: CharPoly, s: tuple[Fraction, Fraction],
-                    k: int) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+                    k: int) -> list[tuple[int, int, int, int]]:
     """The polynomial w(u) with ``P(D)[e^(su) w(u)] = e^(su) u^k``.
 
     Exponential shift: ``P(D)[e^(su) w] = e^(su) P(s + D) w`` and
@@ -210,7 +220,8 @@ def _shift_response(poly: CharPoly, s: tuple[Fraction, Fraction],
     m coefficients are exactly zero (m is the resonance multiplicity), the
     rest form a series with a non-zero head, inverted up to degree k and
     applied to ``u^k``; m integrations then give ``w``.  Returns ``(upow,
-    coefficient)`` pairs over the Gaussian rationals.
+    re, im, q)`` per term, its coefficient ``(re + i im) / q`` over the
+    Gaussian rationals, not reduced.
 
     It runs on Gaussian integers (pairs of ints) and reduces nothing.  With
     ``s = complex(sa, sb) / d`` and ``lcd = poly.lifted[0]``, the common
@@ -220,8 +231,8 @@ def _shift_response(poly: CharPoly, s: tuple[Fraction, Fraction],
     kept slots give ``a_(m+i) = A_i / D`` with ``A_i = W_(n-m-i) * d**i``
     and ``D = lcd * d**(n-m)``, and the inverse is ``b_i = D * B_i /
     A_0**(i+1)`` with ``B_0 = 1``, ``B_i = -sum_(l=1..i) A_l * B_(i-l) *
-    A_0**(l-1)``.  Only the output becomes :class:`~fractions.Fraction`,
-    one per part of ``D k! B_i conj(A_0)**(i+1) / (|A_0|**(2i+2) (k+m-i)!)``.
+    A_0**(l-1)``, and the output is ``D k! B_i conj(A_0)**(i+1) /
+    (|A_0|**(2i+2) (k+m-i)!)``: no :class:`~fractions.Fraction` is made.
     """
     n = poly.degree
     # Repeated synthetic division by (r - s), highest coefficient first:
@@ -265,8 +276,8 @@ def _shift_response(poly: CharPoly, s: tuple[Fraction, Fraction],
     cr, ci, den = num * hr, -num * hi, norm  # num * conj(A_0)**(i+1), |A_0|**(2(i+1))
     out = []
     for i, (xr, xi) in enumerate(zip(b_re, b_im)):
-        q = den * math.factorial(k + m - i)
-        out.append((k + m - i, (Fraction(xr * cr - xi * ci, q), Fraction(xr * ci + xi * cr, q))))
+        out.append((k + m - i, xr * cr - xi * ci, xr * ci + xi * cr,
+                    den * math.factorial(k + m - i)))
         cr, ci, den = cr * hr + ci * hi, ci * hr - cr * hi, den * norm
     return out
 
@@ -280,23 +291,32 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
     result.  Resonant forcing (s a root of multiplicity m, tested exactly)
     picks up the ``u^m`` growth from the m-fold integration.  No roots,
     basis or determinants are involved.  The fields are canonical, so a term
-    keeps its forcing term's merge key, with its own ``upow`` and trig rank.
+    keeps its forcing term's merge key, with its own ``upow`` and trig rank;
+    ``c`` multiplies the response's integers, and each stored coefficient
+    is one :class:`~fractions.Fraction`.
     """
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
     out: list[UTerm] = []
     for term in spec.forcing.terms:
         c, a, b, trig, key = term.coeff, term.erate, term.tfreq, term.trig, term._mkey
-        for upow, (wr, wi) in _shift_response(spec.char_poly(), (a, b), term.upow):
+        cn, cd = c.numerator, c.denominator
+        # c (wr + i wi) / q for each response term
+        for upow, wr, wi, q in _shift_response(spec.char_poly(), (a, b), term.upow):
             rkey = (upow,) + key[1:]
-            out.append(_term(c * wr, upow, a, trig, b, rkey))
-            if trig == COS:
-                # Re[(wr + i wi)(cos bu + i sin bu)]
-                out.append(_term(-c * wi, upow, a, SIN, b, rkey[:3] + (2,) + rkey[4:]))
-            elif trig == SIN:
-                # Im[(wr + i wi)(cos bu + i sin bu)]
-                out.append(_term(c * wi, upow, a, COS, b, rkey[:3] + (1,) + rkey[4:]))
+            out.append(_term(Fraction(cn * wr, cd * q), upow, a, trig, b, rkey))
+            if trig:  # Re (cos) or Im (sin) of (wr + i wi)(cos bu + i sin bu)
+                rank = 3 - key[3]
+                out.append(_term(Fraction((-cn if rank == 2 else cn) * wi, cd * q), upow, a,
+                                 _TRIG_NAMES[rank], b, rkey[:3] + (rank,) + rkey[4:]))
     return canonicalize(out)
+
+
+def _sum_in_order(values) -> float:
+    """``values`` added left to right from 0, as the builtin ``sum`` adds
+    floats before CPython 3.12 (3.12 compensates them), so every supported
+    Python rounds alike."""
+    return reduce(operator.add, values, 0)
 
 
 def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
@@ -321,7 +341,7 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+        x[k] = (row[n] - _sum_in_order(row[j] * x[j] for j in range(k + 1, n))) / row[k]
     return x
 
 
@@ -350,7 +370,7 @@ def fit_constants(sol: GeneralSolution, t0: float, targets):
     x = _solve_linear(a, b)
     if x is None:
         raise SingularSystemError(f"initial-condition system is singular at t0={t0}")
-    defect = max(abs(sum(aij * xj for aij, xj in zip(row, x)) - bi) for row, bi in zip(a, b))
+    defect = max(abs(_sum_in_order(map(operator.mul, row, x)) - bi) for row, bi in zip(a, b))
     bound = 1e-8 * (max(abs(aij) for row in a for aij in row) * max(abs(xj) for xj in x)
                     + max(abs(bi) for bi in b) + 1.0)
     if not all(math.isfinite(xj) for xj in x) or defect > bound:
@@ -361,9 +381,14 @@ def fit_constants(sol: GeneralSolution, t0: float, targets):
 
 
 def solve_problem(spec: ProblemSpec, t0: float | None = None,
-                  targets=None) -> GeneralSolution:
-    """Full pipeline: basis, particular solution, optional constant fit."""
-    basis = homogeneous_basis(spec)
+                  targets=None, basis: SolutionBasis | None = None) -> GeneralSolution:
+    """Full pipeline: basis, particular solution, optional constant fit.
+
+    ``basis``, when given, is the basis of an equation with the same
+    coefficients (at another alpha, say), used instead of finding the roots
+    again: the u-basis does not depend on alpha.
+    """
+    basis = basis or homogeneous_basis(spec)
     particular = None
     if not spec.forcing.is_zero():
         particular = particular_solution(spec)

@@ -24,7 +24,7 @@ from confode.cli import (
     _verify_one,
     main,
 )
-from confode import cli
+from confode import cli, solver
 from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import solution_from_doc, solution_to_doc, solve_problem
@@ -560,6 +560,29 @@ def test_solve_alpha_list_emits_each_section(capsys):
         ["solve", "--alpha-list", "0.25,0.5,0.75,1.0", HOMOG], capsys)
     assert code == 0
     assert out.count("alpha = ") == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["solve", "--ic", "1:1,0,-1,0.5"], ["verify"], ["verify", "--ic", "1:1,0,-1,0.5"],
+    ["solve", "--json"], ["verify", "--json"],
+])
+def test_alpha_list_finds_the_roots_once(monkeypatch, capsys, command):
+    # the left side and its u-basis do not depend on alpha: the later
+    # alphas take the first one's basis and print what separate runs print
+    source = "T4 y + 2 T2 y + y = t^a * exp(-t^a) + cos(2 t^a)"
+    alphas = ["0.3", "0.5", "0.7", "1"]
+    calls = []
+    find_roots = solver.find_roots
+    monkeypatch.setattr(solver, "find_roots", lambda p: calls.append(p) or find_roots(p))
+    name, *flags = command
+    code, out, err = run_cli([name, "--alpha-list", ",".join(alphas), *flags, source], capsys)
+    assert (code, err, len(calls)) == (0, "", 1)
+    separate = [run_cli([name, "--alpha", a, *flags, source], capsys) for a in alphas]
+    assert all(code == 0 and err == "" for code, _, err in separate)
+    if "--json" in flags:
+        assert json.loads(out) == [json.loads(each) for _, each, _ in separate]
+    else:
+        assert out == "".join(each for _, each, _ in separate)
 
 
 @pytest.mark.parametrize("argv, expected", [

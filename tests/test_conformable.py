@@ -590,6 +590,18 @@ def test_operator_residual_domain_errors_match_point_by_point_loop(ts):
     assert got == want
 
 
+def test_oracle_grid_takes_one_substitution_per_point(monkeypatch):
+    # t > 0 is tested directly, so u = t^alpha / alpha is taken once per
+    # point: at the complex point the table evaluates
+    taken = []
+    u_of = SubstMap.u_of
+    monkeypatch.setattr(SubstMap, "u_of", lambda self, t: taken.append(t) or u_of(self, t))
+    ts = log_grid(0.01, 3.0, 50)
+    oracle = OracleGrid(0.5, ts)
+    assert len(taken) == 50 and all(type(t) is complex for t in taken)
+    assert [t.real for t in taken] == ts == oracle.ts
+
+
 @pytest.mark.parametrize("ts", [[999999.0], [1e-6 + 1e-12]])
 def test_points_just_inside_the_domain_are_accepted(ts):
     # the step leaves the real axis, not the domain

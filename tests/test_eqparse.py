@@ -15,12 +15,9 @@ rewrite, on the benchmark's sources, on one-character edits and on those
 trees.
 """
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -571,17 +568,8 @@ def assert_parses_as_reference(src: str, alpha: float):
         parse_outcome(reference_problem, src, alpha), src
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(spec.name, module)  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_sources_parse_as_the_reference():
-    wl = _bench_workloads()
+def test_bench_sources_parse_as_the_reference(bench_workloads):
+    wl = bench_workloads
     cases = [case for seed in (5, 7, 11) for batch in range(2)
              for case in wl.order_sweep(seed, batch) + wl.forcing_sweep(seed, batch)]
     cases += [case.equation for seed in (5, 7, 11) for batch in range(3)
@@ -589,6 +577,35 @@ def test_bench_sources_parse_as_the_reference():
     assert len(cases) > 400
     for case in cases:
         assert_parses_as_reference(case.source, case.alpha)
+
+
+EDGE_SOURCES = [
+    # literals read from their digits, with and without an exponent
+    "T y + y = 007", "T y + y = 1.", "T y + y = .5", "T y + y = 1e-3", "T y + y = 2E+2",
+    "007 T y + 1. y = .5 t^(007 a) * exp(1e-3 t^a) * cos(2E+2 t^a)",
+    # 308 digits cannot overflow binary64; 309 digits may
+    "T y + y = " + "9" * 308, "T y + y = " + "9" * 309, "T y + y = 1" + "0" * 308,
+    "9" * 309 + " T y + y = 0", "T y + y = exp(" + "9" * 309 + " t^a)",
+    # literals at the digit limit and just past it
+    "T y + y = 0." + "0" * 4297 + "1", "T y + y = 0." + "0" * 4298 + "1",
+    "T y + y = " + "1" * 4300, "T y + y = " + "1" * 4301,
+    "T y + y = 1e4300", "T y + y = 1e-4299", "T y + y = 1e43000",
+    # signed, zero and cancelling rates and frequencies
+    "T y + y = exp(-.5 t^a)", "T y + y = sin(-2 t^a)", "T y + y = cos(-2 t^a)",
+    "T y + y = cos(0 t^a)", "T y + y = sin(0 t^a)", "T y + y = sin(0 t^a) + 1",
+    "T y + y = exp(t^a) exp(-t^a) t^a", "T y + y = exp(0 t^a) sin(-0 t^a) - 2",
+    "T y + y = sin(2 t^a) cos(2 t^a)", "T y + y = cos(2 t^a) * cos(2 t^a)",
+    "T y + y = sin(2 t^a) sin(-2 t^a) exp(t^a)", "T y + y = cos(3 t^a) sin(3 t^a) cos(3 t^a)",
+    # leading coefficients: merged, negative, decimal, zero
+    "-2 T y + 0.5 T y + y = 3 t^a", "-0.5 T2 y + y = sin(t^a)", "0.25 T y - y = 1",
+    "T y - T y + y = 1", "0 T y + y = 1",
+]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+@pytest.mark.parametrize("src", EDGE_SOURCES)
+def test_literal_and_product_edge_cases_parse_as_the_reference(src, alpha):
+    assert_parses_as_reference(src, alpha)
 
 
 MUTATED_SOURCES = [
@@ -663,7 +680,7 @@ def test_parse_keeps_a_long_products_integers_short(monkeypatch):
 
     def recording(product):
         lengths.append(max(product.num.bit_length(), product.den.bit_length(),
-                           product.erate.denominator.bit_length()))
+                           product.enum.bit_length(), product.eden.bit_length()))
         return terms(product)
 
     monkeypatch.setattr(eqparse._Product, "terms", recording)

@@ -543,6 +543,16 @@ def test_solve_linear_pivots_and_reports_a_zero_pivot():
     assert _solve_linear([[0.0]], [1.0]) is None
 
 
+def test_back_substitution_adds_left_to_right():
+    # x = (?, 1e16, 1.0, -1e16): row 0 subtracts 1e16 + 1.0 - 1e16, which is
+    # 0.0 added left to right from 0 and 1.0 compensated (CPython 3.12's sum)
+    rows = [[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0]]
+    x = _solve_linear(rows, [1.0, 1e16, 1.0, -1e16])
+    assert x == [1.0 - ((0 + 1e16) + 1.0 + -1e16), 1e16, 1.0, -1e16]
+    assert x[0] == 1.0
+
+
 @pytest.mark.parametrize("t0, kind", [
     (800.0, "is singular"),               # both basis values underflow to 0
     (360.0, "is numerically singular"),   # e^{-2u} is subnormal: x overflows
@@ -809,6 +819,12 @@ def test_shift_matches_variation_of_parameters():
 
 # --- shift response against the Fraction reference -----------------------
 
+def _response(poly, s, k):
+    """``_shift_response``'s ``(upow, re, im, q)`` terms in the reference's
+    shape, ``(upow, (re / q, im / q))``: the same exact values."""
+    return [(upow, (F(re, q), F(im, q))) for upow, re, im, q in _shift_response(poly, s, k)]
+
+
 def _expand_poly(real_roots, pair, m):
     """p_0..p_{n-1} of prod (r - z) over the roots, expanded in the
     arithmetic of the roots given: binary64 for floats, exact for Fractions."""
@@ -842,7 +858,7 @@ def test_shift_response_equals_reference(alpha, c, b, m, k, others):
     if m == 0 and not others:
         others = [1.0]
     coeffs = _expand_poly(others, (float(s[0]), float(s[1])), m)
-    assert _shift_response(CharPoly(coeffs), s, k) == ref.shift_response(coeffs, s, k)
+    assert _response(CharPoly(coeffs), s, k) == ref.shift_response(coeffs, s, k)
 
 
 def test_shift_response_equals_reference_on_resonances():
@@ -855,11 +871,11 @@ def test_shift_response_equals_reference_on_resonances():
         for k in range(4):
             for s in ((F(2), F(0)), (F(-1, 2), F(3, 2)), decimal):
                 coeffs = _expand_poly([F(1, 4)], s, m)
-                got = _shift_response(CharPoly(coeffs), s, k)
+                got = _response(CharPoly(coeffs), s, k)
                 assert got == ref.shift_response(coeffs, s, k)
                 assert got[0][0] == k + m  # the resonance is seen
             coeffs = _expand_poly([0.25], (float(decimal[0]), 0.0), m)
-            got = _shift_response(CharPoly(coeffs), decimal, k)
+            got = _response(CharPoly(coeffs), decimal, k)
             assert got == ref.shift_response(coeffs, decimal, k)
             assert got[0][0] == k  # no resonance
 
@@ -889,7 +905,7 @@ QUARTERS = [F(-j, 4) for j in range(1, 25)]
         "k64-pair", "order12-m1", "order16-pair-m2", "order24", "order24-pair", "order24-m4"])
 def test_shift_response_equals_reference_at_scale(s, m, others, k):
     coeffs = _expand_poly(others, s, m)
-    got = _shift_response(CharPoly(coeffs), s, k)
+    got = _response(CharPoly(coeffs), s, k)
     assert got == ref.shift_response(coeffs, s, k)
     assert got[0][0] == k + m  # the resonance multiplicity is seen exactly
 
@@ -903,11 +919,11 @@ def test_shift_response_equals_reference_at_decimal_alpha(alpha, c, b):
     s = (c * F(alpha), b * F(alpha))
     for k in (0, 8):
         coeffs = _expand_poly([F(1, 4), F(-2)], s, 4)
-        got = _shift_response(CharPoly(coeffs), s, k)
+        got = _response(CharPoly(coeffs), s, k)
         assert got == ref.shift_response(coeffs, s, k)
         assert got[0][0] == k + 4
         coeffs = _expand_poly([0.25, -2.0], (float(s[0]), float(s[1])), 4)
-        got = _shift_response(CharPoly(coeffs), s, k)
+        got = _response(CharPoly(coeffs), s, k)
         assert got == ref.shift_response(coeffs, s, k)
         assert got[0][0] == k
 
@@ -945,12 +961,33 @@ def test_particular_terms_are_what_the_constructor_builds(alpha, terms):
     spec = ProblemSpec((F(4), F(8), F(5), F(2)), alpha, expr(*terms))
     v = particular_solution(spec)
     assert v.terms
-    for t in v.terms:
+    assert_built_as_the_constructor(v)
+    assert apply_operator(spec, v) == spec.forcing
+
+
+def assert_built_as_the_constructor(f):
+    """Each term of ``f`` equals, key for key, the term ``UTerm()`` builds
+    from its fields, and none is zero."""
+    for t in f.terms:
         built = UTerm(t.coeff, t.upow, t.erate, t.trig, t.tfreq)
-        assert built == t and built._mkey == t._mkey
+        assert built == t and built._mkey == t._mkey, t
         assert (t.tfreq > 0) == (t.trig is not None)
         assert t.coeff != 0
-    assert apply_operator(spec, v) == spec.forcing
+
+
+def test_bench_solutions_are_exact_and_built_as_the_constructor(bench_workloads):
+    # every order-sweep (batches 0-1) and forcing-sweep (batches 0-5) source
+    # the benchmark runs at seed 7: L[v] == q exactly, and the terms of the
+    # parsed forcing, of v and of each basis element are what UTerm() builds
+    cases = [case for batch in range(2) for case in bench_workloads.order_sweep(7, batch)]
+    cases += [case for batch in range(6) for case in bench_workloads.forcing_sweep(7, batch)]
+    assert len(cases) == 68 + 198
+    for case in cases:
+        spec = problem_from_source(case.source, case.alpha)
+        v = particular_solution(spec)
+        assert apply_operator(spec, v) == spec.forcing, case.source
+        for f in (spec.forcing, v, *homogeneous_basis(spec).elements):
+            assert_built_as_the_constructor(f)
 
 
 # --- derivation count -----------------------------------------------------
