@@ -11,14 +11,16 @@ exact in the math before any float step:
   from primitive pseudo-remainder sequences over the integers, gives
   factors whose roots are all simple, each with its exact multiplicity;
 * landed: Aberth-Ehrlich simultaneous iteration approximates each
-  factor's roots, each approximation is rounded to the real ``a/q`` or
-  Gaussian ``(a ± ib)/q`` with the least denominator the rational root
-  theorem allows within ``CANDIDATE_RADIUS`` of it, and a candidate is
-  accepted only when it divides the factor exactly; accepted roots are
-  deflated exactly and the iteration repeats on the smaller factor while
-  candidates keep landing.  A landed root is stored as the binary64 value
-  nearest it, which is the root itself when it is dyadic, and its exact
-  parts are kept next to it;
+  factor's roots, sweeping in place over the points not yet at the
+  evaluation noise floor (the Gauss-Seidel form of Bini & Fiorentino
+  2000, *Numer. Algorithms* 23).  Each approximation is rounded to the
+  real ``a/q`` or Gaussian ``(a ± ib)/q`` with the least denominator the
+  rational root theorem allows within ``CANDIDATE_RADIUS`` of it, and a
+  candidate is accepted only when it divides the factor exactly; accepted
+  roots are deflated exactly and the iteration repeats on the smaller
+  factor while candidates keep landing.  A landed root is stored as the
+  binary64 value nearest it, which is the root itself when it is dyadic,
+  and its exact parts are kept next to it;
 * certified: what does not land are simple roots of a square-free factor.
   Each is polished by Newton's method on the factor and enclosed in a
   Smith disc (Smith 1970, *Math. Comp.* 24): when the discs are pairwise
@@ -134,39 +136,61 @@ def _describe(full: list[float]) -> str:
     return CharPoly(tuple(full[:0:-1])).describe()
 
 
+def _start(n: int, radius: float) -> list[complex]:
+    """The start set: n points on one circle of the given radius."""
+    # small angular offset breaks the conjugate symmetry of the start set
+    return [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+
+
 def _aberth(full: list[float]) -> list[complex]:
     """Approximations of the roots of the monic highest-first ``full``."""
     n = len(full) - 1
     magnitudes = [abs(c) for c in full]
-    deriv = [c * k for c, k in zip(full[:-1], range(n, 0, -1))]
-    radius = 1.0 + max(abs(c) for c in full[1:])
-    # small angular offset breaks the conjugate symmetry of the start set
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    terms = list(zip(full, magnitudes))
+    floor = 4.0 * n * _EPS  # _noise_floor's factor
+    radius = 1.0 + max(magnitudes[1:])
+    nudge = 1e-9 * radius * (1 + 1j)
+    z = _start(n, radius)  # distinct points, and every update keeps them so
+    points = set(z)
+    frozen = [False] * n
     for _ in range(ABERTH_MAX_ITER):
-        # A Jacobi step: every update below reads the iterates of the
-        # previous step only.
-        if len(set(z)) < n:  # nudge every point that meets another
-            z = [zi + 1e-9 * radius * (1 + 1j) if z.count(zi) > 1 else zi for zi in z]
-            continue
-        new, done = [], True
+        # An in-place (Gauss-Seidel) sweep: each update is written into z
+        # at once, and the points after it read the new value.
+        done = True
         for i, zi in enumerate(z):
-            pv = _horner(full, zi)
+            if frozen[i]:
+                continue
+            # p, p' and _noise_floor's magnitude sum in one Horner pass
+            pv = dv = bound = 0.0
+            size = abs(zi)
+            for c, m in terms:
+                dv = dv * zi + pv
+                pv = pv * zi + c
+                bound = bound * size + m
             # Freeze a point once |p| is at the evaluation noise floor: no
             # finite step can improve it, and iterates around a multiple
             # zero would otherwise jiggle there forever without meeting the
-            # step criterion below.
-            if abs(pv) <= _noise_floor(magnitudes, zi):
-                new.append(zi)
+            # step criterion below.  A frozen point never moves again.
+            if abs(pv) <= floor * bound:
+                frozen[i] = True
                 continue
-            dv = _horner(deriv, zi)
-            w = pv / dv if dv != 0 else complex(0.01 * (1.0 + abs(zi)))
-            repulse = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            w = pv / dv if dv != 0 else complex(0.01 * (1.0 + size))
+            repulse = sum([1.0 / (zi - zj) for zj in z[:i] + z[i + 1:]])
             denom = 1.0 - w * repulse
             delta = w if abs(denom) < 1e-12 else w / denom
-            zi = zi - delta
-            new.append(zi)
-            done = done and abs(delta) <= ABERTH_STEP_TOL * (1.0 + abs(zi))
-        z = new
+            new = zi - delta
+            # An update that lands on another point is nudged off it, so no
+            # repulsion divides by a zero difference.  The nudge doubles
+            # while it is too small to move the point; a point that is not
+            # finite has no zero difference with any other.
+            points.discard(zi)
+            step = nudge
+            while new in points and cmath.isfinite(new):
+                new += step
+                step *= 2
+            points.add(new)
+            z[i] = new
+            done = done and abs(delta) <= ABERTH_STEP_TOL * (1.0 + abs(new))
         if done:
             return z
     raise RootFindingError(

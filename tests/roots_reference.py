@@ -8,12 +8,15 @@
   rule in binary64.  ``tests/test_chareq.py``, ``tests/test_solver.py``
   and ``tests/test_acceptance.py`` use them to check roots and
   multiplicities; the library itself never evaluates a polynomial this way.
-* :func:`_aberth` is the numpy form of ``confode.chareq._aberth``, the
-  reference for the library's pure-Python iteration
-  (``test_aberth_matches_the_numpy_reference``).  numpy's complex ``*``
-  and ``abs`` may differ from CPython's in the last bit (its SIMD loops use
-  fused multiply-add), so the two iterations agree closely but not bit for
-  bit.
+* :func:`_aberth` is an independent numpy reference for
+  ``confode.chareq._aberth`` (``test_aberth_matches_the_numpy_reference``).
+  It keeps the Jacobi form, where every update of a sweep reads the
+  previous sweep's points, while the library sweeps in place (Gauss-Seidel)
+  over its unfrozen points; both start from the same circle and freeze at
+  the same noise floor, so they approximate the same roots by different
+  paths.  numpy's complex ``*`` and ``abs`` may also differ from CPython's
+  in the last bit (its SIMD loops use fused multiply-add), so the two agree
+  closely but not bit for bit.
 """
 
 from __future__ import annotations

@@ -100,6 +100,15 @@ def test_nonconvergence_is_reported(monkeypatch):
     assert "r^2" in str(err.value)
 
 
+def test_an_update_that_lands_on_another_point_is_nudged(monkeypatch):
+    # From the start (2, -2), the first update of 2 for r^2 + 4 lands exactly
+    # on -2, every step dyadic: 2 - (8/4) / (1 - (8/4) / (2 - -2)) = -2.
+    # Unnudged, the next repulsion would divide by a zero difference.
+    monkeypatch.setattr(chareq, "_start", lambda n, radius: [2 + 0j, -2 + 0j])
+    z = sorted(chareq._aberth([1.0, 0.0, 4.0]), key=lambda w: w.imag)
+    assert abs(z[0] + 2j) <= 1e-12 and abs(z[1] - 2j) <= 1e-12, z
+
+
 # --- invariants ------------------------------------------------------------
 
 def _mult_consistency(p: CharPoly, rs: RootSet):
@@ -333,15 +342,35 @@ def test_planted_regressions_come_back_exactly(planted):
     assert find_roots(planted_poly(planted)).entries == planted_entries(planted)
 
 
-@pytest.mark.xfail(strict=True, raises=RootFindingError, reason=(
-    "Aberth starts every root on one circle of radius 1 + max|p_i| (about "
-    "2e13 for N = 16), far outside -1..-N, and does not converge within "
-    "ABERTH_MAX_ITER steps; a Newton-polygon start would fix it"))
-@pytest.mark.parametrize("n", [15, 16, 17, 18])
+START_CIRCLE = pytest.mark.xfail(strict=True, raises=RootFindingError, reason=(
+    "the start circle: Aberth starts every root on one circle of radius "
+    "1 + max|p_i| (about 2e13 for N = 16), far outside -1..-N, and does not "
+    "converge within ABERTH_MAX_ITER sweeps; a Newton-polygon start would fix it"))
+
+
+@pytest.mark.parametrize("n", [15, *(pytest.param(n, marks=START_CIRCLE) for n in (16, 17, 18))])
 def test_consecutive_integer_roots_come_back_exactly(n):
     planted = real_roots(*range(-n, 0))
     p = CharPoly(tuple(reversed(expand(planted)[1:])))
     assert find_roots(p).entries == planted_entries(planted)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_certified_roots_are_within_two_ulps_of_mpmath(n):
+    # r^n + 3r + 1 has no rational root and no repeated factor, so every
+    # root is certified; each part lies within 2 ulps of the true root's
+    mpmath = pytest.importorskip("mpmath")
+    rs = find_roots(CharPoly((1, 3) + (0,) * (n - 2)))
+    assert rs.exact_parts == (None,) * n
+    with mpmath.workdps(50):
+        want = [mpmath.mpc(w) for w in mpmath.polyroots(
+            [1] + [0] * (n - 2) + [3, 1], maxsteps=400, extraprec=400)]
+        for z, m in rs.entries:  # one to one: each root has its own partner
+            w = min(want, key=lambda w: abs(w - z))
+            want.remove(w)
+            assert m == 1
+            for got, part in ((z.real, w.real), (z.imag, w.imag)):
+                assert abs(got - part) <= 2 * math.ulp(float(part)), (z, w)
 
 
 def test_close_simple_roots_are_certified_apart():
