@@ -38,8 +38,9 @@ its left.  The parser computes on Python ints and makes one
 :class:`~fractions.Fraction` per number it stores: each literal is an
 integer pair, and each product's numbers, t-powers, exponentials and first
 trig factor multiply into the integer fields of one term (reduced once
-they grow long), which becomes a term once, its trig parity fixed as
-:class:`UTerm` fixes it.  Later trig factors (product-to-sum) and parenthesised groups
+they grow long), which becomes a term once, through
+:func:`~confode.ualgebra._term_of`, where :class:`UTerm` fixes its trig
+parity too.  Later trig factors (product-to-sum) and parenthesised groups
 multiply out into more terms through :func:`~confode.ualgebra.mul`, which
 merges like terms after each.  A sum gathers every product's terms, each
 scaled by the sign and by the reciprocal of the leading coefficient, and
@@ -54,7 +55,7 @@ import re
 from fractions import Fraction
 
 from .solver import ProblemSpec
-from .ualgebra import _TRIG_NAMES, SubstMap, UExpr, UTerm, _term, canonicalize, expr, mul
+from .ualgebra import SubstMap, UExpr, UTerm, _term_of, canonicalize, expr, mul
 
 # one token per match: its leading whitespace, then a symbol or word, a
 # number (with its mantissa and exponent), or "bad", the first character
@@ -68,8 +69,6 @@ _TOKEN_RE = re.compile(r"""(?P<space>\s*)(?:
 
 # in trig rank order: exp is 0, then cos and sin
 _FUNCTIONS = ("exp", "cos", "sin")
-
-_ZERO = Fraction(0)
 
 # the tokens that may follow a factor as an implicit product
 _IMPLICIT = ("t", *_FUNCTIONS, "(")
@@ -145,22 +144,6 @@ def _short(num: int, den: int) -> tuple[int, int]:
     long product's integers stay about as long as its value."""
     g = math.gcd(num, den) if den.bit_length() > 64 else 1
     return num // g, den // g
-
-
-def _term_of(num: int, den: int, upow: int, enum: int, eden: int,
-             rank: int, fnum: int, fden: int) -> UTerm:
-    """``UTerm(num/den, upow, enum/eden, trig, fnum/fden)``, the trig factor
-    by its rank, from integers (``eden`` and ``fden`` positive): the trig
-    parity and a zero frequency are fixed as :class:`UTerm` fixes them, and
-    each number becomes one :class:`~fractions.Fraction`."""
-    if fnum < 0:  # cos(-bu) = cos(bu), sin(-bu) = -sin(bu)
-        fnum, num = -fnum, (-num if rank == 2 else num)
-    elif not fnum:  # cos(0) = 1, sin(0) = 0
-        num, rank = (0 if rank == 2 else num), 0
-    erate = Fraction(enum, eden) if enum else _ZERO
-    tfreq = Fraction(fnum, fden) if fnum else _ZERO
-    return _term(Fraction(num, den), upow, erate, _TRIG_NAMES[rank], tfreq, (
-        upow, erate.numerator, erate.denominator, rank, tfreq.numerator, tfreq.denominator))
 
 
 class _Product:

@@ -28,14 +28,16 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple
 
 from . import ualgebra
 from .chareq import CharPoly, find_roots
 from .ualgebra import (
     _TRIG_NAMES,
+    COS,
+    SIN,
     ZERO,
     SubstMap,
     UExpr,
@@ -99,13 +101,10 @@ class ProblemSpec:
         return self._poly
 
 
-class BasisOrigin(NamedTuple):
-    """Where a basis element came from: ``root``, power ``level`` and trig
-    ``part`` (None for a real root, COS/SIN for a conjugate pair)."""
-
-    root: complex
-    level: int
-    part: str | None
+BasisOrigin = namedtuple("BasisOrigin", "root level part")
+BasisOrigin.__doc__ = """Where a basis element came from: ``root`` (complex),
+power ``level`` and trig ``part`` (None for a real root, COS/SIN for a
+conjugate pair)."""
 
 
 class SolutionBasis:
@@ -193,9 +192,8 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
     of the complex exponentials.
 
     A root that landed gives its exact rate, a certified irrational root
-    its binary64 value, each part as a reduced ``(num, den)``: the merge
-    key's integers, so each element is built with one coefficient and the
-    root's two parts.
+    its binary64 value, each part as a reduced ``(num, den)``, so each
+    element is built with one coefficient and the root's two parts.
     """
     roots = find_roots(spec.char_poly())
     elements: list[UExpr] = []
@@ -205,9 +203,8 @@ def homogeneous_basis(spec: ProblemSpec) -> SolutionBasis:
         real, imag = exact or (root.real.as_integer_ratio(), root.imag.as_integer_ratio())
         theta, beta = Fraction(*real), Fraction(*imag)
         for level in range(mult):
-            for rank in (1, 2) if imag[0] else (0,):
-                elements.append(UExpr((_term(Fraction(1), level, theta, _TRIG_NAMES[rank], beta,
-                                             (level, *real, rank, *imag)),)))
+            for part in (COS, SIN) if imag[0] else (None,):
+                elements.append(UExpr((_term(Fraction(1), level, theta, part, beta),)))
     return SolutionBasis(tuple(elements))
 
 
@@ -291,24 +288,24 @@ def particular_solution(spec: ProblemSpec) -> UExpr:
     result.  Resonant forcing (s a root of multiplicity m, tested exactly)
     picks up the ``u^m`` growth from the m-fold integration.  No roots,
     basis or determinants are involved.  The fields are canonical, so a term
-    keeps its forcing term's merge key, with its own ``upow`` and trig rank;
-    ``c`` multiplies the response's integers, and each stored coefficient
-    is one :class:`~fractions.Fraction`.
+    keeps its forcing term's rate and frequency, with its own ``upow`` and
+    trig factor; ``c`` multiplies the response's integers, and each stored
+    coefficient is one :class:`~fractions.Fraction`.
     """
     if spec.forcing.is_zero():
         raise ValueError("particular_solution needs a non-zero forcing")
     out: list[UTerm] = []
     for term in spec.forcing.terms:
-        c, a, b, trig, key = term.coeff, term.erate, term.tfreq, term.trig, term._mkey
+        c, a, b, trig = term.coeff, term.erate, term.tfreq, term.trig
         cn, cd = c.numerator, c.denominator
         # c (wr + i wi) / q for each response term
         for upow, wr, wi, q in _shift_response(spec.char_poly(), (a, b), term.upow):
-            rkey = (upow,) + key[1:]
-            out.append(_term(Fraction(cn * wr, cd * q), upow, a, trig, b, rkey))
-            if trig:  # Re (cos) or Im (sin) of (wr + i wi)(cos bu + i sin bu)
-                rank = 3 - key[3]
-                out.append(_term(Fraction((-cn if rank == 2 else cn) * wi, cd * q), upow, a,
-                                 _TRIG_NAMES[rank], b, rkey[:3] + (rank,) + rkey[4:]))
+            out.append(_term(Fraction(cn * wr, cd * q), upow, a, trig, b))
+            # Re (cos) or Im (sin) of (wr + i wi)(cos bu + i sin bu)
+            if trig == COS:
+                out.append(_term(Fraction(-cn * wi, cd * q), upow, a, SIN, b))
+            elif trig == SIN:
+                out.append(_term(Fraction(cn * wi, cd * q), upow, a, COS, b))
     return canonicalize(out)
 
 

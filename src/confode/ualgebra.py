@@ -27,11 +27,14 @@ holds only its rows.
 
 Exact work is done once.  Each term carries a merge key of plain ints
 (``upow``, the numerator and denominator of ``erate``, the trig rank, the
-numerator and denominator of ``tfreq``), computed when the term is built,
-so :func:`canonicalize` hashes ints rather than :class:`~fractions.Fraction`
-objects, and sorts exact rates as integers over a common denominator.  Terms
-whose fields are already canonical (merged totals, derivative children)
-are built by a private constructor that skips re-validation.  Each
+numerator and denominator of ``tfreq``), so :func:`canonicalize` hashes
+ints rather than :class:`~fractions.Fraction` objects, and sorts exact
+rates as integers over a common denominator.  One private constructor,
+:func:`_term`, builds every term and is the only code that computes a key;
+it takes fields that are already canonical (merged totals, derivative
+children, particular and basis terms) without re-validating them.  The
+trig parity rule is written once too, in :func:`_term_of`, which
+:class:`UTerm` and the equation parser build through.  Each
 :class:`UExpr` derives its binary64 levels once: :func:`lowered_levels`
 returns the levels cached on the expression, so every caller that lowers
 the same expression object (the constant fit, the oracle) shares them.
@@ -50,8 +53,11 @@ SIN = "sin"
 _TRIG_NAMES = (None, COS, SIN)  # by trig rank
 
 
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """``x`` read exactly, as ``(numerator, denominator)`` in lowest terms:
+    a float is its dyadic value, and a number of another type is read by
+    :class:`~fractions.Fraction`."""
+    return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
 def _read_only(self, name, value=None):
@@ -61,9 +67,9 @@ def _read_only(self, name, value=None):
     ``__init__`` sets them with ``object.__setattr__``, one at a time, which
     keeps CPython's compact per-instance storage; assigning a whole
     ``__dict__`` makes an instance of one to three attributes 248 bytes
-    instead of 88-104 (64-bit CPython 3.11).  :class:`UTerm`
-    and :func:`_term` still assign the whole dict, which is the faster way
-    to store its six entries.
+    instead of 88-104 (64-bit CPython 3.11).  :func:`_term` still assigns
+    a term's whole dict, which is the faster way to store its six entries,
+    and :class:`UTerm` takes the dict of the term :func:`_term_of` builds.
     """
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
@@ -71,20 +77,20 @@ def _read_only(self, name, value=None):
 class UTerm:
     """One product ``coeff * u^upow * e^(erate*u) * trig(tfreq*u)``.
 
-    Construction normalizes trig parity so that ``tfreq`` is never
-    negative (``cos(-b*u) = cos(b*u)``, ``sin(-b*u) = -sin(b*u)``) and
-    collapses zero frequencies (``cos(0) = 1``, ``sin(0) = 0``), so a
-    term with ``trig is None`` always has ``tfreq == 0`` and a term with
-    a trig factor always has ``tfreq > 0``.
+    Construction checks the arguments, then normalizes trig parity so that
+    ``tfreq`` is never negative (``cos(-b*u) = cos(b*u)``, ``sin(-b*u) =
+    -sin(b*u)``) and collapses zero frequencies (``cos(0) = 1``, ``sin(0) =
+    0``) through :func:`_term_of`, so a term with ``trig is None`` always
+    has ``tfreq == 0`` and a term with a trig factor always has ``tfreq > 0``.
 
     Every number a term holds is an exact
     :class:`~fractions.Fraction`; a float is read as its dyadic value.  The
     binary64 form of terms is the rows of :attr:`UExpr.float_rows`.
 
     The fields are ``coeff``, ``upow``, ``erate``, ``trig`` and ``tfreq``;
-    they are read-only.  The term also computes its integer merge key once
-    (see :func:`_term`).  The key sits in the instance dict next to the
-    fields, but equality, hashing and repr read only the fields.
+    they are read-only.  :func:`_term` stores the integer merge key next to
+    them in the instance dict.  Equality and hashing read the coefficient
+    and the key, which together fix every field; repr reads the fields.
     """
 
     def __init__(self, coeff: Fraction, upow: int = 0, erate: Fraction = Fraction(0),
@@ -93,55 +99,60 @@ class UTerm:
             raise ValueError(f"upow must be a non-negative integer, got {upow!r}")
         if trig not in _TRIG_NAMES:
             raise ValueError(f"trig must be None, {COS!r} or {SIN!r}, got {trig!r}")
-        coeff = _rat(coeff)
-        erate = _rat(erate)
-        tfreq = _rat(tfreq)
-        if trig is None:
-            if tfreq != 0:
-                raise ValueError("tfreq must be zero when there is no trig factor")
-        else:
-            if tfreq < 0:
-                if trig == SIN:
-                    coeff = -coeff
-                tfreq = -tfreq
-            if tfreq == 0:
-                coeff = coeff if trig == COS else Fraction(0)
-                trig = None
-        upow = int(upow)
-        object.__setattr__(self, "__dict__", {
-            "coeff": coeff, "upow": upow, "erate": erate, "trig": trig, "tfreq": tfreq,
-            "_mkey": (upow, erate.numerator, erate.denominator, _TRIG_NAMES.index(trig),
-                      tfreq.numerator, tfreq.denominator)})
+        (num, den), (enum, eden), (fnum, fden) = _ratio(coeff), _ratio(erate), _ratio(tfreq)
+        if trig is None and fnum:
+            raise ValueError("tfreq must be zero when there is no trig factor")
+        object.__setattr__(self, "__dict__", _term_of(
+            num, den, int(upow), enum, eden, _TRIG_NAMES.index(trig), fnum, fden).__dict__)
 
     __setattr__ = __delattr__ = _read_only
-
-    def _fields(self) -> tuple:
-        return (self.coeff, self.upow, self.erate, self.trig, self.tfreq)
 
     def __eq__(self, other):
         if type(other) is not UTerm:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self.coeff == other.coeff and self._mkey == other._mkey
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash((self.coeff, self._mkey))
 
     def __repr__(self):
         return (f"UTerm(coeff={self.coeff!r}, upow={self.upow!r}, erate={self.erate!r}, "
                 f"trig={self.trig!r}, tfreq={self.tfreq!r})")
 
 
-def _term(coeff, upow: int, erate, trig: str | None, tfreq, mkey: tuple) -> UTerm:
+def _term(coeff: Fraction, upow: int, erate: Fraction, trig: str | None,
+          tfreq: Fraction) -> UTerm:
     """A :class:`UTerm` from fields that are already canonical, not re-validated.
 
-    ``mkey`` is the merge key ``UTerm(...)`` would compute for the exact
-    fields: ``(upow, erate numerator, erate denominator, trig rank, tfreq
-    numerator, tfreq denominator)``.
+    This is the one place a merge key is computed: ``(upow, erate
+    numerator, erate denominator, trig rank, tfreq numerator, tfreq
+    denominator)``, read from the exact fields.  Every term is built here,
+    through :func:`_term_of` when its trig parity is still to be fixed.
     """
     term = object.__new__(UTerm)
-    object.__setattr__(term, "__dict__", {"coeff": coeff, "upow": upow, "erate": erate,
-                                          "trig": trig, "tfreq": tfreq, "_mkey": mkey})
+    object.__setattr__(term, "__dict__", {
+        "coeff": coeff, "upow": upow, "erate": erate, "trig": trig, "tfreq": tfreq,
+        "_mkey": (upow, *erate.as_integer_ratio(), _TRIG_NAMES.index(trig),
+                  *tfreq.as_integer_ratio())})
     return term
+
+
+def _term_of(num: int, den: int, upow: int, enum: int, eden: int,
+             rank: int, fnum: int, fden: int) -> UTerm:
+    """``UTerm(num/den, upow, enum/eden, trig, fnum/fden)``, the trig factor
+    by its rank, from integers (``den``, ``eden`` and ``fden`` positive).
+
+    The one place the trig parity and a zero frequency are fixed, for
+    :class:`UTerm` and for the equation parser alike: ``cos(-bu) =
+    cos(bu)``, ``sin(-bu) = -sin(bu)``, ``cos(0) = 1`` and ``sin(0) = 0``.
+    Each number becomes one :class:`~fractions.Fraction`.
+    """
+    if fnum < 0:
+        fnum, num = -fnum, (-num if rank == 2 else num)
+    elif not fnum:
+        num, rank = (0 if rank == 2 else num), 0
+    return _term(Fraction(num, den), upow, Fraction(enum, eden), _TRIG_NAMES[rank],
+                 Fraction(fnum, fden))
 
 
 #: The binary64 form of an expression or of one of its derivative levels:
@@ -269,7 +280,7 @@ def canonicalize(terms) -> UExpr:
     for total, t in _canonical_order(acc) if len(acc) > 1 else acc.values():
         if total:
             out.append(t if total is t.coeff  # not merged
-                       else _term(total, t.upow, t.erate, t.trig, t.tfreq, t._mkey))
+                       else _term(total, t.upow, t.erate, t.trig, t.tfreq))
     return UExpr(tuple(out))
 
 
@@ -279,8 +290,8 @@ def add(f: UExpr, g: UExpr) -> UExpr:
 
 def scale(f: UExpr, c) -> UExpr:
     """``c * f``, with ``c`` read exactly (a float is its dyadic value)."""
-    c = _rat(c)
-    return canonicalize([_term(t.coeff * c, t.upow, t.erate, t.trig, t.tfreq, t._mkey)
+    c = Fraction(c)
+    return canonicalize([_term(t.coeff * c, t.upow, t.erate, t.trig, t.tfreq)
                          for t in f.terms])
 
 
@@ -315,21 +326,20 @@ def mul(f: UExpr, g: UExpr) -> UExpr:
 def diff_u(f: UExpr) -> UExpr:
     """Term-wise d/du (product rule; at most three child terms per term).
 
-    Children multiply the parent's exact fields and take the parent's
-    merge keys: no term is re-validated.
+    Children multiply the parent's exact fields, which stay canonical, so
+    no term is re-validated.
     """
     out = []
     for t in f.terms:
-        coeff, upow, erate, tfreq, key = t.coeff, t.upow, t.erate, t.tfreq, t._mkey
+        coeff, upow, erate, trig, tfreq = t.coeff, t.upow, t.erate, t.trig, t.tfreq
         if upow:
-            out.append(_term(coeff * upow, upow - 1, erate, t.trig, tfreq,
-                             (upow - 1,) + key[1:]))
-        if key[1]:  # erate != 0, tested exactly
-            out.append(_term(coeff * erate, upow, erate, t.trig, tfreq, key))
-        if key[3]:  # cos to -sin, sin to cos
-            rank = 3 - key[3]
-            out.append(_term((-coeff if rank == 2 else coeff) * tfreq, upow, erate,
-                             _TRIG_NAMES[rank], tfreq, key[:3] + (rank,) + key[4:]))
+            out.append(_term(coeff * upow, upow - 1, erate, trig, tfreq))
+        if erate:
+            out.append(_term(coeff * erate, upow, erate, trig, tfreq))
+        if trig == COS:
+            out.append(_term(-coeff * tfreq, upow, erate, SIN, tfreq))
+        elif trig == SIN:
+            out.append(_term(coeff * tfreq, upow, erate, COS, tfreq))
     return canonicalize(out)
 
 

@@ -9,7 +9,8 @@ library module that imported a test-only package would succeed there and
 show up in ``sys.modules``; it also runs each command once, so a lazy
 import on a command's path shows up too.  Neither ``dataclasses`` nor the
 ``inspect`` it imports may load either, because they are a large share of
-a ``confode`` process's start-up.
+a ``confode`` process's start-up, and a bare interpreter (``python -S``)
+running the commands loads no ``typing``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ def test_import_and_commands_load_no_numpy_and_no_test_only_module():
     assert "numpy" not in loaded
     assert not loaded & set(TEST_ONLY), sorted(loaded & set(TEST_ONLY))
     assert not loaded & set(START_UP_COST), sorted(loaded & set(START_UP_COST))
+
+
+def test_commands_load_no_typing_in_a_bare_interpreter():
+    # python -S skips site, whose .pth files may import typing themselves
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    probe = ("import contextlib, io, json, sys\n"
+             "from confode.cli import main\n"
+             "codes = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        codes.append(main(argv))\n"
+             "print(json.dumps([codes, 'typing' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, json.dumps(COMMANDS)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(done.stdout) == [[0] * len(COMMANDS), False]
 
 
 def test_console_script_reads_sys_argv():

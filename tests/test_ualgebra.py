@@ -406,6 +406,41 @@ def test_private_constructor_builds_what_validation_would(terms):
         assert type(term.erate) is Fraction and type(term.tfreq) is Fraction
 
 
+# ints, floats (-0.0 and subnormals included) and Fractions, negative and zero
+_MIXED_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0, **finite),
+                           st.fractions(-4, 4, max_denominator=12), st.sampled_from(_KEY_FREQS))
+
+
+@st.composite
+def mixed_terms(draw):
+    trig = draw(st.sampled_from([None, COS, SIN]))
+    tfreq = draw(st.sampled_from([0, 0.0, Fraction(0)]) if trig is None else _MIXED_NUMBERS)
+    return UTerm(draw(_MIXED_NUMBERS), draw(st.integers(0, 3)), draw(_MIXED_NUMBERS), trig, tfreq)
+
+
+mixed_exprs = st.lists(mixed_terms(), max_size=5).map(canonicalize)
+
+
+def _fields(t):
+    return t.coeff, t.upow, t.erate, t.trig, t.tfreq
+
+
+@given(mixed_exprs, mixed_exprs, _MIXED_NUMBERS)
+def test_every_result_term_is_what_the_constructor_builds(f, g, c):
+    # _term writes every merge key: each result term is, key for key, the
+    # term UTerm() builds from its fields, and equality and hashing agree
+    # with field equality
+    terms = [t for h in (f, g, diff_u(f), scale(f, c), mul(f, g), add(f, g)) for t in h.terms]
+    for t in terms:
+        again = UTerm(*_fields(t))
+        assert again == t and again._mkey == t._mkey and hash(again) == hash(t), t
+        assert type(t.coeff) is type(t.erate) is type(t.tfreq) is Fraction
+    for a in terms:
+        for b in terms:
+            assert (a == b) == (_fields(a) == _fields(b)), (a, b)
+            assert a != b or hash(a) == hash(b)
+
+
 @given(uexprs)
 def test_fundamental_theorem_in_u(f):
     assert_expr_close(diff_u(integrate_u(f)), f, rtol=1e-12)
