@@ -11,7 +11,8 @@ classical constant-coefficient problem over a small closed term algebra
 - :mod:`confode.chareq` — characteristic polynomials and their exact or
   certified roots
 - :mod:`confode.solver` — solution bases, particular solutions by
-  exponential-shift inversion, initial-value fitting
+  exponential-shift inversion, initial-value fitting, and the JSON
+  solution document
 - :mod:`confode.conformable` — the independent numeric oracle
   (the limit quotient on a verify grid, and the equation residual)
 - :mod:`confode.eqparse` — the equation text front end, which reads text

@@ -58,7 +58,7 @@ from .solver import (
     solution_to_doc,
     solve_problem,
 )
-from .ualgebra import ZERO, PointTable, SubstMap, format_t
+from .ualgebra import ZERO, PointTable, SubstMap, format_t, weighted_sum
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_LO = 0.01
@@ -378,9 +378,6 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     lo, hi, count = ns.trange
     [sol] = _solutions(ns)
     subst = SubstMap(sol.spec.alpha)
-    constants = sol.constants
-    if constants is None:
-        constants = tuple(0.0 for _ in sol.basis.elements)
 
     header = ["t", "y"]
     if ns.columns == "full":
@@ -390,17 +387,15 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     step = (hi - lo) / (count - 1)
     ts = [hi if i == count - 1 else lo + i * step for i in range(count)]
     table = PointTable(ts, subst)
-    basis_vals = [table.values(e.float_rows) for e in sol.basis.elements]
-    part_val = ([0.0] * count if sol.particular is None
-                else table.values(sol.particular.float_rows))
-    y = [0.0] * count  # summed left to right at each point
-    for c, vals in zip(constants, basis_vals):
-        y = [s + c * v for s, v in zip(y, vals)]
-    columns = [[s + v for s, v in zip(y, part_val)]]
+    vals = [table.values(e.float_rows) for e in sol.basis.elements]
+    weights = list(sol.constants or (0.0,) * sol.basis.n)
+    if sol.particular is not None:
+        vals.append(table.values(sol.particular.float_rows))
+        weights.append(1.0)
+    # y = sum c_i e_i + v, summed left to right at each point
+    columns = [weighted_sum(zip(weights, vals), count)]
     if ns.columns == "full":
-        columns += basis_vals
-        if sol.particular is not None:
-            columns.append(part_val)
+        columns += vals
     if not all(all(map(math.isfinite, col)) for col in columns):
         raise OverflowError("a sampled value is not finite")
     # one write for the whole CSV: unbuffered stdout makes each call a syscall

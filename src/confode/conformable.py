@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import mul
 
-from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels
+from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels, weighted_sum
 
 #: The complex step ``eps``: a power of two, so dividing by it is exact,
 #: and small enough that the quotient's truncation (``eps**2`` relative)
@@ -71,9 +71,10 @@ class OracleGrid:
     ``STEP**2`` relative), and the imaginary part divided by :data:`STEP`
     is the shape's limit quotient at ``t``.  The values and quotients of a
     level are binary64 sums, ``s + coeff * column`` over its rows in order,
-    the rounding of :func:`~confode.ualgebra.eval_expr`.  Of those sums the
-    grid keeps one expression's, the last that :meth:`columns` was asked
-    for.
+    the rounding of :func:`~confode.ualgebra.eval_expr`, which :meth:`_sum`
+    takes from :func:`~confode.ualgebra.weighted_sum`, the library's one row
+    sum over points.  Of those sums the grid keeps one expression's, the
+    last that :meth:`columns` was asked for.
 
     Each point's values depend on that point alone, so a point may join
     any table: verify's one table holds the grid and, for a fitted
@@ -114,22 +115,11 @@ class OracleGrid:
         return hit
 
     def _sum(self, level: Rows, part: int) -> list[float]:
-        """``level``'s values (part 0) or quotients (part 1) at every point.
-
-        Each point's sum starts from ``0.0`` and adds ``coeff * column``
-        over the rows in order.  The first row is added to ``0.0`` as it is
-        summed, not to a column of zeros: the same operation, and it keeps
-        the sum ``+0.0`` where that row's product is ``-0.0`` (a negative
-        coefficient on a column that underflows).
-        """
-        if not level:
-            return [0.0] * len(self.ts)
-        coeff, col = level[0][0], self._shape(level[0][1:])[part]
-        total = [0.0 + coeff * v for v in col]
-        for row in level[1:]:
-            coeff, col = row[0], self._shape(row[1:])[part]
-            total = [s + coeff * v for s, v in zip(total, col)]
-        return total
+        """``level``'s values (part 0) or quotients (part 1) at every point:
+        :func:`~confode.ualgebra.weighted_sum` of each row's coefficient and
+        that part of its shape's column, over the rows in order."""
+        return weighted_sum(((row[0], self._shape(row[1:])[part]) for row in level),
+                            len(self.ts))
 
     def values(self, level: Rows) -> list[float]:
         """``level`` (an expression's :attr:`~confode.ualgebra.UExpr.float_rows`

@@ -20,6 +20,12 @@ binary64 sums (back-substitution, the fit's defect check) add left to
 right from 0 on every supported Python; CPython 3.12's builtin ``sum``
 would compensate them.
 
+This module also owns the JSON solution document, both ways:
+:func:`solution_to_doc` writes each expression as term records, one per
+binary64 row (:func:`term_records`), and :func:`solution_from_doc` reads
+them back exactly (:func:`expr_from_records`), every number and integer
+checked by :func:`json_float` and :func:`json_int`.
+
 The paper's variation of parameters (Wronskian and Cramer minors) is kept
 in the test suite as an independent reference.
 """
@@ -46,13 +52,9 @@ from .ualgebra import (
     _term,
     add,
     canonicalize,
-    expr_from_records,
     format_t,
-    json_float,
-    json_int,
     lowered_levels,
     scale,
-    term_records,
 )
 
 
@@ -415,6 +417,40 @@ def format_solution(sol: GeneralSolution) -> str:
             ptxt = f"({ptxt})"
         body += " + " + ptxt
     return "y(t) = " + body
+
+
+def term_records(f: UExpr) -> list[dict]:
+    """JSON-ready list of term records, one per row (numbers as floats)."""
+    return [
+        {"coeff": coeff, "upow": upow, "erate": erate, "trig": _TRIG_NAMES[rank], "tfreq": tfreq}
+        for coeff, upow, erate, rank, tfreq in f.float_rows
+    ]
+
+
+def json_int(value, key: str) -> int:
+    """``value`` read from the JSON key ``key``, which must hold an integer:
+    a float or a bool raises ValueError naming the key."""
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(value, key: str) -> float:
+    """``value`` read from the JSON key ``key``, which must hold a number (a
+    JSON int or float): a string, a bool or any other value raises
+    ValueError naming the key."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def expr_from_records(records) -> UExpr:
+    """Term records read exactly (NaN raises ValueError, inf OverflowError)."""
+    return canonicalize([
+        UTerm(json_float(r["coeff"], "coeff"), json_int(r["upow"], "upow"),
+              json_float(r["erate"], "erate"), r["trig"], json_float(r["tfreq"], "tfreq"))
+        for r in records
+    ])
 
 
 def solution_to_doc(sol: GeneralSolution) -> dict:

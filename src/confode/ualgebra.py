@@ -13,14 +13,17 @@ ring operations, d/du, and evaluation back in the t domain.  Evaluation
 has one rounding rule: each row is ``coeff * shape``, the shape's factors
 multiplied left to right, and the rows are summed in order, at one point
 (:func:`eval_expr`) or at a fixed set of points (:class:`PointTable`,
-whose shape columns the oracle reads too).
+whose shape columns the oracle reads too).  One kernel,
+:func:`weighted_sum`, sums weighted columns over points, for the table,
+the oracle and the sampled solution alike.
 
 Every number in a term is an exact rational, so the cancellation the
 solver depends on is exact, and merging drops only exact zeros.  The one
 binary64 form of an expression is its rows, :attr:`UExpr.float_rows`: one
 ``(coeff, upow, erate, trig rank, tfreq)`` tuple of floats and ints per
-term, each number rounded once.  Evaluation, rendering and the JSON records
-read them.  The constant fit and the oracle read its derivative *levels*,
+term, each number rounded once.  Evaluation and rendering read them, and
+so does the solution document, which :mod:`confode.solver` writes and
+reads.  The constant fit and the oracle read its derivative *levels*,
 rows derived from the previous level's rows by :func:`lowered_levels`: the
 same float levels for an exact expression and for a JSON document that
 holds only its rows.
@@ -452,12 +455,28 @@ class PointTable:
         return z
 
     def values(self, rows: Rows) -> list[float]:
-        """The sum of ``rows`` at every point: ``s + coeff * shape`` over
-        the rows in order, from 0.0."""
-        total = [0.0] * len(self.u)
-        for coeff, *shape in rows:
-            total = [s + coeff * v for s, v in zip(total, self.shape(*shape))]
-        return total
+        """The sum of ``rows`` at every point: :func:`weighted_sum` of each
+        row's coefficient and shape column, in order."""
+        return weighted_sum(((coeff, self.shape(*shape)) for coeff, *shape in rows),
+                            len(self.u))
+
+
+def weighted_sum(pairs, count: int) -> list[float]:
+    """``s + c * v`` at each of ``count`` points over the ``(c, column)``
+    pairs in order, from 0.0: the library's one sum of rows over points.
+
+    The first pair is added to ``0.0`` as it is read, not to a column of
+    zeros: the same operation, and it keeps the sum ``+0.0`` where that
+    product is ``-0.0`` (a negative coefficient on a column that
+    underflows).  No pairs give ``[0.0] * count``.
+    """
+    total = None
+    for c, col in pairs:
+        if total is None:
+            total = [0.0 + c * v for v in col]
+        else:
+            total = [s + c * v for s, v in zip(total, col)]
+    return [0.0] * count if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -507,36 +526,3 @@ def format_t(f: UExpr, subst: SubstMap) -> str:
                    _row_factors_t(upow, *shape, alpha))
                   for coeff, upow, *shape in f.float_rows])
 
-
-def term_records(f: UExpr) -> list[dict]:
-    """JSON-ready list of term records, one per row (numbers as floats)."""
-    return [
-        {"coeff": coeff, "upow": upow, "erate": erate, "trig": _TRIG_NAMES[rank], "tfreq": tfreq}
-        for coeff, upow, erate, rank, tfreq in f.float_rows
-    ]
-
-
-def json_int(value, key: str) -> int:
-    """``value`` read from the JSON key ``key``, which must hold an integer:
-    a float or a bool raises ValueError naming the key."""
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def json_float(value, key: str) -> float:
-    """``value`` read from the JSON key ``key``, which must hold a number (a
-    JSON int or float): a string, a bool or any other value raises
-    ValueError naming the key."""
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def expr_from_records(records) -> UExpr:
-    """Term records read exactly (NaN raises ValueError, inf OverflowError)."""
-    return canonicalize([
-        UTerm(json_float(r["coeff"], "coeff"), json_int(r["upow"], "upow"),
-              json_float(r["erate"], "erate"), r["trig"], json_float(r["tfreq"], "tfreq"))
-        for r in records
-    ])

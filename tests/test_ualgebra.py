@@ -18,15 +18,14 @@ from confode.ualgebra import (
     diff_u,
     eval_expr,
     expr,
-    expr_from_records,
     format_t,
     lowered_levels,
     mul,
     scale,
-    term_records,
 )
 import algebra_reference as ref
 from confode import ualgebra
+from confode.solver import expr_from_records, term_records
 from test_conformable import random_expr
 from vop_reference import format_u, integrate_u
 
