@@ -48,7 +48,7 @@ import sys
 from collections.abc import Iterator
 
 from .chareq import RootFindingError
-from .conformable import OracleGrid, log_grid, operator_residual
+from .conformable import OracleGrid, log_grid, operator_residual, relative_residuals
 from .eqparse import EquationSyntaxError, problem_from_source
 from .solver import (
     GeneralSolution,
@@ -300,7 +300,7 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     if sol.particular is not None:
         checks.append(("particular solution", sol.particular, sol.spec.forcing, 1.0))
     count = len(grid)
-    oracle = OracleGrid(alpha, grid if sol.ic is None else [*grid, sol.ic[0]])
+    oracle = OracleGrid(alpha, grid, None if sol.ic is None else sol.ic[0])
 
     def worst_point(ts, residuals: list[float]) -> dict:
         # the first maximum, as a loop keeping only a strictly greater one
@@ -318,7 +318,7 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
     at_t0 = []
     n = sol.spec.order
     for label, y, forcing, c in checks:
-        found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle)[:count])
+        found[label] = worst_point(grid, operator_residual(coeffs, y, forcing, oracle))
         # y's columns are the grid's, summed by the residual; no name here
         # holds them, so the grid releases them before the next check's.
         # Values that all underflow to 0 check nothing.
@@ -332,11 +332,11 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
             at_t0.insert(0, at_t0.pop())
         # the sum at t0 against the targets: level 0 is the value, level k
         # the quotient of level k - 1, which the fit never takes
-        found["initial values"] = worst_point(
-            [t0] * len(targets),
-            [abs(_sum_in_order(terms) - target)
-             / max(_sum_in_order(map(abs, terms)), abs(target), 1.0)
-             for *terms, target in zip(*at_t0, targets)])
+        # relative to max(sum |terms|, |target|), floored as the grid checks are
+        rows = list(zip(*at_t0, targets))
+        found["initial values"] = worst_point([t0] * len(targets), relative_residuals(
+            [_sum_in_order(terms) - target for *terms, target in rows],
+            [max(_sum_in_order(map(abs, terms)), abs(target)) for *terms, target in rows]))
     worst_part = max(found, key=lambda label: found[label]["max_residual"])
     overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]
     return {

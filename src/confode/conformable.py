@@ -77,9 +77,10 @@ class OracleGrid:
     last that :meth:`columns` was asked for.
 
     Each point's values depend on that point alone, so a point may join
-    any table: verify's one table holds the grid and, for a fitted
+    any table: verify's one table holds the grid ``ts`` and, for a fitted
     solution, ``t0`` as its last point, whose values and quotients are
-    those of a one-point grid at ``t0``.
+    those of a one-point grid at ``t0``.  The columns cover every point of
+    the table, but :func:`operator_residual` checks the grid's points only.
 
     Points are checked in order, ``t0`` like any other, and the first bad
     one raises.
@@ -90,11 +91,11 @@ class OracleGrid:
             DOMAIN_CEILING)``.
     """
 
-    def __init__(self, alpha: float, ts: Sequence[float]):
+    def __init__(self, alpha: float, ts: Sequence[float], t0: float | None = None):
         subst = SubstMap(alpha)
         self.ts = list(ts)
         points = []
-        for t in self.ts:
+        for t in self.ts if t0 is None else [*self.ts, t0]:
             if t <= 0.0:  # as the substitution refuses it, ahead of the domain check
                 raise ValueError(f"the substitution requires t > 0, got t={t!r}")
             if not DOMAIN_FLOOR < t < DOMAIN_CEILING:
@@ -119,7 +120,7 @@ class OracleGrid:
         :func:`~confode.ualgebra.weighted_sum` of each row's coefficient and
         that part of its shape's column, over the rows in order."""
         return weighted_sum(((row[0], self._shape(row[1:])[part]) for row in level),
-                            len(self.ts))
+                            len(self.table.u))
 
     def values(self, level: Rows) -> list[float]:
         """``level`` (an expression's :attr:`~confode.ualgebra.UExpr.float_rows`
@@ -145,7 +146,7 @@ class OracleGrid:
 
 def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
                       grid: OracleGrid) -> list[float]:
-    """Relative residuals of ``L_alpha[y] - q`` at each point of ``grid``.
+    """Relative residuals of ``L_alpha[y] - q`` at each point of ``grid.ts``.
 
     The operator is ``n``-fold sequential conformable differentiation plus
     the lower-order terms with the given coefficients (``coeffs[i]``
@@ -166,24 +167,49 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     residual is the one that loop gives.
 
     Each residual is normalised by the magnitude of the terms being
-    cancelled: ``|residual| / max(1, sum_i |p_i * D_i| + |D_n| + |q(t)|)``,
-    so the value is comparable across equations whose solutions range over
-    many orders of magnitude.  The floor is written
-    ``1.0 if 1.0 > scale else scale``, which is what ``max(scale, 1.0)``
-    returns for every ``scale``: ``max`` keeps its first argument unless a
-    later one compares greater, so a nan scale stays nan, and so does the
-    residual, which verify then reports as not finite.
+    cancelled, ``scale = sum_i |p_i * D_i| + |D_n| + |q(t)|``, through
+    :func:`relative_residuals`: ``|residual| / max(scale, 2**-52 * the
+    largest scale on the grid)``.  The floor is relative to the check
+    itself, so the value is comparable across equations whose solutions
+    range over many orders of magnitude, below 1 as above it: a basis
+    element is defined only up to a constant factor, and its check does not
+    depend on that factor's size.  A ``t0`` in the table is not checked, so
+    its scale sets no floor: far from the grid, a growing element's scale
+    there would floor every grid point's and hide a wrong rate.
     """
     n = len(coeffs)
     if n < 1:
         raise ValueError("operator needs order n >= 1")
-    out = []
-    for row in zip(*grid.columns(y, n), grid.values(forcing.float_rows)):
+    accs, scales = [], []
+    # the last argument, the grid's points, leaves out a t0 in the table
+    for row in zip(*grid.columns(y, n), grid.values(forcing.float_rows), grid.ts):
         top, q = row[n], row[n + 1]
         acc = top - q
         scale = abs(top) + abs(q)
         for term in map(mul, coeffs, row):
             acc += term
             scale += abs(term)
-        out.append(abs(acc) / (1.0 if 1.0 > scale else scale))
+        accs.append(acc)
+        scales.append(scale)
+    return relative_residuals(accs, scales)
+
+
+def relative_residuals(residuals: list[float], scales: list[float]) -> list[float]:
+    """``|r| / max(s, 2**-52 * max(scales))`` for each residual ``r`` and
+    its scale ``s``, and 0 where both are 0.
+
+    The floor is one unit of round-off of the check's largest scale, so a
+    point whose terms are negligible against another point's is not judged
+    on its own round-off, and the result does not change when every
+    residual and scale is multiplied by the same power of two.  A scale of
+    0 means every term is 0, so its residual is 0 too, which is what an
+    all-zero check gives.  The floor is written ``floor if floor > s else
+    s``: a nan scale stays nan, and so does its residual, which verify then
+    reports as not finite, and a nan floor floors nothing.
+    """
+    floor = 2.0 ** -52 * max(scales, default=0.0)
+    out = []
+    for r, s in zip(residuals, scales):
+        d = floor if floor > s else s
+        out.append(abs(r) / d if d else 0.0)
     return out

@@ -158,8 +158,11 @@ def initial_value_check(sol) -> dict:
     parts += zip(sol.constants, sol.basis.elements)
     n = sol.spec.order
     rows = [[c * column[0] for column in at_t0.columns(f, n)[:n]] for c, f in parts]
-    residuals = [abs(sum(terms) - target) / max(sum(map(abs, terms)), abs(target), 1.0)
-                 for *terms, target in zip(*rows, targets)]
+    gaps = [abs(sum(terms) - target) for *terms, target in zip(*rows, targets)]
+    scales = [max(sum(map(abs, terms)), abs(target)) for *terms, target in zip(*rows, targets)]
+    # the scale is floored at 2^-52 of the largest scale over the levels
+    floor = 2.0 ** -52 * max(scales)
+    residuals = [gap / max(scale, floor) if scale else 0.0 for gap, scale in zip(gaps, scales)]
     return {"max_residual": max(residuals), "worst_t": t0}
 
 

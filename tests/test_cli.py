@@ -723,6 +723,50 @@ def test_verify_tiny_rates(source, capsys):
     assert out.endswith("-> ok\n")
 
 
+def _move_rate(rate, element=0):
+    def edit(doc):
+        doc["basis"][element][0]["erate"] = doc["origins"][element]["root"][0] = rate
+    return edit
+
+
+def _scale_particular(factor):
+    def edit(doc):
+        for record in doc["particular"]:
+            record["coeff"] *= factor
+    return edit
+
+
+def _double_constants(doc):
+    doc["constants"] = [2.0 * c for c in doc["constants"]]
+
+
+@pytest.mark.parametrize("source, ic, edit, part, least", [
+    # the element's values on the grid are below 1e-20
+    ("T y + 300 y = 1", None, _move_rate(-250.0), "basis element 1", 0.09),
+    ("T y + 300 y = 1", None, _move_rate(-100.0), "basis element 1", 0.4),
+    ("T y + y = 0.0000000001", None, _scale_particular(2.0), "particular solution", 0.3),
+    ("T2 y + 3 T y + 2 y = 0.000001 * exp(-3 t^a)", None, _scale_particular(1.5),
+     "particular solution", 9e-3),
+    ("T2 y + 3 T y + 2 y = 0", (1.0, (1e-10, 0.0)), _double_constants, "initial values", 0.15),
+    # e^u is near 1e26 at t0 = 900, which no grid point checks: were its
+    # scale there the grid's floor, e^{1.5 u} would pass (its constant is 0)
+    ("T2 y - y = 0", (900.0, (1.0, -1.0)), _move_rate(1.5, 1), "basis element 2", 0.3),
+])
+def test_verify_is_relative_at_every_magnitude(source, ic, edit, part, least, capsys):
+    # a scale floored at 1 made each check absolute, and the first five
+    # edits passed
+    spec = problem_from_source(source, 0.5)
+    sol = solve_problem(spec) if ic is None else solve_problem(spec, t0=ic[0], targets=ic[1])
+    doc = solution_to_doc(sol)
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "--json", json.dumps(doc)], capsys)
+    assert code == 0 and json.loads(out)["max_residual"] < 1e-15
+    edit(doc)
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "--json", json.dumps(doc)], capsys)
+    report = json.loads(out)
+    assert (code, report["ok"], report["worst_part"]) == (3, False, part)
+    assert report["max_residual"] > least
+
+
 def test_verify_honours_a_range_start_below_the_default(capsys):
     code, out, _ = run_cli(
         ["verify", "--json", "--alpha", "0.3", "--range", "0.00001:3:50",

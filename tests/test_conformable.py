@@ -395,7 +395,7 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
         raise ValueError("operator needs order n >= 1")
     # the oracle derives the binary64 rows; the reference derives float terms
     levels = algebra_reference.lowered_levels(y, n)
-    out = []
+    accs, scales = [], []
     for t in ts:
         values = [shape_step(y, t, alpha)[0]]
         for level in levels:
@@ -406,8 +406,12 @@ def point_by_point_residual(coeffs, alpha, y, forcing, ts):
         for i, p in enumerate(coeffs):
             acc += p * values[i]
             scale += abs(p * values[i])
-        out.append(abs(acc) / max(1.0, scale))
-    return out
+        accs.append(acc)
+        scales.append(scale)
+    # the scale is floored at 2^-52 of the largest scale on the grid
+    floor = 2.0 ** -52 * max(scales)
+    return [abs(acc) / max(scale, floor) if scale else 0.0
+            for acc, scale in zip(accs, scales)]
 
 
 _RATES = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(7, 10),
