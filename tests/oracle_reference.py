@@ -145,6 +145,16 @@ def shape_step(f: UExpr | Rows, t: float, alpha: float) -> tuple[float, float]:
     return value, quotient
 
 
+def sum_left_to_right(values) -> float:
+    """``values`` added one at a time from 0.0, as confode adds its sums on
+    every supported Python; from CPython 3.12 the builtin ``sum``
+    compensates floats, and so rounds otherwise."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def initial_value_check(sol) -> dict:
     """Verify's ``combined`` record of a fitted solution, on a one-point grid.
 
@@ -158,8 +168,9 @@ def initial_value_check(sol) -> dict:
     parts += zip(sol.constants, sol.basis.elements)
     n = sol.spec.order
     rows = [[c * column[0] for column in at_t0.columns(f, n)[:n]] for c, f in parts]
-    gaps = [abs(sum(terms) - target) for *terms, target in zip(*rows, targets)]
-    scales = [max(sum(map(abs, terms)), abs(target)) for *terms, target in zip(*rows, targets)]
+    gaps = [abs(sum_left_to_right(terms) - target) for *terms, target in zip(*rows, targets)]
+    scales = [max(sum_left_to_right(map(abs, terms)), abs(target))
+              for *terms, target in zip(*rows, targets)]
     # the scale is floored at 2^-52 of the largest scale over the levels
     floor = 2.0 ** -52 * max(scales)
     residuals = [gap / max(scale, floor) if scale else 0.0 for gap, scale in zip(gaps, scales)]

@@ -29,7 +29,7 @@ from confode.conformable import OracleGrid, log_grid, operator_residual
 from confode.eqparse import problem_from_source
 from confode.solver import solution_from_doc, solution_to_doc, solve_problem
 from confode.ualgebra import ZERO, SubstMap, eval_expr
-from oracle_reference import initial_value_check
+from oracle_reference import initial_value_check, sum_left_to_right
 
 FORCED = "T2 y + 4 T y + 3 y = exp(2 t^a)"
 HOMOG = "T2 y + 4 T y + 3 y = 0"
@@ -723,6 +723,17 @@ def test_verify_tiny_rates(source, capsys):
     assert out.endswith("-> ok\n")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: the roots are +-1e40 i, double; the oracle's complex step gives "
+    "u an imaginary part near 2^-100, so 1e40 u has one near 8e9 and cmath.cos and "
+    "cmath.sin overflow: exit 2, 'a value overflows binary64 (math range error)'"))
+def test_verify_huge_rates(capsys):
+    code, out, _ = run_cli(["verify", "--alpha", "0.5", "T4 y + 2e80 T2 y + 1e160 y = 0"],
+                           capsys)
+    assert code == 0, out
+    assert out.endswith("-> ok\n")
+
+
 def _move_rate(rate, element=0):
     def edit(doc):
         doc["basis"][element][0]["erate"] = doc["origins"][element]["root"][0] = rate
@@ -1143,7 +1154,7 @@ def _sample_rows_point_by_point(sol, lo, hi, count):
         basis_vals = [eval_expr(e, t, subst) for e in sol.basis.elements]
         part_val = (eval_expr(sol.particular, t, subst)
                     if sol.particular is not None else 0.0)
-        y = sum(c * v for c, v in zip(constants, basis_vals)) + part_val
+        y = sum_left_to_right(c * v for c, v in zip(constants, basis_vals)) + part_val
         row = [t, y] + basis_vals + ([part_val] if sol.particular is not None else [])
         lines.append(",".join(repr(float(v)) for v in row))
     return lines
@@ -1153,6 +1164,9 @@ def _sample_rows_point_by_point(sol, lo, hi, count):
     ["--alpha", "0.5", "--range", "0.5:4:997", "T2 y + 2 T y + 5 y = cos(2 t^a)"],
     ["--alpha", "0.3", "--ic", "1:0.5,-2", "--range", "0.2:3:101", FORCED],
     ["--alpha", "0.7", "--range", "0.1:2:64", HOMOG],
+    # four constants and the particular: y's left-to-right sum has five terms
+    ["--alpha", "0.5", "--ic", "1:0.5,-2,3,1", "--range", "0.2:3:401",
+     "T4 y + 10 T3 y + 35 T2 y + 50 T y + 24 y = exp(t^a) + t^a"],
 ])
 def test_sample_full_rows_equal_point_by_point_evaluation(argv, capsys):
     code, out, _ = run_cli(["sample", "--columns", "full", *argv], capsys)
