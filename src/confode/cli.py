@@ -332,11 +332,13 @@ def _verify_one(sol: GeneralSolution, grid, tol: float) -> dict:
             at_t0.insert(0, at_t0.pop())
         # the sum at t0 against the targets: level 0 is the value, level k
         # the quotient of level k - 1, which the fit never takes
-        # relative to max(sum |terms|, |target|), floored as the grid checks are
+        # each relative to its own max(sum |terms|, |target|), unfloored:
+        # level k grows like |rate|^k, so one level floors no other
         rows = list(zip(*at_t0, targets))
         found["initial values"] = worst_point([t0] * len(targets), relative_residuals(
             [_sum_in_order(terms) - target for *terms, target in rows],
-            [max(_sum_in_order(map(abs, terms)), abs(target)) for *terms, target in rows]))
+            [max(_sum_in_order(map(abs, terms)), abs(target)) for *terms, target in rows],
+            0.0))
     worst_part = max(found, key=lambda label: found[label]["max_residual"])
     overall, overall_t = found[worst_part]["max_residual"], found[worst_part]["worst_t"]
     return {

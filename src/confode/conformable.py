@@ -21,6 +21,7 @@ whole equation.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import inf, nan
 from operator import mul
 
 from .ualgebra import PointTable, Rows, SubstMap, UExpr, lowered_levels, weighted_sum
@@ -169,11 +170,14 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
     Each residual is normalised by the magnitude of the terms being
     cancelled, ``scale = sum_i |p_i * D_i| + |D_n| + |q(t)|``, through
     :func:`relative_residuals`: ``|residual| / max(scale, 2**-52 * the
-    largest scale on the grid)``.  The floor is relative to the check
-    itself, so the value is comparable across equations whose solutions
-    range over many orders of magnitude, below 1 as above it: a basis
-    element is defined only up to a constant factor, and its check does not
-    depend on that factor's size.  A ``t0`` in the table is not checked, so
+    largest scale on the grid)``: one unit of round-off of the check's
+    largest scale, so a point whose terms are negligible against another
+    point's is not judged on its own round-off, and the residuals do not
+    change when ``y`` and ``q`` are scaled by one power of two.  The floor
+    is relative to the check itself, so the value is comparable across
+    equations whose solutions range over many orders of magnitude, below 1
+    as above it: a basis element is defined only up to a constant factor,
+    and its check does not depend on that factor's size.  A ``t0`` in the table is not checked, so
     its scale sets no floor: far from the grid, a growing element's scale
     there would floor every grid point's and hide a wrong rate.
     """
@@ -191,25 +195,21 @@ def operator_residual(coeffs: list[float], y: UExpr, forcing: UExpr,
             scale += abs(term)
         accs.append(acc)
         scales.append(scale)
-    return relative_residuals(accs, scales)
+    return relative_residuals(accs, scales, 2.0 ** -52 * max(scales, default=0.0))
 
 
-def relative_residuals(residuals: list[float], scales: list[float]) -> list[float]:
-    """``|r| / max(s, 2**-52 * max(scales))`` for each residual ``r`` and
-    its scale ``s``, and 0 where both are 0.
+def relative_residuals(residuals: list[float], scales: list[float],
+                       floor: float) -> list[float]:
+    """``|r| / max(s, floor)`` for each residual ``r`` and its scale ``s``,
+    0 where both are 0, and nan where ``s`` is not finite.
 
-    The floor is one unit of round-off of the check's largest scale, so a
-    point whose terms are negligible against another point's is not judged
-    on its own round-off, and the result does not change when every
-    residual and scale is multiplied by the same power of two.  A scale of
-    0 means every term is 0, so its residual is 0 too, which is what an
-    all-zero check gives.  The floor is written ``floor if floor > s else
-    s``: a nan scale stays nan, and so does its residual, which verify then
-    reports as not finite, and a nan floor floors nothing.
+    A scale of 0 means every term is 0, so its residual is 0 too, which is
+    what an all-zero check gives.  A scale that is inf is a sum of
+    ``|terms|`` that overflowed, and a nan one holds a nan term: either
+    way the point is not checked, and its nan residual makes verify report
+    it as not finite, where dividing by it would pass it (and, as a
+    floor, every other point).
     """
-    floor = 2.0 ** -52 * max(scales, default=0.0)
-    out = []
-    for r, s in zip(residuals, scales):
-        d = floor if floor > s else s
-        out.append(abs(r) / d if d else 0.0)
-    return out
+    return [(abs(r) / d if d else 0.0) if s < inf else nan
+            for r, s in zip(residuals, scales)
+            for d in (floor if floor > s else s,)]

@@ -171,9 +171,8 @@ def initial_value_check(sol) -> dict:
     gaps = [abs(sum_left_to_right(terms) - target) for *terms, target in zip(*rows, targets)]
     scales = [max(sum_left_to_right(map(abs, terms)), abs(target))
               for *terms, target in zip(*rows, targets)]
-    # the scale is floored at 2^-52 of the largest scale over the levels
-    floor = 2.0 ** -52 * max(scales)
-    residuals = [gap / max(scale, floor) if scale else 0.0 for gap, scale in zip(gaps, scales)]
+    # each level relative to its own scale, which no other level floors
+    residuals = [gap / scale if scale else 0.0 for gap, scale in zip(gaps, scales)]
     return {"max_residual": max(residuals), "worst_t": t0}
 
 

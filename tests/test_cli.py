@@ -751,6 +751,10 @@ def _double_constants(doc):
     doc["constants"] = [2.0 * c for c in doc["constants"]]
 
 
+def _double_first_target(doc):
+    doc["ic"]["targets"][0] *= 2.0
+
+
 @pytest.mark.parametrize("source, ic, edit, part, least", [
     # the element's values on the grid are below 1e-20
     ("T y + 300 y = 1", None, _move_rate(-250.0), "basis element 1", 0.09),
@@ -762,6 +766,9 @@ def _double_constants(doc):
     # e^u is near 1e26 at t0 = 900, which no grid point checks: were its
     # scale there the grid's floor, e^{1.5 u} would pass (its constant is 0)
     ("T2 y - y = 0", (900.0, (1.0, -1.0)), _move_rate(1.5, 1), "basis element 2", 0.3),
+    # the quotient at t0 is near 1e22 times the value: were its scale the
+    # value's floor, the doubled value target would pass
+    ("T2 y + 1e44 y = 0", (1.0, (1.0, 0.0)), _double_first_target, "initial values", 0.4),
 ])
 def test_verify_is_relative_at_every_magnitude(source, ic, edit, part, least, capsys):
     # a scale floored at 1 made each check absolute, and the first five
@@ -776,6 +783,19 @@ def test_verify_is_relative_at_every_magnitude(source, ic, edit, part, least, ca
     report = json.loads(out)
     assert (code, report["ok"], report["worst_part"]) == (3, False, part)
     assert report["max_residual"] > least
+
+
+def test_verify_fails_a_point_whose_scale_overflows(capsys):
+    # e^{0.999 t} and its quotient are finite at t = 710.4, but the sum of
+    # their sizes overflows there; divided by that sum (or floored by it),
+    # every residual read 0 and the wrong rate passed
+    code, doc, _ = run_cli(["solve", "--alpha", "1", "--json", "T y - y = 0"], capsys)
+    doc = json.loads(doc)
+    _move_rate(0.999)(doc)
+    code, out, err = run_cli(
+        ["verify", "--alpha", "1", "--range", "1:710.4:20", "--json", json.dumps(doc)], capsys)
+    assert (code, out) == (2, "")
+    assert "the residual at t = 710.4 is not finite" in json.loads(err)["error"]["message"]
 
 
 def test_verify_honours_a_range_start_below_the_default(capsys):

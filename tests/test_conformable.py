@@ -17,6 +17,7 @@ from confode.conformable import (
     OracleGrid,
     log_grid,
     operator_residual,
+    relative_residuals,
 )
 from confode.solver import ProblemSpec, homogeneous_basis, particular_solution
 from confode.ualgebra import (
@@ -439,6 +440,16 @@ def test_operator_residual_equals_point_by_point_loop(alpha):
         for forcing in (ZERO, random_expr(rng, rng.randint(1, 3))):
             got = operator_residual(coeffs, y, forcing, OracleGrid(alpha, grid))
             assert got == point_by_point_residual(coeffs, alpha, y, forcing, grid), (n, y)
+
+
+def test_relative_residuals_refuse_a_scale_that_is_not_finite():
+    # an overflowed sum of |terms| is no scale: dividing by it, or flooring
+    # every point by it, would pass the residuals it was meant to judge
+    got = relative_residuals([1.0, 1.0, 3.0, 0.0, 1.0], [math.inf, 4.0, math.nan, 0.0, 1e-300],
+                             2.0 ** -52 * 4.0)
+    assert math.isnan(got[0]) and math.isnan(got[2])
+    assert got[1::2] == [0.25, 0.0]
+    assert got[4] == 1.0 / (2.0 ** -52 * 4.0)
 
 
 def test_operator_residual_reuses_one_grid_across_expressions():
